@@ -53,12 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--spc", type=int, metavar="N", help="single parity check, block length N")
     group.add_argument("--conv", metavar="GENS", help='octal generators, e.g. "7,5"')
     p.add_argument("--info-len", type=int, help="information length (convolutional)")
-    p.add_argument(
-        "--terminated",
-        action="store_true",
-        default=True,
-        help="zero-tail termination (always on; kept for interface stability)",
-    )
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("label", help="set lambda-labels to channel likelihoods")
@@ -188,7 +182,7 @@ def _cmd_build_code(args) -> int:
         if args.info_len is None:
             raise TrelliskitError("--conv requires --info-len")
         graph = codes.build_conv_trellis(
-            codes.parse_generators(args.conv), args.info_len, args.terminated
+            codes.parse_generators(args.conv), args.info_len
         )
     tgraph.write_trellis(args.out, graph)
     return 0

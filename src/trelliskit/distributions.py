@@ -425,9 +425,8 @@ def _sweep_order(trellis: Trellis, direction: str):
 
 
 def _exact_sweep(
-    trellis: Trellis, g: DepthFunctionTable, direction: str
+    trellis: Trellis, g: DepthFunctionTable, direction: str, step: float
 ) -> dict[int, ExactDistribution]:
-    step = lattice_step(trellis, g)
     start, depths, local_edges, neighbor = _sweep_order(trellis, direction)
     dists = {start: ExactDistribution(0.0, step, (1.0,))}
     for depth in depths:
@@ -553,10 +552,12 @@ def _distributions(trellis, g, direction, mode, params) -> DistributionState:
     hard = _is_hard_decision(trellis, g)
     if mode == "auto":
         try:
-            lattice_step(trellis, g)
+            step = lattice_step(trellis, g)
             mode = "exact"
         except LatticeError:
             mode = "quantized"
+    elif mode == "exact":
+        step = lattice_step(trellis, g)
     if mode == "exact":
         return DistributionState(
             direction,
@@ -564,7 +565,7 @@ def _distributions(trellis, g, direction, mode, params) -> DistributionState:
             trellis.rank,
             hard,
             trellis.layers,
-            exact=_exact_sweep(trellis, g, direction),
+            exact=_exact_sweep(trellis, g, direction, step),
         )
     params = params or QuantizationParams()
     width = _resolve_bin_width(trellis, g, params)

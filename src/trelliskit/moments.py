@@ -250,40 +250,38 @@ def symbol_moments(
     max_order = min(forward.max_order, backward.max_order)
     add, mul = semiring.add, semiring.mul
 
-    edges = [e for e in trellis.edges_at(depth) if e.clabel == symbol]
-    powers = {}
-    lam = {}
-    for e in edges:
+    numerators = [semiring.zero] * (max_order + 1)
+    for e in trellis.edges_at(depth):
+        if e.clabel != symbol:
+            continue
+        alpha = forward.table[e.init]
+        beta = backward.table[e.fin]
         base = semiring.from_real(g.value(e))
-        row = [semiring.one]
+        gpow = [semiring.one]
         for _ in range(max_order):
-            row.append(mul(row[-1], base))
-        powers[e.id] = row
-        lam[e.id] = semiring.from_real(e.lam)
-
-    numerators = []
-    for m in range(max_order + 1):
-        acc = semiring.zero
-        for e in edges:
-            alpha = forward.table[e.init]
-            beta = backward.table[e.fin]
-            gpow = powers[e.id]
+            gpow.append(mul(gpow[-1], base))
+        # Forward vector advanced across e, built once for every order:
+        # advanced[l] = sum_k C(l,k) g(e)^k alpha[l-k].
+        advanced = []
+        for l in range(max_order + 1):
+            inner = semiring.zero
+            for k in range(l + 1):
+                term = mul(gpow[k], alpha[l - k])
+                c = binomial(l, k)
+                if c != 1:
+                    term = nat_scale(semiring, c, term)
+                inner = add(inner, term)
+            advanced.append(inner)
+        lam = semiring.from_real(e.lam)
+        for m in range(max_order + 1):
             outer = semiring.zero
             for l in range(m + 1):
-                inner = semiring.zero
-                for k in range(l + 1):
-                    term = mul(gpow[k], alpha[l - k])
-                    c = binomial(l, k)
-                    if c != 1:
-                        term = nat_scale(semiring, c, term)
-                    inner = add(inner, term)
-                term = mul(beta[m - l], inner)
+                term = mul(beta[m - l], advanced[l])
                 c = binomial(m, l)
                 if c != 1:
                     term = nat_scale(semiring, c, term)
                 outer = add(outer, term)
-            acc = add(acc, mul(lam[e.id], outer))
-        numerators.append(acc)
+            numerators[m] = add(numerators[m], mul(lam, outer))
     numerators = tuple(numerators)
     return SymbolMoments(
         depth, symbol, numerators, _normalize(semiring, numerators), semiring.name

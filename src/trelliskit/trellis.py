@@ -19,6 +19,7 @@ trellis into an equivalent one-symbol-per-edge trellis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -66,7 +67,8 @@ class Trellis:
         if isinstance(vertex_depths, Mapping):
             vertex_depths = vertex_depths.items()
         self.rank = rank
-        self._depth = {}
+        self._depth: dict[int, int] = {}
+        by_depth: list[list[int]] = [[] for _ in range(rank + 1)]
         for vid, depth in vertex_depths:
             vid = int(vid)
             if vid in self._depth:
@@ -76,27 +78,40 @@ class Trellis:
                     f"vertex {vid} depth {depth} outside 0..{rank}"
                 )
             self._depth[vid] = int(depth)
-
+            by_depth[int(depth)].append(vid)
         self.layers: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(v for v, d in self._depth.items() if d == i))
-            for i in range(rank + 1)
+            tuple(sorted(layer)) for layer in by_depth
         )
 
+        # One pass indexes every edge: by id, per vertex, and per section
+        # (bucketed by the depth of ``init``, the rule of edges_at).
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self._in: dict[int, list[Edge]] = {v: [] for v in self._depth}
-        self._out: dict[int, list[Edge]] = {v: [] for v in self._depth}
-        seen_edge_ids = set()
+        into: dict[int, list[Edge]] = {v: [] for v in self._depth}
+        out: dict[int, list[Edge]] = {v: [] for v in self._depth}
+        sections: list[list[Edge]] = [[] for _ in range(rank + 1)]
+        self._edge_by_id: dict[int, Edge] = {}
         for e in self.edges:
-            if e.id in seen_edge_ids:
+            if e.id in self._edge_by_id:
                 raise TrellisStructureError(f"duplicate edge id {e.id}")
-            seen_edge_ids.add(e.id)
+            self._edge_by_id[e.id] = e
             if e.init not in self._depth:
                 raise TrellisStructureError(f"edge {e.id} init vertex {e.init} unknown")
             if e.fin not in self._depth:
                 raise TrellisStructureError(f"edge {e.id} fin vertex {e.fin} unknown")
-            self._out[e.init].append(e)
-            self._in[e.fin].append(e)
-        self._edge_by_id = {e.id: e for e in self.edges}
+            if not (math.isfinite(e.lam) and math.isfinite(e.clabel)):
+                raise TrellisStructureError(
+                    f"edge {e.id} has a non-finite label "
+                    f"(lambda={e.lam!r}, clabel={e.clabel!r})"
+                )
+            out[e.init].append(e)
+            into[e.fin].append(e)
+            sections[self._depth[e.init]].append(e)
+        self._in = {v: tuple(es) for v, es in into.items()}
+        self._out = {v: tuple(es) for v, es in out.items()}
+        # Edges leaving the final layer belong to no section.
+        self._sections = tuple(tuple(es) for es in sections[:rank])
+        # validate() report, computed by the first require_valid().
+        self._report: tuple[Violation, ...] | None = None
 
     # -- structural queries -------------------------------------------------
 
@@ -128,14 +143,16 @@ class Trellis:
         return self.layers[-1][0]
 
     def in_edges(self, v: int) -> tuple[Edge, ...]:
-        if v not in self._depth:
-            raise UnknownVertexError(f"unknown vertex {v}")
-        return tuple(self._in[v])
+        try:
+            return self._in[v]
+        except KeyError:
+            raise UnknownVertexError(f"unknown vertex {v}") from None
 
     def out_edges(self, v: int) -> tuple[Edge, ...]:
-        if v not in self._depth:
-            raise UnknownVertexError(f"unknown vertex {v}")
-        return tuple(self._out[v])
+        try:
+            return self._out[v]
+        except KeyError:
+            raise UnknownVertexError(f"unknown vertex {v}") from None
 
     def edge(self, edge_id: int) -> Edge:
         try:
@@ -149,24 +166,28 @@ class Trellis:
             raise TrellisStructureError(
                 f"section depth {depth} outside 1..{self.rank}"
             )
-        return tuple(
-            e for e in self.edges if self._depth[e.init] == depth - 1
-        )
+        return self._sections[depth - 1]
 
     def clabels_at(self, depth: int) -> tuple[float, ...]:
         """Distinct c-labels occurring in section ``depth``, sorted."""
         return tuple(sorted({e.clabel for e in self.edges_at(depth)}))
 
     def relabeled(self, lam_of: Callable[[Edge], float]) -> "Trellis":
-        """Copy with each edge's lambda-label replaced by ``lam_of(e)``."""
-        return Trellis(
+        """Copy with each edge's lambda-label replaced by ``lam_of(e)``.
+
+        The structure is unchanged, so the copy keeps this trellis's
+        validation report.
+        """
+        copy = Trellis(
             self.rank,
-            dict(self._depth),
+            self._depth,
             (
                 Edge(e.id, e.init, e.fin, float(lam_of(e)), e.clabel)
                 for e in self.edges
             ),
         )
+        copy._report = self._report
+        return copy
 
     def __repr__(self) -> str:
         return (
@@ -213,8 +234,9 @@ def validate(trellis: Trellis) -> list[Violation]:
                 Violation("empty-layer", f"no vertex at depth {depth}")
             )
 
+    depth = trellis._depth
     for e in trellis.edges:
-        di, df = trellis.depth_of(e.init), trellis.depth_of(e.fin)
+        di, df = depth[e.init], depth[e.fin]
         if df != di + 1:
             report.append(
                 Violation(
@@ -224,28 +246,19 @@ def validate(trellis: Trellis) -> list[Violation]:
             )
 
     # Reachability from the depth-0 layer and co-reachability from the
-    # final layer, restricted to well-formed edges.
-    ok_edges = [
-        e
-        for e in trellis.edges
-        if trellis.depth_of(e.fin) == trellis.depth_of(e.init) + 1
-    ]
+    # final layer along edges between consecutive depths: one pass over
+    # the sections in each direction, since such an edge only reaches
+    # the next layer.
     fwd = set(trellis.layers[0])
-    changed = True
-    while changed:
-        changed = False
-        for e in ok_edges:
-            if e.init in fwd and e.fin not in fwd:
+    for d in range(1, trellis.rank + 1):
+        for e in trellis.edges_at(d):
+            if e.init in fwd and depth[e.fin] == d:
                 fwd.add(e.fin)
-                changed = True
     bwd = set(trellis.layers[-1])
-    changed = True
-    while changed:
-        changed = False
-        for e in ok_edges:
-            if e.fin in bwd and e.init not in bwd:
+    for d in range(trellis.rank, 0, -1):
+        for e in trellis.edges_at(d):
+            if e.fin in bwd and depth[e.fin] == d:
                 bwd.add(e.init)
-                changed = True
     for v in trellis.vertices:
         if v not in fwd:
             report.append(
@@ -259,8 +272,14 @@ def validate(trellis: Trellis) -> list[Violation]:
 
 
 def require_valid(trellis: Trellis) -> None:
-    """Raise TrellisStructureError when validate() reports anything."""
-    report = validate(trellis)
+    """Raise TrellisStructureError when validate() reports anything.
+
+    The trellis is immutable, so its report is computed on the first
+    call and kept for every later one.
+    """
+    if trellis._report is None:
+        trellis._report = tuple(validate(trellis))
+    report = trellis._report
     if report:
         lines = "; ".join(f"{v.code}: {v.message}" for v in report[:8])
         more = "" if len(report) <= 8 else f" (+{len(report) - 8} more)"

@@ -164,6 +164,11 @@ class TestChannels:
         with pytest.raises(ChannelError):
             channel_lambda_labels(t, Bsc(0.1), [0.5, 1.0])
 
+    def test_nan_received_value_rejected(self):
+        t = build_spc_trellis(4)
+        with pytest.raises(TrellisStructureError, match="non-finite"):
+            channel_lambda_labels(t, Awgn(1.0), [1.0, math.nan, -1.0, 1.0])
+
     def test_make_received_deterministic(self):
         t = build_spc_trellis(6)
         a = make_received(t, Bsc(0.35), 3)

@@ -255,6 +255,14 @@ class TestTextFormat:
         with pytest.raises(TrellisFormatError):
             loads_trellis("trellis rank=1\nv 0 depth=zero\n")
 
+    def test_non_finite_labels_rejected(self):
+        head = "trellis rank=1\nv 0 depth=0\nv 1 depth=1\n"
+        for fields in ("lambda=nan clabel=1.0", "lambda=0.5 clabel=-inf"):
+            with pytest.raises(TrellisFormatError, match="non-finite"):
+                loads_trellis(head + f"e 0 0 1 {fields}\n")
+        with pytest.raises(TrellisStructureError, match="non-finite"):
+            Trellis(1, {0: 0, 1: 1}, [Edge(0, 0, 1, float("inf"), 1.0)])
+
     def test_comments_and_blank_lines_ignored(self):
         text = (
             "# a comment\ntrellis rank=1\n\nv 0 depth=0\nv 1 depth=1\n"
