@@ -20,23 +20,6 @@ from . import codes, distributions, moments, oracles, semirings, trellis as tgra
 from .errors import TrelliskitError
 
 
-def _require_threads(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError("thread count must be >= 1")
-    return n
-
-
-def _add_threads(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--threads",
-        type=_require_threads,
-        default=1,
-        help="worker count; evaluation is deterministic and currently "
-        "sequential, so values above 1 are accepted and ignored",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trelliskit",
@@ -80,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-ops", action="store_true")
     p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--out")
-    _add_threads(p)
 
     p = sub.add_parser("distribution", help="exact or quantized value distribution")
     p.add_argument("--trellis", required=True)
@@ -93,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbol-value", type=float)
     p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
-    _add_threads(p)
 
     p = sub.add_parser("entropy", help="conditional entropy of a code or subcode")
     p.add_argument("--trellis", required=True)
@@ -102,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbol-depth", type=int)
     p.add_argument("--symbol-value", type=float)
     p.add_argument("--out")
-    _add_threads(p)
 
     p = sub.add_parser("figures", help="emit figure CSV datasets")
     p.add_argument("--which", type=int, required=True, choices=(1, 3))
@@ -113,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--info-len", type=int, default=98)
     p.add_argument("--symbol-depth", type=int, default=10)
     p.add_argument("--cut", type=int, default=None)
-    _add_threads(p)
 
     return parser
 

@@ -353,11 +353,6 @@ class DistributionState:
     half_bins: Optional[int] = None
     bin_width: Optional[float] = None
 
-    def vertex_distribution(self, v: int):
-        if self.mode == "exact":
-            return self.exact[v]
-        return self.quantized[v]
-
 
 def _resolve_bin_width(
     trellis: Trellis, g: DepthFunctionTable, params: QuantizationParams
@@ -410,34 +405,17 @@ def _is_hard_decision(trellis: Trellis, g: DepthFunctionTable) -> bool:
     )
 
 
-def _sweep_order(trellis: Trellis, direction: str):
-    if direction == "forward":
-        start = trellis.source
-        depths = range(1, trellis.rank + 1)
-        local_edges = trellis.in_edges
-        neighbor = lambda e: e.init
-    else:
-        start = trellis.sink
-        depths = range(trellis.rank - 1, -1, -1)
-        local_edges = trellis.out_edges
-        neighbor = lambda e: e.fin
-    return start, depths, local_edges, neighbor
-
-
 def _exact_sweep(
     trellis: Trellis, g: DepthFunctionTable, direction: str, step: float
 ) -> dict[int, ExactDistribution]:
-    start, depths, local_edges, neighbor = _sweep_order(trellis, direction)
+    start, steps, neighbor = trellis.walk(direction)
     dists = {start: ExactDistribution(0.0, step, (1.0,))}
-    for depth in depths:
-        for v in trellis.layers[depth]:
-            parts = []
-            for e in local_edges(v):
-                d = dists[neighbor(e)]
-                parts.append(
-                    (d.offset + g.value(e), np.asarray(d.mass) * e.lam)
-                )
-            dists[v] = _merge_exact(parts, step)
+    for v, edges in steps:
+        parts = []
+        for e in edges:
+            d = dists[neighbor(e)]
+            parts.append((d.offset + g.value(e), np.asarray(d.mass) * e.lam))
+        dists[v] = _merge_exact(parts, step)
     return dists
 
 
@@ -488,35 +466,33 @@ def _quantized_sweep(
                 f"quantized mode needs nonnegative labels; edge {e.id} "
                 f"has {e.lam}"
             )
-    start, depths, local_edges, neighbor = _sweep_order(trellis, direction)
+    start, steps, neighbor = trellis.walk(direction)
     dists = {start: QuantizedDistribution.dirac(half_bins, width)}
     flows = {start: 1.0}
-    for depth in depths:
-        for v in trellis.layers[depth]:
-            edges = local_edges(v)
-            weights = [e.lam * flows[neighbor(e)] for e in edges]
-            wsum = sum(weights)
-            if wsum <= 0.0:
-                raise ZeroFlowError(
-                    v, f"zero incoming weight normalizer at vertex {v}"
-                )
-            means = [dists[neighbor(e)].mean + g.value(e) for e in edges]
-            wmean = sum(w * mu for w, mu in zip(weights, means)) / wsum
-            mu = _snap_mean(wmean, means, width)
-            acc = np.zeros(2 * half_bins + 1)
-            for e, w, mu_in in zip(edges, weights, means):
-                if w == 0.0:
-                    continue
-                acc += (w / wsum) * _move_bins(
-                    np.asarray(dists[neighbor(e)].mass),
-                    half_bins,
-                    (mu - mu_in) / width,
-                    half_bins,
-                )
-            dists[v] = QuantizedDistribution(
-                mu, half_bins, width, tuple(acc.tolist())
+    for v, edges in steps:
+        weights = [e.lam * flows[neighbor(e)] for e in edges]
+        wsum = sum(weights)
+        if wsum <= 0.0:
+            raise ZeroFlowError(
+                v, f"zero incoming weight normalizer at vertex {v}"
             )
-            flows[v] = wsum
+        means = [dists[neighbor(e)].mean + g.value(e) for e in edges]
+        wmean = sum(w * mu for w, mu in zip(weights, means)) / wsum
+        mu = _snap_mean(wmean, means, width)
+        acc = np.zeros(2 * half_bins + 1)
+        for e, w, mu_in in zip(edges, weights, means):
+            if w == 0.0:
+                continue
+            acc += (w / wsum) * _move_bins(
+                np.asarray(dists[neighbor(e)].mass),
+                half_bins,
+                (mu - mu_in) / width,
+                half_bins,
+            )
+        dists[v] = QuantizedDistribution(
+            mu, half_bins, width, tuple(acc.tolist())
+        )
+        flows[v] = wsum
     return dists, flows
 
 

@@ -6,14 +6,20 @@ from the source to v, the path label weighted by f(P)^m.  A single
 depth-synchronous sweep computes all orders 0..M at once through the
 binomial recursion
 
-    fwd[v][m] = sum_{e into v} lam(e) * sum_l C(m,l) g(e)^l fwd[init(e)][m-l]
+    fwd[v][m] = sum_{e into v} sum_l C(m,l) lam(e) g(e)^l fwd[init(e)][m-l]
 
-and the mirrored sweep computes backward numerators from the sink.  Order
+and the same sweep run from the sink computes backward numerators.  Order
 0 is the plain flow (the BCJR alpha/beta); the sink row of the forward
 sweep equals the source row of the backward sweep and yields the trellis
 moments.  Constraining the section-i edge to one c-label value yields
 symbol moments.  All of this is generic over the commutative semirings in
 :mod:`trelliskit.semirings`.
+
+Every engine here but the two counted evaluators below walks the trellis
+through ``Trellis.walk``, in either direction, and combines moment
+vectors through the one binomial helper ``_combine``, with each edge's
+label folded once into the powers of its g value (``lam(e) g(e)^l``
+above).
 
 ``counted_run`` / ``counted_symbol_pass`` are real-semiring evaluators
 instrumented with exact add/multiply tallies, performing literally the
@@ -26,11 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from .errors import SemiringError, ZeroFlowError
 from .semirings import (
     MAX_ORDER,
+    _PASCAL,
     REAL,
     SemiringSpec,
     binomial,
@@ -48,25 +55,44 @@ def _check_order(max_order: int) -> None:
         )
 
 
-def _g_powers(
-    trellis: Trellis,
-    g: DepthFunctionTable,
-    max_order: int,
-    semiring: SemiringSpec,
+def _lift(semiring: SemiringSpec, lam: float, g: float, max_order: int) -> list[Any]:
+    """Edge label folded with the powers of its g value: lam * g^l, l = 0..M."""
+    base = semiring.from_real(g)
+    row = [semiring.from_real(lam)]
+    for _ in range(max_order):
+        row.append(semiring.mul(row[-1], base))
+    return row
+
+
+def _lifted_labels(
+    trellis: Trellis, g: DepthFunctionTable, max_order: int, semiring: SemiringSpec
 ) -> dict[int, list[Any]]:
-    """Per-edge carrier powers g(e)^0 .. g(e)^M."""
-    powers: dict[int, list[Any]] = {}
-    for e in trellis.edges:
-        base = semiring.from_real(g.value(e))
-        row = [semiring.one]
-        for _ in range(max_order):
-            row.append(semiring.mul(row[-1], base))
-        powers[e.id] = row
-    return powers
+    return {e.id: _lift(semiring, e.lam, g.value(e), max_order) for e in trellis.edges}
 
 
-def _carrier_labels(trellis: Trellis, semiring: SemiringSpec) -> dict[int, Any]:
-    return {e.id: semiring.from_real(e.lam) for e in trellis.edges}
+def _combine(
+    semiring: SemiringSpec, pairs: list[tuple[Sequence, Sequence]], max_order: int
+) -> list[Any]:
+    """out[m] = sum over (a, b) in pairs and l of C(m,l) a[l] b[m-l], m = 0..M.
+
+    The binomial step of every moment recursion: with a lifted edge label
+    as ``a`` it advances the row ``b`` across that edge; with a forward
+    and a backward row it joins them across an edge.
+    """
+    add, mul = semiring.add, semiring.mul
+    out = []
+    for m in range(max_order + 1):
+        coefficients = _PASCAL[m]
+        acc = semiring.zero
+        for a, b in pairs:
+            for l in range(m + 1):
+                term = mul(a[l], b[m - l])
+                c = coefficients[l]
+                if c != 1:
+                    term = nat_scale(semiring, c, term)
+                acc = add(acc, term)
+        out.append(acc)
+    return out
 
 
 @dataclass
@@ -89,6 +115,26 @@ class MomentState:
         return self.sink if self.direction == "forward" else self.source
 
 
+def _numerators(
+    trellis: Trellis,
+    g: DepthFunctionTable,
+    max_order: int,
+    semiring: SemiringSpec,
+    direction: str,
+) -> MomentState:
+    require_valid(trellis)
+    _check_order(max_order)
+    start, steps, neighbor = trellis.walk(direction)
+    lift = _lifted_labels(trellis, g, max_order, semiring)
+    table: dict[int, list[Any]] = {start: [semiring.one] + [semiring.zero] * max_order}
+    for v, edges in steps:
+        pairs = [(lift[e.id], table[neighbor(e)]) for e in edges]
+        table[v] = _combine(semiring, pairs, max_order)
+    return MomentState(
+        direction, max_order, semiring, table, trellis.source, trellis.sink
+    )
+
+
 def forward_numerators(
     trellis: Trellis,
     g: DepthFunctionTable,
@@ -96,37 +142,7 @@ def forward_numerators(
     semiring: SemiringSpec = REAL,
 ) -> MomentState:
     """Numerators of orders 0..max_order at every vertex, source first."""
-    require_valid(trellis)
-    _check_order(max_order)
-    powers = _g_powers(trellis, g, max_order, semiring)
-    lam = _carrier_labels(trellis, semiring)
-    add, mul = semiring.add, semiring.mul
-
-    table: dict[int, list[Any]] = {
-        trellis.source: [semiring.one] + [semiring.zero] * max_order
-    }
-    for depth in range(1, trellis.rank + 1):
-        for v in trellis.layers[depth]:
-            row = []
-            in_edges = trellis.in_edges(v)
-            for m in range(max_order + 1):
-                acc = semiring.zero
-                for e in in_edges:
-                    init_row = table[e.init]
-                    gpow = powers[e.id]
-                    inner = semiring.zero
-                    for l in range(m + 1):
-                        term = mul(gpow[l], init_row[m - l])
-                        c = binomial(m, l)
-                        if c != 1:
-                            term = nat_scale(semiring, c, term)
-                        inner = add(inner, term)
-                    acc = add(acc, mul(lam[e.id], inner))
-                row.append(acc)
-            table[v] = row
-    return MomentState(
-        "forward", max_order, semiring, table, trellis.source, trellis.sink
-    )
+    return _numerators(trellis, g, max_order, semiring, "forward")
 
 
 def backward_numerators(
@@ -136,37 +152,7 @@ def backward_numerators(
     semiring: SemiringSpec = REAL,
 ) -> MomentState:
     """Mirror sweep from the sink; order 0 gives the flows to the sink."""
-    require_valid(trellis)
-    _check_order(max_order)
-    powers = _g_powers(trellis, g, max_order, semiring)
-    lam = _carrier_labels(trellis, semiring)
-    add, mul = semiring.add, semiring.mul
-
-    table: dict[int, list[Any]] = {
-        trellis.sink: [semiring.one] + [semiring.zero] * max_order
-    }
-    for depth in range(trellis.rank - 1, -1, -1):
-        for v in trellis.layers[depth]:
-            row = []
-            out_edges = trellis.out_edges(v)
-            for m in range(max_order + 1):
-                acc = semiring.zero
-                for e in out_edges:
-                    fin_row = table[e.fin]
-                    gpow = powers[e.id]
-                    inner = semiring.zero
-                    for l in range(m + 1):
-                        term = mul(gpow[l], fin_row[m - l])
-                        c = binomial(m, l)
-                        if c != 1:
-                            term = nat_scale(semiring, c, term)
-                        inner = add(inner, term)
-                    acc = add(acc, mul(lam[e.id], inner))
-                row.append(acc)
-            table[v] = row
-    return MomentState(
-        "backward", max_order, semiring, table, trellis.source, trellis.sink
-    )
+    return _numerators(trellis, g, max_order, semiring, "backward")
 
 
 def _normalize(
@@ -248,41 +234,14 @@ def symbol_moments(
         raise SemiringError(f"section depth {depth} outside 1..{trellis.rank}")
     semiring = forward.semiring
     max_order = min(forward.max_order, backward.max_order)
-    add, mul = semiring.add, semiring.mul
 
-    numerators = [semiring.zero] * (max_order + 1)
+    pairs = []
     for e in trellis.edges_at(depth):
-        if e.clabel != symbol:
-            continue
-        alpha = forward.table[e.init]
-        beta = backward.table[e.fin]
-        base = semiring.from_real(g.value(e))
-        gpow = [semiring.one]
-        for _ in range(max_order):
-            gpow.append(mul(gpow[-1], base))
-        # Forward vector advanced across e, built once for every order:
-        # advanced[l] = sum_k C(l,k) g(e)^k alpha[l-k].
-        advanced = []
-        for l in range(max_order + 1):
-            inner = semiring.zero
-            for k in range(l + 1):
-                term = mul(gpow[k], alpha[l - k])
-                c = binomial(l, k)
-                if c != 1:
-                    term = nat_scale(semiring, c, term)
-                inner = add(inner, term)
-            advanced.append(inner)
-        lam = semiring.from_real(e.lam)
-        for m in range(max_order + 1):
-            outer = semiring.zero
-            for l in range(m + 1):
-                term = mul(beta[m - l], advanced[l])
-                c = binomial(m, l)
-                if c != 1:
-                    term = nat_scale(semiring, c, term)
-                outer = add(outer, term)
-            numerators[m] = add(numerators[m], mul(lam, outer))
-    numerators = tuple(numerators)
+        if e.clabel == symbol:
+            lift = _lift(semiring, e.lam, g.value(e), max_order)
+            advanced = _combine(semiring, [(lift, forward.table[e.init])], max_order)
+            pairs.append((advanced, backward.table[e.fin]))
+    numerators = tuple(_combine(semiring, pairs, max_order))
     return SymbolMoments(
         depth, symbol, numerators, _normalize(semiring, numerators), semiring.name
     )
@@ -323,40 +282,33 @@ def joint_forward_numerators(
     require_valid(trellis)
     _check_order(order_y)
     _check_order(order_z)
-    pow_y = _g_powers(trellis, g_y, order_y, semiring)
-    pow_z = _g_powers(trellis, g_z, order_z, semiring)
-    lam = _carrier_labels(trellis, semiring)
+    start, steps, neighbor = trellis.walk("forward")
+    lift_y = _lifted_labels(trellis, g_y, order_y, semiring)
+    pow_z = {e.id: _lift(semiring, 1.0, g_z.value(e), order_z) for e in trellis.edges}
     add, mul = semiring.add, semiring.mul
 
-    zero_grid = [
-        [semiring.zero] * (order_z + 1) for _ in range(order_y + 1)
-    ]
-    start = [row[:] for row in zero_grid]
-    start[0][0] = semiring.one
-    table: dict[int, list[list[Any]]] = {trellis.source: start}
-
-    for depth in range(1, trellis.rank + 1):
-        for v in trellis.layers[depth]:
-            grid = [row[:] for row in zero_grid]
-            for k in range(order_y + 1):
-                for m in range(order_z + 1):
-                    acc = semiring.zero
-                    for e in trellis.in_edges(v):
-                        init = table[e.init]
-                        py, pz = pow_y[e.id], pow_z[e.id]
-                        inner = semiring.zero
-                        for j in range(k + 1):
-                            for l in range(m + 1):
-                                term = mul(
-                                    mul(py[k - j], pz[m - l]), init[j][l]
-                                )
-                                c = binomial(k, j) * binomial(m, l)
-                                if c != 1:
-                                    term = nat_scale(semiring, c, term)
-                                inner = add(inner, term)
-                        acc = add(acc, mul(lam[e.id], inner))
-                    grid[k][m] = acc
-            table[v] = grid
+    origin = [[semiring.zero] * (order_z + 1) for _ in range(order_y + 1)]
+    origin[0][0] = semiring.one
+    table: dict[int, list[list[Any]]] = {start: origin}
+    for v, edges in steps:
+        grid = []
+        for k in range(order_y + 1):
+            row = []
+            for m in range(order_z + 1):
+                acc = semiring.zero
+                for e in edges:
+                    prev = table[neighbor(e)]
+                    py, pz = lift_y[e.id], pow_z[e.id]
+                    for j in range(k + 1):
+                        for l in range(m + 1):
+                            term = mul(mul(py[k - j], pz[m - l]), prev[j][l])
+                            c = _PASCAL[k][j] * _PASCAL[m][l]
+                            if c != 1:
+                                term = nat_scale(semiring, c, term)
+                            acc = add(acc, term)
+                row.append(acc)
+            grid.append(row)
+        table[v] = grid
     return JointMomentState(
         order_y, order_z, semiring, table, trellis.source, trellis.sink
     )
@@ -420,8 +372,7 @@ def normalized_states(
     """
     require_valid(trellis)
     _check_order(max_order)
-    if direction not in ("forward", "backward"):
-        raise SemiringError(f"unknown direction {direction!r}")
+    start, steps, neighbor = trellis.walk(direction)
     for e in trellis.edges:
         if e.lam < 0:
             raise SemiringError(
@@ -433,45 +384,27 @@ def normalized_states(
     }
     gval = {e.id: g.value(e) for e in trellis.edges}
 
-    forward = direction == "forward"
-    start = trellis.source if forward else trellis.sink
     normalized: dict[int, tuple[float, ...]] = {
         start: (1.0,) + (0.0,) * max_order
     }
     log_flow: dict[int, float] = {start: 0.0}
+    for v, edges in steps:
+        terms = [log_lam[e.id] + log_flow[neighbor(e)] for e in edges]
+        hi = max(terms)
+        if hi == -math.inf:
+            raise ZeroFlowError(v)
+        total = hi + math.log(sum(math.exp(t - hi) for t in terms))
+        log_flow[v] = total
 
-    depth_range = (
-        range(1, trellis.rank + 1) if forward else range(trellis.rank - 1, -1, -1)
-    )
-    for depth in depth_range:
-        for v in trellis.layers[depth]:
-            edges = trellis.in_edges(v) if forward else trellis.out_edges(v)
-            neighbor = (lambda e: e.init) if forward else (lambda e: e.fin)
-            terms = [log_lam[e.id] + log_flow[neighbor(e)] for e in edges]
-            hi = max(terms)
-            if hi == -math.inf:
-                raise ZeroFlowError(v)
-            total = hi + math.log(sum(math.exp(t - hi) for t in terms))
-            weights = [math.exp(t - total) for t in terms]
-            log_flow[v] = total
-
-            row = [0.0] * (max_order + 1)
-            row[0] = 1.0
-            for m in range(1, max_order + 1):
-                acc = 0.0
-                for w, e in zip(weights, edges):
-                    if w == 0.0:
-                        continue
-                    prev = normalized[neighbor(e)]
-                    base = gval[e.id]
-                    gp = 1.0
-                    inner = prev[m]
-                    for l in range(1, m + 1):
-                        gp *= base
-                        inner += binomial(m, l) * gp * prev[m - l]
-                    acc += w * inner
-                row[m] = acc
-            normalized[v] = tuple(row)
+        pairs = []
+        for t, e in zip(terms, edges):
+            w = math.exp(t - total)
+            if w != 0.0:
+                lift = _lift(REAL, w, gval[e.id], max_order)
+                pairs.append((lift, normalized[neighbor(e)]))
+        row = _combine(REAL, pairs, max_order)
+        row[0] = 1.0
+        normalized[v] = tuple(row)
     return NormalizedMomentState(direction, max_order, normalized, log_flow)
 
 

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     GTableError,
     PathCountError,
+    SemiringError,
     TrellisFormatError,
     TrellisStructureError,
     UnknownVertexError,
@@ -168,9 +170,27 @@ class Trellis:
             )
         return self._sections[depth - 1]
 
-    def clabels_at(self, depth: int) -> tuple[float, ...]:
-        """Distinct c-labels occurring in section ``depth``, sorted."""
-        return tuple(sorted({e.clabel for e in self.edges_at(depth)}))
+    def walk(
+        self, direction: str
+    ) -> tuple[int, Iterator[tuple[int, tuple[Edge, ...]]], Callable[[Edge], int]]:
+        """The order in which a sweep in ``direction`` visits the vertices.
+
+        Returns ``(start, steps, neighbor)``.  A forward sweep starts at the
+        source and a backward one at the sink; ``steps`` yields every other
+        vertex, layer by layer away from ``start``, with its local edges
+        (in-edges going forward, out-edges going backward); ``neighbor(e)``
+        is the end of a local edge that the sweep has already visited.
+        """
+        if direction == "forward":
+            start, layers, local = self.source, self.layers[1:], self._in
+            neighbor = attrgetter("init")
+        elif direction == "backward":
+            start, layers, local = self.sink, self.layers[-2::-1], self._out
+            neighbor = attrgetter("fin")
+        else:
+            raise SemiringError(f"unknown direction {direction!r}")
+        steps = ((v, local[v]) for layer in layers for v in layer)
+        return start, steps, neighbor
 
     def relabeled(self, lam_of: Callable[[Edge], float]) -> "Trellis":
         """Copy with each edge's lambda-label replaced by ``lam_of(e)``.
@@ -358,6 +378,9 @@ class DepthFunctionTable:
 
     def __init__(self, values: Mapping[int, float]):
         self._values = {int(k): float(v) for k, v in values.items()}
+        for edge_id, value in self._values.items():
+            if not math.isfinite(value):
+                raise GTableError(f"edge {edge_id} has a non-finite g value {value!r}")
 
     @classmethod
     def from_clabels(cls, trellis: Trellis) -> "DepthFunctionTable":
@@ -549,9 +572,12 @@ def read_g_table(path, trellis: Trellis) -> DepthFunctionTable:
                     f"line {lineno}: expected 'g <edge-id> <value>'"
                 )
             try:
-                values[int(fields[1])] = float(fields[2])
+                edge_id, value = int(fields[1]), float(fields[2])
             except ValueError as exc:
                 raise TrellisFormatError(f"line {lineno}: {exc}") from None
+            if not math.isfinite(value):
+                raise TrellisFormatError(f"line {lineno}: non-finite g value {value!r}")
+            values[edge_id] = value
     for e in trellis.edges:
         if e.id not in values:
             raise GTableError(f"g table is missing edge {e.id}")
@@ -587,8 +613,3 @@ def write_received(path, values: Sequence[float]) -> None:
 
 def is_bipolar(x: float) -> bool:
     return x == 1.0 or x == -1.0
-
-
-def hard_decision_table(table: DepthFunctionTable) -> bool:
-    """True when every g value is +/-1 (integer lattice of step 2)."""
-    return all(is_bipolar(v) for _, v in table.items())

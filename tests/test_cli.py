@@ -162,6 +162,19 @@ class TestMoments:
         assert code == 0
         assert payload["numerators"] == [8.0, 32.0]  # f(P) = 4 on every path
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_g_table_is_domain_error(self, spc4_file, tmp_path, capsys, bad):
+        t = read_trellis(spc4_file)
+        gpath = tmp_path / "g.table"
+        lines = [f"g {e.id} 1.0\n" for e in t.edges]
+        lines[0] = f"g {t.edges[0].id} {bad}\n"
+        gpath.write_text("".join(lines))
+        code = main(
+            ["moments", "--trellis", spc4_file, "--g", str(gpath), "--max-order", "2"]
+        )
+        assert code == 1
+        assert "line 1" in capsys.readouterr().err
+
     def test_oracle_flag(self, spc4_file, capsys):
         code, payload = run_json(
             capsys,
@@ -200,23 +213,6 @@ class TestMoments:
         with pytest.raises(SystemExit) as err:
             main(["moments", "--trellis", spc4_file])
         assert err.value.code == 2
-
-    def test_threads_flag_accepted(self, spc4_file, capsys):
-        code, payload = run_json(
-            capsys,
-            [
-                "moments",
-                "--trellis",
-                spc4_file,
-                "--g",
-                "clabel",
-                "--max-order",
-                "0",
-                "--threads",
-                "4",
-            ],
-        )
-        assert code == 0 and payload["numerators"] == [8.0]
 
 
 class TestDistribution:

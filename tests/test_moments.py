@@ -16,6 +16,7 @@ from trelliskit import (
     counted_run,
     counted_symbol_pass,
     forward_numerators,
+    get_semiring,
     joint_forward_numerators,
     joint_trellis_moments,
     normalized_states,
@@ -224,6 +225,42 @@ class TestSemiringGeneric:
             assert_close(fwd.table[t.sink][m], best, 1e-12)
 
 
+# g tables each semiring accepts: max-product and boolean only at order 0.
+SEMIRING_CASES = {
+    "real": (-2.0, 2.0, 3),
+    "logreal": (0.1, 2.0, 3),
+    "tropical": (-2.0, 2.0, 3),
+    "maxprod": (0.0, 0.0, 0),
+    "boolean": (0.0, 0.0, 0),
+}
+
+
+class TestBothDirections:
+    @pytest.mark.parametrize("name", sorted(SEMIRING_CASES))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_backward_source_equals_forward_sink(self, name, seed):
+        semiring = get_semiring(name)
+        low, high, max_order = SEMIRING_CASES[name]
+        # Power-of-two labels keep every path product exact in floating
+        # point, so max-product can be compared exactly.
+        rng = np.random.default_rng(seed)
+        t = random_trellis(seed + 40).relabeled(
+            lambda e: 2.0 ** -int(rng.integers(0, 6))
+        )
+        g = random_g_table(t, seed + 400, low=low, high=high)
+        fwd = forward_numerators(t, g, max_order, semiring).table[t.sink]
+        bwd = backward_numerators(t, g, max_order, semiring).table[t.source]
+        if name in ("maxprod", "boolean"):
+            assert bwd == fwd
+        else:
+            for m in range(max_order + 1):
+                assert_close(bwd[m], fwd[m], 1e-12, f"{name} m={m}")
+
+    def test_unknown_direction_rejected(self, spc4, spc4_clabel_g):
+        with pytest.raises(SemiringError, match="sideways"):
+            normalized_states(spc4, spc4_clabel_g, 1, direction="sideways")
+
+
 class TestSymbolMoments:
     def test_cut_consistency_order_zero(self):
         for seed in range(5):
@@ -354,6 +391,13 @@ class TestNormalizedStates:
             rebuilt = state.reconstruct(v)
             for m in range(3):
                 assert_close(rebuilt[m], plain.table[v][m], 1e-9)
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_order_zero_is_exactly_one(self, direction):
+        for seed in range(5):
+            t = relabeled_random(random_trellis(seed), seed)
+            state = normalized_states(t, random_g_table(t, seed), 2, direction)
+            assert all(row[0] == 1.0 for row in state.normalized.values())
 
     def test_survives_underflow_scale(self):
         # rank-10 chain with labels 1e-300 per depth underflows the plain

@@ -287,3 +287,20 @@ class TestDepthFunctionTable:
     def test_path_value_is_sum(self, spc4, spc4_clabel_g):
         for path in enumerate_paths(spc4):
             assert spc4_clabel_g.path_value(path) == sum(e.clabel for e in path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected(self, spc4, bad):
+        from trelliskit import GTableError
+
+        values = {e.id: 1.0 for e in spc4.edges}
+        values[spc4.edges[-1].id] = bad
+        with pytest.raises(GTableError, match="non-finite"):
+            DepthFunctionTable(values)
+
+    def test_non_finite_file_value_names_line(self, spc4, tmp_path):
+        from trelliskit import read_g_table
+
+        path = tmp_path / "g.table"
+        path.write_text("# g table\n" + "".join(f"g {e.id} nan\n" for e in spc4.edges))
+        with pytest.raises(TrellisFormatError, match="line 2: non-finite"):
+            read_g_table(path, spc4)
