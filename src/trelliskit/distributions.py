@@ -24,13 +24,22 @@ When every merge's incoming means agree modulo the bin width (the
 hard-decision case), the tracked mean snaps onto that common lattice so
 that every redistribution moves whole bins; the quantized pipeline then
 reproduces the exact one bin for bin.
+
+A sweep does its numeric work one layer at a time in numpy: the layer's
+local edges become index arrays (owning vertex, neighbour row, lambda,
+g), and the merges, mean snaps and bin moves of all its vertices run as a
+few array calls that scatter into one (vertices x bins) block.  The
+helpers ``_merge_exact``, ``_snap_mean`` and ``_move_bins`` work on such
+batches of rows, and the cut and symbol combines call them with a single
+owner.  Each layer's per-vertex objects are built as soon as the layer
+is done; only the previous layer is kept as arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -223,27 +232,49 @@ def convolve(a: ExactDistribution, b: ExactDistribution) -> ExactDistribution:
     return ExactDistribution(a.offset + b.offset, step, tuple(mass.tolist()))
 
 
-def _move_bins(
-    mass: np.ndarray, n_in: int, shift_bins: float, n_out: int
-) -> np.ndarray:
-    """Move bin contents by ``-shift_bins`` with linear interpolation.
+def _first_rows(owners: np.ndarray, n_owners: int) -> np.ndarray:
+    """Index of each owner's first row; rows come grouped by owner, in
+    owner order, and every owner has at least one."""
+    return np.searchsorted(owners, np.arange(n_owners))
 
-    ``shift_bins`` is delta_mu / bin_width: the window center moves up by
-    delta_mu, so contents slide down.  Mass whose target falls outside
-    -n_out..n_out accumulates in the nearest boundary bin; the fractional
-    part eps of the shift splits each bin between the two neighboring
-    target bins with weights eps and 1-eps.  Total mass is conserved.
+
+def _move_bins(
+    rows: np.ndarray,
+    shifts: np.ndarray,
+    scales: np.ndarray,
+    owners: np.ndarray,
+    n_owners: int,
+    n_out: int,
+) -> np.ndarray:
+    """Move each row's bins by ``-shifts[r]`` with linear interpolation and
+    add ``scales[r]`` times the result into row ``owners[r]`` of an
+    ``(n_owners, 2*n_out+1)`` block.
+
+    ``rows`` holds 2*n_in+1 bins per row.  A shift is delta_mu /
+    bin_width: the window center moves up by delta_mu, so contents slide
+    down.  Mass whose target falls outside -n_out..n_out accumulates in
+    the nearest boundary bin; the fractional part eps of the shift splits
+    each bin between the two neighboring target bins with weights eps and
+    1-eps.  Total mass is conserved.
     """
-    s = math.floor(shift_bins)
-    eps = shift_bins - s
-    j = np.arange(-n_in, n_in + 1)
-    hi = np.clip(j - s, -n_out, n_out) + n_out
-    lo = np.clip(j - s - 1, -n_out, n_out) + n_out
-    out = np.zeros(2 * n_out + 1)
-    np.add.at(out, hi, (1.0 - eps) * mass)
-    if eps != 0.0:
-        np.add.at(out, lo, eps * mass)
-    return out
+    n_rows, n_bins = rows.shape
+    n_in = n_bins // 2
+    bins = 2 * n_out + 1
+    s = np.floor(shifts)
+    eps = shifts - s
+    split = np.flatnonzero(eps)
+    base = (owners * bins + n_out)[:, None]
+    target = np.arange(-n_in, n_in + 1) - s[:, None]
+    # The 1-eps part of every row, then the eps part of the rows with a
+    # fractional shift; bincount adds them in this order.
+    index = np.empty((n_rows + len(split), n_bins), dtype=np.intp)
+    weights = np.empty(index.shape)
+    index[:n_rows] = np.clip(target, -n_out, n_out) + base
+    index[n_rows:] = np.clip(target[split] - 1, -n_out, n_out) + base[split]
+    np.multiply(((1.0 - eps) * scales)[:, None], rows, out=weights[:n_rows])
+    np.multiply((eps * scales)[split, None], rows[split], out=weights[n_rows:])
+    block = np.bincount(index.ravel(), weights.ravel(), minlength=n_owners * bins)
+    return block.reshape(n_owners, bins)
 
 
 def redistribute(
@@ -256,16 +287,18 @@ def redistribute(
     boundary bins.  Total mass is conserved exactly.
     """
     moved = _move_bins(
-        np.asarray(dist.mass),
-        dist.half_bins,
-        float(delta_mu) / dist.bin_width,
+        np.asarray([dist.mass], dtype=float),
+        np.array([float(delta_mu) / dist.bin_width]),
+        np.ones(1),
+        np.zeros(1, dtype=np.intp),
+        1,
         dist.half_bins,
     )
     return QuantizedDistribution(
         dist.mean + float(delta_mu),
         dist.half_bins,
         dist.bin_width,
-        tuple(moved.tolist()),
+        tuple(moved[0].tolist()),
     )
 
 
@@ -371,32 +404,34 @@ def _resolve_bin_width(
     return 4.0 * sigma / params.half_bins
 
 
-def _snap_mean(weighted_mean: float, means: Sequence[float], width: float) -> float:
-    """Keep the tracked mean on the incoming means' common lattice.
+def _snap_mean(
+    weighted_means: np.ndarray, means: np.ndarray, owners: np.ndarray, width: float
+) -> np.ndarray:
+    """Keep each owner's tracked mean on its incoming means' common lattice.
 
-    When all incoming means agree modulo the bin width, the merged window
-    center is chosen on that same lattice (the nearest point to the
-    weighted mean, exact ties broken toward the point of smaller
+    ``means[r]`` is an incoming mean of owner ``owners[r]``.  When all of
+    an owner's incoming means agree modulo the bin width, its merged
+    window center is chosen on that same lattice (the nearest point to
+    its weighted mean, exact ties broken toward the point of smaller
     magnitude so symmetric instances keep centered windows);
     redistributions then move whole bins and the binned representation
     stays exact.  Otherwise the plain weighted mean is used.
     """
-    base = means[0]
-    for mu in means[1:]:
-        t = (mu - base) / width
-        if abs(t - round(t)) > _ALIGN_TOL * max(1.0, abs(t)):
-            return weighted_mean
-    t = (weighted_mean - base) / width
-    lo = math.floor(t)
+    first = _first_rows(owners, len(weighted_means))
+    base = means[first]
+    t = (means - base[owners]) / width
+    off = np.abs(t - np.round(t)) > _ALIGN_TOL * np.maximum(1.0, np.abs(t))
+    aligned = ~np.logical_or.reduceat(off, first)
+    t = (weighted_means - base) / width
+    lo = np.floor(t)
     frac = t - lo
-    if frac > 0.5:
-        lo += 1
-    elif frac == 0.5:
-        below = base + lo * width
-        above = below + width
-        if (abs(above), above) < (abs(below), below):
-            lo += 1
-    return base + lo * width
+    below = base + lo * width
+    above = below + width
+    nearer = (np.abs(above) < np.abs(below)) | (
+        (np.abs(above) == np.abs(below)) & (above < below)
+    )
+    up = (frac > 0.5) | ((frac == 0.5) & nearer)
+    return np.where(aligned, base + (lo + up) * width, weighted_means)
 
 
 def _is_hard_decision(trellis: Trellis, g: DepthFunctionTable) -> bool:
@@ -405,52 +440,139 @@ def _is_hard_decision(trellis: Trellis, g: DepthFunctionTable) -> bool:
     )
 
 
+def _layer_arrays(
+    trellis: Trellis, g: DepthFunctionTable, direction: str
+) -> tuple[
+    int,
+    Iterator[
+        tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    ],
+]:
+    """The walk in ``direction`` as index arrays, one layer at a time.
+
+    Returns ``(start, layers)``.  ``layers`` yields, per layer, its
+    vertices and four arrays over its local edges, grouped by vertex:
+    the owning vertex's index in the layer, the neighbour's index in the
+    layer before, lambda and g.
+    """
+    start, steps, neighbor = trellis.walk(direction)
+
+    def layers():
+        row = {start: 0}
+        for group in steps:
+            owners, rows, lam, gval = [], [], [], []
+            for i, (v, edges) in enumerate(group):
+                for e in edges:
+                    owners.append(i)
+                    rows.append(row[neighbor(e)])
+                    lam.append(e.lam)
+                    gval.append(g.value(e))
+            vertices = tuple(v for v, _ in group)
+            yield (
+                vertices,
+                np.array(owners, dtype=np.intp),
+                np.array(rows, dtype=np.intp),
+                np.array(lam, dtype=float),
+                np.array(gval, dtype=float),
+            )
+            row = {v: i for i, v in enumerate(vertices)}
+
+    return start, layers()
+
+
 def _exact_sweep(
     trellis: Trellis, g: DepthFunctionTable, direction: str, step: float
 ) -> dict[int, ExactDistribution]:
-    start, steps, neighbor = trellis.walk(direction)
+    start, layers = _layer_arrays(trellis, g, direction)
     dists = {start: ExactDistribution(0.0, step, (1.0,))}
-    for v, edges in steps:
-        parts = []
-        for e in edges:
-            d = dists[neighbor(e)]
-            parts.append((d.offset + g.value(e), np.asarray(d.mass) * e.lam))
-        dists[v] = _merge_exact(parts, step)
+    offsets = np.zeros(1)
+    lengths = np.ones(1, dtype=np.intp)
+    block = np.ones((1, 1))
+    for vertices, owners, rows, lam, gval in layers:
+        offsets, lengths, block = _merge_exact(
+            offsets[rows] + gval,
+            block[rows] * lam[:, None],
+            lengths[rows],
+            owners,
+            len(vertices),
+            step,
+        )
+        for v, offset, n, mass in zip(
+            vertices, offsets.tolist(), lengths.tolist(), block.tolist()
+        ):
+            dists[v] = ExactDistribution(offset, step, tuple(mass[:n]))
     return dists
 
 
 def _merge_exact(
+    offsets: np.ndarray,
+    rows: np.ndarray,
+    lengths: np.ndarray,
+    owners: np.ndarray,
+    n_owners: int,
+    step: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Add lattice rows into one lattice distribution per owner.
+
+    Row r holds ``lengths[r]`` masses on ``offsets[r] + k*step`` and zeros
+    beyond.  Each owner's result starts at the smallest offset among its
+    rows; with ``step`` 0 every row is a point mass, and all of an
+    owner's rows must sit at its first row's value (up to float drift).
+    Returns ``(offsets, lengths, block)``, one entry or block row per
+    owner, each row zero beyond its length.  The rows are added in
+    order, so every sum is the plain left-to-right one.
+    """
+    first = _first_rows(owners, n_owners)
+    if step == 0.0:
+        base = offsets[first]
+        anchor = base[owners]
+        bad = np.abs(offsets - anchor) > _ALIGN_TOL * np.maximum(1.0, np.abs(anchor))
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise LatticeError(
+                f"point masses at {anchor[r]} and {offsets[r]} cannot merge "
+                "without a lattice"
+            )
+        k0 = np.zeros(len(offsets), dtype=np.intp)
+    else:
+        base = np.minimum.reduceat(offsets, first)
+        t = (offsets - base[owners]) / step
+        k = np.round(t)
+        bad = np.abs(t - k) > 1e-6
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise LatticeError(
+                f"offsets {base[owners[r]]} and {offsets[r]} are not "
+                f"congruent modulo {step}"
+            )
+        k0 = k.astype(np.intp)
+    ends = np.maximum.reduceat(k0 + lengths, first)
+    stride = int(k0.max()) + rows.shape[1]
+    index = (owners * stride + k0)[:, None] + np.arange(rows.shape[1])
+    block = np.bincount(index.ravel(), rows.ravel(), minlength=n_owners * stride)
+    return base, ends, block.reshape(n_owners, stride)[:, : int(ends.max())]
+
+
+def _merge_parts(
     parts: Sequence[tuple[float, np.ndarray]], step: float
 ) -> ExactDistribution:
-    if step == 0.0:
-        # No lattice variation anywhere: every part is a point mass at
-        # the same value (up to float drift).
-        offset = parts[0][0]
-        total = 0.0
-        for off, mass in parts:
-            if abs(off - offset) > _ALIGN_TOL * max(1.0, abs(offset)):
-                raise LatticeError(
-                    f"point masses at {offset} and {off} cannot merge "
-                    "without a lattice"
-                )
-            total += float(mass.sum())
-        return ExactDistribution(offset, 0.0, (total,))
-    base = min(off for off, _ in parts)
-    hi = 0
-    anchored = []
-    for off, mass in parts:
-        t = (off - base) / step
-        k0 = round(t)
-        if abs(t - k0) > 1e-6:
-            raise LatticeError(
-                f"offsets {base} and {off} are not congruent modulo {step}"
-            )
-        anchored.append((k0, mass))
-        hi = max(hi, k0 + len(mass))
-    out = np.zeros(hi)
-    for k0, mass in anchored:
-        out[k0 : k0 + len(mass)] += mass
-    return ExactDistribution(base, step, tuple(out.tolist()))
+    """One distribution from (offset, mass) parts: ``_merge_exact`` with a
+    single owner."""
+    lengths = np.array([len(mass) for _, mass in parts], dtype=np.intp)
+    rows = np.zeros((len(parts), int(lengths.max())))
+    for r, (_, mass) in enumerate(parts):
+        rows[r, : len(mass)] = mass
+    offsets, lengths, block = _merge_exact(
+        np.array([off for off, _ in parts], dtype=float),
+        rows,
+        lengths,
+        np.zeros(len(parts), dtype=np.intp),
+        1,
+        step,
+    )
+    return ExactDistribution(
+        float(offsets[0]), step, tuple(block[0, : lengths[0]].tolist())
+    )
 
 
 def _quantized_sweep(
@@ -466,33 +588,38 @@ def _quantized_sweep(
                 f"quantized mode needs nonnegative labels; edge {e.id} "
                 f"has {e.lam}"
             )
-    start, steps, neighbor = trellis.walk(direction)
+    start, layers = _layer_arrays(trellis, g, direction)
     dists = {start: QuantizedDistribution.dirac(half_bins, width)}
     flows = {start: 1.0}
-    for v, edges in steps:
-        weights = [e.lam * flows[neighbor(e)] for e in edges]
-        wsum = sum(weights)
-        if wsum <= 0.0:
+    means = np.zeros(1)
+    flow = np.ones(1)
+    block = np.asarray([dists[start].mass])
+    for vertices, owners, rows, lam, gval in layers:
+        n = len(vertices)
+        weights = lam * flow[rows]
+        flow = np.bincount(owners, weights, minlength=n)
+        dead = flow <= 0.0
+        if dead.any():
+            v = vertices[int(np.argmax(dead))]
             raise ZeroFlowError(
                 v, f"zero incoming weight normalizer at vertex {v}"
             )
-        means = [dists[neighbor(e)].mean + g.value(e) for e in edges]
-        wmean = sum(w * mu for w, mu in zip(weights, means)) / wsum
-        mu = _snap_mean(wmean, means, width)
-        acc = np.zeros(2 * half_bins + 1)
-        for e, w, mu_in in zip(edges, weights, means):
-            if w == 0.0:
-                continue
-            acc += (w / wsum) * _move_bins(
-                np.asarray(dists[neighbor(e)].mass),
-                half_bins,
-                (mu - mu_in) / width,
-                half_bins,
-            )
-        dists[v] = QuantizedDistribution(
-            mu, half_bins, width, tuple(acc.tolist())
+        incoming = means[rows] + gval
+        wmean = np.bincount(owners, weights * incoming, minlength=n) / flow
+        means = _snap_mean(wmean, incoming, owners, width)
+        block = _move_bins(
+            block[rows],
+            (means[owners] - incoming) / width,
+            weights / flow[owners],
+            owners,
+            n,
+            half_bins,
         )
-        flows[v] = wsum
+        for v, mu, f, mass in zip(
+            vertices, means.tolist(), flow.tolist(), block.tolist()
+        ):
+            dists[v] = QuantizedDistribution(mu, half_bins, width, tuple(mass))
+            flows[v] = f
     return dists, flows
 
 
@@ -607,12 +734,11 @@ def trellis_distribution(
         step = next(
             d.step for d in forward.exact.values()
         )
-        merged = _merge_exact(parts, step).trimmed()
+        merged = _merge_parts(parts, step).trimmed()
         if forward.hard_decision:
             merged = _pad_hard(merged, forward.rank)
         return merged
 
-    n, width = forward.half_bins, forward.bin_width
     entries = []
     for v in layer:
         f, b = forward.quantized[v], backward.quantized[v]
@@ -623,7 +749,7 @@ def trellis_distribution(
                 np.convolve(np.asarray(f.mass), np.asarray(b.mass)),
             )
         )
-    return _combine_quantized(entries, n, width)
+    return _combine_quantized(entries, forward.half_bins, forward.bin_width)
 
 
 def symbol_distribution(
@@ -644,20 +770,22 @@ def symbol_distribution(
     if forward.mode == "exact":
         step = next(d.step for d in forward.exact.values())
         if not edges:
-            zero = ExactDistribution(0.0, step if step > 0 else 0.0, (0.0,))
-            return zero
-        parts = []
-        for e in edges:
-            d = convolve(
-                ExactDistribution(
-                    forward.exact[e.init].offset + g.value(e),
-                    forward.exact[e.init].step,
-                    forward.exact[e.init].mass,
-                ),
-                backward.exact[e.fin],
-            )
-            parts.append((d.offset, np.asarray(d.mass) * e.lam))
-        merged = _merge_exact(parts, step).trimmed()
+            # Zero mass; with bipolar g, at a point of the padded domain.
+            at = -float(forward.rank) if forward.hard_decision else 0.0
+            merged = ExactDistribution(at, step, (0.0,))
+        else:
+            parts = []
+            for e in edges:
+                d = convolve(
+                    ExactDistribution(
+                        forward.exact[e.init].offset + g.value(e),
+                        forward.exact[e.init].step,
+                        forward.exact[e.init].mass,
+                    ),
+                    backward.exact[e.fin],
+                )
+                parts.append((d.offset, np.asarray(d.mass) * e.lam))
+            merged = _merge_parts(parts, step).trimmed()
         if forward.hard_decision:
             merged = _pad_hard(merged, forward.rank)
         return merged
@@ -691,18 +819,21 @@ def _combine_quantized(
         return QuantizedDistribution(
             0.0, half_bins, width, (0.0,) * (2 * half_bins + 1)
         )
-    means = [mu for mu, _, _ in entries]
+    means = np.array([mu for mu, _, _ in entries], dtype=float)
+    weights = np.array([w for _, w, _ in entries], dtype=float)
+    owners = np.zeros(len(entries), dtype=np.intp)
     wmean = sum(mu * w for mu, w, _ in entries) / total
-    mu_out = _snap_mean(wmean, means, width)
-    acc = np.zeros(2 * half_bins + 1)
-    for mu, w, conv in entries:
-        if w == 0.0:
-            continue
-        acc += (w / total) * _move_bins(
-            conv, 2 * half_bins, (mu_out - mu) / width, half_bins
-        )
+    mu_out = float(_snap_mean(np.array([wmean]), means, owners, width)[0])
+    block = _move_bins(
+        np.array([conv for _, _, conv in entries]),
+        (mu_out - means) / width,
+        weights / total,
+        owners,
+        1,
+        half_bins,
+    )
     return QuantizedDistribution(
-        mu_out, half_bins, width, tuple((acc * total).tolist())
+        mu_out, half_bins, width, tuple((block[0] * total).tolist())
     )
 
 

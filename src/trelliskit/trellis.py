@@ -172,14 +172,20 @@ class Trellis:
 
     def walk(
         self, direction: str
-    ) -> tuple[int, Iterator[tuple[int, tuple[Edge, ...]]], Callable[[Edge], int]]:
+    ) -> tuple[
+        int,
+        Iterator[tuple[tuple[int, tuple[Edge, ...]], ...]],
+        Callable[[Edge], int],
+    ]:
         """The order in which a sweep in ``direction`` visits the vertices.
 
         Returns ``(start, steps, neighbor)``.  A forward sweep starts at the
-        source and a backward one at the sink; ``steps`` yields every other
-        vertex, layer by layer away from ``start``, with its local edges
-        (in-edges going forward, out-edges going backward); ``neighbor(e)``
-        is the end of a local edge that the sweep has already visited.
+        source and a backward one at the sink; ``steps`` yields one group
+        per layer, layer by layer away from ``start``, holding every vertex
+        of that layer with its local edges (in-edges going forward,
+        out-edges going backward); ``neighbor(e)`` is the end of a local
+        edge that the sweep has already visited, which lies in the group
+        before.
         """
         if direction == "forward":
             start, layers, local = self.source, self.layers[1:], self._in
@@ -189,7 +195,7 @@ class Trellis:
             neighbor = attrgetter("fin")
         else:
             raise SemiringError(f"unknown direction {direction!r}")
-        steps = ((v, local[v]) for layer in layers for v in layer)
+        steps = (tuple((v, local[v]) for v in layer) for layer in layers)
         return start, steps, neighbor
 
     def relabeled(self, lam_of: Callable[[Edge], float]) -> "Trellis":

@@ -1,0 +1,371 @@
+"""The layer-batched distribution sweeps against per-vertex references.
+
+``reference_exact_sweep``, ``reference_quantized_sweep`` and
+``reference_move_bins`` (with the per-vertex merge and mean snap they
+call) are the sweeps the batched ones replaced: they visit one vertex
+at a time and move one bin vector at a time.  The batched exact sweep
+adds the same numbers in the same order, so its states must be
+bit-identical; the quantized one scales each moved row in another
+order, so its masses may differ in the last bits.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from trelliskit import (
+    DepthFunctionTable,
+    LatticeError,
+    SemiringError,
+    Trellis,
+    ZeroFlowError,
+    lattice_step,
+)
+from trelliskit import distributions
+from trelliskit.distributions import ExactDistribution, QuantizedDistribution
+from trelliskit.oracles import random_trellis
+
+PROPERTY_SETTINGS = settings(
+    max_examples=150, deadline=None, derandomize=True, database=None
+)
+
+QUANTIZED_RTOL = 1e-12
+_ALIGN_TOL = 1e-9
+
+
+# -- per-vertex references ------------------------------------------------------
+
+
+def reference_move_bins(
+    mass: np.ndarray, n_in: int, shift_bins: float, n_out: int
+) -> np.ndarray:
+    """Move one bin vector by ``-shift_bins`` with linear interpolation."""
+    s = math.floor(shift_bins)
+    eps = shift_bins - s
+    j = np.arange(-n_in, n_in + 1)
+    hi = np.clip(j - s, -n_out, n_out) + n_out
+    lo = np.clip(j - s - 1, -n_out, n_out) + n_out
+    out = np.zeros(2 * n_out + 1)
+    np.add.at(out, hi, (1.0 - eps) * mass)
+    if eps != 0.0:
+        np.add.at(out, lo, eps * mass)
+    return out
+
+
+def reference_snap_mean(weighted_mean, means, width):
+    base = means[0]
+    for mu in means[1:]:
+        t = (mu - base) / width
+        if abs(t - round(t)) > _ALIGN_TOL * max(1.0, abs(t)):
+            return weighted_mean
+    t = (weighted_mean - base) / width
+    lo = math.floor(t)
+    frac = t - lo
+    if frac > 0.5:
+        lo += 1
+    elif frac == 0.5:
+        below = base + lo * width
+        above = below + width
+        if (abs(above), above) < (abs(below), below):
+            lo += 1
+    return base + lo * width
+
+
+def reference_merge_exact(parts, step):
+    if step == 0.0:
+        offset = parts[0][0]
+        total = 0.0
+        for off, mass in parts:
+            if abs(off - offset) > _ALIGN_TOL * max(1.0, abs(offset)):
+                raise LatticeError(
+                    f"point masses at {offset} and {off} cannot merge "
+                    "without a lattice"
+                )
+            total += float(mass.sum())
+        return ExactDistribution(offset, 0.0, (total,))
+    base = min(off for off, _ in parts)
+    hi = 0
+    anchored = []
+    for off, mass in parts:
+        t = (off - base) / step
+        k0 = round(t)
+        if abs(t - k0) > 1e-6:
+            raise LatticeError(
+                f"offsets {base} and {off} are not congruent modulo {step}"
+            )
+        anchored.append((k0, mass))
+        hi = max(hi, k0 + len(mass))
+    out = np.zeros(hi)
+    for k0, mass in anchored:
+        out[k0 : k0 + len(mass)] += mass
+    return ExactDistribution(base, step, tuple(out.tolist()))
+
+
+def reference_exact_sweep(trellis, g, direction, step):
+    start, steps, neighbor = trellis.walk(direction)
+    dists = {start: ExactDistribution(0.0, step, (1.0,))}
+    for group in steps:
+        for v, edges in group:
+            parts = []
+            for e in edges:
+                d = dists[neighbor(e)]
+                parts.append((d.offset + g.value(e), np.asarray(d.mass) * e.lam))
+            dists[v] = reference_merge_exact(parts, step)
+    return dists
+
+
+def reference_quantized_sweep(trellis, g, direction, half_bins, width):
+    for e in trellis.edges:
+        if e.lam < 0:
+            raise SemiringError(
+                f"quantized mode needs nonnegative labels; edge {e.id} "
+                f"has {e.lam}"
+            )
+    start, steps, neighbor = trellis.walk(direction)
+    dists = {start: QuantizedDistribution.dirac(half_bins, width)}
+    flows = {start: 1.0}
+    for group in steps:
+        for v, edges in group:
+            weights = [e.lam * flows[neighbor(e)] for e in edges]
+            wsum = sum(weights)
+            if wsum <= 0.0:
+                raise ZeroFlowError(
+                    v, f"zero incoming weight normalizer at vertex {v}"
+                )
+            means = [dists[neighbor(e)].mean + g.value(e) for e in edges]
+            wmean = sum(w * mu for w, mu in zip(weights, means)) / wsum
+            mu = reference_snap_mean(wmean, means, width)
+            acc = np.zeros(2 * half_bins + 1)
+            for e, w, mu_in in zip(edges, weights, means):
+                if w == 0.0:
+                    continue
+                acc += (w / wsum) * reference_move_bins(
+                    np.asarray(dists[neighbor(e)].mass),
+                    half_bins,
+                    (mu - mu_in) / width,
+                    half_bins,
+                )
+            dists[v] = QuantizedDistribution(
+                mu, half_bins, width, tuple(acc.tolist())
+            )
+            flows[v] = wsum
+    return dists, flows
+
+
+# -- helpers ----------------------------------------------------------------------
+
+
+def bits(x: float) -> str:
+    """Exact identity of a float, telling 0.0 from -0.0."""
+    return float(x).hex()
+
+
+def exact_fields(d: ExactDistribution):
+    return bits(d.offset), bits(d.step), tuple(bits(w) for w in d.mass)
+
+
+def assert_rel(a: float, b: float, floor: float = 0.0) -> None:
+    assert abs(a - b) <= QUANTIZED_RTOL * max(floor, abs(a), abs(b)), (a, b)
+
+
+def outcome(fn, *args):
+    """("ok", result) or (error type, vertex or None) of one call."""
+    try:
+        return "ok", fn(*args)
+    except ZeroFlowError as err:
+        return ZeroFlowError, err.vertex
+    except LatticeError:
+        return LatticeError, None
+
+
+@st.composite
+def instances(draw):
+    """A random trellis (parallel edges, up to 3 vertices per layer) with
+    some labels set to zero, a direction and a seed for its g values."""
+    seed = draw(st.integers(0, 10**6))
+    t = random_trellis(
+        seed, max_rank=7, max_width=3, parallel_edge_prob=0.3, extra_edge_prob=0.5
+    )
+    zero = draw(
+        st.sets(st.sampled_from([e.id for e in t.edges]), max_size=len(t.edges) // 3)
+    )
+    t = t.relabeled(lambda e: 0.0 if e.id in zero else e.lam)
+    direction = draw(st.sampled_from(["forward", "backward"]))
+    return t, direction, seed
+
+
+def lattice_g(t: Trellis, seed: int, kind: str) -> DepthFunctionTable:
+    rng = np.random.default_rng(seed)
+    if kind == "bipolar":
+        return DepthFunctionTable({e.id: float(rng.choice([-1.0, 1.0])) for e in t.edges})
+    if kind == "halves":
+        return DepthFunctionTable(
+            {e.id: 0.5 * float(rng.integers(-3, 4)) for e in t.edges}
+        )
+    # One value per section: every path value is a single point (step 0).
+    per_depth = {}
+    return DepthFunctionTable(
+        {
+            e.id: per_depth.setdefault(
+                t.depth_of(e.init), float(rng.integers(-2, 3))
+            )
+            for e in t.edges
+        }
+    )
+
+
+# -- properties -------------------------------------------------------------------
+
+
+@PROPERTY_SETTINGS
+@given(
+    instances(),
+    st.sampled_from(["bipolar", "halves", "constant"]),
+    st.sampled_from(["lattice", "double", "half", "zero", "odd"]),
+)
+def test_exact_sweep_matches_reference(instance, kind, which):
+    t, direction, seed = instance
+    g = lattice_g(t, seed, kind)
+    true_step = lattice_step(t, g)
+    step = {
+        "lattice": true_step,
+        "double": 2.0 * true_step,
+        "half": 0.5 * true_step,
+        "zero": 0.0,
+        "odd": 0.75,
+    }[which]
+    got = outcome(distributions._exact_sweep, t, g, direction, step)
+    want = outcome(reference_exact_sweep, t, g, direction, step)
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        return
+    assert list(got[1]) == list(want[1])
+    for v in want[1]:
+        assert exact_fields(got[1][v]) == exact_fields(want[1][v])
+
+
+@PROPERTY_SETTINGS
+@given(
+    instances(),
+    st.sampled_from([1, 2, 4, 8]),
+    st.sampled_from([0.25, 0.5, 0.37, 1.3, 2.0]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_quantized_sweep_matches_reference(instance, half_bins, width, soft, flat):
+    t, direction, seed = instance
+    if flat:
+        # Equal weights put bipolar means on exact half-bin ties.
+        t = t.relabeled(lambda e: 0.5 if e.lam else 0.0)
+    rng = np.random.default_rng(seed)
+    if soft:
+        g = DepthFunctionTable({e.id: float(rng.normal()) for e in t.edges})
+    else:
+        g = lattice_g(t, seed, "bipolar")
+    got = outcome(distributions._quantized_sweep, t, g, direction, half_bins, width)
+    want = outcome(reference_quantized_sweep, t, g, direction, half_bins, width)
+    assert got[:1] == want[:1]
+    if got[0] != "ok":
+        assert got[1] == want[1]  # the first vertex in walk order
+        return
+    (dists, flows), (ref_dists, ref_flows) = got[1], want[1]
+    assert list(dists) == list(ref_dists) and list(flows) == list(ref_flows)
+    for v, ref in ref_dists.items():
+        d = dists[v]
+        assert (d.half_bins, d.bin_width) == (ref.half_bins, ref.bin_width)
+        assert_rel(d.mean, ref.mean, floor=width)
+        assert_rel(flows[v], ref_flows[v])
+        for a, b in zip(d.mass, ref.mass):
+            assert_rel(a, b)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(-4, 4),
+            st.lists(st.integers(-6, 6), min_size=1, max_size=4),
+            st.integers(-9, 9),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.sampled_from([0.5, 1.0, 2.0, 0.3]),
+)
+def test_snap_mean_matches_reference(groups, width):
+    """Each group is one owner: a base, lattice steps of its incoming
+    means, a weighted mean on a half-bin point (ties included) and
+    whether one incoming mean is knocked off the lattice."""
+    means, owners, weighted = [], [], []
+    for owner, (base, steps, half, off) in enumerate(groups):
+        group = [base + k * width for k in steps]
+        if off:
+            group[-1] += 0.1 * width
+        means += group
+        owners += [owner] * len(group)
+        weighted.append(base + 0.5 * half * width)
+    got = distributions._snap_mean(
+        np.array(weighted), np.array(means), np.array(owners, dtype=np.intp), width
+    )
+    for owner, wmean in enumerate(weighted):
+        group = [mu for mu, o in zip(means, owners) if o == owner]
+        assert bits(got[owner]) == bits(reference_snap_mean(wmean, group, width))
+
+
+def test_point_mass_merge_keeps_the_first_offset():
+    parts = [(1.0 + 1e-12, np.array([0.25])), (1.0, np.array([0.5]))]
+    got = distributions._merge_parts(parts, 0.0)
+    want = reference_merge_exact(parts, 0.0)
+    assert exact_fields(got) == exact_fields(want)
+    assert got.offset == 1.0 + 1e-12
+
+
+def test_quantized_zero_flow_hits_the_same_vertex():
+    t = random_trellis(5, max_rank=6, max_width=3)
+    g = DepthFunctionTable({e.id: 1.0 for e in t.edges})
+    # Cut every edge into the last vertex of the widest inner layer.
+    depth = max(range(1, t.rank), key=lambda d: len(t.layers[d]))
+    dead = t.layers[depth][-1]
+    cut = t.relabeled(lambda e: 0.0 if e.fin == dead else e.lam)
+    with pytest.raises(ZeroFlowError) as got:
+        distributions._quantized_sweep(cut, g, "forward", 4, 0.5)
+    with pytest.raises(ZeroFlowError) as want:
+        reference_quantized_sweep(cut, g, "forward", 4, 0.5)
+    assert got.value.vertex == want.value.vertex == dead
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(1, 6),
+    st.integers(0, 3),
+    st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6),
+    st.integers(0, 10**6),
+)
+def test_move_bins_matches_reference(n_out, extra, shifts, seed):
+    """Batched moves equal per-row ones: bit for bit one row at a time,
+    within rounding when scaled rows share an owner."""
+    n_in = n_out + extra
+    rng = np.random.default_rng(seed)
+    rows = rng.random((len(shifts), 2 * n_in + 1))
+    shifts = np.array(shifts)
+    shifts[::2] = np.round(shifts[::2])  # whole-bin moves too
+    one = np.ones(1)
+    first = np.zeros(1, dtype=np.intp)
+    for r in range(len(shifts)):
+        got = distributions._move_bins(rows[r : r + 1], shifts[r : r + 1], one, first, 1, n_out)
+        want = reference_move_bins(rows[r], n_in, shifts[r], n_out)
+        assert [bits(x) for x in got[0]] == [bits(x) for x in want]
+
+    owners = np.sort(rng.integers(0, 2, size=len(shifts)))
+    owners -= owners[0]
+    n_owners = int(owners[-1]) + 1
+    scales = rng.random(len(shifts))
+    got = distributions._move_bins(rows, shifts, scales, owners, n_owners, n_out)
+    want = np.zeros((n_owners, 2 * n_out + 1))
+    for r in range(len(shifts)):
+        want[owners[r]] += scales[r] * reference_move_bins(rows[r], n_in, shifts[r], n_out)
+    for a, b in zip(got.ravel(), want.ravel()):
+        assert abs(a - b) <= QUANTIZED_RTOL * max(abs(a), abs(b))

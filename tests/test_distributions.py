@@ -176,6 +176,26 @@ class TestExactPipeline:
         dist = symbol_distribution(spc4, spc4_clabel_g, fwd, bwd, 1, 9.0)
         assert dist.total() == 0.0
 
+    def test_absent_hard_symbol_is_on_the_padded_domain(self):
+        # A chain whose every edge carries c = -1: the +1 symbol is absent
+        # at each depth, and its zero result must share the {-n..n} step-2
+        # domain of the present symbol's.
+        t = Trellis(
+            3,
+            {0: 0, 1: 1, 2: 2, 3: 3},
+            [Edge(i, i, i + 1, 0.5, -1.0) for i in range(3)],
+        )
+        g = DepthFunctionTable.from_clabels(t)
+        fwd = forward_distributions(t, g, mode="exact")
+        bwd = backward_distributions(t, g, mode="exact")
+        for depth in (1, 2, 3):
+            present = symbol_distribution(t, g, fwd, bwd, depth, -1.0)
+            absent = symbol_distribution(t, g, fwd, bwd, depth, 1.0)
+            assert (present.offset, present.step) == (-3.0, 2.0)
+            assert present.mass == (0.125, 0.0, 0.0, 0.0)
+            assert (absent.offset, absent.step) == (-3.0, 2.0)
+            assert absent.mass == (0.0,) * 4
+
     def test_symbol_mass_is_symbol_probability(self):
         # normalized per-symbol mass equals the posterior bit probability
         # computed by direct codeword summation
