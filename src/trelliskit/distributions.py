@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import LatticeError, SemiringError, ZeroFlowError
 from .moments import forward_numerators, trellis_moments
-from .trellis import DepthFunctionTable, Trellis, require_valid
+from .trellis import DepthFunctionTable, Trellis, WalkPlan, require_valid
 
 # Smallest usable exact-lattice step and largest exact-mode mass vector.
 MIN_LATTICE_STEP = 1e-6
@@ -441,50 +441,26 @@ def _is_hard_decision(trellis: Trellis, g: DepthFunctionTable) -> bool:
 
 
 def _layer_arrays(
-    trellis: Trellis, g: DepthFunctionTable, direction: str
-) -> tuple[
-    int,
-    Iterator[
-        tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    ],
-]:
-    """The walk in ``direction`` as index arrays, one layer at a time.
+    trellis: Trellis, plan: WalkPlan, g: DepthFunctionTable, lam: np.ndarray
+) -> Iterator[tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The walk of ``plan`` as index arrays, one layer at a time.
 
-    Returns ``(start, layers)``.  ``layers`` yields, per layer, its
-    vertices and four arrays over its local edges, grouped by vertex:
-    the owning vertex's index in the layer, the neighbour's index in the
-    layer before, lambda and g.
+    Yields, per layer after the start, its vertices and four arrays over
+    its local edges, grouped by vertex: the owning vertex's index in the
+    layer, the neighbour's index in the layer before, lambda (``lam``,
+    in walk order) and g.
     """
-    start, steps, neighbor = trellis.walk(direction)
-
-    def layers():
-        row = {start: 0}
-        for group in steps:
-            owners, rows, lam, gval = [], [], [], []
-            for i, (v, edges) in enumerate(group):
-                for e in edges:
-                    owners.append(i)
-                    rows.append(row[neighbor(e)])
-                    lam.append(e.lam)
-                    gval.append(g.value(e))
-            vertices = tuple(v for v, _ in group)
-            yield (
-                vertices,
-                np.array(owners, dtype=np.intp),
-                np.array(rows, dtype=np.intp),
-                np.array(lam, dtype=float),
-                np.array(gval, dtype=float),
-            )
-            row = {v: i for i, v in enumerate(vertices)}
-
-    return start, layers()
+    gval = plan.g(trellis, g)
+    for k, edges in plan.layer_edges():
+        yield plan.layers[k], plan.owners[edges], plan.rows[edges], lam[edges], gval[edges]
 
 
 def _exact_sweep(
     trellis: Trellis, g: DepthFunctionTable, direction: str, step: float
 ) -> dict[int, ExactDistribution]:
-    start, layers = _layer_arrays(trellis, g, direction)
-    dists = {start: ExactDistribution(0.0, step, (1.0,))}
+    plan = trellis.plan(direction)
+    layers = _layer_arrays(trellis, plan, g, plan.lam(trellis))
+    dists = {plan.layers[0][0]: ExactDistribution(0.0, step, (1.0,))}
     offsets = np.zeros(1)
     lengths = np.ones(1, dtype=np.intp)
     block = np.ones((1, 1))
@@ -582,13 +558,10 @@ def _quantized_sweep(
     half_bins: int,
     width: float,
 ) -> tuple[dict[int, QuantizedDistribution], dict[int, float]]:
-    for e in trellis.edges:
-        if e.lam < 0:
-            raise SemiringError(
-                f"quantized mode needs nonnegative labels; edge {e.id} "
-                f"has {e.lam}"
-            )
-    start, layers = _layer_arrays(trellis, g, direction)
+    plan = trellis.plan(direction)
+    lam = plan.lam(trellis, nonnegative_for="quantized mode")
+    start = plan.layers[0][0]
+    layers = _layer_arrays(trellis, plan, g, lam)
     dists = {start: QuantizedDistribution.dirac(half_bins, width)}
     flows = {start: 1.0}
     means = np.zeros(1)

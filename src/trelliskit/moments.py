@@ -15,11 +15,17 @@ moments.  Constraining the section-i edge to one c-label value yields
 symbol moments.  All of this is generic over the commutative semirings in
 :mod:`trelliskit.semirings`.
 
-Every engine here but the two counted evaluators below walks the trellis
-through ``Trellis.walk``, in either direction, and combines moment
-vectors through the one binomial helper ``_combine``, with each edge's
-label folded once into the powers of its g value (``lam(e) g(e)^l``
-above).
+In the real semiring the numerator sweep and ``normalized_states`` run
+one layer at a time in numpy, on the trellis's walk plan
+(``Trellis.plan``, the walk as index arrays, built once per topology and
+direction): each layer gathers its edges' neighbour rows, builds the
+per-edge binomial matrices C(m, m-j) lam(e) g(e)^(m-j) of that layer
+only, and applies them with one batched matmul and one per-vertex sum.
+Their states keep one block per layer behind read-only vertex mappings.
+The other semirings, ``symbol_moments`` and the joint engine walk the
+trellis through ``Trellis.walk`` and combine moment vectors through the
+one binomial helper ``_combine``; every engine folds each edge's label
+once into the powers of its g value (``lam(e) g(e)^l`` above).
 
 ``counted_run`` / ``counted_symbol_pass`` are real-semiring evaluators
 instrumented with exact add/multiply tallies, performing literally the
@@ -31,8 +37,12 @@ g-powers precomputed and tallied separately).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from functools import lru_cache
+from typing import Any, Callable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import SemiringError, ZeroFlowError
 from .semirings import (
@@ -95,6 +105,41 @@ def _combine(
     return out
 
 
+class _LayerRows(Mapping):
+    """Read-only vertex -> row view of a sweep kept as one block per layer.
+
+    ``blocks[k][r]`` is the row of the vertex at ``where[v] == (k, r)``;
+    ``make`` turns it into the list, tuple or float handed out, built
+    anew on every access.  A real sweep keeps a few numpy blocks instead
+    of one list per vertex on purpose: numpy arrays are not tracked by
+    CPython's cyclic garbage collector, while thousands of per-vertex
+    lists advance its allocation counters and move a full collection
+    into whatever code runs next.
+    """
+
+    __slots__ = ("_where", "_blocks", "_make")
+
+    def __init__(
+        self,
+        where: dict[int, tuple[int, int]],
+        blocks: list[np.ndarray],
+        make: Callable[[Any], Any],
+    ):
+        self._where = where
+        self._blocks = blocks
+        self._make = make
+
+    def __getitem__(self, v: int) -> Any:
+        layer, row = self._where[v]
+        return self._make(self._blocks[layer][row])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._where)
+
+    def __len__(self) -> int:
+        return len(self._where)
+
+
 @dataclass
 class MomentState:
     """Per-vertex numerator vectors of one forward or backward sweep."""
@@ -102,7 +147,7 @@ class MomentState:
     direction: str  # "forward" | "backward"
     max_order: int
     semiring: SemiringSpec
-    table: dict[int, list[Any]]
+    table: Mapping[int, list[Any]]
     source: int
     sink: int
 
@@ -115,6 +160,50 @@ class MomentState:
         return self.sink if self.direction == "forward" else self.source
 
 
+@lru_cache(maxsize=None)
+def _binomial_index(max_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """C(m, j) for j <= m (0 above the diagonal), and the power m - j."""
+    size = max_order + 1
+    coefficients = np.zeros((size, size))
+    for m in range(size):
+        coefficients[m, : m + 1] = _PASCAL[m]
+    m, j = np.indices((size, size))
+    power = np.where(j <= m, m - j, 0)
+    coefficients.flags.writeable = power.flags.writeable = False  # shared
+    return coefficients, power
+
+
+def _lift_rows(first: np.ndarray, base: np.ndarray, max_order: int) -> np.ndarray:
+    """first * base^l for l = 0..M, one row per entry, multiplied out in
+    the order ``_lift`` uses."""
+    out = np.empty((len(base), max_order + 1))
+    out[:, 0] = first
+    for l in range(1, max_order + 1):
+        np.multiply(out[:, l - 1], base, out=out[:, l])
+    return out
+
+
+def _advance(lift: np.ndarray, prev: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+    """``_combine`` for every vertex of one layer, in the real semiring.
+
+    Row e of ``lift`` is an edge's lam g^l (l = 0..M) and row e of
+    ``prev`` its neighbour's moment row; each vertex's row sums
+    C(m, m-j) lift[m-j] prev[j] over its edges, which start at
+    ``firsts``.  The per-edge (M+1)x(M+1) matrices exist for this layer
+    only.
+    """
+    coefficients, power = _binomial_index(lift.shape[1] - 1)
+    matrices = lift[:, power] * coefficients
+    terms = np.matmul(matrices, prev[:, :, None])[:, :, 0]
+    return np.add.reduceat(terms, firsts, axis=0)
+
+
+def _start_block(max_order: int) -> np.ndarray:
+    block = np.zeros((1, max_order + 1))
+    block[0, 0] = 1.0
+    return block
+
+
 def _numerators(
     trellis: Trellis,
     g: DepthFunctionTable,
@@ -124,6 +213,20 @@ def _numerators(
 ) -> MomentState:
     require_valid(trellis)
     _check_order(max_order)
+    if semiring.name == "real":
+        plan = trellis.plan(direction)
+        lam, gval = plan.lam(trellis), plan.g(trellis, g)
+        blocks = [_start_block(max_order)]
+        # Overflow to inf stays silent, as in plain float arithmetic.
+        with np.errstate(all="ignore"):
+            lift = _lift_rows(lam, gval, max_order)
+            for k, edges in plan.layer_edges():
+                prev = blocks[-1][plan.rows[edges]]
+                blocks.append(_advance(lift[edges], prev, plan.firsts[k]))
+        table = _LayerRows(plan.where, blocks, np.ndarray.tolist)
+        return MomentState(
+            direction, max_order, semiring, table, trellis.source, trellis.sink
+        )
     start, steps, neighbor = trellis.walk(direction)
     lift = _lifted_labels(trellis, g, max_order, semiring)
     table: dict[int, list[Any]] = {start: [semiring.one] + [semiring.zero] * max_order}
@@ -354,8 +457,8 @@ class NormalizedMomentState:
 
     direction: str
     max_order: int
-    normalized: dict[int, tuple[float, ...]]
-    log_flow: dict[int, float]
+    normalized: Mapping[int, tuple[float, ...]]
+    log_flow: Mapping[int, float]
 
     def reconstruct(self, v: int) -> tuple[float, ...]:
         scale = math.exp(self.log_flow[v])
@@ -378,41 +481,37 @@ def normalized_states(
     """
     require_valid(trellis)
     _check_order(max_order)
-    start, steps, neighbor = trellis.walk(direction)
-    for e in trellis.edges:
-        if e.lam < 0:
-            raise SemiringError(
-                f"normalized recursion needs nonnegative labels; edge {e.id} "
-                f"has {e.lam}"
-            )
-    log_lam = {
-        e.id: math.log(e.lam) if e.lam > 0 else -math.inf for e in trellis.edges
-    }
-    gval = {e.id: g.value(e) for e in trellis.edges}
+    plan = trellis.plan(direction)
+    lam = plan.lam(trellis, nonnegative_for="normalized recursion")
+    normalized = [_start_block(max_order)]
+    log_flow = [np.zeros(1)]
+    # log(0) = -inf and overflow to inf stay silent, as in plain floats.
+    with np.errstate(all="ignore"):
+        log_lam = np.log(lam)
+        powers = _lift_rows(np.ones(len(lam)), plan.g(trellis, g), max_order)
+        for k, edges in plan.layer_edges():
+            rows, owners, firsts = plan.rows[edges], plan.owners[edges], plan.firsts[k]
+            terms = log_lam[edges] + log_flow[-1][rows]
+            hi = np.maximum.reduceat(terms, firsts)
+            dead = hi == -np.inf
+            if dead.any():
+                raise ZeroFlowError(plan.layers[k][int(np.argmax(dead))])
+            total = hi + np.log(np.add.reduceat(np.exp(terms - hi[owners]), firsts))
+            weights = np.exp(terms - total[owners])
+            row = _advance(weights[:, None] * powers[edges], normalized[-1][rows], firsts)
+            row[:, 0] = 1.0
+            normalized.append(row)
+            log_flow.append(total)
+    return NormalizedMomentState(
+        direction,
+        max_order,
+        _LayerRows(plan.where, normalized, _row_tuple),
+        _LayerRows(plan.where, log_flow, float),
+    )
 
-    normalized: dict[int, tuple[float, ...]] = {
-        start: (1.0,) + (0.0,) * max_order
-    }
-    log_flow: dict[int, float] = {start: 0.0}
-    for group in steps:
-        for v, edges in group:
-            terms = [log_lam[e.id] + log_flow[neighbor(e)] for e in edges]
-            hi = max(terms)
-            if hi == -math.inf:
-                raise ZeroFlowError(v)
-            total = hi + math.log(sum(math.exp(t - hi) for t in terms))
-            log_flow[v] = total
 
-            pairs = []
-            for t, e in zip(terms, edges):
-                w = math.exp(t - total)
-                if w != 0.0:
-                    lift = _lift(REAL, w, gval[e.id], max_order)
-                    pairs.append((lift, normalized[neighbor(e)]))
-            row = _combine(REAL, pairs, max_order)
-            row[0] = 1.0
-            normalized[v] = tuple(row)
-    return NormalizedMomentState(direction, max_order, normalized, log_flow)
+def _row_tuple(row: np.ndarray) -> tuple[float, ...]:
+    return tuple(row.tolist())
 
 
 # -- instrumented (counted) real-semiring evaluation -------------------------------

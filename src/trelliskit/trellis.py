@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     GTableError,
     PathCountError,
@@ -46,6 +48,13 @@ class Edge:
     fin: int
     lam: float = 1.0
     clabel: float = 0.0
+
+
+def _non_finite_label(e: Edge) -> TrellisStructureError:
+    return TrellisStructureError(
+        f"edge {e.id} has a non-finite label "
+        f"(lambda={e.lam!r}, clabel={e.clabel!r})"
+    )
 
 
 class Trellis:
@@ -101,10 +110,7 @@ class Trellis:
             if e.fin not in self._depth:
                 raise TrellisStructureError(f"edge {e.id} fin vertex {e.fin} unknown")
             if not (math.isfinite(e.lam) and math.isfinite(e.clabel)):
-                raise TrellisStructureError(
-                    f"edge {e.id} has a non-finite label "
-                    f"(lambda={e.lam!r}, clabel={e.clabel!r})"
-                )
+                raise _non_finite_label(e)
             out[e.init].append(e)
             into[e.fin].append(e)
             sections[self._depth[e.init]].append(e)
@@ -114,6 +120,10 @@ class Trellis:
         self._sections = tuple(tuple(es) for es in sections[:rank])
         # validate() report, computed by the first require_valid().
         self._report: tuple[Violation, ...] | None = None
+        # Walk plans by direction, built on first use.  relabeled() copies
+        # share this dict with their parent, so a topology builds each
+        # plan once.
+        self._plans: dict[str, WalkPlan] = {}
 
     # -- structural queries -------------------------------------------------
 
@@ -198,21 +208,49 @@ class Trellis:
         steps = (tuple((v, local[v]) for v in layer) for layer in layers)
         return start, steps, neighbor
 
+    def plan(self, direction: str) -> "WalkPlan":
+        """The walk in ``direction`` as index arrays (see :class:`WalkPlan`).
+
+        Needs a valid trellis; built on first use and shared with every
+        ``relabeled`` copy.
+        """
+        plan = self._plans.get(direction)
+        if plan is None:
+            require_valid(self)
+            plan = self._plans[direction] = _walk_plan(self, direction)
+        return plan
+
     def relabeled(self, lam_of: Callable[[Edge], float]) -> "Trellis":
         """Copy with each edge's lambda-label replaced by ``lam_of(e)``.
 
         The structure is unchanged, so the copy keeps this trellis's
-        validation report.
+        depths, layers, validation report and walk plans, and only the
+        new edges and their per-vertex and per-section tuples are built.
         """
-        copy = Trellis(
-            self.rank,
-            self._depth,
-            (
-                Edge(e.id, e.init, e.fin, float(lam_of(e)), e.clabel)
-                for e in self.edges
-            ),
+        edges = tuple(
+            Edge(e.id, e.init, e.fin, float(lam_of(e)), e.clabel) for e in self.edges
         )
+        into: dict[int, list[Edge]] = {v: [] for v in self._depth}
+        out: dict[int, list[Edge]] = {v: [] for v in self._depth}
+        sections: list[list[Edge]] = [[] for _ in range(self.rank + 1)]
+        depth = self._depth
+        for e in edges:
+            if not math.isfinite(e.lam):
+                raise _non_finite_label(e)
+            out[e.init].append(e)
+            into[e.fin].append(e)
+            sections[depth[e.init]].append(e)
+        copy = object.__new__(Trellis)
+        copy.rank = self.rank
+        copy._depth = depth
+        copy.layers = self.layers
+        copy.edges = edges
+        copy._edge_by_id = {e.id: e for e in edges}
+        copy._in = {v: tuple(es) for v, es in into.items()}
+        copy._out = {v: tuple(es) for v, es in out.items()}
+        copy._sections = tuple(tuple(es) for es in sections[: self.rank])
         copy._report = self._report
+        copy._plans = self._plans
         return copy
 
     def __repr__(self) -> str:
@@ -220,6 +258,86 @@ class Trellis:
             f"Trellis(rank={self.rank}, vertices={len(self._depth)}, "
             f"edges={len(self.edges)})"
         )
+
+
+@dataclass(frozen=True, eq=False)
+class WalkPlan:
+    """One direction's walk (``Trellis.walk``) as index arrays.
+
+    ``layers[0]`` is the start vertex alone; ``layers[k]`` (k >= 1) is
+    the k-th group of the walk, and its local edges are entries
+    ``bounds[k-1]:bounds[k]`` of the per-edge arrays, grouped by owning
+    vertex in layer order.  Per edge: ``edges`` is its position in
+    ``Trellis.edges``, ``owners`` the owning vertex's row in its layer and
+    ``rows`` the neighbour's row in the layer before.  ``firsts[k]`` holds
+    the offset of each vertex's first local edge within its layer's
+    edges, and ``where`` maps every vertex to its ``(layer, row)``, in
+    walk order.
+    """
+
+    layers: tuple[tuple[int, ...], ...]
+    edges: np.ndarray
+    owners: np.ndarray
+    rows: np.ndarray
+    bounds: tuple[int, ...]
+    firsts: tuple[np.ndarray, ...]
+    where: dict[int, tuple[int, int]]
+
+    def layer_edges(self) -> Iterator[tuple[int, slice]]:
+        """Each layer after the start, with the slice of its local edges."""
+        for k in range(1, len(self.layers)):
+            yield k, slice(self.bounds[k - 1], self.bounds[k])
+
+    def lam(self, trellis: Trellis, nonnegative_for: str | None = None) -> np.ndarray:
+        """Lambda of every local edge of ``trellis``, in walk order.
+
+        With ``nonnegative_for`` set, a negative label raises
+        SemiringError naming the first such edge of ``trellis.edges``.
+        """
+        lam = np.fromiter((e.lam for e in trellis.edges), float, len(trellis.edges))
+        if nonnegative_for is not None and (lam < 0).any():
+            e = trellis.edges[int(np.argmax(lam < 0))]
+            raise SemiringError(
+                f"{nonnegative_for} needs nonnegative labels; edge {e.id} has {e.lam}"
+            )
+        return lam[self.edges]
+
+    def g(self, trellis: Trellis, g: "DepthFunctionTable") -> np.ndarray:
+        """g value of every local edge of ``trellis``, in walk order."""
+        return g.values_of(trellis.edges)[self.edges]
+
+
+def _walk_plan(trellis: Trellis, direction: str) -> WalkPlan:
+    start, steps, neighbor = trellis.walk(direction)
+    position = {e.id: i for i, e in enumerate(trellis.edges)}
+    layers: list[tuple[int, ...]] = [(start,)]
+    where = {start: (0, 0)}
+    edges: list[int] = []
+    owners: list[int] = []
+    rows: list[int] = []
+    bounds = [0]
+    firsts = [np.zeros(0, dtype=np.intp)]
+    for k, group in enumerate(steps, start=1):
+        first = []
+        for i, (v, local) in enumerate(group):
+            where[v] = (k, i)
+            first.append(len(edges) - bounds[-1])
+            for e in local:
+                edges.append(position[e.id])
+                owners.append(i)
+                rows.append(where[neighbor(e)][1])
+        layers.append(tuple(v for v, _ in group))
+        bounds.append(len(edges))
+        firsts.append(np.array(first, dtype=np.intp))
+    return WalkPlan(
+        tuple(layers),
+        np.array(edges, dtype=np.intp),
+        np.array(owners, dtype=np.intp),
+        np.array(rows, dtype=np.intp),
+        tuple(bounds),
+        tuple(firsts),
+        where,
+    )
 
 
 # -- validation --------------------------------------------------------------
@@ -416,6 +534,15 @@ class DepthFunctionTable:
             raise GTableError(
                 f"no g value for edge {edge.id} ({edge.init}->{edge.fin})"
             ) from None
+
+    def values_of(self, edges: Sequence[Edge]) -> np.ndarray:
+        """The g value of every edge in ``edges``, in that order."""
+        try:
+            return np.array([self._values[e.id] for e in edges], dtype=float)
+        except KeyError:
+            for e in edges:
+                self.value(e)  # raises GTableError for the first one missing
+            raise
 
     def path_value(self, path: Sequence[Edge]) -> float:
         return sum(self.value(e) for e in path)

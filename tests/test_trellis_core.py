@@ -8,6 +8,7 @@ of the vertex and edge lists, on random trellises and on copies damaged
 in the ways ``validate`` must report.
 """
 
+import math
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from trelliskit import (
     forward_numerators,
     loads_trellis,
     make_received,
+    normalized_states,
     require_valid,
     symbol_distribution,
     symbol_moments,
@@ -240,6 +242,22 @@ class TestAgainstFullScan:
             reference_validate(t), key=repr
         )
 
+    @PROPERTY_SETTINGS
+    @given(trellises, st.integers(0, 2**32))
+    def test_relabeled_copy_equals_fresh_trellis(self, t, seed):
+        rng = random.Random(seed)
+        copy = t.relabeled(lambda e: rng.choice([0.0, 0.25, e.lam, 3.0]))
+        fresh = Trellis(t.rank, {v: t.depth_of(v) for v in t.vertices}, copy.edges)
+        assert copy.edges == fresh.edges
+        assert copy.vertices == fresh.vertices
+        assert indexed_structure(copy) == indexed_structure(fresh)
+        assert all(copy.edge(e.id) is e for e in copy.edges)
+        assert {v: copy.depth_of(v) for v in copy.vertices} == {
+            v: fresh.depth_of(v) for v in fresh.vertices
+        }
+        assert validate(copy) == validate(fresh)
+        assert repr(copy) == repr(fresh)
+
     def test_damage_kinds_are_reported(self):
         # Each damage kind produces the violation it stands for on some
         # seed, so the properties above do reach the malformed cases.
@@ -326,3 +344,38 @@ def test_invalid_report_is_kept():
     first = validate(t)
     first.clear()
     assert validate(t) == reference_validate(t) != []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_relabeled_rejects_non_finite_labels(bad):
+    t = random_trellis(4)
+    last = t.edges[-1].id
+    with pytest.raises(TrellisStructureError, match="non-finite label"):
+        t.relabeled(lambda e: bad if e.id == last else e.lam)
+
+
+# -- one walk plan per topology -------------------------------------------------------
+
+
+def test_walk_plan_built_once_per_topology(monkeypatch):
+    builds = []
+    build = trellis_module._walk_plan
+
+    def counted(trellis, direction):
+        builds.append(direction)
+        return build(trellis, direction)
+
+    monkeypatch.setattr(trellis_module, "_walk_plan", counted)
+    code, channel, received = _conv75_word()
+    first = channel_lambda_labels(code, channel, received)
+    second = channel_lambda_labels(code, Bsc(0.2), received)
+    g = correlation_g_table(first, received)
+
+    forward_numerators(first, g, 2)
+    backward_numerators(second, g, 2)
+    normalized_states(first, g, 2, "backward")
+    normalized_states(second, g, 2, "forward")
+    forward_distributions(second, g, mode="exact")
+    backward_distributions(first, g, mode="quantized")
+    forward_numerators(code, g, 1)
+    assert sorted(builds) == ["backward", "forward"]
