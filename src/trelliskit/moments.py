@@ -18,9 +18,9 @@ symbol moments.  All of this is generic over the commutative semirings in
 In the real semiring the numerator sweep and ``normalized_states`` run
 one layer at a time in numpy, on the trellis's walk plan
 (``Trellis.plan``, the walk as index arrays, built once per topology and
-direction): each layer gathers its edges' neighbour rows, builds the
-per-edge binomial matrices C(m, m-j) lam(e) g(e)^(m-j) of that layer
-only, and applies them with one batched matmul and one per-vertex sum.
+direction): each layer gathers its edges' neighbour rows, forms the
+terms C(m, j) lam(e) g(e)^(m-j) row[j] of that layer only, and sums
+them over j <= m and then per vertex.
 Their states keep one block per layer behind read-only vertex mappings.
 The other semirings, ``symbol_moments`` and the joint engine walk the
 trellis through ``Trellis.walk`` and combine moment vectors through the
@@ -161,16 +161,19 @@ class MomentState:
 
 
 @lru_cache(maxsize=None)
-def _binomial_index(max_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """C(m, j) for j <= m (0 above the diagonal), and the power m - j."""
+def _binomial_index(max_order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C(m, j) for j <= m (0 above the diagonal), the power m - j, and
+    the mask j <= m."""
     size = max_order + 1
     coefficients = np.zeros((size, size))
     for m in range(size):
         coefficients[m, : m + 1] = _PASCAL[m]
     m, j = np.indices((size, size))
-    power = np.where(j <= m, m - j, 0)
-    coefficients.flags.writeable = power.flags.writeable = False  # shared
-    return coefficients, power
+    lower = j <= m
+    power = np.where(lower, m - j, 0)
+    for shared in (coefficients, power, lower):
+        shared.flags.writeable = False
+    return coefficients, power, lower
 
 
 def _lift_rows(first: np.ndarray, base: np.ndarray, max_order: int) -> np.ndarray:
@@ -183,18 +186,29 @@ def _lift_rows(first: np.ndarray, base: np.ndarray, max_order: int) -> np.ndarra
     return out
 
 
-def _advance(lift: np.ndarray, prev: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+def _advance(
+    lift: np.ndarray,
+    prev: np.ndarray,
+    firsts: np.ndarray,
+    live: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """``_combine`` for every vertex of one layer, in the real semiring.
 
     Row e of ``lift`` is an edge's lam g^l (l = 0..M) and row e of
-    ``prev`` its neighbour's moment row; each vertex's row sums
-    C(m, m-j) lift[m-j] prev[j] over its edges, which start at
-    ``firsts``.  The per-edge (M+1)x(M+1) matrices exist for this layer
-    only.
+    ``prev`` its neighbour's moment row; each vertex's order m sums
+    C(m, j) lift[m-j] prev[j] over j <= m and over its edges, which start
+    at ``firsts``.  As in ``_combine`` only the terms with j <= m are
+    summed, so an order of ``prev`` that overflowed to inf cannot turn a
+    lower order into NaN through a zero coefficient.  Edges outside the
+    boolean mask ``live`` contribute nothing.  The per-edge
+    (M+1)x(M+1) term matrices exist for this layer only.
     """
-    coefficients, power = _binomial_index(lift.shape[1] - 1)
-    matrices = lift[:, power] * coefficients
-    terms = np.matmul(matrices, prev[:, :, None])[:, :, 0]
+    coefficients, power, lower = _binomial_index(lift.shape[1] - 1)
+    terms = lift[:, power] * coefficients
+    terms *= prev[:, None, :]
+    terms = np.add.reduce(terms, axis=2, where=lower)
+    if live is not None:
+        terms[~live] = 0.0
     return np.add.reduceat(terms, firsts, axis=0)
 
 
@@ -488,7 +502,7 @@ def normalized_states(
     # log(0) = -inf and overflow to inf stay silent, as in plain floats.
     with np.errstate(all="ignore"):
         log_lam = np.log(lam)
-        powers = _lift_rows(np.ones(len(lam)), plan.g(trellis, g), max_order)
+        gval = plan.g(trellis, g)
         for k, edges in plan.layer_edges():
             rows, owners, firsts = plan.rows[edges], plan.owners[edges], plan.firsts[k]
             terms = log_lam[edges] + log_flow[-1][rows]
@@ -498,7 +512,11 @@ def normalized_states(
                 raise ZeroFlowError(plan.layers[k][int(np.argmax(dead))])
             total = hi + np.log(np.add.reduceat(np.exp(terms - hi[owners]), firsts))
             weights = np.exp(terms - total[owners])
-            row = _advance(weights[:, None] * powers[edges], normalized[-1][rows], firsts)
+            # The weight leads each edge's powers, and an edge of weight 0
+            # drops out, so a large g^l cannot overflow where w g^l does not.
+            lift = _lift_rows(weights, gval[edges], max_order)
+            live = weights != 0.0
+            row = _advance(lift, normalized[-1][rows], firsts, live)
             row[:, 0] = 1.0
             normalized.append(row)
             log_flow.append(total)

@@ -50,13 +50,6 @@ class Edge:
     clabel: float = 0.0
 
 
-def _non_finite_label(e: Edge) -> TrellisStructureError:
-    return TrellisStructureError(
-        f"edge {e.id} has a non-finite label "
-        f"(lambda={e.lam!r}, clabel={e.clabel!r})"
-    )
-
-
 class Trellis:
     """Immutable depth-layered graph; safe to share between readers.
 
@@ -77,53 +70,69 @@ class Trellis:
             raise TrellisStructureError(f"rank must be >= 1, got {rank}")
         if isinstance(vertex_depths, Mapping):
             vertex_depths = vertex_depths.items()
-        self.rank = rank
-        self._depth: dict[int, int] = {}
+        depths: dict[int, int] = {}
         by_depth: list[list[int]] = [[] for _ in range(rank + 1)]
         for vid, depth in vertex_depths:
             vid = int(vid)
-            if vid in self._depth:
+            if vid in depths:
                 raise TrellisStructureError(f"duplicate vertex id {vid}")
             if not 0 <= depth <= rank:
                 raise TrellisStructureError(
                     f"vertex {vid} depth {depth} outside 0..{rank}"
                 )
-            self._depth[vid] = int(depth)
+            depths[vid] = int(depth)
             by_depth[int(depth)].append(vid)
-        self.layers: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(layer)) for layer in by_depth
-        )
+        layers = tuple(tuple(sorted(layer)) for layer in by_depth)
+        self._index(rank, depths, layers, tuple(edges), None, {})
 
+    def _index(
+        self,
+        rank: int,
+        depth: dict[int, int],
+        layers: tuple[tuple[int, ...], ...],
+        edges: tuple[Edge, ...],
+        report: tuple[Violation, ...] | None,
+        plans: dict[str, WalkPlan],
+    ) -> None:
+        """Set every attribute: the structure, the edges and their
+        indexes, the validation report and the walk plans.  The
+        constructor and ``relabeled`` both end here."""
+        self.rank = rank
+        self._depth = depth
+        self.layers = layers
         # One pass indexes every edge: by id, per vertex, and per section
         # (bucketed by the depth of ``init``, the rule of edges_at).
-        self.edges: tuple[Edge, ...] = tuple(edges)
-        into: dict[int, list[Edge]] = {v: [] for v in self._depth}
-        out: dict[int, list[Edge]] = {v: [] for v in self._depth}
+        self.edges = edges
+        into: dict[int, list[Edge]] = {v: [] for v in depth}
+        out: dict[int, list[Edge]] = {v: [] for v in depth}
         sections: list[list[Edge]] = [[] for _ in range(rank + 1)]
         self._edge_by_id: dict[int, Edge] = {}
-        for e in self.edges:
+        for e in edges:
             if e.id in self._edge_by_id:
                 raise TrellisStructureError(f"duplicate edge id {e.id}")
             self._edge_by_id[e.id] = e
-            if e.init not in self._depth:
+            if e.init not in depth:
                 raise TrellisStructureError(f"edge {e.id} init vertex {e.init} unknown")
-            if e.fin not in self._depth:
+            if e.fin not in depth:
                 raise TrellisStructureError(f"edge {e.id} fin vertex {e.fin} unknown")
             if not (math.isfinite(e.lam) and math.isfinite(e.clabel)):
-                raise _non_finite_label(e)
+                raise TrellisStructureError(
+                    f"edge {e.id} has a non-finite label "
+                    f"(lambda={e.lam!r}, clabel={e.clabel!r})"
+                )
             out[e.init].append(e)
             into[e.fin].append(e)
-            sections[self._depth[e.init]].append(e)
+            sections[depth[e.init]].append(e)
         self._in = {v: tuple(es) for v, es in into.items()}
         self._out = {v: tuple(es) for v, es in out.items()}
         # Edges leaving the final layer belong to no section.
         self._sections = tuple(tuple(es) for es in sections[:rank])
         # validate() report, computed by the first require_valid().
-        self._report: tuple[Violation, ...] | None = None
+        self._report = report
         # Walk plans by direction, built on first use.  relabeled() copies
         # share this dict with their parent, so a topology builds each
         # plan once.
-        self._plans: dict[str, WalkPlan] = {}
+        self._plans = plans
 
     # -- structural queries -------------------------------------------------
 
@@ -230,27 +239,8 @@ class Trellis:
         edges = tuple(
             Edge(e.id, e.init, e.fin, float(lam_of(e)), e.clabel) for e in self.edges
         )
-        into: dict[int, list[Edge]] = {v: [] for v in self._depth}
-        out: dict[int, list[Edge]] = {v: [] for v in self._depth}
-        sections: list[list[Edge]] = [[] for _ in range(self.rank + 1)]
-        depth = self._depth
-        for e in edges:
-            if not math.isfinite(e.lam):
-                raise _non_finite_label(e)
-            out[e.init].append(e)
-            into[e.fin].append(e)
-            sections[depth[e.init]].append(e)
         copy = object.__new__(Trellis)
-        copy.rank = self.rank
-        copy._depth = depth
-        copy.layers = self.layers
-        copy.edges = edges
-        copy._edge_by_id = {e.id: e for e in edges}
-        copy._in = {v: tuple(es) for v, es in into.items()}
-        copy._out = {v: tuple(es) for v, es in out.items()}
-        copy._sections = tuple(tuple(es) for es in sections[: self.rank])
-        copy._report = self._report
-        copy._plans = self._plans
+        copy._index(self.rank, self._depth, self.layers, edges, self._report, self._plans)
         return copy
 
     def __repr__(self) -> str:

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from trelliskit import (
     MAX_ORDER,
     DepthFunctionTable,
+    Edge,
     SemiringError,
     Trellis,
     REAL,
@@ -239,6 +240,97 @@ def test_normalized_states_match_reference(instance, order):
         assert_row_close(state.normalized[v], row, scale[v], v)
         a, b = state.log_flow[v], log_flow[v]
         assert abs(a - b) <= RTOL * max(1.0, abs(a), abs(b)), (v, a, b)
+
+
+def large_g(t: Trellis, seed: int) -> DepthFunctionTable:
+    """Positive g values up to 1e60, so that high orders overflow to inf
+    while every term stays nonnegative (no cancellation)."""
+    rng = np.random.default_rng(seed)
+    return DepthFunctionTable({e.id: float(10 ** rng.uniform(-5, 60)) for e in t.edges})
+
+
+def assert_row_same(got, want, where):
+    """Finite entries within RTOL, inf and NaN entries equal."""
+    assert len(got) == len(want), where
+    for m, (a, b) in enumerate(zip(got, want)):
+        if math.isfinite(b):
+            assert abs(a - b) <= RTOL * max(abs(a), abs(b)), (where, m, a, b)
+        else:
+            assert repr(a) == repr(b), (where, m, a, b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(instances(), st.sampled_from([2, 4, 12, 40, MAX_ORDER]))
+def test_overflow_stays_where_the_reference_has_it(instance, order):
+    """An order that overflowed to inf turns no lower order into NaN,
+    and a small weight times a large power of g stays finite: the
+    batched sweeps have inf and NaN exactly where the references do."""
+    t, direction, seed = instance
+    g = large_g(t, seed)
+    got = numerators(t, g, order, direction)
+    want = reference_numerators(t, g, order, direction)
+    for v, row in want.items():
+        assert_row_same(got[v], row, v)
+    got = outcome(normalized_states, t, g, order, direction)
+    want = outcome(reference_normalized_states, t, g, order, direction)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        for v, row in want[1][0].items():
+            assert_row_same(got[1].normalized[v], row, v)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_overflowed_order_leaves_lower_orders(direction):
+    """A chain with g = 1e200: order 2 is inf from the first edge on,
+    and orders 0 and 1 stay the finite path sums."""
+    chain = Trellis(3, {v: v for v in range(4)}, [Edge(v, v, v + 1) for v in range(3)])
+    g = DepthFunctionTable.constant(chain, 1e200)
+    got = numerators(chain, g, 2, direction)
+    want = reference_numerators(chain, g, 2, direction)
+    terminal = chain.sink if direction == "forward" else chain.source
+    assert got[terminal] == want[terminal] == [1.0, 3e200, math.inf]
+    for v, row in want.items():
+        assert got[v] == row, v
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_normalized_weight_leads_its_powers(direction):
+    """Three parallel edges: one of weight ~1e-300 whose g^40 alone would
+    overflow, and one of label 0 whose g^2 does; the reference keeps the
+    first finite (w g g ... from w) and skips the second."""
+    edges = [
+        Edge(0, 0, 1, 1.0),
+        Edge(1, 0, 1, 1e-300),
+        Edge(2, 0, 1, 0.0),
+        Edge(3, 1, 2, 1.0),
+    ]
+    t = Trellis(2, {0: 0, 1: 1, 2: 2}, edges)
+    g = DepthFunctionTable({0: 0.0, 1: 1e10, 2: 1e200, 3: 0.0})
+    state = normalized_states(t, g, 40, direction)
+    normalized, _ = reference_normalized_states(t, g, 40, direction)
+    for v, row in normalized.items():
+        assert all(math.isfinite(x) for x in row), v
+        assert_row_same(state.normalized[v], row, v)
+    assert state.normalized[t.sink if direction == "forward" else t.source][40] > 1e99
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_normalized_skips_zero_weight_edges(direction):
+    """Vertex 1's row overflows at order 2 and its only edge on to
+    vertex 3 has label 0: the reference skips that edge, so vertex 3
+    keeps the finite row it gets through vertex 2."""
+    depths = {0: 0, 1: 1, 2: 1, 3: 2, 4: 3}
+    edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 0.0), (2, 3, 1.0), (3, 4, 1.0)]
+    if direction == "backward":  # the same sweep, mirrored
+        depths = {v: 3 - d for v, d in depths.items()}
+        edges = [(fin, init, lam) for init, fin, lam in edges]
+    t = Trellis(3, depths, [Edge(i, *e) for i, e in enumerate(edges)])
+    g = DepthFunctionTable({0: 1e200, 1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0})
+    state = normalized_states(t, g, 2, direction)
+    normalized, _ = reference_normalized_states(t, g, 2, direction)
+    assert normalized[1] == state.normalized[1] == (1.0, 1e200, math.inf)
+    for v in (3, 4):
+        assert normalized[v] == state.normalized[v] == (1.0, 0.0, 0.0), v
 
 
 def test_zero_flow_hits_the_same_vertex():

@@ -248,6 +248,7 @@ class TestAgainstFullScan:
         rng = random.Random(seed)
         copy = t.relabeled(lambda e: rng.choice([0.0, 0.25, e.lam, 3.0]))
         fresh = Trellis(t.rank, {v: t.depth_of(v) for v in t.vertices}, copy.edges)
+        assert vars(copy).keys() == vars(fresh).keys()
         assert copy.edges == fresh.edges
         assert copy.vertices == fresh.vertices
         assert indexed_structure(copy) == indexed_structure(fresh)
