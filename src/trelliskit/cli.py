@@ -259,6 +259,9 @@ def _cmd_distribution(args) -> int:
         )
 
     fwd = distributions.forward_distributions(graph, g, args.mode, params)
+    if fwd.mode == "quantized":
+        # The backward sweep reuses the bins the forward one sized.
+        params = distributions.QuantizationParams(fwd.half_bins, fwd.bin_width)
     bwd = distributions.backward_distributions(graph, g, fwd.mode, params)
     if constraint is None:
         dist = distributions.trellis_distribution(fwd, bwd, args.cut)

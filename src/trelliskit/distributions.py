@@ -31,20 +31,25 @@ g), and the merges, mean snaps and bin moves of all its vertices run as a
 few array calls that scatter into one (vertices x bins) block.  The
 helpers ``_merge_exact``, ``_snap_mean`` and ``_move_bins`` work on such
 batches of rows, and the cut and symbol combines call them with a single
-owner.  Each layer's per-vertex objects are built as soon as the layer
-is done; only the previous layer is kept as arrays.
+owner.  A state keeps every layer's arrays as the sweep made them,
+(offsets, lengths, masses) in exact mode and (means, flows, masses) in
+quantized mode, and builds a vertex's ``ExactDistribution``,
+``QuantizedDistribution`` or flow only when a caller reads it; the cut
+and symbol combines read their rows from the arrays.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import partial
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import LatticeError, SemiringError, ZeroFlowError
-from .moments import forward_numerators, trellis_moments
+from .moments import _LayerRows, forward_numerators, trellis_moments
 from .trellis import DepthFunctionTable, Trellis, WalkPlan, require_valid
 
 # Smallest usable exact-lattice step and largest exact-mode mass vector.
@@ -315,33 +320,51 @@ def _float_gcd(values: Iterable[float]) -> float:
     return g
 
 
+def _edge_values(
+    trellis: Trellis, g: Union[DepthFunctionTable, np.ndarray]
+) -> np.ndarray:
+    """g on every edge, in ``Trellis.edges`` order; ``g`` is a table or
+    that array already."""
+    return g if isinstance(g, np.ndarray) else g.values_of(trellis.edges)
+
+
 def lattice_step(trellis: Trellis, g: DepthFunctionTable) -> float:
     """Common lattice step of the per-section g differences.
 
     Returns 0.0 when every section's g values coincide (all path values
     equal a single point); raises LatticeError when no usable lattice
-    exists (step too small or the implied exact vector too long).
+    exists (step too small or the implied exact vector too long).  ``g``
+    may also be given as its values in ``Trellis.edges`` order.  Needs a
+    valid trellis.
     """
-    diffs = []
-    span = 0.0
-    for depth in range(1, trellis.rank + 1):
-        vals = sorted({g.value(e) for e in trellis.edges_at(depth)})
-        span += vals[-1] - vals[0]
-        for a, b in zip(vals, vals[1:]):
-            diffs.append(b - a)
-    if not diffs:
+    plan = trellis.plan("forward")
+    # The forward walk's layers are the sections in depth order; sort
+    # each one's values and drop repeats.
+    section = np.repeat(np.arange(trellis.rank), np.diff(plan.bounds))
+    values = _edge_values(trellis, g)[plan.edges]
+    order = np.lexsort((values, section))
+    values, section = values[order], section[order]
+    distinct = np.ones(len(values), dtype=bool)
+    distinct[1:] = (values[1:] != values[:-1]) | (section[1:] != section[:-1])
+    values, section = values[distinct], section[distinct]
+    inner = section[1:] == section[:-1]
+    diffs = (values[1:] - values[:-1])[inner]
+    if not len(diffs):
         return 0.0
-    step = _float_gcd(diffs)
+    step = _float_gcd(diffs.tolist())
     if step < MIN_LATTICE_STEP:
         raise LatticeError(
             "g values share no usable lattice; use the quantized mode"
         )
-    for d in diffs:
-        t = d / step
-        if abs(t - round(t)) > _ALIGN_TOL * max(1.0, abs(t)):
-            raise LatticeError(
-                "g values share no usable lattice; use the quantized mode"
-            )
+    t = diffs / step
+    if (np.abs(t - np.round(t)) > _ALIGN_TOL * np.maximum(1.0, np.abs(t))).any():
+        raise LatticeError(
+            "g values share no usable lattice; use the quantized mode"
+        )
+    first = _first_rows(section, trellis.rank)
+    last = np.append(first[1:], len(values)) - 1
+    # Section spans added one after another, as a running sum.
+    span = np.cumsum(values[last] - values[first])[-1]
     if span / step + 1 > MAX_EXACT_BINS:
         raise LatticeError(
             f"exact mode would need more than {MAX_EXACT_BINS} lattice "
@@ -370,9 +393,15 @@ class QuantizationParams:
 class DistributionState:
     """Per-vertex forward or backward distributions of one sweep.
 
-    Exact mode stores raw (flow-weighted) lattice distributions.
-    Quantized mode stores unit-mass bin vectors plus the tracked mean per
-    vertex and the plain flows needed for relative edge weights.
+    The sweep's arrays stay as it made them, one tuple per layer of its
+    walk, and ``exact``, ``quantized`` and ``flows`` are read-only vertex
+    mappings over them, in walk order, that build a vertex's
+    distribution or flow when it is read.  Exact mode keeps (offsets,
+    lengths, masses): raw (flow-weighted) distributions on the lattice
+    offset + k*step, each mass row zero beyond its length.  Quantized
+    mode keeps (means, flows, masses): unit-mass bin vectors around the
+    tracked means, and the plain flows needed for relative edge weights.
+    The other mode's mappings are None.
     """
 
     direction: str
@@ -380,11 +409,38 @@ class DistributionState:
     rank: int
     hard_decision: bool
     layers: tuple[tuple[int, ...], ...]
-    exact: Optional[dict[int, ExactDistribution]] = None
-    quantized: Optional[dict[int, QuantizedDistribution]] = None
-    flows: Optional[dict[int, float]] = None
+    exact: Optional[Mapping[int, ExactDistribution]] = None
+    quantized: Optional[Mapping[int, QuantizedDistribution]] = None
+    flows: Optional[Mapping[int, float]] = None
+    step: Optional[float] = None
     half_bins: Optional[int] = None
     bin_width: Optional[float] = None
+
+
+def _exact_row(step: float, layer, r: int) -> ExactDistribution:
+    offsets, lengths, masses = layer
+    return ExactDistribution(
+        float(offsets[r]), step, tuple(masses[r, : lengths[r]].tolist())
+    )
+
+
+def _quantized_row(
+    half_bins: int, width: float, layer, r: int
+) -> QuantizedDistribution:
+    means, _, masses = layer
+    return QuantizedDistribution(
+        float(means[r]), half_bins, width, tuple(masses[r].tolist())
+    )
+
+
+def _flow_row(layer, r: int) -> float:
+    return float(layer[1][r])
+
+
+def _row(view: _LayerRows, v: int) -> tuple:
+    """Vertex ``v``'s entries in its layer's arrays."""
+    arrays, r = view.locate(v)
+    return tuple(a[r] for a in arrays)
 
 
 def _resolve_bin_width(
@@ -434,50 +490,53 @@ def _snap_mean(
     return np.where(aligned, base + (lo + up) * width, weighted_means)
 
 
-def _is_hard_decision(trellis: Trellis, g: DepthFunctionTable) -> bool:
-    return all(
-        g.value(e) == 1.0 or g.value(e) == -1.0 for e in trellis.edges
-    )
+def _is_hard_decision(values: np.ndarray) -> bool:
+    return bool(np.all(np.abs(values) == 1.0))
 
 
 def _layer_arrays(
-    trellis: Trellis, plan: WalkPlan, g: DepthFunctionTable, lam: np.ndarray
+    trellis: Trellis,
+    plan: WalkPlan,
+    g: Union[DepthFunctionTable, np.ndarray],
+    lam: np.ndarray,
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The walk of ``plan`` as index arrays, one layer at a time.
 
     Yields, per layer after the start, its vertices and four arrays over
     its local edges, grouped by vertex: the owning vertex's index in the
     layer, the neighbour's index in the layer before, lambda (``lam``,
-    in walk order) and g.
+    in walk order) and g (``g`` as ``lattice_step`` takes it).
     """
-    gval = plan.g(trellis, g)
+    gval = _edge_values(trellis, g)[plan.edges]
     for k, edges in plan.layer_edges():
         yield plan.layers[k], plan.owners[edges], plan.rows[edges], lam[edges], gval[edges]
 
 
 def _exact_sweep(
-    trellis: Trellis, g: DepthFunctionTable, direction: str, step: float
-) -> dict[int, ExactDistribution]:
+    trellis: Trellis,
+    g: Union[DepthFunctionTable, np.ndarray],
+    direction: str,
+    step: float,
+) -> _LayerRows:
+    """Every vertex's exact distribution, over (offsets, lengths, masses)
+    per layer."""
     plan = trellis.plan(direction)
-    layers = _layer_arrays(trellis, plan, g, plan.lam(trellis))
-    dists = {plan.layers[0][0]: ExactDistribution(0.0, step, (1.0,))}
-    offsets = np.zeros(1)
-    lengths = np.ones(1, dtype=np.intp)
-    block = np.ones((1, 1))
-    for vertices, owners, rows, lam, gval in layers:
-        offsets, lengths, block = _merge_exact(
-            offsets[rows] + gval,
-            block[rows] * lam[:, None],
-            lengths[rows],
-            owners,
-            len(vertices),
-            step,
+    layers = [(np.zeros(1), np.ones(1, dtype=np.intp), np.ones((1, 1)))]
+    for vertices, owners, rows, lam, gval in _layer_arrays(
+        trellis, plan, g, plan.lam(trellis)
+    ):
+        offsets, lengths, block = layers[-1]
+        layers.append(
+            _merge_exact(
+                offsets[rows] + gval,
+                block[rows] * lam[:, None],
+                lengths[rows],
+                owners,
+                len(vertices),
+                step,
+            )
         )
-        for v, offset, n, mass in zip(
-            vertices, offsets.tolist(), lengths.tolist(), block.tolist()
-        ):
-            dists[v] = ExactDistribution(offset, step, tuple(mass[:n]))
-    return dists
+    return _LayerRows(plan.where, layers, partial(_exact_row, step))
 
 
 def _merge_exact(
@@ -553,21 +612,19 @@ def _merge_parts(
 
 def _quantized_sweep(
     trellis: Trellis,
-    g: DepthFunctionTable,
+    g: Union[DepthFunctionTable, np.ndarray],
     direction: str,
     half_bins: int,
     width: float,
-) -> tuple[dict[int, QuantizedDistribution], dict[int, float]]:
+) -> tuple[_LayerRows, _LayerRows]:
+    """Every vertex's quantized distribution and flow, over (means, flows,
+    masses) per layer."""
     plan = trellis.plan(direction)
     lam = plan.lam(trellis, nonnegative_for="quantized mode")
-    start = plan.layers[0][0]
-    layers = _layer_arrays(trellis, plan, g, lam)
-    dists = {start: QuantizedDistribution.dirac(half_bins, width)}
-    flows = {start: 1.0}
-    means = np.zeros(1)
-    flow = np.ones(1)
-    block = np.asarray([dists[start].mass])
-    for vertices, owners, rows, lam, gval in layers:
+    start = QuantizedDistribution.dirac(half_bins, width)
+    layers = [(np.zeros(1), np.ones(1), np.asarray([start.mass]))]
+    for vertices, owners, rows, lam, gval in _layer_arrays(trellis, plan, g, lam):
+        means, flow, block = layers[-1]
         n = len(vertices)
         weights = lam * flow[rows]
         flow = np.bincount(owners, weights, minlength=n)
@@ -588,12 +645,11 @@ def _quantized_sweep(
             n,
             half_bins,
         )
-        for v, mu, f, mass in zip(
-            vertices, means.tolist(), flow.tolist(), block.tolist()
-        ):
-            dists[v] = QuantizedDistribution(mu, half_bins, width, tuple(mass))
-            flows[v] = f
-    return dists, flows
+        layers.append((means, flow, block))
+    return (
+        _LayerRows(plan.where, layers, partial(_quantized_row, half_bins, width)),
+        _LayerRows(plan.where, layers, _flow_row),
+    )
 
 
 def forward_distributions(
@@ -625,15 +681,17 @@ def _distributions(trellis, g, direction, mode, params) -> DistributionState:
     require_valid(trellis)
     if mode not in ("exact", "quantized", "auto"):
         raise SemiringError(f"unknown distribution mode {mode!r}")
-    hard = _is_hard_decision(trellis, g)
+    # g is read once, for the hard-decision test, the lattice and the sweep.
+    values = g.values_of(trellis.edges)
+    hard = _is_hard_decision(values)
     if mode == "auto":
         try:
-            step = lattice_step(trellis, g)
+            step = lattice_step(trellis, values)
             mode = "exact"
         except LatticeError:
             mode = "quantized"
     elif mode == "exact":
-        step = lattice_step(trellis, g)
+        step = lattice_step(trellis, values)
     if mode == "exact":
         return DistributionState(
             direction,
@@ -641,12 +699,13 @@ def _distributions(trellis, g, direction, mode, params) -> DistributionState:
             trellis.rank,
             hard,
             trellis.layers,
-            exact=_exact_sweep(trellis, g, direction, step),
+            exact=_exact_sweep(trellis, values, direction, step),
+            step=step,
         )
     params = params or QuantizationParams()
     width = _resolve_bin_width(trellis, g, params)
     dists, flows = _quantized_sweep(
-        trellis, g, direction, params.half_bins, width
+        trellis, values, direction, params.half_bins, width
     )
     return DistributionState(
         direction,
@@ -668,6 +727,10 @@ def _check_pair(forward: DistributionState, backward: DistributionState):
         )
     if forward.mode != backward.mode:
         raise SemiringError("forward and backward states use different modes")
+    if forward.step != backward.step:
+        raise LatticeError(
+            f"cannot combine step {forward.step} with step {backward.step}"
+        )
     if forward.mode == "quantized" and (
         forward.half_bins != backward.half_bins
         or forward.bin_width != backward.bin_width
@@ -702,26 +765,21 @@ def trellis_distribution(
     if forward.mode == "exact":
         parts = []
         for v in layer:
-            d = convolve(forward.exact[v], backward.exact[v])
-            parts.append((d.offset, np.asarray(d.mass)))
-        step = next(
-            d.step for d in forward.exact.values()
-        )
-        merged = _merge_parts(parts, step).trimmed()
+            f_offset, f_len, f_mass = _row(forward.exact, v)
+            b_offset, b_len, b_mass = _row(backward.exact, v)
+            parts.append(
+                (f_offset + b_offset, np.convolve(f_mass[:f_len], b_mass[:b_len]))
+            )
+        merged = _merge_parts(parts, forward.step).trimmed()
         if forward.hard_decision:
             merged = _pad_hard(merged, forward.rank)
         return merged
 
     entries = []
     for v in layer:
-        f, b = forward.quantized[v], backward.quantized[v]
-        entries.append(
-            (
-                f.mean + b.mean,
-                forward.flows[v] * backward.flows[v],
-                np.convolve(np.asarray(f.mass), np.asarray(b.mass)),
-            )
-        )
+        f_mean, f_flow, f_mass = _row(forward.quantized, v)
+        b_mean, b_flow, b_mass = _row(backward.quantized, v)
+        entries.append((f_mean + b_mean, f_flow * b_flow, np.convolve(f_mass, b_mass)))
     return _combine_quantized(entries, forward.half_bins, forward.bin_width)
 
 
@@ -741,7 +799,7 @@ def symbol_distribution(
     edges = [e for e in trellis.edges_at(depth) if e.clabel == symbol]
 
     if forward.mode == "exact":
-        step = next(d.step for d in forward.exact.values())
+        step = forward.step
         if not edges:
             # Zero mass; with bipolar g, at a point of the padded domain.
             at = -float(forward.rank) if forward.hard_decision else 0.0
@@ -749,15 +807,10 @@ def symbol_distribution(
         else:
             parts = []
             for e in edges:
-                d = convolve(
-                    ExactDistribution(
-                        forward.exact[e.init].offset + g.value(e),
-                        forward.exact[e.init].step,
-                        forward.exact[e.init].mass,
-                    ),
-                    backward.exact[e.fin],
-                )
-                parts.append((d.offset, np.asarray(d.mass) * e.lam))
+                f_offset, f_len, f_mass = _row(forward.exact, e.init)
+                b_offset, b_len, b_mass = _row(backward.exact, e.fin)
+                conv = np.convolve(f_mass[:f_len], b_mass[:b_len])
+                parts.append((f_offset + g.value(e) + b_offset, conv * e.lam))
             merged = _merge_parts(parts, step).trimmed()
         if forward.hard_decision:
             merged = _pad_hard(merged, forward.rank)
@@ -770,12 +823,13 @@ def symbol_distribution(
         )
     entries = []
     for e in edges:
-        f, b = forward.quantized[e.init], backward.quantized[e.fin]
+        f_mean, f_flow, f_mass = _row(forward.quantized, e.init)
+        b_mean, b_flow, b_mass = _row(backward.quantized, e.fin)
         entries.append(
             (
-                f.mean + g.value(e) + b.mean,
-                forward.flows[e.init] * e.lam * backward.flows[e.fin],
-                np.convolve(np.asarray(f.mass), np.asarray(b.mass)),
+                f_mean + g.value(e) + b_mean,
+                f_flow * e.lam * b_flow,
+                np.convolve(f_mass, b_mass),
             )
         )
     return _combine_quantized(entries, n, width)

@@ -106,38 +106,58 @@ def _combine(
 
 
 class _LayerRows(Mapping):
-    """Read-only vertex -> row view of a sweep kept as one block per layer.
+    """Read-only vertex -> value view of a sweep kept as arrays per layer.
 
-    ``blocks[k][r]`` is the row of the vertex at ``where[v] == (k, r)``;
-    ``make`` turns it into the list, tuple or float handed out, built
-    anew on every access.  A real sweep keeps a few numpy blocks instead
-    of one list per vertex on purpose: numpy arrays are not tracked by
-    CPython's cyclic garbage collector, while thousands of per-vertex
-    lists advance its allocation counters and move a full collection
-    into whatever code runs next.
+    ``layers[k]`` holds the arrays of the walk's k-th layer (one block, or
+    a tuple of per-row arrays), and the vertex at ``where[v] == (k, r)``
+    is their row r; ``make(layers[k], r)`` builds the list, tuple, float
+    or distribution handed out, anew on every access, and iteration
+    follows ``where``.  A sweep keeps a few numpy arrays per layer
+    instead of one object per vertex on purpose: numpy arrays are not
+    tracked by CPython's cyclic garbage collector, while thousands of
+    per-vertex objects advance its allocation counters and move a full
+    collection into whatever code runs next.
     """
 
-    __slots__ = ("_where", "_blocks", "_make")
+    __slots__ = ("_where", "_layers", "_make")
 
     def __init__(
         self,
         where: dict[int, tuple[int, int]],
-        blocks: list[np.ndarray],
-        make: Callable[[Any], Any],
+        layers: Sequence[Any],
+        make: Callable[[Any, int], Any],
     ):
         self._where = where
-        self._blocks = blocks
+        self._layers = layers
         self._make = make
 
-    def __getitem__(self, v: int) -> Any:
+    def locate(self, v: int) -> tuple[Any, int]:
+        """The arrays of ``v``'s layer and its row in them."""
         layer, row = self._where[v]
-        return self._make(self._blocks[layer][row])
+        return self._layers[layer], row
+
+    def __getitem__(self, v: int) -> Any:
+        # locate() inlined: symbol_moments reads rows edge by edge.
+        layer, row = self._where[v]
+        return self._make(self._layers[layer], row)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._where)
 
     def __len__(self) -> int:
         return len(self._where)
+
+
+def _row_list(block: np.ndarray, r: int) -> list[float]:
+    return block[r].tolist()
+
+
+def _row_tuple(block: np.ndarray, r: int) -> tuple[float, ...]:
+    return tuple(block[r].tolist())
+
+
+def _row_float(block: np.ndarray, r: int) -> float:
+    return float(block[r])
 
 
 @dataclass
@@ -237,7 +257,7 @@ def _numerators(
             for k, edges in plan.layer_edges():
                 prev = blocks[-1][plan.rows[edges]]
                 blocks.append(_advance(lift[edges], prev, plan.firsts[k]))
-        table = _LayerRows(plan.where, blocks, np.ndarray.tolist)
+        table = _LayerRows(plan.where, blocks, _row_list)
         return MomentState(
             direction, max_order, semiring, table, trellis.source, trellis.sink
         )
@@ -524,12 +544,8 @@ def normalized_states(
         direction,
         max_order,
         _LayerRows(plan.where, normalized, _row_tuple),
-        _LayerRows(plan.where, log_flow, float),
+        _LayerRows(plan.where, log_flow, _row_float),
     )
-
-
-def _row_tuple(row: np.ndarray) -> tuple[float, ...]:
-    return tuple(row.tolist())
 
 
 # -- instrumented (counted) real-semiring evaluation -------------------------------

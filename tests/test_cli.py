@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from trelliskit import build_spc_trellis, read_trellis, write_g_table
+from trelliskit import build_spc_trellis, distributions, read_trellis, write_g_table
 from trelliskit.cli import main
 from trelliskit.trellis import DepthFunctionTable, write_trellis
 
@@ -315,6 +315,40 @@ class TestDistribution:
         ]
         masses = {float(r[0]): float(r[1]) for r in rows if float(r[1]) != 0.0}
         assert masses == {-4.0: 1.0, 0.0: 6.0, 4.0: 1.0}
+
+    @pytest.mark.parametrize("bins", [[], ["--bins", "8"]])
+    def test_quantized_pair_sizes_bins_once(
+        self, spc4_file, tmp_path, capsys, monkeypatch, bins
+    ):
+        """Without --width the forward sweep sizes the bins with one
+        order-2 sweep, and the backward sweep reuses its width."""
+        sizing = []
+        numerators = distributions.forward_numerators
+
+        def counted(trellis, g, max_order, *args):
+            if max_order == 2:
+                sizing.append(max_order)
+            return numerators(trellis, g, max_order, *args)
+
+        monkeypatch.setattr(distributions, "forward_numerators", counted)
+        code = main(
+            [
+                "distribution",
+                "--trellis",
+                spc4_file,
+                "--g",
+                "clabel",
+                "--mode",
+                "quantized",
+                *bins,
+                "--out",
+                str(tmp_path / "q.csv"),
+            ]
+        )
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["mode"] == "quantized"
+        assert len(sizing) == 1
 
     def test_auto_mode_reports_quantized_for_soft_g(
         self, spc4_file, tmp_path, capsys

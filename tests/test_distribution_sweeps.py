@@ -369,3 +369,59 @@ def test_move_bins_matches_reference(n_out, extra, shifts, seed):
         want[owners[r]] += scales[r] * reference_move_bins(rows[r], n_in, shifts[r], n_out)
     for a, b in zip(got.ravel(), want.ravel()):
         assert abs(a - b) <= QUANTIZED_RTOL * max(abs(a), abs(b))
+
+
+def reference_lattice_step(trellis, g):
+    """The per-section loop ``lattice_step`` replaced."""
+    diffs = []
+    span = 0.0
+    for depth in range(1, trellis.rank + 1):
+        vals = sorted({g.value(e) for e in trellis.edges_at(depth)})
+        span += vals[-1] - vals[0]
+        for a, b in zip(vals, vals[1:]):
+            diffs.append(b - a)
+    if not diffs:
+        return 0.0
+    step = distributions._float_gcd(diffs)
+    if step < distributions.MIN_LATTICE_STEP:
+        raise LatticeError("g values share no usable lattice; use the quantized mode")
+    for d in diffs:
+        t = d / step
+        if abs(t - round(t)) > _ALIGN_TOL * max(1.0, abs(t)):
+            raise LatticeError(
+                "g values share no usable lattice; use the quantized mode"
+            )
+    if span / step + 1 > distributions.MAX_EXACT_BINS:
+        raise LatticeError(
+            f"exact mode would need more than {distributions.MAX_EXACT_BINS} "
+            "lattice points; use the quantized mode"
+        )
+    return step
+
+
+def step_outcome(fn, *args):
+    """("ok", bits of the step) or (LatticeError, its message)."""
+    try:
+        return "ok", bits(fn(*args))
+    except LatticeError as err:
+        return LatticeError, str(err)
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.sampled_from(["bipolar", "halves", "constant", "soft", "wide"]))
+def test_lattice_step_matches_reference(instance, kind):
+    """Soft g has no usable lattice; wide integer g has one too long for
+    the exact mode."""
+    t, _, seed = instance
+    rng = np.random.default_rng(seed)
+    if kind == "soft":
+        g = DepthFunctionTable({e.id: float(rng.normal()) for e in t.edges})
+    elif kind == "wide":
+        g = DepthFunctionTable(
+            {e.id: float(rng.integers(-40000, 40001)) for e in t.edges}
+        )
+    else:
+        g = lattice_g(t, seed, kind)
+    want = step_outcome(reference_lattice_step, t, g)
+    assert step_outcome(lattice_step, t, g) == want
+    assert step_outcome(lattice_step, t, g.values_of(t.edges)) == want

@@ -106,6 +106,16 @@ class TestExactPipeline:
         src = fwd.exact[spc4.source]
         assert src.mass == (1.0,) and src.offset == 0.0
 
+    def test_pair_on_different_lattices_rejected(self, spc4, spc4_clabel_g):
+        halves = DepthFunctionTable({e.id: 0.5 * e.clabel for e in spc4.edges})
+        fwd = forward_distributions(spc4, spc4_clabel_g, mode="exact")
+        bwd = backward_distributions(spc4, halves, mode="exact")
+        assert (fwd.step, bwd.step) == (2.0, 1.0)
+        with pytest.raises(LatticeError):
+            trellis_distribution(fwd, bwd, 2)
+        with pytest.raises(LatticeError):
+            symbol_distribution(spc4, spc4_clabel_g, fwd, bwd, 2, 1.0)
+
     def test_cut_invariance(self):
         for seed in (1, 4, 9):
             t = random_trellis(seed)

@@ -6,7 +6,8 @@ a time and combine moment rows with plain float arithmetic, term by
 term, in the order the generic binomial combine uses.  The batched
 sweeps add the same terms in another order, so they agree to rounding;
 with labels and g values whose path sums are exact in floating point
-they must agree exactly.
+they must agree exactly.  The last tests cover the read-only layer
+views that the moment and the distribution states share.
 """
 
 import gc
@@ -24,12 +25,15 @@ from trelliskit import (
     Trellis,
     REAL,
     ZeroFlowError,
+    backward_distributions,
     build_conv_trellis,
+    forward_distributions,
     forward_numerators,
     normalized_states,
     require_valid,
 )
 from trelliskit import moments
+from trelliskit.distributions import ExactDistribution, QuantizedDistribution
 from trelliskit.oracles import random_trellis
 from trelliskit.semirings import _PASCAL
 
@@ -395,3 +399,46 @@ def test_real_sweep_keeps_few_tracked_objects():
     alive = len(gc.get_objects()) - before
     assert alive < 4 * code.rank
     assert len(state.table) == len(code.vertices)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_distribution_states_are_read_only_vertex_mappings(direction):
+    t = random_trellis(3)
+    start, steps, _ = t.walk(direction)
+    walk_order = [start] + [v for group in steps for v, _ in group]
+    g = DepthFunctionTable.from_clabels(t)
+    sweep = forward_distributions if direction == "forward" else backward_distributions
+    exact = sweep(t, g, "exact")
+    quantized = sweep(t, g, "quantized")
+    views = [
+        (exact.exact, ExactDistribution),
+        (quantized.quantized, QuantizedDistribution),
+        (quantized.flows, float),
+    ]
+    for view, kind in views:
+        assert list(view) == walk_order
+        assert len(view) == len(t.vertices)
+        assert isinstance(view[start], kind)
+        with pytest.raises(TypeError):
+            view[start] = view[start]
+        with pytest.raises(KeyError):
+            view[max(t.vertices) + 1]
+    assert exact.quantized is None and exact.flows is None
+    assert quantized.exact is None
+
+
+@pytest.mark.parametrize("mode", ["exact", "quantized"])
+def test_distribution_sweep_keeps_few_tracked_objects(mode):
+    """A distribution state keeps its sweep's arrays per layer and builds
+    no ExactDistribution or QuantizedDistribution per vertex."""
+    code = build_conv_trellis((7, 5), 200)
+    g = DepthFunctionTable.from_clabels(code)
+    forward_distributions(code, g, mode)  # builds the walk plan
+    gc.collect()
+    before = len(gc.get_objects())
+    state = forward_distributions(code, g, mode)
+    gc.collect()
+    alive = len(gc.get_objects()) - before
+    assert alive < 4 * code.rank
+    assert state.mode == mode
+    assert len(state.exact or state.quantized) == len(code.vertices)
