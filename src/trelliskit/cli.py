@@ -201,18 +201,13 @@ def _cmd_moments(args) -> int:
     forward = moments.forward_numerators(graph, g, args.max_order, semiring)
     if constraint is None:
         result = moments.trellis_moments(forward)
-        payload["numerators"] = list(result.numerators)
-        payload["normalized"] = (
-            list(result.normalized) if result.normalized is not None else None
-        )
     else:
         backward = moments.backward_numerators(graph, g, args.max_order, semiring)
-        sym = moments.symbol_moments(graph, g, forward, backward, *constraint)
-        payload["symbol"] = {"depth": sym.depth, "value": sym.symbol}
-        payload["numerators"] = list(sym.numerators)
-        payload["normalized"] = (
-            list(sym.normalized) if sym.normalized is not None else None
-        )
+        result = moments.symbol_moments(graph, g, forward, backward, *constraint)
+        payload["symbol"] = {"depth": result.depth, "value": result.symbol}
+    payload["numerators"] = list(result.numerators)
+    normalized = result.normalized
+    payload["normalized"] = None if normalized is None else list(normalized)
 
     if args.count_ops:
         if semiring.name != "real":
@@ -279,14 +274,11 @@ def _cmd_distribution(args) -> int:
             graph, g, forward_m, backward_m, *constraint
         ).normalized
 
+    values, mass = list(dist.values()), list(dist.mass)
     if isinstance(dist, distributions.ExactDistribution):
-        values = list(dist.values())
         step = dist.step if dist.step > 0 else 1.0
-        mass = list(dist.mass)
     else:
-        values = list(dist.values())
         step = dist.bin_width
-        mass = list(dist.mass)
     total = sum(mass)
     normalized = [w / total for w in mass] if total > 0 else [0.0] * len(mass)
     if matched is not None:

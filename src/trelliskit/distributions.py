@@ -780,7 +780,7 @@ def trellis_distribution(
         f_mean, f_flow, f_mass = _row(forward.quantized, v)
         b_mean, b_flow, b_mass = _row(backward.quantized, v)
         entries.append((f_mean + b_mean, f_flow * b_flow, np.convolve(f_mass, b_mass)))
-    return _combine_quantized(entries, forward.half_bins, forward.bin_width)
+    return _merge_quantized(entries, forward.half_bins, forward.bin_width)
 
 
 def symbol_distribution(
@@ -816,11 +816,6 @@ def symbol_distribution(
             merged = _pad_hard(merged, forward.rank)
         return merged
 
-    n, width = forward.half_bins, forward.bin_width
-    if not edges:
-        return QuantizedDistribution(
-            0.0, n, width, (0.0,) * (2 * n + 1)
-        )
     entries = []
     for e in edges:
         f_mean, f_flow, f_mass = _row(forward.quantized, e.init)
@@ -832,10 +827,10 @@ def symbol_distribution(
                 np.convolve(f_mass, b_mass),
             )
         )
-    return _combine_quantized(entries, n, width)
+    return _merge_quantized(entries, forward.half_bins, forward.bin_width)
 
 
-def _combine_quantized(
+def _merge_quantized(
     entries: Sequence[tuple[float, float, np.ndarray]],
     half_bins: int,
     width: float,

@@ -15,17 +15,16 @@ moments.  Constraining the section-i edge to one c-label value yields
 symbol moments.  All of this is generic over the commutative semirings in
 :mod:`trelliskit.semirings`.
 
-In the real semiring the numerator sweep and ``normalized_states`` run
-one layer at a time in numpy, on the trellis's walk plan
-(``Trellis.plan``, the walk as index arrays, built once per topology and
-direction): each layer gathers its edges' neighbour rows, forms the
-terms C(m, j) lam(e) g(e)^(m-j) row[j] of that layer only, and sums
-them over j <= m and then per vertex.
-Their states keep one block per layer behind read-only vertex mappings.
-The other semirings, ``symbol_moments`` and the joint engine walk the
-trellis through ``Trellis.walk`` and combine moment vectors through the
-one binomial helper ``_combine``; every engine folds each edge's label
-once into the powers of its g value (``lam(e) g(e)^l`` above).
+Every engine runs one layer step, in any of the five semirings, on the
+trellis's walk plan (``Trellis.plan``, the walk as index arrays, built
+once per topology and direction): a layer gathers its edges' neighbour
+rows, forms the terms C(m, j) lam(e) g(e)^(m-j) row[j] of that layer only
+with the semiring's ``scale`` and ``mul``, and reduces them with its
+``add`` over j <= m and then per vertex.  The joint engine runs the same
+step on the (M_y+1)(M_z+1) grid flattened into one row; ``symbol_moments``
+joins alpha, the lifted labels and beta of a section's edges in one
+multinomial sum.  States keep one block per layer behind read-only
+vertex mappings.
 
 ``counted_run`` / ``counted_symbol_pass`` are real-semiring evaluators
 instrumented with exact add/multiply tallies, performing literally the
@@ -45,17 +44,14 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import SemiringError, ZeroFlowError
-from .semirings import (
-    MAX_ORDER,
-    _PASCAL,
-    REAL,
-    SemiringSpec,
-    binomial,
-    nat_scale,
-)
-from .trellis import DepthFunctionTable, Trellis, require_valid
+from .semirings import MAX_ORDER, _PASCAL, REAL, SemiringSpec, binomial
+from .trellis import DepthFunctionTable, Edge, Trellis, WalkPlan, require_valid
 
 _NORMALIZABLE = ("real", "logreal")
+
+# Decorates the engines: overflow to inf, inf - inf and log(0) stay silent
+# in every semiring, as in plain float arithmetic.
+_quiet = np.errstate(all="ignore")
 
 
 def _check_order(max_order: int) -> None:
@@ -63,46 +59,6 @@ def _check_order(max_order: int) -> None:
         raise SemiringError(
             f"max order {max_order} outside supported range 0..{MAX_ORDER}"
         )
-
-
-def _lift(semiring: SemiringSpec, lam: float, g: float, max_order: int) -> list[Any]:
-    """Edge label folded with the powers of its g value: lam * g^l, l = 0..M."""
-    base = semiring.from_real(g)
-    row = [semiring.from_real(lam)]
-    for _ in range(max_order):
-        row.append(semiring.mul(row[-1], base))
-    return row
-
-
-def _lifted_labels(
-    trellis: Trellis, g: DepthFunctionTable, max_order: int, semiring: SemiringSpec
-) -> dict[int, list[Any]]:
-    return {e.id: _lift(semiring, e.lam, g.value(e), max_order) for e in trellis.edges}
-
-
-def _combine(
-    semiring: SemiringSpec, pairs: list[tuple[Sequence, Sequence]], max_order: int
-) -> list[Any]:
-    """out[m] = sum over (a, b) in pairs and l of C(m,l) a[l] b[m-l], m = 0..M.
-
-    The binomial step of every moment recursion: with a lifted edge label
-    as ``a`` it advances the row ``b`` across that edge; with a forward
-    and a backward row it joins them across an edge.
-    """
-    add, mul = semiring.add, semiring.mul
-    out = []
-    for m in range(max_order + 1):
-        coefficients = _PASCAL[m]
-        acc = semiring.zero
-        for a, b in pairs:
-            for l in range(m + 1):
-                term = mul(a[l], b[m - l])
-                c = coefficients[l]
-                if c != 1:
-                    term = nat_scale(semiring, c, term)
-                acc = add(acc, term)
-        out.append(acc)
-    return out
 
 
 class _LayerRows(Mapping):
@@ -137,7 +93,7 @@ class _LayerRows(Mapping):
         return self._layers[layer], row
 
     def __getitem__(self, v: int) -> Any:
-        # locate() inlined: symbol_moments reads rows edge by edge.
+        # locate() inlined: counted_symbol_pass reads rows edge by edge.
         layer, row = self._where[v]
         return self._make(self._layers[layer], row)
 
@@ -181,63 +137,118 @@ class MomentState:
 
 
 @lru_cache(maxsize=None)
-def _binomial_index(max_order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C(m, j) for j <= m (0 above the diagonal), the power m - j, and
-    the mask j <= m."""
-    size = max_order + 1
-    coefficients = np.zeros((size, size))
-    for m in range(size):
-        coefficients[m, : m + 1] = _PASCAL[m]
-    m, j = np.indices((size, size))
-    lower = j <= m
-    power = np.where(lower, m - j, 0)
+def _binomial_index(orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """For one order M: C(m, j) for j <= m (0 above the diagonal), the
+    power m - j and the mask j <= m.  For the flattened joint grid of
+    several orders: the Kronecker products of the per-order coefficients
+    and masks, and the flat index of the per-order powers."""
+    coefficients, power = np.ones((1, 1)), np.zeros((1, 1), dtype=np.intp)
+    lower = np.ones((1, 1), dtype=bool)
+    for order in orders:
+        m, j = np.indices((order + 1, order + 1))
+        below = j <= m
+        pascal = [_PASCAL[k] + [0] * (order - k) for k in range(order + 1)]
+        coefficients = np.kron(coefficients, np.array(pascal, dtype=float))
+        lower = np.kron(lower, below)
+        power = np.kron(power * (order + 1), np.ones_like(m)) + np.kron(
+            np.ones_like(power), np.where(below, m - j, 0)
+        )
     for shared in (coefficients, power, lower):
         shared.flags.writeable = False
     return coefficients, power, lower
 
 
-def _lift_rows(first: np.ndarray, base: np.ndarray, max_order: int) -> np.ndarray:
-    """first * base^l for l = 0..M, one row per entry, multiplied out in
-    the order ``_lift`` uses."""
-    out = np.empty((len(base), max_order + 1))
-    out[:, 0] = first
+@lru_cache(maxsize=None)
+def _multinomial_index(max_order: int, edges: int) -> tuple[np.ndarray, ...]:
+    """Every split a + b + c = m of the orders m = 0..M, m by m: a and c
+    as columns, b as a vector, the coefficients m!/(a! b! c!) as a
+    column, and where each m starts in the flattened (split, edge) terms
+    of ``edges`` edges."""
+    splits, starts = [], []
+    for m in range(max_order + 1):
+        starts.append(len(splits) * edges)
+        for a in range(m + 1):
+            for b in range(m - a + 1):
+                splits.append((a, b, m - a - b, _PASCAL[m][a] * _PASCAL[m - a][b]))
+    table = np.array(splits, dtype=float)
+    a, b, c = table[:, :3].T.astype(np.intp)
+    out = (a[:, None], b, c[:, None], table[:, 3:], np.array(starts))
+    for shared in out:
+        shared.flags.writeable = False
+    return out
+
+
+def _edge_labels(
+    semiring: SemiringSpec,
+    edges: Sequence[Edge],
+    lam: np.ndarray,
+    g: DepthFunctionTable,
+) -> tuple[np.ndarray, np.ndarray]:
+    """lam and g of ``edges`` coerced into the carrier, each array whole;
+    on an error, again as (g, lam) pairs, so that it names the first
+    value the carrier cannot represent edge by edge, g before lam."""
+    gval = g.values_of(edges)
+    try:
+        return semiring.from_real(lam), semiring.from_real(gval)
+    except SemiringError:
+        semiring.from_real(np.array((gval, lam)).T)
+        raise
+
+
+def _lift_rows(
+    semiring: SemiringSpec, first: np.ndarray, base: np.ndarray, max_order: int
+) -> np.ndarray:
+    """first * base^l in the semiring, row l = 0..M, left to right."""
+    out = np.empty((max_order + 1, len(base)), dtype=first.dtype)
+    out[0] = first
     for l in range(1, max_order + 1):
-        np.multiply(out[:, l - 1], base, out=out[:, l])
+        semiring.mul(out[l - 1], base, out=out[l])
     return out
 
 
 def _advance(
+    semiring: SemiringSpec,
+    index: tuple[np.ndarray, np.ndarray, np.ndarray],
     lift: np.ndarray,
     prev: np.ndarray,
     firsts: np.ndarray,
     live: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """``_combine`` for every vertex of one layer, in the real semiring.
+    """The binomial step for every vertex of one layer, in the semiring.
 
     Row e of ``lift`` is an edge's lam g^l (l = 0..M) and row e of
     ``prev`` its neighbour's moment row; each vertex's order m sums
-    C(m, j) lift[m-j] prev[j] over j <= m and over its edges, which start
-    at ``firsts``.  As in ``_combine`` only the terms with j <= m are
-    summed, so an order of ``prev`` that overflowed to inf cannot turn a
-    lower order into NaN through a zero coefficient.  Edges outside the
-    boolean mask ``live`` contribute nothing.  The per-edge
-    (M+1)x(M+1) term matrices exist for this layer only.
+    C(m, j) lift[m-j] prev[j] over j <= m (``index`` from
+    ``_binomial_index``) and over its edges, which start at ``firsts``.
+    Terms with j > m are left out, so an order of ``prev`` that
+    overflowed to inf cannot turn a lower order into NaN through a zero
+    coefficient.  Edges outside the boolean mask ``live`` add nothing.
     """
-    coefficients, power, lower = _binomial_index(lift.shape[1] - 1)
-    terms = lift[:, power] * coefficients
-    terms *= prev[:, None, :]
-    terms = np.add.reduce(terms, axis=2, where=lower)
+    coefficients, power, lower = index
+    terms = semiring.scale(coefficients, lift[:, power])
+    semiring.mul(terms, prev[:, None, :], out=terms)
+    terms = semiring.add.reduce(terms, axis=2, where=lower, initial=semiring.zero)
     if live is not None:
-        terms[~live] = 0.0
-    return np.add.reduceat(terms, firsts, axis=0)
+        terms[~live] = semiring.zero
+    return semiring.add.reduceat(terms, firsts, axis=0)
 
 
-def _start_block(max_order: int) -> np.ndarray:
-    block = np.zeros((1, max_order + 1))
-    block[0, 0] = 1.0
-    return block
+def _sweep(
+    semiring: SemiringSpec, plan: WalkPlan, lift: np.ndarray, orders: tuple[int, ...]
+) -> list[np.ndarray]:
+    """One block of moment rows per layer of ``plan``, from the lifted
+    labels of every edge in walk order."""
+    index = _binomial_index(orders)
+    start = np.full((1, lift.shape[1]), semiring.zero)
+    start[0, 0] = semiring.one
+    blocks = [start]
+    for k, edges in plan.layer_edges():
+        prev = blocks[-1][plan.rows[edges]]
+        blocks.append(_advance(semiring, index, lift[edges], prev, plan.firsts[k]))
+    return blocks
 
 
+@_quiet
 def _numerators(
     trellis: Trellis,
     g: DepthFunctionTable,
@@ -247,31 +258,11 @@ def _numerators(
 ) -> MomentState:
     require_valid(trellis)
     _check_order(max_order)
-    if semiring.name == "real":
-        plan = trellis.plan(direction)
-        lam, gval = plan.lam(trellis), plan.g(trellis, g)
-        blocks = [_start_block(max_order)]
-        # Overflow to inf stays silent, as in plain float arithmetic.
-        with np.errstate(all="ignore"):
-            lift = _lift_rows(lam, gval, max_order)
-            for k, edges in plan.layer_edges():
-                prev = blocks[-1][plan.rows[edges]]
-                blocks.append(_advance(lift[edges], prev, plan.firsts[k]))
-        table = _LayerRows(plan.where, blocks, _row_list)
-        return MomentState(
-            direction, max_order, semiring, table, trellis.source, trellis.sink
-        )
-    start, steps, neighbor = trellis.walk(direction)
-    lift = _lifted_labels(trellis, g, max_order, semiring)
-    table: dict[int, list[Any]] = {start: [semiring.one] + [semiring.zero] * max_order}
-    for group in steps:
-        for v, edges in group:
-            # A plain loop: on Python 3.11 a comprehension runs in a frame
-            # of its own, a measurable cost next to an order-0 combine.
-            pairs = []
-            for e in edges:
-                pairs.append((lift[e.id], table[neighbor(e)]))
-            table[v] = _combine(semiring, pairs, max_order)
+    plan = trellis.plan(direction)
+    lam, gval = _edge_labels(semiring, trellis.edges, trellis._lam, g)
+    lift = _lift_rows(semiring, lam[plan.edges], gval[plan.edges], max_order).T
+    blocks = _sweep(semiring, plan, lift, (max_order,))
+    table = _LayerRows(plan.where, blocks, _row_list)
     return MomentState(
         direction, max_order, semiring, table, trellis.source, trellis.sink
     )
@@ -355,6 +346,7 @@ class SymbolMoments:
     semiring: str
 
 
+@_quiet
 def symbol_moments(
     trellis: Trellis,
     g: DepthFunctionTable,
@@ -365,8 +357,10 @@ def symbol_moments(
 ) -> SymbolMoments:
     """Combine forward and backward numerators across one section.
 
-    When no section-``depth`` edge carries c-label ``symbol`` the
-    numerators are all the semiring zero and ``normalized`` is None.
+    The states are read by layer and row, so they must come from sweeps
+    over this trellis or a copy with its layers.  When no section-``depth``
+    edge carries c-label ``symbol`` the numerators are all the semiring
+    zero and ``normalized`` is None.
     """
     if forward.direction != "forward" or backward.direction != "backward":
         raise SemiringError("symbol_moments needs one forward and one backward state")
@@ -376,14 +370,25 @@ def symbol_moments(
         raise SemiringError(f"section depth {depth} outside 1..{trellis.rank}")
     semiring = forward.semiring
     max_order = min(forward.max_order, backward.max_order)
-
-    pairs = []
-    for e in trellis.edges_at(depth):
-        if e.clabel == symbol:
-            lift = _lift(semiring, e.lam, g.value(e), max_order)
-            advanced = _combine(semiring, [(lift, forward.table[e.init])], max_order)
-            pairs.append((advanced, backward.table[e.fin]))
-    numerators = tuple(_combine(semiring, pairs, max_order))
+    group = trellis.symbol_groups().get((depth, symbol))
+    if group is None:
+        numerators = (semiring.zero,) * (max_order + 1)
+    else:
+        # One multinomial sum over the group's edges, split by split:
+        #   out[m] = sum C(m; a, b, c) alpha[a] lam g^b beta[c], a+b+c = m.
+        local, positions, init_rows, fin_rows = group
+        section = trellis.edges_at(depth)
+        a, b, c, coefficients, starts = _multinomial_index(max_order, len(local))
+        lam, gval = _edge_labels(
+            semiring, [section[i] for i in local], trellis._lam[positions], g
+        )
+        lift = _lift_rows(semiring, lam, gval, max_order)
+        if max_order:  # order 0 has the one split (0, 0, 0), of weight 1
+            lift = semiring.scale(coefficients, lift.take(b, axis=0))
+        alpha = forward.table._layers[depth - 1][init_rows, a]
+        beta = backward.table._layers[trellis.rank - depth][fin_rows, c]
+        terms = semiring.mul(semiring.mul(alpha, lift), beta)
+        numerators = tuple(semiring.add.reduceat(terms.ravel(), starts).tolist())
     return SymbolMoments(
         depth, symbol, numerators, _normalize(semiring, numerators), semiring.name
     )
@@ -403,11 +408,12 @@ class JointMomentState:
     order_y: int
     order_z: int
     semiring: SemiringSpec
-    table: dict[int, list[list[Any]]]
+    table: Mapping[int, list[list[Any]]]
     source: int
     sink: int
 
 
+@_quiet
 def joint_forward_numerators(
     trellis: Trellis,
     g_y: DepthFunctionTable,
@@ -424,34 +430,19 @@ def joint_forward_numerators(
     require_valid(trellis)
     _check_order(order_y)
     _check_order(order_z)
-    start, steps, neighbor = trellis.walk("forward")
-    lift_y = _lifted_labels(trellis, g_y, order_y, semiring)
-    pow_z = {e.id: _lift(semiring, 1.0, g_z.value(e), order_z) for e in trellis.edges}
-    add, mul = semiring.add, semiring.mul
-
-    origin = [[semiring.zero] * (order_z + 1) for _ in range(order_y + 1)]
-    origin[0][0] = semiring.one
-    table: dict[int, list[list[Any]]] = {start: origin}
-    for group in steps:
-        for v, edges in group:
-            grid = []
-            for k in range(order_y + 1):
-                row = []
-                for m in range(order_z + 1):
-                    acc = semiring.zero
-                    for e in edges:
-                        prev = table[neighbor(e)]
-                        py, pz = lift_y[e.id], pow_z[e.id]
-                        for j in range(k + 1):
-                            for l in range(m + 1):
-                                term = mul(mul(py[k - j], pz[m - l]), prev[j][l])
-                                c = _PASCAL[k][j] * _PASCAL[m][l]
-                                if c != 1:
-                                    term = nat_scale(semiring, c, term)
-                                acc = add(acc, term)
-                    row.append(acc)
-                grid.append(row)
-            table[v] = grid
+    plan = trellis.plan("forward")
+    edges = trellis.edges
+    lam, gval_y = _edge_labels(semiring, edges, trellis._lam, g_y)
+    gval_z = semiring.from_real(g_z.values_of(edges))
+    lift_y = _lift_rows(semiring, lam, gval_y, order_y)
+    pow_z = _lift_rows(semiring, np.full(len(edges), semiring.one), gval_z, order_z)
+    # The joint grid of one edge is the outer product of its two lifts,
+    # flattened into one row.
+    lift = semiring.mul(lift_y[:, None, :], pow_z[None, :, :])
+    lift = lift.reshape(-1, len(edges)).T[plan.edges]
+    blocks = _sweep(semiring, plan, lift, (order_y, order_z))
+    grids = [block.reshape(-1, order_y + 1, order_z + 1) for block in blocks]
+    table = _LayerRows(plan.where, grids, _row_list)
     return JointMomentState(
         order_y, order_z, semiring, table, trellis.source, trellis.sink
     )
@@ -461,18 +452,12 @@ def joint_trellis_moments(
     state: JointMomentState,
 ) -> tuple[tuple[tuple[Any, ...], ...], Optional[tuple[tuple[float, ...], ...]]]:
     """(numerator grid, normalized grid or None) at the sink."""
-    grid = state.table[state.sink]
-    numerators = tuple(tuple(row) for row in grid)
-    flow = grid[0][0]
-    if flow == state.semiring.zero:
+    numerators = tuple(tuple(row) for row in state.table[state.sink])
+    flat = _normalize(state.semiring, sum(numerators, ()))
+    if flat is None:
         return numerators, None
-    if state.semiring.name == "logreal":
-        normalized = tuple(
-            tuple(math.exp(x - flow) for x in row) for row in grid
-        )
-    else:
-        normalized = tuple(tuple(x / flow for x in row) for row in grid)
-    return numerators, normalized
+    width = state.order_z + 1
+    return numerators, tuple(flat[i : i + width] for i in range(0, len(flat), width))
 
 
 # -- normalized recursion --------------------------------------------------------
@@ -499,6 +484,7 @@ class NormalizedMomentState:
         return tuple(x * scale for x in self.normalized[v])
 
 
+@_quiet
 def normalized_states(
     trellis: Trellis,
     g: DepthFunctionTable,
@@ -516,30 +502,28 @@ def normalized_states(
     require_valid(trellis)
     _check_order(max_order)
     plan = trellis.plan(direction)
-    lam = plan.lam(trellis, nonnegative_for="normalized recursion")
-    normalized = [_start_block(max_order)]
+    log_lam = np.log(plan.lam(trellis, nonnegative_for="normalized recursion"))
+    gval = g.values_of(trellis.edges)[plan.edges]
+    index = _binomial_index((max_order,))
+    normalized = [np.eye(1, max_order + 1)]
     log_flow = [np.zeros(1)]
-    # log(0) = -inf and overflow to inf stay silent, as in plain floats.
-    with np.errstate(all="ignore"):
-        log_lam = np.log(lam)
-        gval = plan.g(trellis, g)
-        for k, edges in plan.layer_edges():
-            rows, owners, firsts = plan.rows[edges], plan.owners[edges], plan.firsts[k]
-            terms = log_lam[edges] + log_flow[-1][rows]
-            hi = np.maximum.reduceat(terms, firsts)
-            dead = hi == -np.inf
-            if dead.any():
-                raise ZeroFlowError(plan.layers[k][int(np.argmax(dead))])
-            total = hi + np.log(np.add.reduceat(np.exp(terms - hi[owners]), firsts))
-            weights = np.exp(terms - total[owners])
-            # The weight leads each edge's powers, and an edge of weight 0
-            # drops out, so a large g^l cannot overflow where w g^l does not.
-            lift = _lift_rows(weights, gval[edges], max_order)
-            live = weights != 0.0
-            row = _advance(lift, normalized[-1][rows], firsts, live)
-            row[:, 0] = 1.0
-            normalized.append(row)
-            log_flow.append(total)
+    for k, edges in plan.layer_edges():
+        rows, owners, firsts = plan.rows[edges], plan.owners[edges], plan.firsts[k]
+        terms = log_lam[edges] + log_flow[-1][rows]
+        hi = np.maximum.reduceat(terms, firsts)
+        dead = hi == -np.inf
+        if dead.any():
+            raise ZeroFlowError(plan.layers[k][int(np.argmax(dead))])
+        total = hi + np.log(np.add.reduceat(np.exp(terms - hi[owners]), firsts))
+        weights = np.exp(terms - total[owners])
+        # The weight leads each edge's powers, and an edge of weight 0
+        # drops out, so a large g^l cannot overflow where w g^l does not.
+        lift = _lift_rows(REAL, weights, gval[edges], max_order).T
+        live = weights != 0.0
+        row = _advance(REAL, index, lift, normalized[-1][rows], firsts, live)
+        row[:, 0] = 1.0
+        normalized.append(row)
+        log_flow.append(total)
     return NormalizedMomentState(
         direction,
         max_order,

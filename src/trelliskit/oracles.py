@@ -23,6 +23,7 @@ from .trellis import (
     Edge,
     Trellis,
     enumerate_paths,
+    path_label,
 )
 
 DEFAULT_ORACLE_CAP = 2**14
@@ -67,18 +68,11 @@ def _paths(
     return keep
 
 
-def _label(path: Sequence[Edge]) -> float:
-    out = 1.0
-    for e in path:
-        out *= e.lam
-    return out
-
-
 def oracle_flow(
     trellis: Trellis, u: Optional[int] = None, v: Optional[int] = None
 ) -> float:
     """Sum of path label products between two vertices."""
-    return float(sum(_label(p) for p in _paths(trellis, u, v)))
+    return float(sum(path_label(p) for p in _paths(trellis, u, v)))
 
 
 def oracle_moment(
@@ -94,7 +88,7 @@ def oracle_moment(
     """
     total = 0.0
     for path in _paths(trellis, None, None, constraint):
-        total += g.path_value(path) ** order * _label(path)
+        total += g.path_value(path) ** order * path_label(path)
     return float(total)
 
 
@@ -104,7 +98,7 @@ def oracle_forward_numerator(
     """Sum over source-to-v paths of f^order times the label."""
     total = 0.0
     for path in _paths(trellis, trellis.source, v):
-        total += g.path_value(path) ** order * _label(path)
+        total += g.path_value(path) ** order * path_label(path)
     return float(total)
 
 
@@ -114,7 +108,7 @@ def oracle_backward_numerator(
     """Sum over v-to-sink paths of the tail value raised to ``order``."""
     total = 0.0
     for path in _paths(trellis, v, trellis.sink):
-        total += g.path_value(path) ** order * _label(path)
+        total += g.path_value(path) ** order * path_label(path)
     return float(total)
 
 
@@ -132,7 +126,7 @@ def oracle_joint_moment(
         total += (
             g_y.path_value(path) ** order_y
             * g_z.path_value(path) ** order_z
-            * _label(path)
+            * path_label(path)
         )
     return float(total)
 
@@ -159,7 +153,7 @@ def oracle_numerator_profile(
         endpoints = (v, trellis.sink)
     sums = [0.0] * (max_order + 1)
     for path in _paths(trellis, *endpoints):
-        label = _label(path)
+        label = path_label(path)
         value = g.path_value(path)
         term = label
         for m in range(max_order + 1):
@@ -196,7 +190,7 @@ def oracle_distribution(
     """
     realized: list[tuple[float, float]] = []
     for path in _paths(trellis, None, None, constraint):
-        realized.append((g.path_value(path), _label(path)))
+        realized.append((g.path_value(path), path_label(path)))
     realized.sort()
     points: list[list[float]] = []
     for value, weight in realized:

@@ -18,16 +18,19 @@ maxprod  nonnegative float               ``max`` / ``*``
 boolean  bool                            ``or`` / ``and``
 ======== =============================== ===========================
 
-Plain real numbers (e.g. labels parsed from a trellis file) are coerced
-into a carrier through ``SemiringSpec.from_real``.
+Each operation is a numpy ufunc, so one layer step of the sweeps in
+:mod:`trelliskit.moments` runs on whole arrays in every semiring.  Plain
+real numbers (e.g. labels parsed from a trellis file) are coerced into a
+carrier through ``SemiringSpec.from_real``.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
+
+import numpy as np
 
 from .errors import SemiringError
 
@@ -52,28 +55,38 @@ def binomial(m: int, l: int) -> int:
     return _PASCAL[m][l]
 
 
+def _carrier(x: Any, dtype: type = float) -> Any:
+    """``x`` as an array of ``dtype``; a 0-d one as its Python scalar."""
+    values = np.asarray(x, dtype=dtype)
+    return values if values.ndim else values.item()
+
+
 @dataclass(frozen=True)
 class SemiringSpec:
     """One commutative semiring: (add, mul) with identities (zero, one).
 
-    ``zero`` is the identity of ``add`` and annihilates under ``mul``;
-    ``one`` is the identity of ``mul``.  ``from_real`` coerces a plain real
-    number into the carrier and raises SemiringError when the value is not
-    representable.  ``scale`` optionally short-cuts the n-fold add used for
-    binomial-coefficient weighting (e.g. ``n * a`` for the real semiring,
-    identity for idempotent adds).
+    ``add`` and ``mul`` are numpy ufuncs: element-wise on scalars or
+    arrays, with the ``reduce`` and ``reduceat`` the sweeps use.  ``zero``
+    is the identity of ``add`` and annihilates under ``mul``; ``one`` is
+    the identity of ``mul``.  ``from_real`` coerces a real number (a
+    Python scalar comes back) or an array into the carrier and raises
+    SemiringError when a value is not representable.  ``scale`` is the
+    n-fold add of binomial-coefficient weighting, element-wise on arrays
+    (``n * a`` for the real semiring, ``a`` for n >= 1 when add is
+    idempotent); the sweeps need it, and ``nat_scale`` falls back to
+    repeated doubling without it.
 
     Instances are immutable values and safe to share between workers; all
     operations are pure functions of their arguments.
     """
 
     name: str
-    add: Callable[[Any, Any], Any]
-    mul: Callable[[Any, Any], Any]
+    add: np.ufunc
+    mul: np.ufunc
     zero: Any
     one: Any
-    from_real: Callable[[float], Any] = field(default=float)
-    scale: Optional[Callable[[int, Any], Any]] = None
+    from_real: Callable[[Any], Any] = _carrier
+    scale: Optional[Callable[[Any, Any], Any]] = None
 
     def __repr__(self) -> str:  # keeps JSON/debug output short
         return f"SemiringSpec({self.name!r})"
@@ -127,81 +140,80 @@ def semiring_binomial(semiring: SemiringSpec, a: Any, b: Any, m: int) -> Any:
     return total
 
 
-def _logaddexp(x: float, y: float) -> float:
-    if x == -math.inf:
-        return y
-    if y == -math.inf:
-        return x
-    hi, lo = (x, y) if x >= y else (y, x)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
-def _log_from_real(x: float) -> float:
-    x = float(x)
-    if x < 0.0:
+def _nonnegative(x: Any, carrier: str) -> np.ndarray:
+    values = np.asarray(x, dtype=float)
+    negative = values < 0.0
+    if negative.any():
         raise SemiringError(
-            f"log-domain semiring cannot represent negative value {x}"
+            f"{carrier} semiring cannot represent negative value "
+            f"{float(values[negative][0])}"
         )
-    return math.log(x) if x > 0.0 else -math.inf
+    return values
 
 
-def _maxprod_from_real(x: float) -> float:
-    x = float(x)
-    if x < 0.0:
-        raise SemiringError(
-            f"max-product semiring cannot represent negative value {x}"
-        )
-    return x
+def _log_from_real(x: Any) -> Any:
+    values = _nonnegative(x, "log-domain")
+    with np.errstate(divide="ignore"):  # log(0) is the carrier zero
+        return _carrier(np.log(values))
+
+
+def _log_scale(n: Any, a: Any) -> Any:
+    with np.errstate(divide="ignore"):
+        return np.log(n) + a
+
+
+def _idempotent_scale(zero: Any) -> Callable[[Any, Any], Any]:
+    """n-fold add in a semiring whose add is idempotent: ``a`` for every
+    n >= 1 and ``zero`` for n == 0."""
+    return lambda n, a: np.where(np.equal(n, 0), zero, a)[()]
 
 
 REAL = SemiringSpec(
     name="real",
-    add=operator.add,
-    mul=operator.mul,
+    add=np.add,
+    mul=np.multiply,
     zero=0.0,
     one=1.0,
-    from_real=float,
-    scale=lambda n, a: float(n) * a,
+    scale=lambda n, a: n * a,
 )
 
 LOGREAL = SemiringSpec(
     name="logreal",
-    add=_logaddexp,
-    mul=operator.add,
+    add=np.logaddexp,
+    mul=np.add,
     zero=-math.inf,
     one=0.0,
     from_real=_log_from_real,
-    scale=lambda n, a: -math.inf if n == 0 else math.log(n) + a,
+    scale=_log_scale,
 )
 
 TROPICAL = SemiringSpec(
     name="tropical",
-    add=min,
-    mul=operator.add,
+    add=np.minimum,
+    mul=np.add,
     zero=math.inf,
     one=0.0,
-    from_real=float,
-    scale=lambda n, a: math.inf if n == 0 else a,
+    scale=_idempotent_scale(math.inf),
 )
 
 MAXPROD = SemiringSpec(
     name="maxprod",
-    add=max,
-    mul=operator.mul,
+    add=np.maximum,
+    mul=np.multiply,
     zero=0.0,
     one=1.0,
-    from_real=_maxprod_from_real,
-    scale=lambda n, a: 0.0 if n == 0 else a,
+    from_real=lambda x: _carrier(_nonnegative(x, "max-product")),
+    scale=_idempotent_scale(0.0),
 )
 
 BOOLEAN = SemiringSpec(
     name="boolean",
-    add=operator.or_,
-    mul=operator.and_,
+    add=np.logical_or,
+    mul=np.logical_and,
     zero=False,
     one=True,
-    from_real=lambda x: bool(x),
-    scale=lambda n, a: False if n == 0 else a,
+    from_real=lambda x: _carrier(np.not_equal(x, 0), bool),
+    scale=_idempotent_scale(False),
 )
 
 _REGISTRY = {s.name: s for s in (REAL, LOGREAL, TROPICAL, MAXPROD, BOOLEAN)}

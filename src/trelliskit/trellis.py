@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -92,10 +92,10 @@ class Trellis:
         layers: tuple[tuple[int, ...], ...],
         edges: tuple[Edge, ...],
         report: tuple[Violation, ...] | None,
-        plans: dict[str, WalkPlan],
+        plans: dict[str, Any],
     ) -> None:
-        """Set every attribute: the structure, the edges and their
-        indexes, the validation report and the walk plans.  The
+        """Set every attribute: the structure, the edges, their labels
+        and indexes, the validation report and the walk plans.  The
         constructor and ``relabeled`` both end here."""
         self.rank = rank
         self._depth = depth
@@ -123,15 +123,18 @@ class Trellis:
             out[e.init].append(e)
             into[e.fin].append(e)
             sections[depth[e.init]].append(e)
+        # Every edge's lambda in edge order, for the array sweeps.
+        self._lam = np.array([e.lam for e in edges], dtype=float)
+        self._lam.flags.writeable = False
         self._in = {v: tuple(es) for v, es in into.items()}
         self._out = {v: tuple(es) for v, es in out.items()}
         # Edges leaving the final layer belong to no section.
         self._sections = tuple(tuple(es) for es in sections[:rank])
         # validate() report, computed by the first require_valid().
         self._report = report
-        # Walk plans by direction, built on first use.  relabeled() copies
-        # share this dict with their parent, so a topology builds each
-        # plan once.
+        # Walk plans by direction and the symbol groups, built on first
+        # use.  relabeled() copies share this dict with their parent, so a
+        # topology builds each once.
         self._plans = plans
 
     # -- structural queries -------------------------------------------------
@@ -229,12 +232,35 @@ class Trellis:
             plan = self._plans[direction] = _walk_plan(self, direction)
         return plan
 
+    def symbol_groups(self) -> dict[tuple[int, float], tuple]:
+        """Each section's edges grouped by c-label, keyed by ``(depth,
+        clabel)``: their positions in ``edges_at(depth)`` (a tuple) and in
+        ``edges``, and the rows of their init and fin vertices in their
+        layers, as in either walk plan.  Needs a valid trellis; built
+        once and shared with every ``relabeled`` copy."""
+        groups = self._plans.get("symbols")
+        if groups is None:
+            require_valid(self)
+            row = {v: i for layer in self.layers for i, v in enumerate(layer)}
+            position = {e.id: i for i, e in enumerate(self.edges)}
+            members: dict[tuple[int, float], list] = {}
+            for depth, section in enumerate(self._sections, start=1):
+                for i, e in enumerate(section):
+                    entry = (i, position[e.id], row[e.init], row[e.fin])
+                    members.setdefault((depth, e.clabel), []).append(entry)
+            groups = self._plans["symbols"] = {}
+            for key, entries in members.items():
+                local, *arrays = zip(*entries)
+                groups[key] = (local, *(np.array(c, dtype=np.intp) for c in arrays))
+        return groups
+
     def relabeled(self, lam_of: Callable[[Edge], float]) -> "Trellis":
         """Copy with each edge's lambda-label replaced by ``lam_of(e)``.
 
         The structure is unchanged, so the copy keeps this trellis's
-        depths, layers, validation report and walk plans, and only the
-        new edges and their per-vertex and per-section tuples are built.
+        depths, layers, validation report, walk plans and symbol groups,
+        and only the new edges, their label array and their per-vertex and
+        per-section tuples are built.
         """
         edges = tuple(
             Edge(e.id, e.init, e.fin, float(lam_of(e)), e.clabel) for e in self.edges
@@ -284,17 +310,13 @@ class WalkPlan:
         With ``nonnegative_for`` set, a negative label raises
         SemiringError naming the first such edge of ``trellis.edges``.
         """
-        lam = np.fromiter((e.lam for e in trellis.edges), float, len(trellis.edges))
+        lam = trellis._lam
         if nonnegative_for is not None and (lam < 0).any():
             e = trellis.edges[int(np.argmax(lam < 0))]
             raise SemiringError(
                 f"{nonnegative_for} needs nonnegative labels; edge {e.id} has {e.lam}"
             )
         return lam[self.edges]
-
-    def g(self, trellis: Trellis, g: "DepthFunctionTable") -> np.ndarray:
-        """g value of every local edge of ``trellis``, in walk order."""
-        return g.values_of(trellis.edges)[self.edges]
 
 
 def _walk_plan(trellis: Trellis, direction: str) -> WalkPlan:

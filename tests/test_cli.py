@@ -143,6 +143,41 @@ class TestMoments:
         assert payload["numerators"][0] == 4.0
         assert payload["op_counts"]["multiplications"] == 5 * 12
 
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            [],
+            ["--symbol-depth", "2", "--symbol-value", "1"],
+            ["--symbol-depth", "2", "--symbol-value", "7"],
+        ],
+        ids=["trellis", "symbol", "missing-symbol"],
+    )
+    def test_boolean_prints_json_booleans(self, spc4_file, capsys, constraint):
+        """Array results leave the engines as Python values: a boolean
+        numerator prints as JSON true/false, never as a numpy bool."""
+        code, payload = run_json(
+            capsys,
+            ["moments", "--trellis", spc4_file, "--g", "clabel", "--max-order", "1",
+             "--semiring", "boolean", *constraint],
+        )
+        assert code == 0
+        reachable = constraint[-1:] != ["7"]
+        assert payload["numerators"] == [reachable, reachable]
+        assert all(type(x) is bool for x in payload["numerators"])
+        assert payload["normalized"] is None
+
+    def test_tropical_symbol_prints_floats(self, spc4_file, capsys):
+        code, payload = run_json(
+            capsys,
+            ["moments", "--trellis", spc4_file, "--g", "clabel", "--max-order", "2",
+             "--semiring", "tropical", "--symbol-depth", "1", "--symbol-value", "-1"],
+        )
+        assert code == 0
+        # Min-plus: min over paths with c1 = -1 of (sum of the four unit
+        # labels) + m * (min c-label on the path), which is -1.
+        assert payload["numerators"] == [4.0, 3.0, 2.0]
+        assert all(type(x) is float for x in payload["numerators"])
+
     def test_g_table_file(self, spc4_file, tmp_path, capsys):
         t = read_trellis(spc4_file)
         gpath = tmp_path / "g.table"

@@ -1,4 +1,4 @@
-"""The layer-batched real moment sweeps against per-vertex references.
+"""The layer-batched moment sweeps against per-vertex references.
 
 ``reference_numerators`` and ``reference_normalized_states`` are the
 real-semiring sweeps the batched ones replaced: they visit one vertex at
@@ -6,8 +6,16 @@ a time and combine moment rows with plain float arithmetic, term by
 term, in the order the generic binomial combine uses.  The batched
 sweeps add the same terms in another order, so they agree to rounding;
 with labels and g values whose path sums are exact in floating point
-they must agree exactly.  The last tests cover the read-only layer
-views that the moment and the distribution states share.
+they must agree exactly.  The read-only layer views that the moment and
+the distribution states share come next.
+
+The last section keeps the scalar sweeps that served the other four
+semirings, the joint engine and ``symbol_moments`` before every engine
+ran one numpy layer step: ``combine_in`` advances and joins moment rows
+one element at a time through a semiring's scalar operations.  Min, max
+and or are exact in any order, and min-plus and max-times round
+monotonically, so the tropical, max-product and boolean results must
+match them bit for bit.
 """
 
 import gc
@@ -18,19 +26,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trelliskit import (
+    BOOLEAN,
+    LOGREAL,
     MAX_ORDER,
     DepthFunctionTable,
     Edge,
     SemiringError,
     Trellis,
     REAL,
+    TROPICAL,
     ZeroFlowError,
     backward_distributions,
+    backward_numerators,
     build_conv_trellis,
     forward_distributions,
     forward_numerators,
+    get_semiring,
+    joint_forward_numerators,
+    nat_scale,
     normalized_states,
     require_valid,
+    symbol_moments,
 )
 from trelliskit import moments
 from trelliskit.distributions import ExactDistribution, QuantizedDistribution
@@ -442,3 +458,258 @@ def test_distribution_sweep_keeps_few_tracked_objects(mode):
     assert alive < 4 * code.rank
     assert state.mode == mode
     assert len(state.exact or state.quantized) == len(code.vertices)
+
+
+def test_semiring_and_joint_sweeps_keep_few_tracked_objects():
+    """Every semiring's state and the joint state keep one block per
+    layer, like the real one, rather than one list per vertex."""
+    code = build_conv_trellis((7, 5), 200)
+    g = DepthFunctionTable.from_clabels(code)
+    sweeps = [
+        lambda: backward_numerators(code, g, 2, TROPICAL),
+        lambda: forward_numerators(code, g, 0, BOOLEAN),
+        lambda: joint_forward_numerators(code, g, g, 2, 2),
+    ]
+    for sweep in sweeps:
+        sweep()  # builds the walk plan
+        gc.collect()
+        before = len(gc.get_objects())
+        state = sweep()
+        gc.collect()
+        alive = len(gc.get_objects()) - before
+        assert alive < 4 * code.rank
+        assert len(state.table) == len(code.vertices)
+
+
+# -- scalar references for every semiring -------------------------------------------
+
+
+def lift_in(semiring, lam, g, max_order):
+    """Edge label folded with the powers of its g value: lam * g^l, l = 0..M."""
+    base = semiring.from_real(g)
+    row = [semiring.from_real(lam)]
+    for _ in range(max_order):
+        row.append(semiring.mul(row[-1], base))
+    return row
+
+
+def combine_in(semiring, pairs, max_order):
+    """out[m] = sum over (a, b) in pairs and l of C(m,l) a[l] b[m-l], m = 0..M.
+
+    With a lifted edge label as ``a`` it advances the row ``b`` across
+    that edge; with a forward and a backward row it joins them.
+    """
+    out = []
+    for m in range(max_order + 1):
+        acc = semiring.zero
+        for a, b in pairs:
+            for l in range(m + 1):
+                term = semiring.mul(a[l], b[m - l])
+                c = _PASCAL[m][l]
+                if c != 1:
+                    term = nat_scale(semiring, c, term)
+                acc = semiring.add(acc, term)
+        out.append(acc)
+    return out
+
+
+def reference_semiring_numerators(trellis, g, max_order, semiring, direction):
+    """Vertex -> numerator row of one sweep in ``semiring``."""
+    require_valid(trellis)
+    _check_order(max_order)
+    start, steps, neighbor = trellis.walk(direction)
+    lift = {
+        e.id: lift_in(semiring, e.lam, g.value(e), max_order) for e in trellis.edges
+    }
+    table = {start: [semiring.one] + [semiring.zero] * max_order}
+    for group in steps:
+        for v, edges in group:
+            pairs = [(lift[e.id], table[neighbor(e)]) for e in edges]
+            table[v] = combine_in(semiring, pairs, max_order)
+    return table
+
+
+def reference_symbol_moments(trellis, g, forward, backward, depth, symbol, semiring):
+    """Symbol numerators from forward and backward vertex -> row tables."""
+    max_order = min(len(forward[trellis.source]), len(backward[trellis.sink])) - 1
+    pairs = []
+    for e in trellis.edges_at(depth):
+        if e.clabel == symbol:
+            lift = lift_in(semiring, e.lam, g.value(e), max_order)
+            advanced = combine_in(semiring, [(lift, forward[e.init])], max_order)
+            pairs.append((advanced, backward[e.fin]))
+    return combine_in(semiring, pairs, max_order)
+
+
+def reference_joint(trellis, g_y, g_z, order_y, order_z, semiring):
+    """Vertex -> joint numerator grid [k][m] of the forward sweep."""
+    require_valid(trellis)
+    start, steps, neighbor = trellis.walk("forward")
+    lift_y, pow_z = {}, {}
+    for e in trellis.edges:
+        lift_y[e.id] = lift_in(semiring, e.lam, g_y.value(e), order_y)
+    for e in trellis.edges:
+        pow_z[e.id] = lift_in(semiring, 1.0, g_z.value(e), order_z)
+    origin = [[semiring.zero] * (order_z + 1) for _ in range(order_y + 1)]
+    origin[0][0] = semiring.one
+    table = {start: origin}
+    for group in steps:
+        for v, edges in group:
+            grid = []
+            for k in range(order_y + 1):
+                row = []
+                for m in range(order_z + 1):
+                    acc = semiring.zero
+                    for e in edges:
+                        prev = table[neighbor(e)]
+                        py, pz = lift_y[e.id], pow_z[e.id]
+                        for j in range(k + 1):
+                            for l in range(m + 1):
+                                term = semiring.mul(
+                                    semiring.mul(py[k - j], pz[m - l]), prev[j][l]
+                                )
+                                c = _PASCAL[k][j] * _PASCAL[m][l]
+                                if c != 1:
+                                    term = nat_scale(semiring, c, term)
+                                acc = semiring.add(acc, term)
+                    row.append(acc)
+                grid.append(row)
+            table[v] = grid
+    return table
+
+
+EXACT = ["tropical", "maxprod", "boolean"]
+
+
+def carrier_g(semiring, t, seed):
+    """g values the carrier can hold: nonnegative in logreal and maxprod."""
+    g = normal_g(t, seed)
+    return magnitudes(g) if semiring.name in ("logreal", "maxprod") else g
+
+
+def assert_log_row_close(got, want, where):
+    """Log-domain rows: -inf where the reference has it, elsewhere within
+    RTOL with a unit floor (a relative error of RTOL in the value)."""
+    assert len(got) == len(want), where
+    for m, (a, b) in enumerate(zip(got, want)):
+        if b == -math.inf:
+            assert a == -math.inf, (where, m, a, b)
+        else:
+            assert abs(a - b) <= RTOL * max(1.0, abs(a), abs(b)), (where, m, a, b)
+
+
+def assert_rows_match(semiring, got, want, scale, where):
+    if semiring.name in EXACT:
+        assert [bits(x) for x in got] == [bits(x) for x in want], where
+    elif semiring.name == "logreal":
+        assert_log_row_close(got, want, where)
+    else:
+        assert_row_close(got, want, scale, where)
+
+
+@PROPERTY_SETTINGS
+@given(
+    instances(), st.sampled_from([0, 1, 2, 3, 4]), st.sampled_from(EXACT + ["logreal"])
+)
+def test_semiring_numerators_match_scalar_reference(instance, order, name):
+    semiring = get_semiring(name)
+    t, direction, seed = instance
+    g = carrier_g(semiring, t, seed)
+    got = moments._numerators(t, g, order, semiring, direction).table
+    want = reference_semiring_numerators(t, g, order, semiring, direction)
+    assert list(got) == list(want)
+    for v, row in want.items():
+        assert_rows_match(semiring, got[v], row, None, v)
+        assert all(type(x) is type(semiring.zero) for x in got[v]), v
+
+
+@PROPERTY_SETTINGS
+@given(
+    instances(),
+    st.sampled_from([(0, 0), (1, 2), (2, 2), (3, 1)]),
+    st.sampled_from(["real", "logreal"]),
+)
+def test_joint_numerators_match_scalar_reference(instance, orders, name):
+    semiring = get_semiring(name)
+    t, _, seed = instance
+    g_y, g_z = carrier_g(semiring, t, seed), carrier_g(semiring, t, seed + 1)
+    got = joint_forward_numerators(t, g_y, g_z, *orders, semiring).table
+    want = reference_joint(t, g_y, g_z, *orders, semiring)
+    scale = reference_joint(t, magnitudes(g_y), magnitudes(g_z), *orders, semiring)
+    assert list(got) == list(want)
+    flat = lambda grid: [x for row in grid for x in row]  # noqa: E731
+    for v, grid in want.items():
+        assert_rows_match(semiring, flat(got[v]), flat(grid), flat(scale[v]), v)
+
+
+@PROPERTY_SETTINGS
+@given(
+    instances(),
+    st.sampled_from([0, 1, 2, 4]),
+    st.sampled_from(["boolean", "logreal", "maxprod", "real", "tropical"]),
+)
+def test_symbol_moments_match_scalar_reference(instance, order, name):
+    semiring = get_semiring(name)
+    t, _, seed = instance
+    g = carrier_g(semiring, t, seed)
+    fwd = forward_numerators(t, g, order, semiring)
+    bwd = backward_numerators(t, g, order, semiring)
+    g_abs = magnitudes(g)
+    fwd_abs = forward_numerators(t, g_abs, order, semiring)
+    bwd_abs = backward_numerators(t, g_abs, order, semiring)
+    for depth in range(1, t.rank + 1):
+        for symbol in {e.clabel for e in t.edges_at(depth)} | {7.0}:
+            got = symbol_moments(t, g, fwd, bwd, depth, symbol).numerators
+            want = reference_symbol_moments(
+                t, g, fwd.table, bwd.table, depth, symbol, semiring
+            )
+            scale = reference_symbol_moments(
+                t, g_abs, fwd_abs.table, bwd_abs.table, depth, symbol, semiring
+            )
+            assert_rows_match(semiring, got, want, scale, (depth, symbol))
+
+
+def failure(fn, *args):
+    """The SemiringError text of one call, or None when it succeeds."""
+    try:
+        fn(*args)
+    except SemiringError as err:
+        return str(err)
+    return None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(instances(), st.sampled_from(["logreal", "maxprod"]), st.data())
+def test_negative_values_raise_the_reference_error(instance, name, data):
+    """A carrier without negative values names the same value as the
+    scalar references: the first, edge by edge, each edge's g first."""
+    semiring = get_semiring(name)
+    t, direction, seed = instance
+    g = magnitudes(normal_g(t, seed))
+    ids = [e.id for e in t.edges]
+    bad_lam = data.draw(st.sets(st.sampled_from(ids), max_size=3))
+    bad_g = data.draw(st.sets(st.sampled_from(ids), min_size=1, max_size=3))
+    # Distinct values, so the message tells which one was named.
+    t_bad = t.relabeled(lambda e: -1.0 - e.id if e.id in bad_lam else e.lam)
+    g_bad = DepthFunctionTable({k: -0.5 - k if k in bad_g else v for k, v in g.items()})
+
+    for args in ((t_bad, g_bad), (t_bad, g), (t, g_bad)):
+        got = failure(moments._numerators, *args, 2, semiring, direction)
+        want = failure(reference_semiring_numerators, *args, 2, semiring, direction)
+        assert got == want
+        assert got is not None or args[1] is g
+    fwd = forward_numerators(t, g, 2, semiring)
+    bwd = backward_numerators(t, g, 2, semiring)
+    for depth in range(1, t.rank + 1):
+        for symbol in (1.0, -1.0):
+            got = failure(symbol_moments, t_bad, g_bad, fwd, bwd, depth, symbol)
+            want = failure(
+                reference_symbol_moments,
+                t_bad, g_bad, fwd.table, bwd.table, depth, symbol, semiring,
+            )
+            assert got == want
+    if semiring is LOGREAL:
+        for args in ((t_bad, g_bad, g), (t, g, g_bad)):
+            got = failure(joint_forward_numerators, *args, 1, 1, semiring)
+            want = failure(reference_joint, *args, 1, 1, semiring)
+            assert got == want

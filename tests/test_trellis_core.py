@@ -380,3 +380,23 @@ def test_walk_plan_built_once_per_topology(monkeypatch):
     backward_distributions(first, g, mode="quantized")
     forward_numerators(code, g, 1)
     assert sorted(builds) == ["backward", "forward"]
+
+
+def test_labels_array_and_symbol_groups_per_topology():
+    """Each trellis keeps its labels as one read-only array in edge order;
+    a relabeled copy builds its own and shares the parent's symbol
+    groups, which match a fresh trellis's."""
+    code, channel, received = _conv75_word()
+    labeled = channel_lambda_labels(code, channel, received)
+    assert labeled._lam.tolist() == [e.lam for e in labeled.edges]
+    assert not labeled._lam.flags.writeable
+    assert labeled.symbol_groups() is code.symbol_groups()
+    depths = {v: code.depth_of(v) for v in code.vertices}
+    fresh = Trellis(code.rank, depths, labeled.edges).symbol_groups()
+    shared = labeled.symbol_groups()
+    assert fresh.keys() == shared.keys()
+    for key, (local, *arrays) in fresh.items():
+        assert shared[key][0] == local
+        assert all((a == b).all() for a, b in zip(shared[key][1:], arrays))
+        depth, symbol = key
+        assert [code.edges_at(depth)[i].clabel for i in local] == [symbol] * len(local)
