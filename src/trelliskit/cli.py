@@ -264,8 +264,9 @@ def _cmd_distribution(args) -> int:
         dist = distributions.symbol_distribution(graph, g, fwd, bwd, *constraint)
 
     # Gaussian reference matched to the first two normalized moments of
-    # the corresponding moment-engine result.
-    forward_m = moments.forward_numerators(graph, g, 2)
+    # the corresponding moment-engine result, from the order-2 sweep that
+    # sized the bins if one did.
+    forward_m = fwd.sizing or moments.forward_numerators(graph, g, 2)
     if constraint is None:
         matched = moments.trellis_moments(forward_m).normalized
     else:

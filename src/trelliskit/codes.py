@@ -120,17 +120,33 @@ def edge_likelihood(channel: ChannelModel, received: float, symbol: float) -> fl
 def channel_lambda_labels(
     trellis: Trellis, channel: ChannelModel, received: Sequence[float]
 ) -> Trellis:
-    """Relabel every edge with P(r_i | c-label) for its section i."""
+    """Relabel every edge with P(r_i | c-label) for its section i.
+
+    The likelihood is computed once per (section, c-label) group and
+    scattered to the group's edges.  The groups are evaluated in the
+    order of their first edge, so a bad received value is reported for
+    the first edge that meets it, as an edge-by-edge pass would.
+    """
     if len(received) != trellis.rank:
         raise ChannelError(
             f"received word length {len(received)} does not match "
             f"trellis rank {trellis.rank}"
         )
-    return trellis.relabeled(
-        lambda e: edge_likelihood(
-            channel, received[trellis.depth_of(e.init)], e.clabel
+    outside = trellis.edge_arrays.section == trellis.rank
+    if outside.any():
+        edge_id = int(trellis.edge_arrays.ids[np.argmax(outside)])
+        raise TrellisStructureError(
+            f"edge {edge_id} leaves the final layer and has no received symbol"
         )
-    )
+    groups = trellis._symbol_groups()
+    bounds = groups.offsets
+    likelihood = np.empty(len(groups))
+    depths, clabels = groups.depths.tolist(), groups.clabels.tolist()
+    for k in np.argsort(groups.positions[bounds[:-1]]).tolist():
+        likelihood[k] = edge_likelihood(channel, received[depths[k] - 1], clabels[k])
+    lam = np.empty(len(trellis._lam))
+    lam[groups.positions] = np.repeat(likelihood, np.diff(bounds))
+    return trellis.relabeled(lam)
 
 
 def transmit(
@@ -376,8 +392,9 @@ def correlation_g_table(trellis: Trellis, word: Sequence[float]) -> DepthFunctio
         raise ChannelError(
             f"word length {len(word)} does not match trellis rank {trellis.rank}"
         )
-    return DepthFunctionTable.from_edges(
-        trellis, lambda depth, e: e.clabel * word[depth - 1]
+    a = trellis.edge_arrays
+    return DepthFunctionTable.from_values(
+        trellis, a.clabel * np.asarray(word, dtype=float)[a.section]
     )
 
 
@@ -458,6 +475,9 @@ def conditional_entropy_detail(
         first = sym.normalized[1]
     constants = uncertainty_constants(channel, received, k1a=log2_flow)
     entropy = constants.k1 - constants.k2 * first
+    if entropy <= 0.0:
+        # The difference of two large terms can round below 0 near H = 0.
+        entropy = 0.0
     return EntropyResult(entropy, first, constants, log2_flow)
 
 

@@ -49,7 +49,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import LatticeError, SemiringError, ZeroFlowError
-from .moments import _LayerRows, forward_numerators, trellis_moments
+from .moments import MomentState, _LayerRows, forward_numerators, trellis_moments
 from .trellis import DepthFunctionTable, Trellis, WalkPlan, require_valid
 
 # Smallest usable exact-lattice step and largest exact-mode mass vector.
@@ -325,7 +325,7 @@ def _edge_values(
 ) -> np.ndarray:
     """g on every edge, in ``Trellis.edges`` order; ``g`` is a table or
     that array already."""
-    return g if isinstance(g, np.ndarray) else g.values_of(trellis.edges)
+    return g if isinstance(g, np.ndarray) else g.values_for(trellis)
 
 
 def lattice_step(trellis: Trellis, g: DepthFunctionTable) -> float:
@@ -401,7 +401,9 @@ class DistributionState:
     offset + k*step, each mass row zero beyond its length.  Quantized
     mode keeps (means, flows, masses): unit-mass bin vectors around the
     tracked means, and the plain flows needed for relative edge weights.
-    The other mode's mappings are None.
+    The other mode's mappings are None.  ``sizing`` is the order-2
+    forward moment sweep that sized the bins, when the quantized mode had
+    no bin width given, and None otherwise.
     """
 
     direction: str
@@ -415,6 +417,7 @@ class DistributionState:
     step: Optional[float] = None
     half_bins: Optional[int] = None
     bin_width: Optional[float] = None
+    sizing: Optional[MomentState] = None
 
 
 def _exact_row(step: float, layer, r: int) -> ExactDistribution:
@@ -445,19 +448,22 @@ def _row(view: _LayerRows, v: int) -> tuple:
 
 def _resolve_bin_width(
     trellis: Trellis, g: DepthFunctionTable, params: QuantizationParams
-) -> float:
+) -> tuple[float, Optional[MomentState]]:
+    """The bin width, and the order-2 forward sweep that sized it when
+    ``params`` gives none."""
     if params.bin_width is not None:
         if params.bin_width <= 0:
             raise SemiringError("bin width must be positive")
-        return float(params.bin_width)
-    moments = trellis_moments(forward_numerators(trellis, g, 2))
+        return float(params.bin_width), None
+    sweep = forward_numerators(trellis, g, 2)
+    moments = trellis_moments(sweep)
     if moments.normalized is None:
         raise ZeroFlowError(None, "cannot size bins: total flow is zero")
     mean, second = moments.normalized[1], moments.normalized[2]
     sigma = math.sqrt(max(second - mean * mean, 0.0))
     if sigma == 0.0:
-        return 1.0
-    return 4.0 * sigma / params.half_bins
+        return 1.0, sweep
+    return 4.0 * sigma / params.half_bins, sweep
 
 
 def _snap_mean(
@@ -682,7 +688,7 @@ def _distributions(trellis, g, direction, mode, params) -> DistributionState:
     if mode not in ("exact", "quantized", "auto"):
         raise SemiringError(f"unknown distribution mode {mode!r}")
     # g is read once, for the hard-decision test, the lattice and the sweep.
-    values = g.values_of(trellis.edges)
+    values = g.values_for(trellis)
     hard = _is_hard_decision(values)
     if mode == "auto":
         try:
@@ -703,7 +709,7 @@ def _distributions(trellis, g, direction, mode, params) -> DistributionState:
             step=step,
         )
     params = params or QuantizationParams()
-    width = _resolve_bin_width(trellis, g, params)
+    width, sizing = _resolve_bin_width(trellis, g, params)
     dists, flows = _quantized_sweep(
         trellis, values, direction, params.half_bins, width
     )
@@ -717,6 +723,7 @@ def _distributions(trellis, g, direction, mode, params) -> DistributionState:
         flows=flows,
         half_bins=params.half_bins,
         bin_width=width,
+        sizing=sizing,
     )
 
 
@@ -792,41 +799,53 @@ def symbol_distribution(
     symbol: float,
 ):
     """Distribution restricted to paths whose section-``depth`` edge
-    carries c-label ``symbol``; total mass is the constrained flow."""
+    carries c-label ``symbol``; total mass is the constrained flow.
+
+    The states are read by layer and row, so they must come from sweeps
+    over this trellis or a copy with its layers.
+    """
     _check_pair(forward, backward)
     if not 1 <= depth <= forward.rank:
         raise SemiringError(f"section depth {depth} outside 1..{forward.rank}")
-    edges = [e for e in trellis.edges_at(depth) if e.clabel == symbol]
+    groups = trellis.symbol_groups()
+    members = groups.find(depth, symbol) or slice(0, 0)
+    positions = groups.positions[members]
+    # Per edge of the group: the rows of its ends, g and lambda.
+    edges = zip(
+        groups.init_rows[members].tolist(),
+        groups.fin_rows[members].tolist(),
+        g.values_for(trellis)[positions],
+        trellis._lam[positions],
+    )
 
     if forward.mode == "exact":
         step = forward.step
-        if not edges:
+        if not len(positions):
             # Zero mass; with bipolar g, at a point of the padded domain.
             at = -float(forward.rank) if forward.hard_decision else 0.0
             merged = ExactDistribution(at, step, (0.0,))
         else:
+            f_offsets, f_lengths, f_masses = forward.exact._layers[depth - 1]
+            b_offsets, b_lengths, b_masses = backward.exact._layers[forward.rank - depth]
             parts = []
-            for e in edges:
-                f_offset, f_len, f_mass = _row(forward.exact, e.init)
-                b_offset, b_len, b_mass = _row(backward.exact, e.fin)
-                conv = np.convolve(f_mass[:f_len], b_mass[:b_len])
-                parts.append((f_offset + g.value(e) + b_offset, conv * e.lam))
+            for i, j, gval, lam in edges:
+                conv = np.convolve(f_masses[i, : f_lengths[i]], b_masses[j, : b_lengths[j]])
+                parts.append((f_offsets[i] + gval + b_offsets[j], conv * lam))
             merged = _merge_parts(parts, step).trimmed()
         if forward.hard_decision:
             merged = _pad_hard(merged, forward.rank)
         return merged
 
-    entries = []
-    for e in edges:
-        f_mean, f_flow, f_mass = _row(forward.quantized, e.init)
-        b_mean, b_flow, b_mass = _row(backward.quantized, e.fin)
-        entries.append(
-            (
-                f_mean + g.value(e) + b_mean,
-                f_flow * e.lam * b_flow,
-                np.convolve(f_mass, b_mass),
-            )
+    f_means, f_flows, f_masses = forward.quantized._layers[depth - 1]
+    b_means, b_flows, b_masses = backward.quantized._layers[forward.rank - depth]
+    entries = [
+        (
+            f_means[i] + gval + b_means[j],
+            f_flows[i] * lam * b_flows[j],
+            np.convolve(f_masses[i], b_masses[j]),
         )
+        for i, j, gval, lam in edges
+    ]
     return _merge_quantized(entries, forward.half_bins, forward.bin_width)
 
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import SemiringError, ZeroFlowError
 from .semirings import MAX_ORDER, _PASCAL, REAL, SemiringSpec, binomial
-from .trellis import DepthFunctionTable, Edge, Trellis, WalkPlan, require_valid
+from .trellis import DepthFunctionTable, Trellis, WalkPlan, require_valid
 
 _NORMALIZABLE = ("real", "logreal")
 
@@ -179,15 +179,11 @@ def _multinomial_index(max_order: int, edges: int) -> tuple[np.ndarray, ...]:
 
 
 def _edge_labels(
-    semiring: SemiringSpec,
-    edges: Sequence[Edge],
-    lam: np.ndarray,
-    g: DepthFunctionTable,
+    semiring: SemiringSpec, lam: np.ndarray, gval: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """lam and g of ``edges`` coerced into the carrier, each array whole;
-    on an error, again as (g, lam) pairs, so that it names the first
-    value the carrier cannot represent edge by edge, g before lam."""
-    gval = g.values_of(edges)
+    """Edges' lam and g coerced into the carrier, each array whole; on an
+    error, again as (g, lam) pairs, so that it names the first value the
+    carrier cannot represent edge by edge, g before lam."""
     try:
         return semiring.from_real(lam), semiring.from_real(gval)
     except SemiringError:
@@ -259,7 +255,7 @@ def _numerators(
     require_valid(trellis)
     _check_order(max_order)
     plan = trellis.plan(direction)
-    lam, gval = _edge_labels(semiring, trellis.edges, trellis._lam, g)
+    lam, gval = _edge_labels(semiring, trellis._lam, g.values_for(trellis))
     lift = _lift_rows(semiring, lam[plan.edges], gval[plan.edges], max_order).T
     blocks = _sweep(semiring, plan, lift, (max_order,))
     table = _LayerRows(plan.where, blocks, _row_list)
@@ -370,23 +366,23 @@ def symbol_moments(
         raise SemiringError(f"section depth {depth} outside 1..{trellis.rank}")
     semiring = forward.semiring
     max_order = min(forward.max_order, backward.max_order)
-    group = trellis.symbol_groups().get((depth, symbol))
-    if group is None:
+    groups = trellis.symbol_groups()
+    members = groups.find(depth, symbol)
+    if members is None:
         numerators = (semiring.zero,) * (max_order + 1)
     else:
         # One multinomial sum over the group's edges, split by split:
         #   out[m] = sum C(m; a, b, c) alpha[a] lam g^b beta[c], a+b+c = m.
-        local, positions, init_rows, fin_rows = group
-        section = trellis.edges_at(depth)
-        a, b, c, coefficients, starts = _multinomial_index(max_order, len(local))
+        positions = groups.positions[members]
+        a, b, c, coefficients, starts = _multinomial_index(max_order, len(positions))
         lam, gval = _edge_labels(
-            semiring, [section[i] for i in local], trellis._lam[positions], g
+            semiring, trellis._lam[positions], g.values_for(trellis)[positions]
         )
         lift = _lift_rows(semiring, lam, gval, max_order)
         if max_order:  # order 0 has the one split (0, 0, 0), of weight 1
             lift = semiring.scale(coefficients, lift.take(b, axis=0))
-        alpha = forward.table._layers[depth - 1][init_rows, a]
-        beta = backward.table._layers[trellis.rank - depth][fin_rows, c]
+        alpha = forward.table._layers[depth - 1][groups.init_rows[members], a]
+        beta = backward.table._layers[trellis.rank - depth][groups.fin_rows[members], c]
         terms = semiring.mul(semiring.mul(alpha, lift), beta)
         numerators = tuple(semiring.add.reduceat(terms.ravel(), starts).tolist())
     return SymbolMoments(
@@ -431,15 +427,15 @@ def joint_forward_numerators(
     _check_order(order_y)
     _check_order(order_z)
     plan = trellis.plan("forward")
-    edges = trellis.edges
-    lam, gval_y = _edge_labels(semiring, edges, trellis._lam, g_y)
-    gval_z = semiring.from_real(g_z.values_of(edges))
+    n = len(trellis._lam)
+    lam, gval_y = _edge_labels(semiring, trellis._lam, g_y.values_for(trellis))
+    gval_z = semiring.from_real(g_z.values_for(trellis))
     lift_y = _lift_rows(semiring, lam, gval_y, order_y)
-    pow_z = _lift_rows(semiring, np.full(len(edges), semiring.one), gval_z, order_z)
+    pow_z = _lift_rows(semiring, np.full(n, semiring.one), gval_z, order_z)
     # The joint grid of one edge is the outer product of its two lifts,
     # flattened into one row.
     lift = semiring.mul(lift_y[:, None, :], pow_z[None, :, :])
-    lift = lift.reshape(-1, len(edges)).T[plan.edges]
+    lift = lift.reshape(-1, n).T[plan.edges]
     blocks = _sweep(semiring, plan, lift, (order_y, order_z))
     grids = [block.reshape(-1, order_y + 1, order_z + 1) for block in blocks]
     table = _LayerRows(plan.where, grids, _row_list)
@@ -503,7 +499,7 @@ def normalized_states(
     _check_order(max_order)
     plan = trellis.plan(direction)
     log_lam = np.log(plan.lam(trellis, nonnegative_for="normalized recursion"))
-    gval = g.values_of(trellis.edges)[plan.edges]
+    gval = g.values_for(trellis)[plan.edges]
     index = _binomial_index((max_order,))
     normalized = [np.eye(1, max_order + 1)]
     log_flow = [np.zeros(1)]

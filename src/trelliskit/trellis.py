@@ -20,9 +20,11 @@ trellis into an equivalent one-symbol-per-edge trellis.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,6 +52,36 @@ class Edge:
     clabel: float = 0.0
 
 
+@dataclass(frozen=True, eq=False)
+class EdgeArrays:
+    """One topology's edges as read-only arrays in ``Trellis.edges`` order.
+
+    Per edge: its id, ``init`` and ``fin`` vertex and c-label, its
+    ``section`` (the depth of ``init``, the rule of ``edges_at``), the
+    depth of ``fin``, and the rows of ``init`` and ``fin`` in their
+    layers.  The constructor builds them once, and every ``relabeled``
+    copy shares them.
+    """
+
+    ids: np.ndarray
+    init: np.ndarray
+    fin: np.ndarray
+    clabel: np.ndarray
+    section: np.ndarray
+    fin_depth: np.ndarray
+    init_row: np.ndarray
+    fin_row: np.ndarray
+
+
+class _Lookup(NamedTuple):
+    """Edges by id, per vertex and per section, built on first read."""
+
+    by_id: dict[int, Edge]
+    into: dict[int, tuple[Edge, ...]]
+    out: dict[int, tuple[Edge, ...]]
+    sections: tuple[tuple[Edge, ...], ...]
+
+
 class Trellis:
     """Immutable depth-layered graph; safe to share between readers.
 
@@ -58,6 +90,11 @@ class Trellis:
     :func:`validate` can report every violation; only graphs that cannot
     be represented at all (unknown endpoints, duplicate ids, depths
     outside 0..rank) are rejected outright.
+
+    The edges are kept as arrays: the topology's :class:`EdgeArrays` and
+    one label array.  A ``relabeled`` copy stores only its labels, and
+    builds its ``Edge`` objects when a caller first reads them; any
+    trellis builds its per-vertex and per-section edge tuples then too.
     """
 
     def __init__(
@@ -83,61 +120,75 @@ class Trellis:
             depths[vid] = int(depth)
             by_depth[int(depth)].append(vid)
         layers = tuple(tuple(sorted(layer)) for layer in by_depth)
-        self._index(rank, depths, layers, tuple(edges), None, {})
+        edges = tuple(edges)
+        arrays, lam = _edge_arrays(edges, layers)
+        self._index(rank, depths, layers, lam, edges, {"edges": arrays})
 
     def _index(
         self,
         rank: int,
         depth: dict[int, int],
         layers: tuple[tuple[int, ...], ...],
-        edges: tuple[Edge, ...],
-        report: tuple[Violation, ...] | None,
+        lam: np.ndarray,
+        edges: tuple[Edge, ...] | None,
         plans: dict[str, Any],
     ) -> None:
-        """Set every attribute: the structure, the edges, their labels
-        and indexes, the validation report and the walk plans.  The
-        constructor and ``relabeled`` both end here."""
+        """Set every attribute; the constructor and ``relabeled`` both end
+        here.  ``edges`` is None for a copy, which builds them from its
+        labels and the edge arrays on first read."""
         self.rank = rank
         self._depth = depth
         self.layers = layers
-        # One pass indexes every edge: by id, per vertex, and per section
-        # (bucketed by the depth of ``init``, the rule of edges_at).
-        self.edges = edges
-        into: dict[int, list[Edge]] = {v: [] for v in depth}
-        out: dict[int, list[Edge]] = {v: [] for v in depth}
-        sections: list[list[Edge]] = [[] for _ in range(rank + 1)]
-        self._edge_by_id: dict[int, Edge] = {}
-        for e in edges:
-            if e.id in self._edge_by_id:
-                raise TrellisStructureError(f"duplicate edge id {e.id}")
-            self._edge_by_id[e.id] = e
-            if e.init not in depth:
-                raise TrellisStructureError(f"edge {e.id} init vertex {e.init} unknown")
-            if e.fin not in depth:
-                raise TrellisStructureError(f"edge {e.id} fin vertex {e.fin} unknown")
-            if not (math.isfinite(e.lam) and math.isfinite(e.clabel)):
-                raise TrellisStructureError(
-                    f"edge {e.id} has a non-finite label "
-                    f"(lambda={e.lam!r}, clabel={e.clabel!r})"
-                )
-            out[e.init].append(e)
-            into[e.fin].append(e)
-            sections[depth[e.init]].append(e)
-        # Every edge's lambda in edge order, for the array sweeps.
-        self._lam = np.array([e.lam for e in edges], dtype=float)
-        self._lam.flags.writeable = False
-        self._in = {v: tuple(es) for v, es in into.items()}
-        self._out = {v: tuple(es) for v, es in out.items()}
-        # Edges leaving the final layer belong to no section.
-        self._sections = tuple(tuple(es) for es in sections[:rank])
-        # validate() report, computed by the first require_valid().
-        self._report = report
-        # Walk plans by direction and the symbol groups, built on first
-        # use.  relabeled() copies share this dict with their parent, so a
-        # topology builds each once.
+        # Every edge's lambda in edge order, read-only.
+        self._lam = lam
+        self._edges = edges
+        self._lookup: _Lookup | None = None
+        # The edge arrays, and the validation report, the walk plans by
+        # direction and the symbol groups, built on first use.  relabeled()
+        # copies share this dict with their parent, so a topology builds
+        # each once.
         self._plans = plans
 
     # -- structural queries -------------------------------------------------
+
+    @property
+    def edge_arrays(self) -> EdgeArrays:
+        """The topology's edges as arrays, in ``edges`` order."""
+        return self._plans["edges"]
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        if self._edges is None:
+            a = self.edge_arrays
+            self._edges = tuple(
+                map(
+                    Edge,
+                    a.ids.tolist(),
+                    a.init.tolist(),
+                    a.fin.tolist(),
+                    self._lam.tolist(),
+                    a.clabel.tolist(),
+                )
+            )
+        return self._edges
+
+    def _edge_lookup(self) -> _Lookup:
+        if self._lookup is None:
+            into: dict[int, list[Edge]] = {v: [] for v in self._depth}
+            out: dict[int, list[Edge]] = {v: [] for v in self._depth}
+            sections: list[list[Edge]] = [[] for _ in range(self.rank + 1)]
+            for e, section in zip(self.edges, self.edge_arrays.section.tolist()):
+                out[e.init].append(e)
+                into[e.fin].append(e)
+                sections[section].append(e)
+            self._lookup = _Lookup(
+                {e.id: e for e in self.edges},
+                {v: tuple(es) for v, es in into.items()},
+                {v: tuple(es) for v, es in out.items()},
+                # Edges leaving the final layer belong to no section.
+                tuple(tuple(es) for es in sections[: self.rank]),
+            )
+        return self._lookup
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -168,19 +219,19 @@ class Trellis:
 
     def in_edges(self, v: int) -> tuple[Edge, ...]:
         try:
-            return self._in[v]
+            return self._edge_lookup().into[v]
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {v}") from None
 
     def out_edges(self, v: int) -> tuple[Edge, ...]:
         try:
-            return self._out[v]
+            return self._edge_lookup().out[v]
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {v}") from None
 
     def edge(self, edge_id: int) -> Edge:
         try:
-            return self._edge_by_id[edge_id]
+            return self._edge_lookup().by_id[edge_id]
         except KeyError:
             raise TrellisStructureError(f"unknown edge {edge_id}") from None
 
@@ -190,7 +241,7 @@ class Trellis:
             raise TrellisStructureError(
                 f"section depth {depth} outside 1..{self.rank}"
             )
-        return self._sections[depth - 1]
+        return self._edge_lookup().sections[depth - 1]
 
     def walk(
         self, direction: str
@@ -207,13 +258,14 @@ class Trellis:
         of that layer with its local edges (in-edges going forward,
         out-edges going backward); ``neighbor(e)`` is the end of a local
         edge that the sweep has already visited, which lies in the group
-        before.
+        before.  :class:`WalkPlan` is the same walk as index arrays.
         """
+        lookup = self._edge_lookup()
         if direction == "forward":
-            start, layers, local = self.source, self.layers[1:], self._in
+            start, layers, local = self.source, self.layers[1:], lookup.into
             neighbor = attrgetter("init")
         elif direction == "backward":
-            start, layers, local = self.sink, self.layers[-2::-1], self._out
+            start, layers, local = self.sink, self.layers[-2::-1], lookup.out
             neighbor = attrgetter("fin")
         else:
             raise SemiringError(f"unknown direction {direction!r}")
@@ -226,54 +278,212 @@ class Trellis:
         Needs a valid trellis; built on first use and shared with every
         ``relabeled`` copy.
         """
+        if direction not in ("forward", "backward"):
+            raise SemiringError(f"unknown direction {direction!r}")
         plan = self._plans.get(direction)
         if plan is None:
             require_valid(self)
             plan = self._plans[direction] = _walk_plan(self, direction)
         return plan
 
-    def symbol_groups(self) -> dict[tuple[int, float], tuple]:
-        """Each section's edges grouped by c-label, keyed by ``(depth,
-        clabel)``: their positions in ``edges_at(depth)`` (a tuple) and in
-        ``edges``, and the rows of their init and fin vertices in their
-        layers, as in either walk plan.  Needs a valid trellis; built
-        once and shared with every ``relabeled`` copy."""
+    def symbol_groups(self) -> "SymbolGroups":
+        """Each section's edges grouped by c-label (see
+        :class:`SymbolGroups`).  Needs a valid trellis; built once and
+        shared with every ``relabeled`` copy."""
+        require_valid(self)
+        return self._symbol_groups()
+
+    def _symbol_groups(self) -> "SymbolGroups":
         groups = self._plans.get("symbols")
         if groups is None:
-            require_valid(self)
-            row = {v: i for layer in self.layers for i, v in enumerate(layer)}
-            position = {e.id: i for i, e in enumerate(self.edges)}
-            members: dict[tuple[int, float], list] = {}
-            for depth, section in enumerate(self._sections, start=1):
-                for i, e in enumerate(section):
-                    entry = (i, position[e.id], row[e.init], row[e.fin])
-                    members.setdefault((depth, e.clabel), []).append(entry)
-            groups = self._plans["symbols"] = {}
-            for key, entries in members.items():
-                local, *arrays = zip(*entries)
-                groups[key] = (local, *(np.array(c, dtype=np.intp) for c in arrays))
+            groups = self._plans["symbols"] = _group_symbols(self)
         return groups
 
-    def relabeled(self, lam_of: Callable[[Edge], float]) -> "Trellis":
-        """Copy with each edge's lambda-label replaced by ``lam_of(e)``.
+    def relabeled(
+        self, labels: Callable[[Edge], float] | Sequence[float] | np.ndarray
+    ) -> "Trellis":
+        """Copy with new lambda-labels: ``labels(e)`` for each edge, or
+        ``labels`` listed in ``edges`` order.
 
-        The structure is unchanged, so the copy keeps this trellis's
-        depths, layers, validation report, walk plans and symbol groups,
-        and only the new edges, their label array and their per-vertex and
-        per-section tuples are built.
+        The structure is unchanged, so the copy shares this trellis's
+        depths, layers, validation report, edge arrays, walk plans and
+        symbol groups, and stores only its label array.  A non-finite
+        label raises TrellisStructureError naming the first such edge.
         """
-        edges = tuple(
-            Edge(e.id, e.init, e.fin, float(lam_of(e)), e.clabel) for e in self.edges
-        )
+        if callable(labels):
+            labels = [float(labels(e)) for e in self.edges]
+        lam = np.array(labels, dtype=float)
+        if lam.shape != self._lam.shape:
+            raise TrellisStructureError(
+                f"expected {len(self._lam)} labels, got shape {lam.shape}"
+            )
+        bad = ~np.isfinite(lam)
+        if bad.any():
+            i = int(np.argmax(bad))
+            a = self.edge_arrays
+            raise TrellisStructureError(
+                _non_finite(int(a.ids[i]), float(lam[i]), float(a.clabel[i]))
+            )
+        lam.flags.writeable = False
         copy = object.__new__(Trellis)
-        copy._index(self.rank, self._depth, self.layers, edges, self._report, self._plans)
+        copy._index(
+            self.rank, self._depth, self.layers, lam, None, self._plans
+        )
         return copy
 
     def __repr__(self) -> str:
         return (
             f"Trellis(rank={self.rank}, vertices={len(self._depth)}, "
-            f"edges={len(self.edges)})"
+            f"edges={len(self._lam)})"
         )
+
+
+def _non_finite(edge_id: int, lam: float, clabel: float) -> str:
+    return f"edge {edge_id} has a non-finite label (lambda={lam!r}, clabel={clabel!r})"
+
+
+def _find(known: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's index in the sorted array ``known`` (0 where absent),
+    and whether it is there."""
+    at = np.searchsorted(known, values)
+    found = at < len(known)
+    found[found] = known[at[found]] == values[found]
+    return np.where(found, at, 0), found
+
+
+def _edge_arrays(
+    edges: tuple[Edge, ...], layers: tuple[tuple[int, ...], ...]
+) -> tuple[EdgeArrays, np.ndarray]:
+    """The constructor's edges as arrays, and their labels.
+
+    Raises TrellisStructureError for the first edge with a repeated id,
+    an unknown init or fin vertex, or a non-finite label, checked in that
+    order.
+    """
+    n = len(edges)
+    ids, init, fin = (
+        np.fromiter(map(attrgetter(name), edges), np.intp, n)
+        for name in ("id", "init", "fin")
+    )
+    lam, clabel = (
+        np.fromiter(map(attrgetter(name), edges), float, n)
+        for name in ("lam", "clabel")
+    )
+    sizes = [len(layer) for layer in layers]
+    vertices = np.fromiter(chain.from_iterable(layers), np.intp, sum(sizes))
+    depth = np.repeat(np.arange(len(layers)), sizes)
+    row = np.arange(len(vertices)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    by_vertex = np.argsort(vertices)
+    init_at, init_known = _find(vertices[by_vertex], init)
+    fin_at, fin_known = _find(vertices[by_vertex], fin)
+    by_id = np.argsort(ids, kind="stable")
+    repeated = np.zeros(n, dtype=bool)
+    repeated[by_id[1:]] = ids[by_id[1:]] == ids[by_id[:-1]]
+    finite = np.isfinite(lam) & np.isfinite(clabel)
+    bad = repeated | ~init_known | ~fin_known | ~finite
+    if bad.any():
+        i = int(np.argmax(bad))
+        e = edges[i]
+        if repeated[i]:
+            raise TrellisStructureError(f"duplicate edge id {e.id}")
+        if not init_known[i]:
+            raise TrellisStructureError(f"edge {e.id} init vertex {e.init} unknown")
+        if not fin_known[i]:
+            raise TrellisStructureError(f"edge {e.id} fin vertex {e.fin} unknown")
+        raise TrellisStructureError(_non_finite(e.id, e.lam, e.clabel))
+    init_v, fin_v = by_vertex[init_at], by_vertex[fin_at]
+    arrays = EdgeArrays(
+        ids, init, fin, clabel, depth[init_v], depth[fin_v], row[init_v], row[fin_v]
+    )
+    for a in (*vars(arrays).values(), lam):
+        a.flags.writeable = False
+    return arrays, lam
+
+
+class SymbolGroups(Mapping):
+    """Each section's edges grouped by c-label, as flat arrays.
+
+    Groups are sorted by ``(depth, clabel)``, and group k's edges, in
+    section order, are entries ``offsets[k]:offsets[k+1]`` of four
+    arrays: ``local`` (the position in ``edges_at(depth)``),
+    ``positions`` (in ``Trellis.edges``) and ``init_rows``/``fin_rows``
+    (the rows of the init and fin vertices in their layers, as in either
+    walk plan).  ``find(depth, clabel)`` gives that slice.  As a mapping,
+    ``(depth, clabel)`` gives ``(local as a tuple, positions, init_rows,
+    fin_rows)``.
+    """
+
+    def __init__(self, local, positions, init_rows, fin_rows, offsets, depths, clabels):
+        self.local = local
+        self.positions = positions
+        self.init_rows = init_rows
+        self.fin_rows = fin_rows
+        self.offsets = offsets
+        self.depths = depths
+        self.clabels = clabels
+        # For find(): the first group of every depth, and the keys, as
+        # Python numbers.
+        self._first = np.searchsorted(depths, np.arange(depths.max(initial=0) + 2)).tolist()
+        self._labels = clabels.tolist()
+        self._bounds = offsets.tolist()
+
+    def find(self, depth: int, clabel: float) -> slice | None:
+        """The entries of the section-``depth`` edges with ``clabel``, or
+        None when there are none."""
+        if not 0 < depth < len(self._first) - 1:
+            return None
+        for k in range(self._first[depth], self._first[depth + 1]):
+            if self._labels[k] == clabel:
+                return slice(self._bounds[k], self._bounds[k + 1])
+        return None
+
+    def __getitem__(self, key: tuple[int, float]) -> tuple:
+        members = self.find(*key)
+        if members is None:
+            raise KeyError(key)
+        return (
+            tuple(self.local[members].tolist()),
+            self.positions[members],
+            self.init_rows[members],
+            self.fin_rows[members],
+        )
+
+    def __iter__(self) -> Iterator[tuple[int, float]]:
+        return zip(self.depths.tolist(), self._labels)
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+
+def _group_symbols(trellis: Trellis) -> SymbolGroups:
+    a = trellis.edge_arrays
+    inside = np.flatnonzero(a.section < trellis.rank)
+    section, clabel = a.section[inside], a.clabel[inside]
+    # Positions within each section: a stable sort by section keeps edge
+    # order inside it.
+    by_section = np.argsort(section, kind="stable")
+    counts = np.bincount(section, minlength=trellis.rank)
+    local = np.empty(len(inside), dtype=np.intp)
+    local[by_section] = np.arange(len(inside)) - np.repeat(np.cumsum(counts) - counts, counts)
+    # lexsort is stable too, so each group keeps section order.
+    order = np.lexsort((clabel, section))
+    section, clabel = section[order], clabel[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (section[1:] != section[:-1]) | (clabel[1:] != clabel[:-1])
+    firsts = np.flatnonzero(starts)
+    positions = inside[order]
+    fields = (
+        local[order],
+        positions,
+        a.init_row[positions],
+        a.fin_row[positions],
+        np.append(firsts, len(order)),
+        section[firsts] + 1,
+        clabel[firsts],
+    )
+    for field in fields:
+        field.flags.writeable = False
+    return SymbolGroups(*fields)
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,44 +522,37 @@ class WalkPlan:
         """
         lam = trellis._lam
         if nonnegative_for is not None and (lam < 0).any():
-            e = trellis.edges[int(np.argmax(lam < 0))]
+            i = int(np.argmax(lam < 0))
             raise SemiringError(
-                f"{nonnegative_for} needs nonnegative labels; edge {e.id} has {e.lam}"
+                f"{nonnegative_for} needs nonnegative labels; edge "
+                f"{int(trellis.edge_arrays.ids[i])} has {float(lam[i])}"
             )
         return lam[self.edges]
 
 
 def _walk_plan(trellis: Trellis, direction: str) -> WalkPlan:
-    start, steps, neighbor = trellis.walk(direction)
-    position = {e.id: i for i, e in enumerate(trellis.edges)}
-    layers: list[tuple[int, ...]] = [(start,)]
+    # In a valid trellis every edge joins consecutive depths, so a stable
+    # sort of the edges by the walk layer and row of the vertex that owns
+    # them lists each vertex's local edges in edge order, vertex by vertex
+    # in walk order: the order of Trellis.walk.
+    a = trellis.edge_arrays
+    if direction == "forward":
+        start, layers = trellis.source, trellis.layers[1:]
+        step, owners, rows = a.section + 1, a.fin_row, a.init_row
+    else:
+        start, layers = trellis.sink, trellis.layers[-2::-1]
+        step, owners, rows = trellis.rank - a.section, a.init_row, a.fin_row
+    edges = np.lexsort((owners, step))
+    owners, rows = owners[edges], rows[edges]
+    bounds = (0, *np.cumsum(np.bincount(step, minlength=trellis.rank + 1)[1:]).tolist())
     where = {start: (0, 0)}
-    edges: list[int] = []
-    owners: list[int] = []
-    rows: list[int] = []
-    bounds = [0]
     firsts = [np.zeros(0, dtype=np.intp)]
-    for k, group in enumerate(steps, start=1):
-        first = []
-        for i, (v, local) in enumerate(group):
+    for k, layer in enumerate(layers, start=1):
+        for i, v in enumerate(layer):
             where[v] = (k, i)
-            first.append(len(edges) - bounds[-1])
-            for e in local:
-                edges.append(position[e.id])
-                owners.append(i)
-                rows.append(where[neighbor(e)][1])
-        layers.append(tuple(v for v, _ in group))
-        bounds.append(len(edges))
-        firsts.append(np.array(first, dtype=np.intp))
-    return WalkPlan(
-        tuple(layers),
-        np.array(edges, dtype=np.intp),
-        np.array(owners, dtype=np.intp),
-        np.array(rows, dtype=np.intp),
-        tuple(bounds),
-        tuple(firsts),
-        where,
-    )
+        local = owners[bounds[k - 1] : bounds[k]]
+        firsts.append(np.searchsorted(local, np.arange(len(layer))))
+    return WalkPlan(((start,), *layers), edges, owners, rows, bounds, tuple(firsts), where)
 
 
 # -- validation --------------------------------------------------------------
@@ -390,37 +593,42 @@ def validate(trellis: Trellis) -> list[Violation]:
                 Violation("empty-layer", f"no vertex at depth {depth}")
             )
 
-    depth = trellis._depth
-    for e in trellis.edges:
-        di, df = depth[e.init], depth[e.fin]
-        if df != di + 1:
-            report.append(
-                Violation(
-                    "depth-skip",
-                    f"edge {e.id} joins depth {di} to depth {df}",
-                )
-            )
+    a = trellis.edge_arrays
+    skips = np.flatnonzero(a.fin_depth != a.section + 1)
+    for edge_id, di, df in zip(
+        a.ids[skips].tolist(), a.section[skips].tolist(), a.fin_depth[skips].tolist()
+    ):
+        report.append(
+            Violation("depth-skip", f"edge {edge_id} joins depth {di} to depth {df}")
+        )
 
     # Reachability from the depth-0 layer and co-reachability from the
     # final layer along edges between consecutive depths: one pass over
-    # the sections in each direction, since such an edge only reaches
-    # the next layer.
-    fwd = set(trellis.layers[0])
-    for d in range(1, trellis.rank + 1):
-        for e in trellis.edges_at(d):
-            if e.init in fwd and depth[e.fin] == d:
-                fwd.add(e.fin)
-    bwd = set(trellis.layers[-1])
-    for d in range(trellis.rank, 0, -1):
-        for e in trellis.edges_at(d):
-            if e.fin in bwd and depth[e.fin] == d:
-                bwd.add(e.init)
+    # these edges in section order in each direction, since such an edge
+    # only reaches the next layer.  Vertices are numbered layer by layer.
+    sizes = [len(layer) for layer in trellis.layers]
+    first = np.cumsum(sizes) - sizes
+    steps = np.flatnonzero(a.fin_depth == a.section + 1)
+    steps = steps[np.argsort(a.section[steps], kind="stable")]
+    tails = (first[a.section[steps]] + a.init_row[steps]).tolist()
+    heads = (first[a.fin_depth[steps]] + a.fin_row[steps]).tolist()
+    n = sum(sizes)
+    fwd = [True] * sizes[0] + [False] * (n - sizes[0])
+    for tail, head in zip(tails, heads):
+        if fwd[tail]:
+            fwd[head] = True
+    bwd = [False] * (n - sizes[-1]) + [True] * sizes[-1]
+    for tail, head in zip(reversed(tails), reversed(heads)):
+        if bwd[head]:
+            bwd[tail] = True
+    reach = dict(zip(chain.from_iterable(trellis.layers), zip(fwd, bwd)))
     for v in trellis.vertices:
-        if v not in fwd:
+        ahead, behind = reach[v]
+        if not ahead:
             report.append(
                 Violation("unreachable-vertex", f"no path from source to vertex {v}")
             )
-        if v not in bwd:
+        if not behind:
             report.append(
                 Violation("dead-end-vertex", f"no path from vertex {v} to sink")
             )
@@ -430,12 +638,13 @@ def validate(trellis: Trellis) -> list[Violation]:
 def require_valid(trellis: Trellis) -> None:
     """Raise TrellisStructureError when validate() reports anything.
 
-    The trellis is immutable, so its report is computed on the first
-    call and kept for every later one.
+    Validity depends on the structure only, so the report is computed on
+    the first call for a topology and kept, for later calls and for every
+    ``relabeled`` copy, made before or after.
     """
-    if trellis._report is None:
-        trellis._report = tuple(validate(trellis))
-    report = trellis._report
+    report = trellis._plans.get("report")
+    if report is None:
+        report = trellis._plans["report"] = tuple(validate(trellis))
     if report:
         lines = "; ".join(f"{v.code}: {v.message}" for v in report[:8])
         more = "" if len(report) <= 8 else f" (+{len(report) - 8} more)"
@@ -509,39 +718,87 @@ class DepthFunctionTable:
 
     A separable path function is the sum of one table entry per traversed
     edge; the table is precomputed so that recursion cost accounting never
-    includes the cost of evaluating g itself.
+    includes the cost of evaluating g itself.  The values are one
+    read-only array over edge ids.  A table made for a trellis
+    (``from_values``, ``from_clabels``, ``from_edges``, ``constant``)
+    shares that topology's id array, so ``values_for`` hands its array
+    out as it is, for the trellis and every ``relabeled`` copy.
     """
 
     def __init__(self, values: Mapping[int, float]):
-        self._values = {int(k): float(v) for k, v in values.items()}
-        for edge_id, value in self._values.items():
-            if not math.isfinite(value):
-                raise GTableError(f"edge {edge_id} has a non-finite g value {value!r}")
+        self._set(
+            np.fromiter(map(int, values.keys()), np.intp, len(values)),
+            np.fromiter(map(float, values.values()), float, len(values)),
+        )
+
+    def _set(self, ids: np.ndarray, values: np.ndarray) -> None:
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise GTableError(
+                f"edge {int(ids[i])} has a non-finite g value {float(values[i])!r}"
+            )
+        values.flags.writeable = False
+        self._ids = ids
+        self._values = values
+        # id -> value, built for the first per-edge read.
+        self._by_id: dict[int, float] | None = None
+
+    @classmethod
+    def from_values(cls, trellis: Trellis, values: np.ndarray) -> "DepthFunctionTable":
+        """g given as an array in ``trellis.edges`` order."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != trellis._lam.shape:
+            raise GTableError(
+                f"expected {len(trellis._lam)} g values, got shape {values.shape}"
+            )
+        if values.flags.writeable:
+            values = values.copy()
+        table = object.__new__(cls)
+        table._set(trellis.edge_arrays.ids, values)
+        return table
 
     @classmethod
     def from_clabels(cls, trellis: Trellis) -> "DepthFunctionTable":
         """g equals the edge's own c-label."""
-        return cls({e.id: e.clabel for e in trellis.edges})
+        return cls.from_values(trellis, trellis.edge_arrays.clabel)
 
     @classmethod
     def from_edges(
         cls, trellis: Trellis, func: Callable[[int, Edge], float]
     ) -> "DepthFunctionTable":
         """Evaluate ``func(section_depth, edge)`` once per edge."""
-        return cls(
-            {
-                e.id: func(trellis.depth_of(e.init) + 1, e)
-                for e in trellis.edges
-            }
-        )
+        sections = trellis.edge_arrays.section.tolist()
+        values = [float(func(s + 1, e)) for s, e in zip(sections, trellis.edges)]
+        return cls.from_values(trellis, np.array(values, dtype=float))
 
     @classmethod
     def constant(cls, trellis: Trellis, value: float) -> "DepthFunctionTable":
-        return cls({e.id: value for e in trellis.edges})
+        return cls.from_values(trellis, np.full(len(trellis._lam), float(value)))
+
+    def values_for(self, trellis: Trellis) -> np.ndarray:
+        """The g value of every edge of ``trellis``, in ``trellis.edges``
+        order; GTableError names the first edge without one."""
+        a = trellis.edge_arrays
+        if a.ids is self._ids:
+            return self._values
+        by_id = np.argsort(self._ids)
+        at, found = _find(self._ids[by_id], a.ids)
+        if not found.all():
+            i = int(np.argmax(~found))
+            raise GTableError(
+                f"no g value for edge {int(a.ids[i])} ({int(a.init[i])}->{int(a.fin[i])})"
+            )
+        return self._values[by_id[at]]
+
+    def _lookup(self) -> dict[int, float]:
+        if self._by_id is None:
+            self._by_id = dict(zip(self._ids.tolist(), self._values.tolist()))
+        return self._by_id
 
     def value(self, edge: Edge) -> float:
         try:
-            return self._values[edge.id]
+            return self._lookup()[edge.id]
         except KeyError:
             raise GTableError(
                 f"no g value for edge {edge.id} ({edge.init}->{edge.fin})"
@@ -549,21 +806,16 @@ class DepthFunctionTable:
 
     def values_of(self, edges: Sequence[Edge]) -> np.ndarray:
         """The g value of every edge in ``edges``, in that order."""
-        try:
-            return np.array([self._values[e.id] for e in edges], dtype=float)
-        except KeyError:
-            for e in edges:
-                self.value(e)  # raises GTableError for the first one missing
-            raise
+        return np.array([self.value(e) for e in edges], dtype=float)
 
     def path_value(self, path: Sequence[Edge]) -> float:
         return sum(self.value(e) for e in path)
 
     def items(self):
-        return self._values.items()
+        return self._lookup().items()
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._ids)
 
 
 # -- edge splitting -------------------------------------------------------------
@@ -606,29 +858,33 @@ def split_multi_symbol_edges(
 
     edges: list[Edge] = []
     next_eid = 0
-    for depth in range(1, trellis.rank + 1):
-        for e in trellis.edges_at(depth):
-            symbols = symbol_table[e.id]
-            prev = vmap[e.init]
-            for k in range(c):
-                last = k == c - 1
-                if last:
-                    nxt = vmap[e.fin]
-                else:
-                    nxt = next_vid
-                    depths[next_vid] = c * (depth - 1) + k + 1
-                    next_vid += 1
-                edges.append(
-                    Edge(
-                        next_eid,
-                        prev,
-                        nxt,
-                        e.lam if k == 0 else unit_label,
-                        float(symbols[k]),
-                    )
+    # The edges of every section, section by section, in edge order.
+    sections, all_edges = trellis.edge_arrays.section, trellis.edges
+    inside = np.flatnonzero(sections < trellis.rank)
+    order = inside[np.argsort(sections[inside], kind="stable")]
+    for i, section in zip(order.tolist(), sections[order].tolist()):
+        e, depth = all_edges[i], section + 1
+        symbols = symbol_table[e.id]
+        prev = vmap[e.init]
+        for k in range(c):
+            last = k == c - 1
+            if last:
+                nxt = vmap[e.fin]
+            else:
+                nxt = next_vid
+                depths[next_vid] = c * (depth - 1) + k + 1
+                next_vid += 1
+            edges.append(
+                Edge(
+                    next_eid,
+                    prev,
+                    nxt,
+                    e.lam if k == 0 else unit_label,
+                    float(symbols[k]),
                 )
-                next_eid += 1
-                prev = nxt
+            )
+            next_eid += 1
+            prev = nxt
 
     return Trellis(c * trellis.rank, depths, edges)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from trelliskit import build_spc_trellis, distributions, read_trellis, write_g_table
+from trelliskit import build_spc_trellis, distributions, moments, read_trellis, write_g_table
 from trelliskit.cli import main
 from trelliskit.trellis import DepthFunctionTable, write_trellis
 
@@ -415,6 +415,41 @@ class TestDistribution:
         summary = json.loads(capsys.readouterr().out)
         assert summary["mode"] == "quantized"
         assert summary["half_bins"] == 32
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--mode", "quantized"],
+            ["--mode", "quantized", "--bins", "8"],
+            ["--mode", "quantized", "--width", "0.5"],
+            ["--mode", "auto"],
+            ["--mode", "exact"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "symbol", [[], ["--symbol-depth", "2", "--symbol-value", "-1"]]
+    )
+    def test_one_order2_forward_sweep(
+        self, spc4_file, tmp_path, capsys, monkeypatch, flags, symbol
+    ):
+        """The Gaussian reference reuses the order-2 forward sweep that
+        sized the bins, so a run makes one such sweep in all, counted
+        across the moments and distributions modules."""
+        sweeps = []
+        for module in (moments, distributions):
+            numerators = module.forward_numerators
+
+            def counted(trellis, g, max_order, *args, numerators=numerators):
+                if max_order == 2:
+                    sweeps.append(max_order)
+                return numerators(trellis, g, max_order, *args)
+
+            monkeypatch.setattr(module, "forward_numerators", counted)
+        argv = ["distribution", "--trellis", spc4_file, "--g", "clabel"]
+        code = main([*argv, *flags, *symbol, "--out", str(tmp_path / "d.csv")])
+        assert code == 0
+        capsys.readouterr()
+        assert len(sweeps) == 1
 
     def test_symbol_distribution_csv(self, spc4_file, tmp_path):
         out = tmp_path / "sym.csv"

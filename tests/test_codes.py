@@ -318,6 +318,25 @@ class TestConditionalEntropy:
         labeled = channel_lambda_labels(t, channel, codeword)
         assert conditional_entropy(labeled, channel, codeword) < 1e-6
 
+    def test_entropy_near_zero_is_clamped(self):
+        """At [7,5] K=300 over AWGN sigma^2=0.01 the true entropy is far
+        below 1e-300 bits, and k1 - k2 * E[c.w] rounds below 0 on some of
+        the README's 20 seeded words; the entropy is clamped at 0, and the
+        first moment and the constants are left as computed."""
+        t = build_conv_trellis((7, 5), 300)
+        channel = Awgn(0.01)
+        raw = []
+        for seed in range(20):
+            _, received = make_received(t, channel, seed)
+            labeled = channel_lambda_labels(t, channel, received)
+            detail = conditional_entropy_detail(labeled, channel, received)
+            unclamped = detail.constants.k1 - detail.constants.k2 * detail.first_moment
+            raw.append(unclamped)
+            assert detail.entropy_bits == max(unclamped, 0.0)
+            assert math.copysign(1.0, detail.entropy_bits) == 1.0
+            assert detail.entropy_bits < 1e-9
+        assert min(raw) < 0.0
+
     def test_classical_symbol_probability_cross_check(self):
         # first unconstrained moment decomposes into sum_i r_i (P+ - P-)
         labeled, channel, received = self._instance(12)

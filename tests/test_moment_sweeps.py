@@ -28,6 +28,8 @@ from hypothesis import given, settings, strategies as st
 from trelliskit import (
     BOOLEAN,
     LOGREAL,
+    Awgn,
+    Bsc,
     MAX_ORDER,
     DepthFunctionTable,
     Edge,
@@ -39,14 +41,21 @@ from trelliskit import (
     backward_distributions,
     backward_numerators,
     build_conv_trellis,
+    channel_lambda_labels,
+    conditional_entropy,
+    correlation_g_table,
+    correlation_moments,
     forward_distributions,
     forward_numerators,
     get_semiring,
     joint_forward_numerators,
+    make_received,
     nat_scale,
     normalized_states,
     require_valid,
+    symbol_distribution,
     symbol_moments,
+    trellis_distribution,
 )
 from trelliskit import moments
 from trelliskit.distributions import ExactDistribution, QuantizedDistribution
@@ -415,6 +424,79 @@ def test_real_sweep_keeps_few_tracked_objects():
     alive = len(gc.get_objects()) - before
     assert alive < 4 * code.rank
     assert len(state.table) == len(code.vertices)
+
+
+def _words_op(code, channel, word, depth):
+    """Labelling plus the sweeps of one benchmark-style op on ``code``:
+    entropy, correlation moments, flows and every symbol posterior, a
+    normalized sweep, and a distribution pair with its cut and one symbol
+    distribution.  Returns what the op keeps."""
+    lab = channel_lambda_labels(code, channel, word)
+    zero = DepthFunctionTable.constant(lab, 0.0)
+    fwd = forward_numerators(lab, zero, 0)
+    bwd = backward_numerators(lab, zero, 0)
+    posteriors = [
+        symbol_moments(lab, zero, fwd, bwd, d, s).numerators[0]
+        for d in range(1, lab.rank + 1)
+        for s in (1.0, -1.0)
+    ]
+    g = correlation_g_table(lab, word)
+    mode = "exact" if isinstance(channel, Bsc) else "quantized"
+    fd = forward_distributions(lab, g, mode)
+    bd = backward_distributions(lab, g, mode)
+    return (
+        lab,
+        fwd,
+        bwd,
+        sum(posteriors),
+        conditional_entropy(lab, channel, word, (depth, 1.0)),
+        correlation_moments(lab, word, 4, (depth, -1.0)),
+        normalized_states(lab, g, 4, "backward"),
+        fd,
+        bd,
+        trellis_distribution(fd, bd, lab.rank // 2),
+        symbol_distribution(lab, g, fd, bd, depth, 1.0),
+    )
+
+
+@pytest.mark.parametrize(
+    "generators, info_len, channel",
+    [((7, 5), 200, Bsc(0.05)), ((0o171, 0o133), 24, Awgn(0.5))],
+    ids=["bsc75", "awgn171"],
+)
+def test_words_op_builds_no_edge_objects(monkeypatch, generators, info_len, channel):
+    """Labelling and every engine read lambda and g as arrays: an op on a
+    code trellis whose plans exist builds no Edge object."""
+    code = build_conv_trellis(generators, info_len)
+    words = [make_received(code, channel, seed)[1] for seed in (1, 2)]
+    _words_op(code, channel, words[0], 9)  # builds the plans and the report
+    built = []
+    init = Edge.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Edge, "__init__", counted)
+    _words_op(code, channel, words[1], 9)
+    assert built == []
+
+
+def test_labelling_and_op_sweeps_keep_few_tracked_objects():
+    """A labelled copy stores one label array and builds no Edge objects,
+    and the sweeps keep arrays, so labelling plus one op's sweeps leave
+    few objects for the cyclic garbage collector."""
+    code = build_conv_trellis((7, 5), 200)
+    channel = Bsc(0.05)
+    words = [make_received(code, channel, seed)[1] for seed in (1, 2)]
+    _words_op(code, channel, words[0], 10)  # builds the plans and the report
+    gc.collect()
+    before = len(gc.get_objects())
+    kept = _words_op(code, channel, words[1], 10)
+    gc.collect()
+    alive = len(gc.get_objects()) - before
+    assert alive < 4 * code.rank
+    assert kept[0].rank == code.rank
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
