@@ -140,7 +140,7 @@ def channel_lambda_labels(
         )
     groups = trellis._symbol_groups()
     bounds = groups.offsets
-    likelihood = np.empty(len(groups))
+    likelihood = np.empty(len(groups.depths))
     depths, clabels = groups.depths.tolist(), groups.clabels.tolist()
     for k in np.argsort(groups.positions[bounds[:-1]]).tolist():
         likelihood[k] = edge_likelihood(channel, received[depths[k] - 1], clabels[k])

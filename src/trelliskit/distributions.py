@@ -29,13 +29,19 @@ A sweep does its numeric work one layer at a time in numpy: the layer's
 local edges become index arrays (owning vertex, neighbour row, lambda,
 g), and the merges, mean snaps and bin moves of all its vertices run as a
 few array calls that scatter into one (vertices x bins) block.  The
-helpers ``_merge_exact``, ``_snap_mean`` and ``_move_bins`` work on such
-batches of rows, and the cut and symbol combines call them with a single
-owner.  A state keeps every layer's arrays as the sweep made them,
+merges ``_merge_exact`` and ``_merge_quantized`` work on such batches of
+rows.  A state keeps every layer's arrays as the sweep made them,
 (offsets, lengths, masses) in exact mode and (means, flows, masses) in
 quantized mode, and builds a vertex's ``ExactDistribution``,
-``QuantizedDistribution`` or flow only when a caller reads it; the cut
-and symbol combines read their rows from the arrays.
+``QuantizedDistribution`` or flow only when a caller reads it.
+
+The whole-trellis and symbol distributions are one join, forward (x)
+edge (x) backward summed over the edges of one section, as BCJR joins
+its state and branch posteriors.  A symbol distribution joins the
+section's edges that carry the c-label; a cut at depth d is a section of
+identity edges, each vertex of layer d to itself with g 0 and lambda 1.
+The join convolves each edge's forward and backward rows and merges them
+with the sweep's own merge, taking all the edges as one owner.
 """
 
 from __future__ import annotations
@@ -440,12 +446,6 @@ def _flow_row(layer, r: int) -> float:
     return float(layer[1][r])
 
 
-def _row(view: _LayerRows, v: int) -> tuple:
-    """Vertex ``v``'s entries in its layer's arrays."""
-    arrays, r = view.locate(v)
-    return tuple(a[r] for a in arrays)
-
-
 def _resolve_bin_width(
     trellis: Trellis, g: DepthFunctionTable, params: QuantizationParams
 ) -> tuple[float, Optional[MomentState]]:
@@ -594,26 +594,35 @@ def _merge_exact(
     return base, ends, block.reshape(n_owners, stride)[:, : int(ends.max())]
 
 
-def _merge_parts(
-    parts: Sequence[tuple[float, np.ndarray]], step: float
-) -> ExactDistribution:
-    """One distribution from (offset, mass) parts: ``_merge_exact`` with a
-    single owner."""
-    lengths = np.array([len(mass) for _, mass in parts], dtype=np.intp)
-    rows = np.zeros((len(parts), int(lengths.max())))
-    for r, (_, mass) in enumerate(parts):
-        rows[r, : len(mass)] = mass
-    offsets, lengths, block = _merge_exact(
-        np.array([off for off, _ in parts], dtype=float),
+def _merge_quantized(
+    rows: np.ndarray,
+    means: np.ndarray,
+    weights: np.ndarray,
+    owners: np.ndarray,
+    flow: np.ndarray,
+    half_bins: int,
+    width: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge bin rows into 2N+1 unit-mass bins per owner.
+
+    Row r holds bins around ``means[r]`` and carries flow ``weights[r]``;
+    ``flow`` is each owner's total weight, all positive.  An owner's
+    mean is its rows' weighted mean, snapped by ``_snap_mean``, and each
+    row moves onto it scaled by its share of the flow.  Returns the
+    owners' means and their ``(len(flow), 2*half_bins+1)`` block.
+    """
+    n = len(flow)
+    wmean = np.bincount(owners, weights * means, minlength=n) / flow
+    merged = _snap_mean(wmean, means, owners, width)
+    block = _move_bins(
         rows,
-        lengths,
-        np.zeros(len(parts), dtype=np.intp),
-        1,
-        step,
+        (merged[owners] - means) / width,
+        weights / flow[owners],
+        owners,
+        n,
+        half_bins,
     )
-    return ExactDistribution(
-        float(offsets[0]), step, tuple(block[0, : lengths[0]].tolist())
-    )
+    return merged, block
 
 
 def _quantized_sweep(
@@ -631,25 +640,16 @@ def _quantized_sweep(
     layers = [(np.zeros(1), np.ones(1), np.asarray([start.mass]))]
     for vertices, owners, rows, lam, gval in _layer_arrays(trellis, plan, g, lam):
         means, flow, block = layers[-1]
-        n = len(vertices)
         weights = lam * flow[rows]
-        flow = np.bincount(owners, weights, minlength=n)
+        flow = np.bincount(owners, weights, minlength=len(vertices))
         dead = flow <= 0.0
         if dead.any():
             v = vertices[int(np.argmax(dead))]
             raise ZeroFlowError(
                 v, f"zero incoming weight normalizer at vertex {v}"
             )
-        incoming = means[rows] + gval
-        wmean = np.bincount(owners, weights * incoming, minlength=n) / flow
-        means = _snap_mean(wmean, incoming, owners, width)
-        block = _move_bins(
-            block[rows],
-            (means[owners] - incoming) / width,
-            weights / flow[owners],
-            owners,
-            n,
-            half_bins,
+        means, block = _merge_quantized(
+            block[rows], means[rows] + gval, weights, owners, flow, half_bins, width
         )
         layers.append((means, flow, block))
     return (
@@ -745,11 +745,14 @@ def _check_pair(forward: DistributionState, backward: DistributionState):
         raise SemiringError("quantization parameters differ between sweeps")
 
 
-def _pad_hard(dist: ExactDistribution, rank: int) -> ExactDistribution:
-    """Embed a bipolar-g distribution into the full {-n..n} step-2 domain."""
+def _pad_hard(state: DistributionState, dist: ExactDistribution) -> ExactDistribution:
+    """With bipolar g, ``dist`` embedded into the full {-n..n} step-2
+    domain; otherwise ``dist`` itself."""
+    if not state.hard_decision:
+        return dist
     if len(dist.mass) == 1 and dist.step == 0.0:
         dist = ExactDistribution(dist.offset, 2.0, dist.mass)
-    return dist.padded(-float(rank), rank + 1)
+    return dist.padded(-float(state.rank), state.rank + 1)
 
 
 def trellis_distribution(
@@ -768,26 +771,10 @@ def trellis_distribution(
     _check_pair(forward, backward)
     if not 0 <= depth <= forward.rank:
         raise SemiringError(f"cut depth {depth} outside 0..{forward.rank}")
-    layer = forward.layers[depth]
-    if forward.mode == "exact":
-        parts = []
-        for v in layer:
-            f_offset, f_len, f_mass = _row(forward.exact, v)
-            b_offset, b_len, b_mass = _row(backward.exact, v)
-            parts.append(
-                (f_offset + b_offset, np.convolve(f_mass[:f_len], b_mass[:b_len]))
-            )
-        merged = _merge_parts(parts, forward.step).trimmed()
-        if forward.hard_decision:
-            merged = _pad_hard(merged, forward.rank)
-        return merged
-
-    entries = []
-    for v in layer:
-        f_mean, f_flow, f_mass = _row(forward.quantized, v)
-        b_mean, b_flow, b_mass = _row(backward.quantized, v)
-        entries.append((f_mean + b_mean, f_flow * b_flow, np.convolve(f_mass, b_mass)))
-    return _merge_quantized(entries, forward.half_bins, forward.bin_width)
+    # The cut's identity edges: each vertex's row in both layers, g 0, lambda 1.
+    rows = np.arange(len(forward.layers[depth]))
+    g, lam = np.zeros(len(rows)), np.ones(len(rows))
+    return _join(forward, backward, depth, forward.rank - depth, rows, rows, g, lam)
 
 
 def symbol_distribution(
@@ -810,71 +797,80 @@ def symbol_distribution(
     groups = trellis.symbol_groups()
     members = groups.find(depth, symbol) or slice(0, 0)
     positions = groups.positions[members]
-    # Per edge of the group: the rows of its ends, g and lambda.
-    edges = zip(
-        groups.init_rows[members].tolist(),
-        groups.fin_rows[members].tolist(),
+    return _join(
+        forward,
+        backward,
+        depth - 1,
+        forward.rank - depth,
+        groups.init_rows[members],
+        groups.fin_rows[members],
         g.values_for(trellis)[positions],
         trellis._lam[positions],
     )
 
-    if forward.mode == "exact":
-        step = forward.step
-        if not len(positions):
+
+def _layer(state: DistributionState, k: int) -> tuple:
+    """The arrays of the k-th layer of ``state``'s walk."""
+    return (state.exact if state.mode == "exact" else state.quantized)._layers[k]
+
+
+def _join(
+    forward: DistributionState,
+    backward: DistributionState,
+    forward_layer: int,
+    backward_layer: int,
+    init_rows: np.ndarray,
+    fin_rows: np.ndarray,
+    g: np.ndarray,
+    lam: np.ndarray,
+):
+    """Forward (x) edge (x) backward, summed over the edges of one section.
+
+    Edge r joins row ``init_rows[r]`` of the forward state's layer
+    ``forward_layer`` to row ``fin_rows[r]`` of the backward state's
+    layer ``backward_layer``, and carries ``g[r]`` and ``lam[r]``.  Its
+    forward and backward mass rows are convolved, and the edges' rows
+    merge as one owner's incoming rows in a sweep.  With no edges, or no
+    flow in quantized mode, the result has zero mass.
+    """
+    f_at, f_size, f_masses = _layer(forward, forward_layer)
+    b_at, b_size, b_masses = _layer(backward, backward_layer)
+    owners = np.zeros(len(init_rows), dtype=np.intp)
+    exact = forward.mode == "exact"
+    half_bins, width = forward.half_bins, forward.bin_width
+    if exact:
+        if not len(owners):
             # Zero mass; with bipolar g, at a point of the padded domain.
             at = -float(forward.rank) if forward.hard_decision else 0.0
-            merged = ExactDistribution(at, step, (0.0,))
-        else:
-            f_offsets, f_lengths, f_masses = forward.exact._layers[depth - 1]
-            b_offsets, b_lengths, b_masses = backward.exact._layers[forward.rank - depth]
-            parts = []
-            for i, j, gval, lam in edges:
-                conv = np.convolve(f_masses[i, : f_lengths[i]], b_masses[j, : b_lengths[j]])
-                parts.append((f_offsets[i] + gval + b_offsets[j], conv * lam))
-            merged = _merge_parts(parts, step).trimmed()
-        if forward.hard_decision:
-            merged = _pad_hard(merged, forward.rank)
-        return merged
-
-    f_means, f_flows, f_masses = forward.quantized._layers[depth - 1]
-    b_means, b_flows, b_masses = backward.quantized._layers[forward.rank - depth]
-    entries = [
-        (
-            f_means[i] + gval + b_means[j],
-            f_flows[i] * lam * b_flows[j],
-            np.convolve(f_masses[i], b_masses[j]),
+            return _pad_hard(forward, ExactDistribution(at, forward.step, (0.0,)))
+        f_len, b_len = f_size[init_rows], b_size[fin_rows]
+    else:
+        weights = f_size[init_rows] * lam * b_size[fin_rows]
+        flow = np.bincount(owners, weights, minlength=1)
+        if flow[0] <= 0.0:
+            return QuantizedDistribution(
+                0.0, half_bins, width, (0.0,) * (2 * half_bins + 1)
+            )
+        f_len = np.full(len(owners), f_masses.shape[1])
+        b_len = np.full(len(owners), b_masses.shape[1])
+    lengths = f_len + b_len - 1
+    rows = np.zeros((len(owners), int(lengths.max())))
+    for r, (i, j, m, n) in enumerate(
+        zip(init_rows.tolist(), fin_rows.tolist(), f_len.tolist(), b_len.tolist())
+    ):
+        rows[r, : m + n - 1] = np.convolve(f_masses[i, :m], b_masses[j, :n])
+    at = f_at[init_rows] + g + b_at[fin_rows]
+    if exact:
+        offsets, lengths, block = _merge_exact(
+            at, rows * lam[:, None], lengths, owners, 1, forward.step
         )
-        for i, j, gval, lam in edges
-    ]
-    return _merge_quantized(entries, forward.half_bins, forward.bin_width)
-
-
-def _merge_quantized(
-    entries: Sequence[tuple[float, float, np.ndarray]],
-    half_bins: int,
-    width: float,
-) -> QuantizedDistribution:
-    """Weighted merge of convolved (4N+1)-bin vectors back into 2N+1 bins."""
-    total = sum(w for _, w, _ in entries)
-    if total <= 0.0:
-        return QuantizedDistribution(
-            0.0, half_bins, width, (0.0,) * (2 * half_bins + 1)
+        merged = ExactDistribution(
+            float(offsets[0]), forward.step, tuple(block[0, : lengths[0]].tolist())
         )
-    means = np.array([mu for mu, _, _ in entries], dtype=float)
-    weights = np.array([w for _, w, _ in entries], dtype=float)
-    owners = np.zeros(len(entries), dtype=np.intp)
-    wmean = sum(mu * w for mu, w, _ in entries) / total
-    mu_out = float(_snap_mean(np.array([wmean]), means, owners, width)[0])
-    block = _move_bins(
-        np.array([conv for _, _, conv in entries]),
-        (mu_out - means) / width,
-        weights / total,
-        owners,
-        1,
-        half_bins,
-    )
+        return _pad_hard(forward, merged.trimmed())
+    means, block = _merge_quantized(rows, at, weights, owners, flow, half_bins, width)
     return QuantizedDistribution(
-        mu_out, half_bins, width, tuple((block[0] * total).tolist())
+        float(means[0]), half_bins, width, tuple((block[0] * flow[0]).tolist())
     )
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -49,9 +49,22 @@ from .trellis import DepthFunctionTable, Trellis, WalkPlan, require_valid
 
 _NORMALIZABLE = ("real", "logreal")
 
-# Decorates the engines: overflow to inf, inf - inf and log(0) stay silent
-# in every semiring, as in plain float arithmetic.
-_quiet = np.errstate(all="ignore")
+
+def _quiet(engine: Callable) -> Callable:
+    """Run ``engine`` with overflow to inf, inf - inf and log(0) silent, in
+    every semiring, as in plain float arithmetic.
+
+    Each call enters its own ``np.errstate``: under numpy 1.x one shared
+    instance keeps the saved state on itself, so two threads inside the
+    engines could restore each other's.
+    """
+
+    @wraps(engine)
+    def quiet(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return engine(*args, **kwargs)
+
+    return quiet
 
 
 def _check_order(max_order: int) -> None:
@@ -87,13 +100,7 @@ class _LayerRows(Mapping):
         self._layers = layers
         self._make = make
 
-    def locate(self, v: int) -> tuple[Any, int]:
-        """The arrays of ``v``'s layer and its row in them."""
-        layer, row = self._where[v]
-        return self._layers[layer], row
-
     def __getitem__(self, v: int) -> Any:
-        # locate() inlined: counted_symbol_pass reads rows edge by edge.
         layer, row = self._where[v]
         return self._make(self._layers[layer], row)
 

@@ -400,21 +400,18 @@ def _edge_arrays(
     return arrays, lam
 
 
-class SymbolGroups(Mapping):
+class SymbolGroups:
     """Each section's edges grouped by c-label, as flat arrays.
 
     Groups are sorted by ``(depth, clabel)``, and group k's edges, in
-    section order, are entries ``offsets[k]:offsets[k+1]`` of four
-    arrays: ``local`` (the position in ``edges_at(depth)``),
-    ``positions`` (in ``Trellis.edges``) and ``init_rows``/``fin_rows``
-    (the rows of the init and fin vertices in their layers, as in either
-    walk plan).  ``find(depth, clabel)`` gives that slice.  As a mapping,
-    ``(depth, clabel)`` gives ``(local as a tuple, positions, init_rows,
-    fin_rows)``.
+    section order, are entries ``offsets[k]:offsets[k+1]`` of three
+    arrays: ``positions`` (in ``Trellis.edges``) and
+    ``init_rows``/``fin_rows`` (the rows of the init and fin vertices in
+    their layers, as in either walk plan).  ``find(depth, clabel)`` gives
+    that slice.
     """
 
-    def __init__(self, local, positions, init_rows, fin_rows, offsets, depths, clabels):
-        self.local = local
+    def __init__(self, positions, init_rows, fin_rows, offsets, depths, clabels):
         self.positions = positions
         self.init_rows = init_rows
         self.fin_rows = fin_rows
@@ -437,35 +434,12 @@ class SymbolGroups(Mapping):
                 return slice(self._bounds[k], self._bounds[k + 1])
         return None
 
-    def __getitem__(self, key: tuple[int, float]) -> tuple:
-        members = self.find(*key)
-        if members is None:
-            raise KeyError(key)
-        return (
-            tuple(self.local[members].tolist()),
-            self.positions[members],
-            self.init_rows[members],
-            self.fin_rows[members],
-        )
-
-    def __iter__(self) -> Iterator[tuple[int, float]]:
-        return zip(self.depths.tolist(), self._labels)
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
 
 def _group_symbols(trellis: Trellis) -> SymbolGroups:
     a = trellis.edge_arrays
     inside = np.flatnonzero(a.section < trellis.rank)
     section, clabel = a.section[inside], a.clabel[inside]
-    # Positions within each section: a stable sort by section keeps edge
-    # order inside it.
-    by_section = np.argsort(section, kind="stable")
-    counts = np.bincount(section, minlength=trellis.rank)
-    local = np.empty(len(inside), dtype=np.intp)
-    local[by_section] = np.arange(len(inside)) - np.repeat(np.cumsum(counts) - counts, counts)
-    # lexsort is stable too, so each group keeps section order.
+    # lexsort is stable, so each group keeps section order.
     order = np.lexsort((clabel, section))
     section, clabel = section[order], clabel[order]
     starts = np.ones(len(order), dtype=bool)
@@ -473,7 +447,6 @@ def _group_symbols(trellis: Trellis) -> SymbolGroups:
     firsts = np.flatnonzero(starts)
     positions = inside[order]
     fields = (
-        local[order],
         positions,
         a.init_row[positions],
         a.fin_row[positions],

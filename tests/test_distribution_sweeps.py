@@ -7,6 +7,12 @@ at a time and move one bin vector at a time.  The batched exact sweep
 adds the same numbers in the same order, so its states must be
 bit-identical; the quantized one scales each moved row in another
 order, so its masses may differ in the last bits.
+
+``reference_trellis_distribution`` and ``reference_symbol_distribution``
+are the per-vertex cut and per-edge symbol combines that the one
+section join replaced.  The join adds g = 0 and multiplies by lambda = 1
+on a cut, both exact, and sums in the same order, so every result must
+be bit-identical.
 """
 
 import math
@@ -21,7 +27,11 @@ from trelliskit import (
     SemiringError,
     Trellis,
     ZeroFlowError,
+    backward_distributions,
+    forward_distributions,
     lattice_step,
+    symbol_distribution,
+    trellis_distribution,
 )
 from trelliskit import distributions
 from trelliskit.distributions import ExactDistribution, QuantizedDistribution
@@ -154,6 +164,109 @@ def reference_quantized_sweep(trellis, g, direction, half_bins, width):
     return dists, flows
 
 
+def reference_row(view, v):
+    """Vertex ``v``'s entries in its layer's arrays."""
+    layer, r = view._where[v]
+    return tuple(a[r] for a in view._layers[layer])
+
+
+def reference_pad_hard(dist, rank):
+    if len(dist.mass) == 1 and dist.step == 0.0:
+        dist = ExactDistribution(dist.offset, 2.0, dist.mass)
+    return dist.padded(-float(rank), rank + 1)
+
+
+def reference_merge_quantized(entries, half_bins, width):
+    """Weighted merge of (mean, weight, convolved bins) entries."""
+    total = sum(w for _, w, _ in entries)
+    if total <= 0.0:
+        return QuantizedDistribution(
+            0.0, half_bins, width, (0.0,) * (2 * half_bins + 1)
+        )
+    means = np.array([mu for mu, _, _ in entries], dtype=float)
+    weights = np.array([w for _, w, _ in entries], dtype=float)
+    owners = np.zeros(len(entries), dtype=np.intp)
+    wmean = sum(mu * w for mu, w, _ in entries) / total
+    mu_out = float(distributions._snap_mean(np.array([wmean]), means, owners, width)[0])
+    block = distributions._move_bins(
+        np.array([conv for _, _, conv in entries]),
+        (mu_out - means) / width,
+        weights / total,
+        owners,
+        1,
+        half_bins,
+    )
+    return QuantizedDistribution(
+        mu_out, half_bins, width, tuple((block[0] * total).tolist())
+    )
+
+
+def reference_trellis_distribution(forward, backward, depth):
+    layer = forward.layers[depth]
+    if forward.mode == "exact":
+        parts = []
+        for v in layer:
+            f_offset, f_len, f_mass = reference_row(forward.exact, v)
+            b_offset, b_len, b_mass = reference_row(backward.exact, v)
+            parts.append(
+                (f_offset + b_offset, np.convolve(f_mass[:f_len], b_mass[:b_len]))
+            )
+        merged = reference_merge_exact(parts, forward.step).trimmed()
+        if forward.hard_decision:
+            merged = reference_pad_hard(merged, forward.rank)
+        return merged
+
+    entries = []
+    for v in layer:
+        f_mean, f_flow, f_mass = reference_row(forward.quantized, v)
+        b_mean, b_flow, b_mass = reference_row(backward.quantized, v)
+        entries.append((f_mean + b_mean, f_flow * b_flow, np.convolve(f_mass, b_mass)))
+    return reference_merge_quantized(entries, forward.half_bins, forward.bin_width)
+
+
+def reference_symbol_distribution(trellis, g, forward, backward, depth, symbol):
+    groups = trellis.symbol_groups()
+    members = groups.find(depth, symbol) or slice(0, 0)
+    positions = groups.positions[members]
+    # Per edge of the group: the rows of its ends, g and lambda.
+    edges = zip(
+        groups.init_rows[members].tolist(),
+        groups.fin_rows[members].tolist(),
+        g.values_for(trellis)[positions],
+        trellis._lam[positions],
+    )
+
+    if forward.mode == "exact":
+        step = forward.step
+        if not len(positions):
+            # Zero mass; with bipolar g, at a point of the padded domain.
+            at = -float(forward.rank) if forward.hard_decision else 0.0
+            merged = ExactDistribution(at, step, (0.0,))
+        else:
+            f_offsets, f_lengths, f_masses = forward.exact._layers[depth - 1]
+            b_offsets, b_lengths, b_masses = backward.exact._layers[forward.rank - depth]
+            parts = []
+            for i, j, gval, lam in edges:
+                conv = np.convolve(f_masses[i, : f_lengths[i]], b_masses[j, : b_lengths[j]])
+                parts.append((f_offsets[i] + gval + b_offsets[j], conv * lam))
+            merged = reference_merge_exact(parts, step).trimmed()
+        if forward.hard_decision:
+            merged = reference_pad_hard(merged, forward.rank)
+        return merged
+
+    f_means, f_flows, f_masses = forward.quantized._layers[depth - 1]
+    b_means, b_flows, b_masses = backward.quantized._layers[forward.rank - depth]
+    entries = [
+        (
+            f_means[i] + gval + b_means[j],
+            f_flows[i] * lam * b_flows[j],
+            np.convolve(f_masses[i], b_masses[j]),
+        )
+        for i, j, gval, lam in edges
+    ]
+    return reference_merge_quantized(entries, forward.half_bins, forward.bin_width)
+
+
 # -- helpers ----------------------------------------------------------------------
 
 
@@ -164,6 +277,12 @@ def bits(x: float) -> str:
 
 def exact_fields(d: ExactDistribution):
     return bits(d.offset), bits(d.step), tuple(bits(w) for w in d.mass)
+
+
+def dist_fields(d):
+    if isinstance(d, ExactDistribution):
+        return exact_fields(d)
+    return bits(d.mean), d.half_bins, bits(d.bin_width), tuple(bits(w) for w in d.mass)
 
 
 def assert_rel(a: float, b: float, floor: float = 0.0) -> None:
@@ -178,6 +297,12 @@ def outcome(fn, *args):
         return ZeroFlowError, err.vertex
     except LatticeError:
         return LatticeError, None
+
+
+def joined(fn, *args):
+    """("ok", the result's fields) or (error type, vertex or None)."""
+    kind, result = outcome(fn, *args)
+    return kind, dist_fields(result) if kind == "ok" else result
 
 
 @st.composite
@@ -317,10 +442,53 @@ def test_snap_mean_matches_reference(groups, width):
 
 def test_point_mass_merge_keeps_the_first_offset():
     parts = [(1.0 + 1e-12, np.array([0.25])), (1.0, np.array([0.5]))]
-    got = distributions._merge_parts(parts, 0.0)
+    offsets, lengths, block = distributions._merge_exact(
+        np.array([off for off, _ in parts]),
+        np.array([mass for _, mass in parts]),
+        np.ones(len(parts), dtype=np.intp),
+        np.zeros(len(parts), dtype=np.intp),
+        1,
+        0.0,
+    )
+    got = ExactDistribution(float(offsets[0]), 0.0, tuple(block[0, : lengths[0]].tolist()))
     want = reference_merge_exact(parts, 0.0)
     assert exact_fields(got) == exact_fields(want)
     assert got.offset == 1.0 + 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(
+    instances(),
+    st.sampled_from(
+        [("exact", kind) for kind in ("bipolar", "halves", "constant")]
+        + [("quantized", kind) for kind in ("bipolar", "halves", "constant", "soft")]
+    ),
+    st.sampled_from([None, (1, 0.5), (4, 0.37), (8, 2.0)]),
+)
+def test_joins_match_reference(instance, mode_kind, bins):
+    """Every cut, and every section at c-labels +1, -1 and the absent
+    0.5, in both modes; quantized bins sized from the moments or given."""
+    t, _, seed = instance
+    mode, kind = mode_kind
+    if kind == "soft":
+        rng = np.random.default_rng(seed)
+        g = DepthFunctionTable({e.id: float(rng.normal()) for e in t.edges})
+    else:
+        g = lattice_g(t, seed, kind)
+    params = None if bins is None else distributions.QuantizationParams(*bins)
+    try:
+        fd = forward_distributions(t, g, mode, params)
+        bd = backward_distributions(t, g, mode, params)
+    except ZeroFlowError:
+        return  # zeroed labels cut every path through some vertex
+    for depth in range(t.rank + 1):
+        got = joined(trellis_distribution, fd, bd, depth)
+        assert got == joined(reference_trellis_distribution, fd, bd, depth)
+    for depth in range(1, t.rank + 1):
+        for symbol in (1.0, -1.0, 0.5):
+            got = joined(symbol_distribution, t, g, fd, bd, depth, symbol)
+            want = joined(reference_symbol_distribution, t, g, fd, bd, depth, symbol)
+            assert got == want
 
 
 def test_quantized_zero_flow_hits_the_same_vertex():

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from trelliskit import (
     Trellis,
     ZeroFlowError,
     backward_numerators,
+    build_spc_trellis,
     counted_run,
     counted_symbol_pass,
     forward_numerators,
@@ -23,6 +25,7 @@ from trelliskit import (
     symbol_moments,
     trellis_moments,
 )
+from trelliskit import moments
 from trelliskit.data import bundled_trellis
 from trelliskit.oracles import (
     oracle_backward_numerator,
@@ -511,3 +514,40 @@ class TestCountedSymbolPass:
         assert merged.power_multiplications == (
             a.power_multiplications + b.power_multiplications
         )
+
+
+def test_engines_restore_each_threads_error_state(monkeypatch):
+    """Thread A waits inside an engine while the main thread runs one to
+    the end; A must leave the engine with its own error state back.  One
+    errstate instance shared by all calls keeps the saved state on
+    itself under numpy 1.x, and hands A the main thread's."""
+    t = build_spc_trellis(4)
+    g = DepthFunctionTable.from_clabels(t)
+    inside, release = threading.Event(), threading.Event()
+    require_valid = moments.require_valid
+
+    def waiting(trellis):
+        if threading.current_thread().name == "A":
+            inside.set()
+            assert release.wait(10)
+        return require_valid(trellis)
+
+    monkeypatch.setattr(moments, "require_valid", waiting)
+    seen = {}
+
+    def thread_a():
+        with np.errstate(over="raise"):
+            forward_numerators(t, g, 2)
+            seen["over"] = np.geterr()["over"]
+
+    a = threading.Thread(target=thread_a, name="A")
+    a.start()
+    try:
+        assert inside.wait(10)
+        with np.errstate(over="warn"):
+            forward_numerators(t, g, 2)
+    finally:
+        release.set()
+        a.join(10)
+    assert not a.is_alive()
+    assert seen == {"over": "raise"}

@@ -11,6 +11,7 @@ in the ways ``validate`` must report.
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -394,9 +395,11 @@ def test_labels_array_and_symbol_groups_per_topology():
     depths = {v: code.depth_of(v) for v in code.vertices}
     fresh = Trellis(code.rank, depths, labeled.edges).symbol_groups()
     shared = labeled.symbol_groups()
-    assert fresh.keys() == shared.keys()
-    for key, (local, *arrays) in fresh.items():
-        assert shared[key][0] == local
-        assert all((a == b).all() for a, b in zip(shared[key][1:], arrays))
-        depth, symbol = key
-        assert [code.edges_at(depth)[i].clabel for i in local] == [symbol] * len(local)
+    for name in ("positions", "init_rows", "fin_rows", "offsets", "depths", "clabels"):
+        assert np.array_equal(getattr(shared, name), getattr(fresh, name)), name
+    a = code.edge_arrays
+    for depth, symbol in zip(shared.depths.tolist(), shared.clabels.tolist()):
+        positions = shared.positions[shared.find(depth, symbol)]
+        assert len(positions) > 0
+        assert (a.clabel[positions] == symbol).all()
+        assert (a.section[positions] == depth - 1).all()
