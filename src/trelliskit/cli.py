@@ -17,7 +17,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import codes, distributions, moments, oracles, semirings, trellis as tgraph
-from .errors import TrelliskitError
+from .errors import TrelliskitError, ZeroFlowError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,18 +263,6 @@ def _cmd_distribution(args) -> int:
     else:
         dist = distributions.symbol_distribution(graph, g, fwd, bwd, *constraint)
 
-    # Gaussian reference matched to the first two normalized moments of
-    # the corresponding moment-engine result, from the order-2 sweep that
-    # sized the bins if one did.
-    forward_m = fwd.sizing or moments.forward_numerators(graph, g, 2)
-    if constraint is None:
-        matched = moments.trellis_moments(forward_m).normalized
-    else:
-        backward_m = moments.backward_numerators(graph, g, 2)
-        matched = moments.symbol_moments(
-            graph, g, forward_m, backward_m, *constraint
-        ).normalized
-
     values, mass = list(dist.values()), list(dist.mass)
     if isinstance(dist, distributions.ExactDistribution):
         step = dist.step if dist.step > 0 else 1.0
@@ -282,12 +270,17 @@ def _cmd_distribution(args) -> int:
         step = dist.bin_width
     total = sum(mass)
     normalized = [w / total for w in mass] if total > 0 else [0.0] * len(mass)
-    if matched is not None:
-        mean = matched[1]
-        variance = matched[2] - mean * mean
-        gauss = distributions.gaussian_lattice_mass(values, step, mean, variance)
-    else:
+    # Gaussian reference matched to the first two normalized moments of
+    # the corresponding moment-engine result, reusing the order-2 sweep
+    # that sized the bins if one did.
+    try:
+        matched = moments._posterior(graph, g, 2, constraint, fwd.sizing)
+    except ZeroFlowError:
         gauss = [0.0] * len(values)
+    else:
+        _, mean, second = matched.normalized
+        variance = second - mean * mean
+        gauss = distributions.gaussian_lattice_mass(values, step, mean, variance)
     _emit_csv(
         args.out,
         ("domain_value", "mass", "normalized_mass", "gaussian_approx"),

@@ -6,7 +6,9 @@ code symbol per edge).  Labeling the edges with memoryless channel
 likelihoods makes every path label the conditional probability of the
 received word given that codeword, after which the moment and
 distribution engines deliver correlation moments, symbol probabilities
-and conditional entropies of the code and of its one-bit subcodes.
+and conditional entropies of the code and of its one-bit subcodes, each
+from one forward moment sweep (``moments._posterior``) that stays finite
+on codes whose flow underflows a float.
 
 For both the binary symmetric and the AWGN channel the uncertainty
 -log2 P(c|w) is affine in the correlation c.w:
@@ -29,12 +31,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ChannelError, TrellisStructureError, ZeroFlowError
-from .moments import (
-    backward_numerators,
-    forward_numerators,
-    symbol_moments,
-    trellis_moments,
-)
+from .moments import _posterior
 from .trellis import (
     DepthFunctionTable,
     Edge,
@@ -195,31 +192,17 @@ def build_spc_trellis(n: int) -> Trellis:
     """
     if n < 2:
         raise TrellisStructureError(f"SPC block length must be >= 2, got {n}")
-    vertex_depths = {0: 0}
-    for depth in range(1, n):
-        vertex_depths[2 * depth - 1] = depth
-        vertex_depths[2 * depth] = depth
-    sink = 2 * n - 1
-    vertex_depths[sink] = n
-
-    def even(depth: int) -> int:
-        return 2 * depth - 1
-
-    def odd(depth: int) -> int:
-        return 2 * depth
-
-    edges = [Edge(0, 0, even(1), 1.0, 1.0), Edge(1, 0, odd(1), 1.0, -1.0)]
-    eid = 2
-    for depth in range(2, n):
-        for src, flip in ((even(depth - 1), False), (odd(depth - 1), True)):
-            same = odd(depth) if flip else even(depth)
-            other = even(depth) if flip else odd(depth)
-            edges.append(Edge(eid, src, same, 1.0, 1.0))
-            edges.append(Edge(eid + 1, src, other, 1.0, -1.0))
-            eid += 2
-    edges.append(Edge(eid, even(n - 1), sink, 1.0, 1.0))
-    edges.append(Edge(eid + 1, odd(n - 1), sink, 1.0, -1.0))
-    return Trellis(n, vertex_depths, edges)
+    edges: list[Edge] = []
+    for depth in range(1, n + 1):
+        for parity in (0,) if depth == 1 else (0, 1):
+            for symbol in (1.0, -1.0):
+                # A -1 flips the parity, and the sink takes even parity.
+                nxt = parity ^ (symbol < 0)
+                if depth < n or nxt == 0:
+                    init = max(2 * depth - 3 + parity, 0)
+                    fin = 2 * depth - 1 + nxt
+                    edges.append(Edge(len(edges), init, fin, 1.0, symbol))
+    return Trellis(n, {v: (v + 1) // 2 for v in range(2 * n)}, edges)
 
 
 def parse_generators(spec: str) -> tuple[int, ...]:
@@ -238,9 +221,7 @@ def parse_generators(spec: str) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def build_conv_trellis(
-    generators: Sequence[int], info_len: int, terminated: bool = True
-) -> Trellis:
+def build_conv_trellis(generators: Sequence[int], info_len: int) -> Trellis:
     """Zero-tail terminated feedforward convolutional code trellis.
 
     Generators are octal-style tap masks (most significant bit weights
@@ -253,11 +234,6 @@ def build_conv_trellis(
         raise TrellisStructureError(f"generators must be positive, got {gens}")
     if info_len < 0:
         raise TrellisStructureError(f"info length must be >= 0, got {info_len}")
-    if not terminated:
-        raise TrellisStructureError(
-            "only zero-tail terminated trellises are supported (an "
-            "unterminated code has no single sink vertex)"
-        )
     memory = max(g.bit_length() for g in gens) - 1
     if memory > MAX_CONV_MEMORY:
         raise TrellisStructureError(
@@ -271,43 +247,28 @@ def build_conv_trellis(
             "memoryless code with zero info bits has an empty trellis"
         )
 
-    states = [[0]]
-    for t in range(1, sections + 1):
-        inputs = (0, 1) if t <= info_len else (0,)
-        nxt = set()
-        for s in states[-1]:
-            for u in inputs:
-                nxt.add(_conv_next(s, u, memory))
-        states.append(sorted(nxt))
-
-    vertex_depths: dict[int, int] = {}
-    vid_of: dict[tuple[int, int], int] = {}
-    vid = 0
-    for depth, layer in enumerate(states):
-        for s in layer:
-            vid_of[(depth, s)] = vid
-            vertex_depths[vid] = depth
-            vid += 1
-
+    # Vertices are numbered layer by layer, states in increasing order.
+    layer, vid_of = [0], {(0, 0): 0}
     edges: list[Edge] = []
     symbols: dict[int, tuple[float, ...]] = {}
     eid = 0
     for t in range(1, sections + 1):
         inputs = (0, 1) if t <= info_len else (0,)
-        for s in states[t - 1]:
+        prev = layer
+        layer = sorted({_conv_next(s, u, memory) for s in prev for u in inputs})
+        for s in layer:
+            vid_of[(t, s)] = len(vid_of)
+        for s in prev:
             for u in inputs:
                 nxt = _conv_next(s, u, memory)
                 window = (u << memory) | s
                 out = tuple(
-                    1.0 - 2.0 * (bin(gen & window).count("1") & 1)
-                    for gen in gens
+                    1.0 - 2.0 * (bin(gen & window).count("1") & 1) for gen in gens
                 )
-                edges.append(
-                    Edge(eid, vid_of[(t - 1, s)], vid_of[(t, nxt)], 1.0, 0.0)
-                )
+                edges.append(Edge(eid, vid_of[(t - 1, s)], vid_of[(t, nxt)], 1.0, 0.0))
                 symbols[eid] = out
                 eid += 1
-
+    vertex_depths = {vid: depth for (depth, _), vid in vid_of.items()}
     raw = Trellis(sections, vertex_depths, edges)
     return split_multi_symbol_edges(raw, n_out, symbols)
 
@@ -412,20 +373,7 @@ def correlation_moments(
     symbol)`` is given.
     """
     g = correlation_g_table(trellis, word)
-    forward = forward_numerators(trellis, g, max_order)
-    if constraint is None:
-        moments = trellis_moments(forward)
-        if moments.normalized is None:
-            raise ZeroFlowError(None, "total flow is zero")
-        return moments.normalized
-    depth, symbol = constraint
-    backward = backward_numerators(trellis, g, max_order)
-    sym = symbol_moments(trellis, g, forward, backward, depth, symbol)
-    if sym.normalized is None:
-        raise ZeroFlowError(
-            None, f"no flow through c-label {symbol} at depth {depth}"
-        )
-    return sym.normalized
+    return _posterior(trellis, g, max_order, constraint).normalized
 
 
 @dataclass(frozen=True)
@@ -455,24 +403,11 @@ def conditional_entropy_detail(
     log2(flow) - K1b - K2 times the first correlation moment.
     """
     g = correlation_g_table(trellis, received)
-    forward = forward_numerators(trellis, g, 1)
-    moments = trellis_moments(forward)
-    flow = moments.numerators[0]
-    if flow <= 0.0:
-        raise ZeroFlowError(None, "total flow is zero or negative")
-    log2_flow = math.log2(flow)
-    if constraint is None:
-        first = moments.normalized[1]
-    else:
-        backward = backward_numerators(trellis, g, 1)
-        sym = symbol_moments(trellis, g, forward, backward, *constraint)
-        if sym.normalized is None:
-            raise ZeroFlowError(
-                None,
-                f"no flow through c-label {constraint[1]} at depth "
-                f"{constraint[0]}",
-            )
-        first = sym.normalized[1]
+    code = _posterior(trellis, g, 1)
+    log2_flow = code.log2_flow
+    if constraint is not None:
+        code = _posterior(trellis, g, 1, constraint)
+    first = code.normalized[1]
     constants = uncertainty_constants(channel, received, k1a=log2_flow)
     entropy = constants.k1 - constants.k2 * first
     if entropy <= 0.0:
@@ -494,21 +429,34 @@ def conditional_entropy(
 
 
 def symbol_probability(trellis: Trellis, depth: int, symbol: float) -> float:
-    """Classical forward/backward symbol probability P(c_i = x | r).
-
-    Pure order-0 (flow) computation on a likelihood-labeled trellis.
+    """Symbol probability P(c_i = x | r) on a likelihood-labeled trellis:
+    the subcode's flow over the code's, each from one order-0 sweep.
     """
     g = DepthFunctionTable.constant(trellis, 0.0)
-    forward = forward_numerators(trellis, g, 0)
-    backward = backward_numerators(trellis, g, 0)
-    total = trellis_moments(forward).numerators[0]
-    if total <= 0.0:
-        raise ZeroFlowError(None, "total flow is zero or negative")
-    sym = symbol_moments(trellis, g, forward, backward, depth, symbol)
-    return sym.numerators[0] / total
+    code = _posterior(trellis, g, 0)
+    try:
+        subcode = _posterior(trellis, g, 0, (depth, symbol))
+    except ZeroFlowError:
+        return 0.0
+    return math.ldexp(subcode.flow / code.flow, subcode.exponent - code.exponent)
 
 
 # -- figure datasets ---------------------------------------------------------------
+
+
+def _figure_word(generators: Sequence[int], info_len: int, p: float, seed: int):
+    """The code trellis labeled with one seeded BSC word, the g table of c.r,
+    its exact forward and backward distributions, and both words."""
+    from .distributions import backward_distributions, forward_distributions
+
+    channel = Bsc(p)
+    trellis = build_conv_trellis(generators, info_len)
+    codeword, received = make_received(trellis, channel, seed)
+    labeled = channel_lambda_labels(trellis, channel, received)
+    g = correlation_g_table(labeled, received)
+    fwd = forward_distributions(labeled, g, mode="exact")
+    bwd = backward_distributions(labeled, g, mode="exact")
+    return labeled, g, fwd, bwd, codeword, received
 
 
 def correlation_symbol_curves(
@@ -526,25 +474,15 @@ def correlation_symbol_curves(
     P(c.r = u, c_i = +/-1 | r): the per-symbol value distributions scaled
     by the total flow.  Each curve sums to the symbol probability.
     """
-    from .distributions import (
-        backward_distributions,
-        forward_distributions,
-        symbol_distribution,
+    from .distributions import symbol_distribution
+
+    labeled, g, fwd, bwd, codeword, received = _figure_word(
+        generators, info_len, p, seed
     )
-
-    channel = Bsc(p)
-    trellis = build_conv_trellis(generators, info_len)
-    codeword, received = make_received(trellis, channel, seed)
-    labeled = channel_lambda_labels(trellis, channel, received)
-    g = correlation_g_table(labeled, received)
-
-    flow = trellis_moments(
-        forward_numerators(labeled, DepthFunctionTable.constant(labeled, 0.0), 0)
-    ).numerators[0]
-    fwd = forward_distributions(labeled, g, mode="exact")
-    bwd = backward_distributions(labeled, g, mode="exact")
     plus = symbol_distribution(labeled, g, fwd, bwd, depth, 1.0)
     minus = symbol_distribution(labeled, g, fwd, bwd, depth, -1.0)
+    # The two curves partition the code, so their masses add to its flow.
+    flow = plus.total() + minus.total()
     return {
         "domain": list(plus.values()),
         "mass_plus": [w / flow for w in plus.mass],
@@ -577,24 +515,13 @@ def correlation_distribution_with_gaussian(
     domain together with a Gaussian reference whose mean and variance
     equal the distribution's first two normalized moments.
     """
-    from .distributions import (
-        backward_distributions,
-        forward_distributions,
-        gaussian_lattice_mass,
-        trellis_distribution,
+    from .distributions import gaussian_lattice_mass, trellis_distribution
+
+    labeled, g, fwd, bwd, codeword, received = _figure_word(
+        generators, info_len, p, seed
     )
-
-    channel = Bsc(p)
-    trellis = build_conv_trellis(generators, info_len)
-    codeword, received = make_received(trellis, channel, seed)
-    labeled = channel_lambda_labels(trellis, channel, received)
-    g = correlation_g_table(labeled, received)
-
-    moments = trellis_moments(forward_numerators(labeled, g, 2))
-    mean = moments.normalized[1]
-    variance = moments.normalized[2] - mean * mean
-    fwd = forward_distributions(labeled, g, mode="exact")
-    bwd = backward_distributions(labeled, g, mode="exact")
+    _, mean, second = _posterior(labeled, g, 2).normalized
+    variance = second - mean * mean
     cut = labeled.rank // 2 if cut is None else cut
     dist = trellis_distribution(fwd, bwd, cut)
     total = dist.total()

@@ -24,7 +24,10 @@ with the semiring's ``scale`` and ``mul``, and reduces them with its
 step on the (M_y+1)(M_z+1) grid flattened into one row; ``symbol_moments``
 joins alpha, the lifted labels and beta of a section's edges in one
 multinomial sum.  States keep one block per layer behind read-only
-vertex mappings.
+vertex mappings; in the real and max-product semirings each block
+carries a power-of-two exponent, which keeps normalized moments finite
+where the flow underflows.  ``_posterior`` gives the coding layer the
+moments of a code or of a one-symbol subcode from one forward sweep.
 
 ``counted_run`` / ``counted_symbol_pass`` are real-semiring evaluators
 instrumented with exact add/multiply tallies, performing literally the
@@ -39,7 +42,8 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import Any, Callable, Iterator, Optional, Sequence
+from itertools import islice
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -111,8 +115,13 @@ class _LayerRows(Mapping):
         return len(self._where)
 
 
-def _row_list(block: np.ndarray, r: int) -> list[float]:
-    return block[r].tolist()
+def _unscaled(row: list[Any], exponent: int) -> list[Any]:
+    return np.ldexp(row, exponent).tolist() if exponent else row
+
+
+def _scaled_row(layer: tuple[np.ndarray, int], r: int) -> list[Any]:
+    block, exponent = layer
+    return _unscaled(block[r].tolist(), exponent)
 
 
 def _row_tuple(block: np.ndarray, r: int) -> tuple[float, ...]:
@@ -134,13 +143,11 @@ class MomentState:
     source: int
     sink: int
 
-    def numerators(self, v: int) -> tuple[Any, ...]:
-        return tuple(self.table[v])
-
-    @property
-    def terminal(self) -> int:
-        """Vertex whose row carries the whole-trellis numerators."""
-        return self.sink if self.direction == "forward" else self.source
+    def scaled(self, v: int) -> tuple[list[Any], int]:
+        """(row, k) with ``table[v]`` equal to row * 2^k."""
+        layer, r = self.table._where[v]
+        block, exponent = self.table._layers[layer]
+        return block[r].tolist(), exponent
 
 
 @lru_cache(maxsize=None)
@@ -236,19 +243,51 @@ def _advance(
     return semiring.add.reduceat(terms, firsts, axis=0)
 
 
+# Scaled sweeps keep each layer's largest |flow| within 2^+-_SPAN.
+_SPAN = 256
+
+
 def _sweep(
-    semiring: SemiringSpec, plan: WalkPlan, lift: np.ndarray, orders: tuple[int, ...]
-) -> list[np.ndarray]:
-    """One block of moment rows per layer of ``plan``, from the lifted
-    labels of every edge in walk order."""
+    semiring: SemiringSpec,
+    plan: WalkPlan,
+    lift: np.ndarray,
+    orders: tuple[int, ...],
+    prefix: Sequence[tuple[np.ndarray, int]] = (),
+) -> list[tuple[np.ndarray, int]]:
+    """``prefix``, then a ``(block, exponent)`` per further layer of
+    ``plan``, whose moment rows are ``block * 2^exponent``.  Where the
+    product is the real one this is Rabiner's (1989) per-step scaling in
+    base 2: a bound on the largest |flow| grows by each layer's sum of
+    |lambda|; when it passes 2^_SPAN or the layer's first flow drops
+    below 2^-_SPAN, the block is rescaled if its largest |flow| lies
+    outside 2^+-_SPAN.  Powers of two are exact, so the rows are the
+    unscaled ones bit for bit wherever those neither under- nor overflow."""
     index = _binomial_index(orders)
-    start = np.full((1, lift.shape[1]), semiring.zero)
-    start[0, 0] = semiring.one
-    blocks = [start]
-    for k, edges in plan.layer_edges():
-        prev = blocks[-1][plan.rows[edges]]
-        blocks.append(_advance(semiring, index, lift[edges], prev, plan.firsts[k]))
-    return blocks
+    layers = list(prefix)
+    if not layers:
+        start = np.full((1, lift.shape[1]), semiring.zero)
+        start[0, 0] = semiring.one
+        layers.append((start, 0))
+    block, exponent = layers[-1]
+    scaled = semiring.mul is np.multiply
+    if scaled:
+        growth = np.add.reduceat(np.abs(lift[:, 0]), plan.bounds[:-1]).tolist()
+        # The first layer reads its largest |flow|, which sets the bound.
+        bound, high, low = math.inf, 2.0**_SPAN, 2.0**-_SPAN
+    for k, edges in islice(plan.layer_edges(), len(layers) - 1, None):
+        prev = block[plan.rows[edges]]
+        block = _advance(semiring, index, lift[edges], prev, plan.firsts[k])
+        if scaled:
+            bound *= growth[k - 1]
+            if bound > high or abs(block.item(0)) < low:
+                bound = float(np.abs(block[:, 0]).max())
+                shift = math.frexp(bound)[1]
+                if not -_SPAN <= shift <= _SPAN:
+                    block = np.ldexp(block, -shift)
+                    bound = math.ldexp(bound, -shift)
+                    exponent += shift
+        layers.append((block, exponent))
+    return layers
 
 
 @_quiet
@@ -258,14 +297,15 @@ def _numerators(
     max_order: int,
     semiring: SemiringSpec,
     direction: str,
+    prefix: Sequence[tuple[np.ndarray, int]] = (),
 ) -> MomentState:
     require_valid(trellis)
     _check_order(max_order)
     plan = trellis.plan(direction)
     lam, gval = _edge_labels(semiring, trellis._lam, g.values_for(trellis))
     lift = _lift_rows(semiring, lam[plan.edges], gval[plan.edges], max_order).T
-    blocks = _sweep(semiring, plan, lift, (max_order,))
-    table = _LayerRows(plan.where, blocks, _row_list)
+    layers = _sweep(semiring, plan, lift, (max_order,), prefix)
+    table = _LayerRows(plan.where, layers, _scaled_row)
     return MomentState(
         direction, max_order, semiring, table, trellis.source, trellis.sink
     )
@@ -331,10 +371,11 @@ def trellis_moments(state: MomentState) -> TrellisMoments:
     Accepts either direction: the forward sink row and the backward source
     row carry the same numerators.
     """
-    numerators = state.numerators(state.terminal)
-    return TrellisMoments(
-        numerators, _normalize(state.semiring, numerators), state.semiring.name
-    )
+    terminal = state.sink if state.direction == "forward" else state.source
+    row, exponent = state.scaled(terminal)
+    numerators = tuple(_unscaled(row, exponent))
+    normalized = _normalize(state.semiring, row)
+    return TrellisMoments(numerators, normalized, state.semiring.name)
 
 
 @dataclass(frozen=True)
@@ -376,7 +417,7 @@ def symbol_moments(
     groups = trellis.symbol_groups()
     members = groups.find(depth, symbol)
     if members is None:
-        numerators = (semiring.zero,) * (max_order + 1)
+        numerators = scaled = (semiring.zero,) * (max_order + 1)
     else:
         # One multinomial sum over the group's edges, split by split:
         #   out[m] = sum C(m; a, b, c) alpha[a] lam g^b beta[c], a+b+c = m.
@@ -388,13 +429,63 @@ def symbol_moments(
         lift = _lift_rows(semiring, lam, gval, max_order)
         if max_order:  # order 0 has the one split (0, 0, 0), of weight 1
             lift = semiring.scale(coefficients, lift.take(b, axis=0))
-        alpha = forward.table._layers[depth - 1][groups.init_rows[members], a]
-        beta = backward.table._layers[trellis.rank - depth][groups.fin_rows[members], c]
+        alpha, alpha_exponent = forward.table._layers[depth - 1]
+        beta, beta_exponent = backward.table._layers[trellis.rank - depth]
+        alpha = alpha[groups.init_rows[members], a]
+        beta = beta[groups.fin_rows[members], c]
         terms = semiring.mul(semiring.mul(alpha, lift), beta)
-        numerators = tuple(semiring.add.reduceat(terms.ravel(), starts).tolist())
+        scaled = semiring.add.reduceat(terms.ravel(), starts).tolist()
+        numerators = tuple(_unscaled(scaled, alpha_exponent + beta_exponent))
     return SymbolMoments(
-        depth, symbol, numerators, _normalize(semiring, numerators), semiring.name
+        depth, symbol, numerators, _normalize(semiring, scaled), semiring.name
     )
+
+
+class _Posterior(NamedTuple):
+    """Normalized moments and the flow, ``flow * 2^exponent``."""
+
+    normalized: tuple[float, ...]
+    flow: float
+    exponent: int
+
+    @property
+    def log2_flow(self) -> float:
+        return math.log2(self.flow) + self.exponent
+
+
+def _posterior(
+    trellis: Trellis,
+    g: DepthFunctionTable,
+    max_order: int,
+    constraint: Optional[tuple[int, float]] = None,
+    forward: Optional[MomentState] = None,
+) -> _Posterior:
+    """Real moments of orders 0..max_order over every path, or with
+    ``constraint=(depth, symbol)`` over the paths whose section-``depth``
+    edge has c-label ``symbol``: one forward sweep over a copy whose
+    other section-``depth`` edges have lambda 0, taking the layers before
+    ``depth`` from ``forward`` (a real forward sweep of ``trellis`` and
+    ``g`` to ``max_order``) if given.  Raises ZeroFlowError when the flow
+    is not positive."""
+    message, reuse = "total flow is zero or negative", trellis.rank + 1
+    if constraint is not None:
+        depth, symbol = constraint
+        if not 1 <= depth <= trellis.rank:
+            raise SemiringError(f"section depth {depth} outside 1..{trellis.rank}")
+        a = trellis.edge_arrays
+        other = (a.section == depth - 1) & (a.clabel != symbol)
+        trellis = trellis.relabeled(np.where(other, 0.0, trellis._lam))
+        message, reuse = f"no flow through c-label {symbol} at depth {depth}", depth
+    if forward is None:
+        state = forward_numerators(trellis, g, max_order)
+    else:
+        prefix = forward.table._layers[:reuse]
+        state = _numerators(trellis, g, max_order, REAL, "forward", prefix)
+    row, exponent = state.scaled(trellis.sink)
+    flow = row[0]
+    if not flow > 0.0:
+        raise ZeroFlowError(None, message)
+    return _Posterior(tuple(x / flow for x in row), flow, exponent)
 
 
 # -- joint moments -------------------------------------------------------------
@@ -443,9 +534,11 @@ def joint_forward_numerators(
     # flattened into one row.
     lift = semiring.mul(lift_y[:, None, :], pow_z[None, :, :])
     lift = lift.reshape(-1, n).T[plan.edges]
-    blocks = _sweep(semiring, plan, lift, (order_y, order_z))
-    grids = [block.reshape(-1, order_y + 1, order_z + 1) for block in blocks]
-    table = _LayerRows(plan.where, grids, _row_list)
+    grids = [
+        (block.reshape(-1, order_y + 1, order_z + 1), exponent)
+        for block, exponent in _sweep(semiring, plan, lift, (order_y, order_z))
+    ]
+    table = _LayerRows(plan.where, grids, _scaled_row)
     return JointMomentState(
         order_y, order_z, semiring, table, trellis.source, trellis.sink
     )
@@ -635,10 +728,8 @@ def counted_run(
                 row.append(acc)
             table[v] = row
 
-    state = MomentState(
-        "forward", max_order, REAL, table, trellis.source, trellis.sink
-    )
-    return trellis_moments(state), counter
+    numerators = tuple(table[trellis.sink])
+    return TrellisMoments(numerators, _normalize(REAL, numerators), "real"), counter
 
 
 def counted_symbol_pass(

@@ -798,15 +798,14 @@ def split_multi_symbol_edges(
     trellis: Trellis,
     symbols_per_edge: int,
     symbol_table: Mapping[int, Sequence[float]],
-    unit_label: float = 1.0,
 ) -> Trellis:
     """Replace each edge by a chain of ``symbols_per_edge`` edges.
 
     Each original edge must come with exactly ``symbols_per_edge`` symbols
     in ``symbol_table``; the chain's first edge inherits the original
-    lambda-label, the rest get ``unit_label`` (the multiplicative
-    identity), and each chain edge carries one symbol as its c-label.  The
-    result has rank ``symbols_per_edge * rank`` and dense integer ids.
+    lambda-label, the rest get 1.0 (the multiplicative identity), and
+    each chain edge carries one symbol as its c-label.  The result has
+    rank ``symbols_per_edge * rank`` and dense integer ids.
     """
     c = int(symbols_per_edge)
     if c < 1:
@@ -820,15 +819,9 @@ def split_multi_symbol_edges(
                 f"expected {c}"
             )
 
-    vmap: dict[int, int] = {}
-    depths: dict[int, int] = {}
-    next_vid = 0
-    for depth in range(trellis.rank + 1):
-        for v in trellis.layers[depth]:
-            vmap[v] = next_vid
-            depths[next_vid] = c * depth
-            next_vid += 1
-
+    vmap = {v: i for i, v in enumerate(chain.from_iterable(trellis.layers))}
+    depths = {vmap[v]: c * d for d, layer in enumerate(trellis.layers) for v in layer}
+    next_vid = len(depths)
     edges: list[Edge] = []
     next_eid = 0
     # The edges of every section, section by section, in edge order.
@@ -848,13 +841,7 @@ def split_multi_symbol_edges(
                 depths[next_vid] = c * (depth - 1) + k + 1
                 next_vid += 1
             edges.append(
-                Edge(
-                    next_eid,
-                    prev,
-                    nxt,
-                    e.lam if k == 0 else unit_label,
-                    float(symbols[k]),
-                )
+                Edge(next_eid, prev, nxt, e.lam if k == 0 else 1.0, float(symbols[k]))
             )
             next_eid += 1
             prev = nxt

@@ -105,10 +105,6 @@ class TestConvBuilder:
         with pytest.raises(TrellisStructureError):
             parse_generators("")
 
-    def test_unterminated_rejected(self):
-        with pytest.raises(TrellisStructureError):
-            build_conv_trellis((7, 5), 2, terminated=False)
-
     def test_memory_cap(self):
         with pytest.raises(TrellisStructureError):
             build_conv_trellis((1 << 18, 5), 1)
