@@ -25,15 +25,15 @@ hard-decision case), the tracked mean snaps onto that common lattice so
 that every redistribution moves whole bins; the quantized pipeline then
 reproduces the exact one bin for bin.
 
-A sweep does its numeric work one layer at a time in numpy: the layer's
-local edges become index arrays (owning vertex, neighbour row, lambda,
-g), and the merges, mean snaps and bin moves of all its vertices run as a
-few array calls that scatter into one (vertices x bins) block.  The
-merges ``_merge_exact`` and ``_merge_quantized`` work on such batches of
-rows.  A state keeps every layer's arrays as the sweep made them,
-(offsets, lengths, masses) in exact mode and (means, flows, masses) in
-quantized mode, and builds a vertex's ``ExactDistribution``,
-``QuantizedDistribution`` or flow only when a caller reads it.
+A sweep does its numeric work one layer at a time in numpy, scattering
+all of a layer's vertices into one (vertices x values) block.  In exact
+mode the block is one lattice window shared by the layer: each edge's
+integer shift in it is found once per sweep, so a layer is one gather,
+one lambda scale and one scatter.  In quantized mode ``_merge_quantized``
+merges, snaps the means and moves the bins of the whole layer.  A state
+keeps every layer's arrays as the sweep made them, and builds a vertex's
+``ExactDistribution``, ``QuantizedDistribution`` or flow only when a
+caller reads it.
 
 The whole-trellis and symbol distributions are one join, forward (x)
 edge (x) backward summed over the edges of one section, as BCJR joins
@@ -41,7 +41,7 @@ its state and branch posteriors.  A symbol distribution joins the
 section's edges that carry the c-label; a cut at depth d is a section of
 identity edges, each vertex of layer d to itself with g 0 and lambda 1.
 The join convolves each edge's forward and backward rows and merges them
-with the sweep's own merge, taking all the edges as one owner.
+as one owner's rows: ``_merge_exact``, or the quantized sweep's merge.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -403,8 +403,8 @@ class DistributionState:
     walk, and ``exact``, ``quantized`` and ``flows`` are read-only vertex
     mappings over them, in walk order, that build a vertex's
     distribution or flow when it is read.  Exact mode keeps (offsets,
-    lengths, masses): raw (flow-weighted) distributions on the lattice
-    offset + k*step, each mass row zero beyond its length.  Quantized
+    lengths, masses) with one lattice window per layer: every row holds
+    raw (flow-weighted) masses on the layer's offset + k*step.  Quantized
     mode keeps (means, flows, masses): unit-mass bin vectors around the
     tracked means, and the plain flows needed for relative edge weights.
     The other mode's mappings are None.  ``sizing`` is the order-2
@@ -426,11 +426,39 @@ class DistributionState:
     sizing: Optional[MomentState] = None
 
 
-def _exact_row(step: float, layer, r: int) -> ExactDistribution:
-    offsets, lengths, masses = layer
-    return ExactDistribution(
-        float(offsets[r]), step, tuple(masses[r, : lengths[r]].tolist())
-    )
+class _ExactRows(_LayerRows):
+    """The exact sweep's windows, read as vertex -> ExactDistribution.
+
+    A vertex's own lattice points are the columns lo..hi-1 of its layer
+    that its edges reach: the least lo and greatest hi of its neighbours,
+    each moved by the edge's shift.  The first read finds them all.
+    """
+
+    __slots__ = ("_plan", "_shifts", "_step", "_starts", "_extents")
+
+    def __init__(self, plan: WalkPlan, layers, shifts, step: float, starts):
+        super().__init__(plan.where, layers, None)
+        self._plan, self._shifts, self._step = plan, shifts, step
+        self._starts, self._extents = starts, None
+
+    def __getitem__(self, v: int) -> ExactDistribution:
+        plan, (k, r) = self._plan, self._where[v]
+        if self._extents is None:
+            # (lo, -hi) per vertex, so that one minimum finds both.
+            signed, extents = self._shifts[:, None] * [1, -1], [np.array([[0, -1]])]
+            for j, edges in plan.layer_edges():
+                moved = extents[-1][plan.rows[edges]] + signed[edges]
+                extents.append(np.minimum.reduceat(moved, plan.firsts[j]))
+            self._extents = [(e * [1, -1]).tolist() for e in extents]
+        (lo, hi), start = self._extents[k][r], self._starts[k]
+        offsets, _, masses = self._layers[k]
+        # The window starts at column ``start``; columns it trimmed are 0.
+        a = min(max(lo, start), hi)
+        b = max(a, min(hi, start + masses.shape[1]))
+        mass = masses[r, a - start : b - start].tolist()
+        mass = [0.0] * (a - lo) + mass + [0.0] * (hi - b)
+        offset = float(offsets[r] + (lo - start) * self._step)
+        return ExactDistribution(offset, self._step, tuple(mass))
 
 
 def _quantized_row(
@@ -496,53 +524,55 @@ def _snap_mean(
     return np.where(aligned, base + (lo + up) * width, weighted_means)
 
 
-def _is_hard_decision(values: np.ndarray) -> bool:
-    return bool(np.all(np.abs(values) == 1.0))
-
-
-def _layer_arrays(
-    trellis: Trellis,
-    plan: WalkPlan,
-    g: Union[DepthFunctionTable, np.ndarray],
-    lam: np.ndarray,
-) -> Iterator[tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The walk of ``plan`` as index arrays, one layer at a time.
-
-    Yields, per layer after the start, its vertices and four arrays over
-    its local edges, grouped by vertex: the owning vertex's index in the
-    layer, the neighbour's index in the layer before, lambda (``lam``,
-    in walk order) and g (``g`` as ``lattice_step`` takes it).
-    """
-    gval = _edge_values(trellis, g)[plan.edges]
-    for k, edges in plan.layer_edges():
-        yield plan.layers[k], plan.owners[edges], plan.rows[edges], lam[edges], gval[edges]
-
-
 def _exact_sweep(
     trellis: Trellis,
     g: Union[DepthFunctionTable, np.ndarray],
     direction: str,
     step: float,
-) -> _LayerRows:
-    """Every vertex's exact distribution, over (offsets, lengths, masses)
-    per layer."""
+) -> _ExactRows:
+    """Every vertex's exact distribution, over one lattice window per layer.
+
+    Column c of layer k holds the value ``origins[k] + c*step``, where
+    ``origins[k]`` adds up the smallest g of each section walked so far.
+    An edge's integer shift q = (g - its section's smallest g) / step is
+    where its neighbour's row lands, so a layer is one gather, one lambda
+    scale and one scatter.  It keeps its nonzero columns, from column
+    ``starts[k]`` on.
+    """
     plan = trellis.plan(direction)
-    layers = [(np.zeros(1), np.ones(1, dtype=np.intp), np.ones((1, 1)))]
-    for vertices, owners, rows, lam, gval in _layer_arrays(
-        trellis, plan, g, plan.lam(trellis)
-    ):
-        offsets, lengths, block = layers[-1]
-        layers.append(
-            _merge_exact(
-                offsets[rows] + gval,
-                block[rows] * lam[:, None],
-                lengths[rows],
-                owners,
-                len(vertices),
-                step,
-            )
-        )
-    return _LayerRows(plan.where, layers, partial(_exact_row, step))
+    lam = plan.lam(trellis)
+    gval = _edge_values(trellis, g)[plan.edges]
+    firsts = plan.bounds[:-1]
+    lows = np.minimum.reduceat(gval, firsts)
+    spread = gval - np.repeat(lows, np.diff(plan.bounds))
+    # With step 0 every section's g values must coincide.
+    t = spread / step if step else np.where(spread == 0.0, 0.0, 0.5)
+    if (np.abs(t - np.rint(t)) > 1e-6).any():
+        raise LatticeError(f"g values of a section are off the step-{step} lattice")
+    shifts = np.rint(t).astype(np.intp)
+    growth = np.maximum.reduceat(shifts, firsts)
+    cols = np.arange(growth.sum() + 1)
+    starts, blocks = [0], [np.ones((1, 1))]
+    for k, edges in plan.layer_edges():
+        block, n = blocks[-1], len(plan.layers[k])
+        width = block.shape[1] + growth[k - 1]
+        index = plan.owners[edges] * width + shifts[edges]
+        index = (index[:, None] + cols[: block.shape[1]]).ravel()
+        rows = block[plan.rows[edges]] * lam[edges, None]
+        block = np.bincount(index, rows.ravel(), minlength=n * width).reshape(n, width)
+        used = block.any(axis=0).nonzero()[0]
+        a, b = (int(used[0]), int(used[-1]) + 1) if len(used) else (0, 1)
+        starts.append(starts[-1] + a)
+        blocks.append(block[:, a:b].copy() if b - a < width else block)
+    # Every row of a layer is at its window's offset, with its length.
+    sizes = [len(layer) for layer in plan.layers]
+    origins = np.cumsum(np.append(0.0, lows))
+    offsets = np.repeat(origins + np.array(starts) * step, sizes)
+    lengths = np.repeat([block.shape[1] for block in blocks], sizes)
+    ends = np.cumsum(sizes).tolist()
+    layers = [(offsets[j - n : j], lengths[j - n : j], block)
+              for n, j, block in zip(sizes, ends, blocks)]
+    return _ExactRows(plan, layers, shifts, step, starts)
 
 
 def _merge_exact(
@@ -638,9 +668,11 @@ def _quantized_sweep(
     lam = plan.lam(trellis, nonnegative_for="quantized mode")
     start = QuantizedDistribution.dirac(half_bins, width)
     layers = [(np.zeros(1), np.ones(1), np.asarray([start.mass]))]
-    for vertices, owners, rows, lam, gval in _layer_arrays(trellis, plan, g, lam):
+    gval = _edge_values(trellis, g)[plan.edges]
+    for k, edges in plan.layer_edges():
+        vertices, owners, rows = plan.layers[k], plan.owners[edges], plan.rows[edges]
         means, flow, block = layers[-1]
-        weights = lam * flow[rows]
+        weights = lam[edges] * flow[rows]
         flow = np.bincount(owners, weights, minlength=len(vertices))
         dead = flow <= 0.0
         if dead.any():
@@ -649,7 +681,8 @@ def _quantized_sweep(
                 v, f"zero incoming weight normalizer at vertex {v}"
             )
         means, block = _merge_quantized(
-            block[rows], means[rows] + gval, weights, owners, flow, half_bins, width
+            block[rows], means[rows] + gval[edges], weights, owners, flow,
+            half_bins, width,
         )
         layers.append((means, flow, block))
     return (
@@ -689,7 +722,7 @@ def _distributions(trellis, g, direction, mode, params) -> DistributionState:
         raise SemiringError(f"unknown distribution mode {mode!r}")
     # g is read once, for the hard-decision test, the lattice and the sweep.
     values = g.values_for(trellis)
-    hard = _is_hard_decision(values)
+    hard = bool(np.all(np.abs(values) == 1.0))
     if mode == "auto":
         try:
             step = lattice_step(trellis, values)
@@ -699,14 +732,9 @@ def _distributions(trellis, g, direction, mode, params) -> DistributionState:
     elif mode == "exact":
         step = lattice_step(trellis, values)
     if mode == "exact":
+        exact = _exact_sweep(trellis, values, direction, step)
         return DistributionState(
-            direction,
-            "exact",
-            trellis.rank,
-            hard,
-            trellis.layers,
-            exact=_exact_sweep(trellis, values, direction, step),
-            step=step,
+            direction, "exact", trellis.rank, hard, trellis.layers, exact=exact, step=step
         )
     params = params or QuantizationParams()
     width, sizing = _resolve_bin_width(trellis, g, params)
@@ -809,11 +837,6 @@ def symbol_distribution(
     )
 
 
-def _layer(state: DistributionState, k: int) -> tuple:
-    """The arrays of the k-th layer of ``state``'s walk."""
-    return (state.exact if state.mode == "exact" else state.quantized)._layers[k]
-
-
 def _join(
     forward: DistributionState,
     backward: DistributionState,
@@ -833,34 +856,28 @@ def _join(
     merge as one owner's incoming rows in a sweep.  With no edges, or no
     flow in quantized mode, the result has zero mass.
     """
-    f_at, f_size, f_masses = _layer(forward, forward_layer)
-    b_at, b_size, b_masses = _layer(backward, backward_layer)
+    f_layers, b_layers = ((s.exact or s.quantized)._layers for s in (forward, backward))
+    f_at, f_size, f_masses = f_layers[forward_layer]
+    b_at, b_size, b_masses = b_layers[backward_layer]
     owners = np.zeros(len(init_rows), dtype=np.intp)
     exact = forward.mode == "exact"
     half_bins, width = forward.half_bins, forward.bin_width
-    if exact:
-        if not len(owners):
-            # Zero mass; with bipolar g, at a point of the padded domain.
-            at = -float(forward.rank) if forward.hard_decision else 0.0
-            return _pad_hard(forward, ExactDistribution(at, forward.step, (0.0,)))
-        f_len, b_len = f_size[init_rows], b_size[fin_rows]
-    else:
+    if exact and not len(owners):
+        # Zero mass; with bipolar g, at a point of the padded domain.
+        at = -float(forward.rank) if forward.hard_decision else 0.0
+        return _pad_hard(forward, ExactDistribution(at, forward.step, (0.0,)))
+    if not exact:
         weights = f_size[init_rows] * lam * b_size[fin_rows]
         flow = np.bincount(owners, weights, minlength=1)
         if flow[0] <= 0.0:
             return QuantizedDistribution(
                 0.0, half_bins, width, (0.0,) * (2 * half_bins + 1)
             )
-        f_len = np.full(len(owners), f_masses.shape[1])
-        b_len = np.full(len(owners), b_masses.shape[1])
-    lengths = f_len + b_len - 1
-    rows = np.zeros((len(owners), int(lengths.max())))
-    for r, (i, j, m, n) in enumerate(
-        zip(init_rows.tolist(), fin_rows.tolist(), f_len.tolist(), b_len.tolist())
-    ):
-        rows[r, : m + n - 1] = np.convolve(f_masses[i, :m], b_masses[j, :n])
+    pairs = zip(init_rows.tolist(), fin_rows.tolist())
+    rows = np.array([np.convolve(f_masses[i], b_masses[j]) for i, j in pairs])
     at = f_at[init_rows] + g + b_at[fin_rows]
     if exact:
+        lengths = np.full(len(owners), rows.shape[1])
         offsets, lengths, block = _merge_exact(
             at, rows * lam[:, None], lengths, owners, 1, forward.step
         )

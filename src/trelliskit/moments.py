@@ -547,9 +547,12 @@ def joint_forward_numerators(
 def joint_trellis_moments(
     state: JointMomentState,
 ) -> tuple[tuple[tuple[Any, ...], ...], Optional[tuple[tuple[float, ...], ...]]]:
-    """(numerator grid, normalized grid or None) at the sink."""
-    numerators = tuple(tuple(row) for row in state.table[state.sink])
-    flat = _normalize(state.semiring, sum(numerators, ()))
+    """(numerator grid, normalized grid or None) at the sink; the ratios
+    come from the sweep's scaled grid, finite where the flow underflows."""
+    layer, r = state.table._where[state.sink]
+    block, exponent = state.table._layers[layer]
+    numerators = tuple(tuple(row) for row in _unscaled(block[r].tolist(), exponent))
+    flat = _normalize(state.semiring, tuple(block[r].ravel().tolist()))
     if flat is None:
         return numerators, None
     width = state.order_z + 1

@@ -22,14 +22,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trelliskit import (
+    Bsc,
     DepthFunctionTable,
     LatticeError,
     SemiringError,
     Trellis,
     ZeroFlowError,
     backward_distributions,
+    build_conv_trellis,
+    channel_lambda_labels,
+    correlation_g_table,
     forward_distributions,
     lattice_step,
+    make_received,
     symbol_distribution,
     trellis_distribution,
 )
@@ -593,3 +598,96 @@ def test_lattice_step_matches_reference(instance, kind):
     want = step_outcome(reference_lattice_step, t, g)
     assert step_outcome(lattice_step, t, g) == want
     assert step_outcome(lattice_step, t, g.values_of(t.edges)) == want
+
+
+# -- codes of realistic size --------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def bsc_words():
+    """(labeled trellis, g) for hard-decision words over a BSC with
+    p = 0.2: [7,5] K=30 (rank 64) and [171,133] K=6 (64 states), each
+    also with a third of its labels set to 0, which leaves zero columns
+    inside some vertices' own lattice points."""
+    out = []
+    for generators, info_len in (((7, 5), 30), ((0o171, 0o133), 6)):
+        code = build_conv_trellis(generators, info_len)
+        _, received = make_received(code, Bsc(0.2), 5)
+        labeled = channel_lambda_labels(code, Bsc(0.2), received)
+        g = correlation_g_table(labeled, received)
+        zero = np.random.default_rng(5).random(len(labeled.edges)) < 1 / 3
+        out.append((labeled, g))
+        out.append((labeled.relabeled(np.where(zero, 0.0, labeled._lam)), g))
+    return out
+
+
+def tenths_g(t: Trellis) -> DepthFunctionTable:
+    """g = 0.1*k, k in -3..3: a lattice whose step no double holds."""
+    rng = np.random.default_rng(7)
+    return DepthFunctionTable({e.id: 0.1 * float(rng.integers(-3, 4)) for e in t.edges})
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_exact_sweep_matches_reference_on_codes(bsc_words, direction):
+    for t, g in bsc_words:
+        step = lattice_step(t, g)
+        got = distributions._exact_sweep(t, g, direction, step)
+        want = reference_exact_sweep(t, g, direction, step)
+        assert list(got) == list(want)
+        for v in want:
+            assert exact_fields(got[v]) == exact_fields(want[v]), v
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_exact_sweep_on_a_non_dyadic_lattice(bsc_words, direction):
+    """Offsets are sums of tenths, which the window adds in another
+    order than the per-vertex minimum does; the masses add the same
+    products in the same order."""
+    for t, _ in bsc_words:
+        g = tenths_g(t)
+        step = lattice_step(t, g)
+        got = distributions._exact_sweep(t, g, direction, step)
+        want = reference_exact_sweep(t, g, direction, step)
+        for v in want:
+            a, b = got[v], want[v]
+            assert [bits(w) for w in a.mass] == [bits(w) for w in b.mass], v
+            assert abs(a.offset - b.offset) <= 1e-12 * max(abs(a.offset), abs(b.offset), step)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_exact_windows_stay_within_the_lattice_bound(bsc_words, direction):
+    """A layer's window spans at most the sections walked so far: one
+    point plus each section's g span in steps.  Over all sections that
+    is the length ``lattice_step`` holds to MAX_EXACT_BINS."""
+    for t, g in [*bsc_words, *((t, tenths_g(t)) for t, _ in bsc_words)]:
+        step = lattice_step(t, g)
+        spans = [0.0] * (t.rank + 1)
+        for depth in range(1, t.rank + 1):
+            values = [g.value(e) for e in t.edges_at(depth)]
+            spans[depth] = (max(values) - min(values)) / step
+        if direction == "backward":
+            spans[1:] = spans[:0:-1]
+        state = distributions._exact_sweep(t, g, direction, step)
+        widths = [masses.shape[1] for _, _, masses in state._layers]
+        bounds = np.cumsum(spans) + 1
+        assert all(w <= round(b) for w, b in zip(widths, bounds)), (widths, bounds)
+        assert bounds[-1] <= distributions.MAX_EXACT_BINS
+
+
+def test_reading_vertices_leaves_joins_unchanged(bsc_words):
+    for t, g in bsc_words:
+        fd, bd = forward_distributions(t, g, "exact"), backward_distributions(t, g, "exact")
+
+        def joins():
+            cuts = [trellis_distribution(fd, bd, d) for d in range(0, t.rank + 1, 7)]
+            symbols = [
+                symbol_distribution(t, g, fd, bd, d, s)
+                for d in range(1, t.rank + 1, 7)
+                for s in (1.0, -1.0)
+            ]
+            return [exact_fields(d) for d in cuts + symbols]
+
+        before = joins()
+        for state in (fd, bd):
+            assert len([state.exact[v] for v in state.exact]) == len(t.vertices)
+        assert joins() == before

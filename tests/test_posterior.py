@@ -26,10 +26,13 @@ from trelliskit import (
     conditional_entropy,
     correlation_g_table,
     forward_numerators,
+    joint_forward_numerators,
+    joint_trellis_moments,
     make_received,
     normalized_states,
     symbol_moments,
     symbol_probability,
+    trellis_moments,
     write_trellis,
 )
 from trelliskit.cli import main
@@ -106,6 +109,23 @@ def test_long_code_log2_flow_matches_normalized_states(long_cases):
         assert abs(got.log2_flow - log2_flow) <= 1e-9 * abs(log2_flow)
         for a, b in zip(got.normalized, want.normalized[labeled.sink]):
             assert abs(a - b) <= 1e-9 * max(1.0, abs(b)), (a, b)
+
+
+def test_long_code_joint_moments_normalize_the_scaled_grid(code300):
+    """With g_y = g_z the joint grid at (k, m) is the order-(k+m) moment,
+    so it matches the order-2 sweep's normalized moments although every
+    raw numerator underflows to 0."""
+    _, received = make_received(code300, Awgn(2.0), 3)
+    labeled = channel_lambda_labels(code300, Awgn(2.0), received)
+    g = correlation_g_table(labeled, received)
+    numerators, grid = joint_trellis_moments(
+        joint_forward_numerators(labeled, g, g, 1, 1)
+    )
+    assert numerators == ((0.0, 0.0), (0.0, 0.0))
+    want = trellis_moments(forward_numerators(labeled, g, 2)).normalized
+    assert grid is not None and grid[0][0] == 1.0
+    for k, m in ((0, 1), (1, 0), (1, 1)):
+        assert abs(grid[k][m] - want[k + m]) <= 1e-12 * abs(want[k + m]), (k, m)
 
 
 @pytest.mark.parametrize(
