@@ -40,8 +40,10 @@ edge (x) backward summed over the edges of one section, as BCJR joins
 its state and branch posteriors.  A symbol distribution joins the
 section's edges that carry the c-label; a cut at depth d is a section of
 identity edges, each vertex of layer d to itself with g 0 and lambda 1.
-The join convolves each edge's forward and backward rows and merges them
-as one owner's rows: ``_merge_exact``, or the quantized sweep's merge.
+The join convolves each edge's forward and backward rows.  In exact mode
+every row of a layer sits at that layer's window offset, so the rows
+scatter on the edges' lattice shifts, as in the sweep; in quantized mode
+they merge as one owner's rows in the sweep's merge.
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import LatticeError, SemiringError, ZeroFlowError
-from .moments import MomentState, _LayerRows, forward_numerators, trellis_moments
+from .moments import (
+    MomentState, _LayerRows, _require_swept_over, forward_numerators, trellis_moments,
+)
 from .trellis import DepthFunctionTable, Trellis, WalkPlan, require_valid
 
 # Smallest usable exact-lattice step and largest exact-mode mass vector.
@@ -524,6 +528,23 @@ def _snap_mean(
     return np.where(aligned, base + (lo + up) * width, weighted_means)
 
 
+def _lattice_shifts(
+    gval: np.ndarray, bounds: Sequence[int], step: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each section's smallest g, and every edge's integer shift above it.
+
+    Section j is ``gval[bounds[j]:bounds[j+1]]``, none empty.  An edge's
+    shift is rint((g - its section's smallest g) / step); with ``step`` 0
+    every section's g values must coincide, and every shift is 0.
+    """
+    lows = np.minimum.reduceat(gval, bounds[:-1])
+    spread = gval - np.repeat(lows, np.diff(bounds))
+    t = spread / step if step else np.where(spread == 0.0, 0.0, 0.5)
+    if (np.abs(t - np.rint(t)) > 1e-6).any():
+        raise LatticeError(f"g values of a section are off the step-{step} lattice")
+    return lows, np.rint(t).astype(np.intp)
+
+
 def _exact_sweep(
     trellis: Trellis,
     g: Union[DepthFunctionTable, np.ndarray],
@@ -542,15 +563,8 @@ def _exact_sweep(
     plan = trellis.plan(direction)
     lam = plan.lam(trellis)
     gval = _edge_values(trellis, g)[plan.edges]
-    firsts = plan.bounds[:-1]
-    lows = np.minimum.reduceat(gval, firsts)
-    spread = gval - np.repeat(lows, np.diff(plan.bounds))
-    # With step 0 every section's g values must coincide.
-    t = spread / step if step else np.where(spread == 0.0, 0.0, 0.5)
-    if (np.abs(t - np.rint(t)) > 1e-6).any():
-        raise LatticeError(f"g values of a section are off the step-{step} lattice")
-    shifts = np.rint(t).astype(np.intp)
-    growth = np.maximum.reduceat(shifts, firsts)
+    lows, shifts = _lattice_shifts(gval, plan.bounds, step)
+    growth = np.maximum.reduceat(shifts, plan.bounds[:-1])
     cols = np.arange(growth.sum() + 1)
     starts, blocks = [0], [np.ones((1, 1))]
     for k, edges in plan.layer_edges():
@@ -573,55 +587,6 @@ def _exact_sweep(
     layers = [(offsets[j - n : j], lengths[j - n : j], block)
               for n, j, block in zip(sizes, ends, blocks)]
     return _ExactRows(plan, layers, shifts, step, starts)
-
-
-def _merge_exact(
-    offsets: np.ndarray,
-    rows: np.ndarray,
-    lengths: np.ndarray,
-    owners: np.ndarray,
-    n_owners: int,
-    step: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Add lattice rows into one lattice distribution per owner.
-
-    Row r holds ``lengths[r]`` masses on ``offsets[r] + k*step`` and zeros
-    beyond.  Each owner's result starts at the smallest offset among its
-    rows; with ``step`` 0 every row is a point mass, and all of an
-    owner's rows must sit at its first row's value (up to float drift).
-    Returns ``(offsets, lengths, block)``, one entry or block row per
-    owner, each row zero beyond its length.  The rows are added in
-    order, so every sum is the plain left-to-right one.
-    """
-    first = _first_rows(owners, n_owners)
-    if step == 0.0:
-        base = offsets[first]
-        anchor = base[owners]
-        bad = np.abs(offsets - anchor) > _ALIGN_TOL * np.maximum(1.0, np.abs(anchor))
-        if bad.any():
-            r = int(np.argmax(bad))
-            raise LatticeError(
-                f"point masses at {anchor[r]} and {offsets[r]} cannot merge "
-                "without a lattice"
-            )
-        k0 = np.zeros(len(offsets), dtype=np.intp)
-    else:
-        base = np.minimum.reduceat(offsets, first)
-        t = (offsets - base[owners]) / step
-        k = np.round(t)
-        bad = np.abs(t - k) > 1e-6
-        if bad.any():
-            r = int(np.argmax(bad))
-            raise LatticeError(
-                f"offsets {base[owners[r]]} and {offsets[r]} are not "
-                f"congruent modulo {step}"
-            )
-        k0 = k.astype(np.intp)
-    ends = np.maximum.reduceat(k0 + lengths, first)
-    stride = int(k0.max()) + rows.shape[1]
-    index = (owners * stride + k0)[:, None] + np.arange(rows.shape[1])
-    block = np.bincount(index.ravel(), rows.ravel(), minlength=n_owners * stride)
-    return base, ends, block.reshape(n_owners, stride)[:, : int(ends.max())]
 
 
 def _merge_quantized(
@@ -762,6 +727,8 @@ def _check_pair(forward: DistributionState, backward: DistributionState):
         )
     if forward.mode != backward.mode:
         raise SemiringError("forward and backward states use different modes")
+    if forward.layers is not backward.layers and forward.layers != backward.layers:
+        raise SemiringError("forward and backward states come from different trellises")
     if forward.step != backward.step:
         raise LatticeError(
             f"cannot combine step {forward.step} with step {backward.step}"
@@ -816,12 +783,13 @@ def symbol_distribution(
     """Distribution restricted to paths whose section-``depth`` edge
     carries c-label ``symbol``; total mass is the constrained flow.
 
-    The states are read by layer and row, so they must come from sweeps
-    over this trellis or a copy with its layers.
+    The states must come from sweeps over this trellis or a copy with
+    its layers; others raise SemiringError.
     """
     _check_pair(forward, backward)
     if not 1 <= depth <= forward.rank:
         raise SemiringError(f"section depth {depth} outside 1..{forward.rank}")
+    _require_swept_over(trellis, *((s.exact or s.quantized) for s in (forward, backward)))
     groups = trellis.symbol_groups()
     members = groups.find(depth, symbol) or slice(0, 0)
     positions = groups.positions[members]
@@ -852,21 +820,22 @@ def _join(
     Edge r joins row ``init_rows[r]`` of the forward state's layer
     ``forward_layer`` to row ``fin_rows[r]`` of the backward state's
     layer ``backward_layer``, and carries ``g[r]`` and ``lam[r]``.  Its
-    forward and backward mass rows are convolved, and the edges' rows
-    merge as one owner's incoming rows in a sweep.  With no edges, or no
-    flow in quantized mode, the result has zero mass.
+    forward and backward mass rows are convolved.  Exact rows land at
+    their g's lattice shift on the sum's window; quantized rows merge as
+    one owner's incoming rows in a sweep.  With no edges, or no flow in
+    quantized mode, the result has zero mass.
     """
     f_layers, b_layers = ((s.exact or s.quantized)._layers for s in (forward, backward))
     f_at, f_size, f_masses = f_layers[forward_layer]
     b_at, b_size, b_masses = b_layers[backward_layer]
-    owners = np.zeros(len(init_rows), dtype=np.intp)
     exact = forward.mode == "exact"
     half_bins, width = forward.half_bins, forward.bin_width
-    if exact and not len(owners):
+    if exact and not len(init_rows):
         # Zero mass; with bipolar g, at a point of the padded domain.
         at = -float(forward.rank) if forward.hard_decision else 0.0
         return _pad_hard(forward, ExactDistribution(at, forward.step, (0.0,)))
     if not exact:
+        owners = np.zeros(len(init_rows), dtype=np.intp)
         weights = f_size[init_rows] * lam * b_size[fin_rows]
         flow = np.bincount(owners, weights, minlength=1)
         if flow[0] <= 0.0:
@@ -875,16 +844,16 @@ def _join(
             )
     pairs = zip(init_rows.tolist(), fin_rows.tolist())
     rows = np.array([np.convolve(f_masses[i], b_masses[j]) for i, j in pairs])
-    at = f_at[init_rows] + g + b_at[fin_rows]
     if exact:
-        lengths = np.full(len(owners), rows.shape[1])
-        offsets, lengths, block = _merge_exact(
-            at, rows * lam[:, None], lengths, owners, 1, forward.step
-        )
-        merged = ExactDistribution(
-            float(offsets[0]), forward.step, tuple(block[0, : lengths[0]].tolist())
-        )
+        # Every row of a window layer sits at its layer's offset, so an
+        # edge's place in the sum is its g's lattice shift.
+        (low,), shifts = _lattice_shifts(g, (0, len(g)), forward.step)
+        index = shifts[:, None] + np.arange(rows.shape[1])
+        mass = np.bincount(index.ravel(), (rows * lam[:, None]).ravel())
+        at = f_at[0] + low + b_at[0]
+        merged = ExactDistribution(float(at), forward.step, tuple(mass.tolist()))
         return _pad_hard(forward, merged.trimmed())
+    at = f_at[init_rows] + g + b_at[fin_rows]
     means, block = _merge_quantized(rows, at, weights, owners, flow, half_bins, width)
     return QuantizedDistribution(
         float(means[0]), half_bins, width, tuple((block[0] * flow[0]).tolist())

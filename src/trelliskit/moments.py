@@ -115,6 +115,20 @@ class _LayerRows(Mapping):
         return len(self._where)
 
 
+def _require_swept_over(
+    trellis: Trellis, forward: _LayerRows, backward: _LayerRows
+) -> None:
+    """SemiringError unless ``forward`` and ``backward`` walked the layers
+    of ``trellis``: a join reads states by layer and row, so rows of
+    another topology give wrong numbers.  A ``relabeled`` copy shares the
+    walk plans, so identity settles most calls; a trellis loaded twice
+    compares equal."""
+    for direction, rows in (("forward", forward), ("backward", backward)):
+        where = trellis.plan(direction).where
+        if rows._where is not where and rows._where != where:
+            raise SemiringError("the states were not swept over this trellis")
+
+
 def _unscaled(row: list[Any], exponent: int) -> list[Any]:
     return np.ldexp(row, exponent).tolist() if exponent else row
 
@@ -401,8 +415,8 @@ def symbol_moments(
 ) -> SymbolMoments:
     """Combine forward and backward numerators across one section.
 
-    The states are read by layer and row, so they must come from sweeps
-    over this trellis or a copy with its layers.  When no section-``depth``
+    The states must come from sweeps over this trellis or a copy with its
+    layers; others raise SemiringError.  When no section-``depth``
     edge carries c-label ``symbol`` the numerators are all the semiring
     zero and ``normalized`` is None.
     """
@@ -412,6 +426,7 @@ def symbol_moments(
         raise SemiringError("forward and backward states use different semirings")
     if not 1 <= depth <= trellis.rank:
         raise SemiringError(f"section depth {depth} outside 1..{trellis.rank}")
+    _require_swept_over(trellis, forward.table, backward.table)
     semiring = forward.semiring
     max_order = min(forward.max_order, backward.max_order)
     groups = trellis.symbol_groups()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 import numpy as np
 
@@ -73,8 +73,7 @@ class SemiringSpec:
     SemiringError when a value is not representable.  ``scale`` is the
     n-fold add of binomial-coefficient weighting, element-wise on arrays
     (``n * a`` for the real semiring, ``a`` for n >= 1 when add is
-    idempotent); the sweeps need it, and ``nat_scale`` falls back to
-    repeated doubling without it.
+    idempotent); the sweeps call it, so every semiring gives it.
 
     Instances are immutable values and safe to share between workers; all
     operations are pure functions of their arguments.
@@ -85,15 +84,19 @@ class SemiringSpec:
     mul: np.ufunc
     zero: Any
     one: Any
+    scale: Callable[[Any, Any], Any]
     from_real: Callable[[Any], Any] = _carrier
-    scale: Optional[Callable[[Any, Any], Any]] = None
 
     def __repr__(self) -> str:  # keeps JSON/debug output short
         return f"SemiringSpec({self.name!r})"
 
 
 def nat_scale(semiring: SemiringSpec, n: int, a: Any) -> Any:
-    """n-fold ``add`` of ``a`` with itself; ``zero`` when n == 0."""
+    """n-fold ``add`` of ``a`` with itself; ``zero`` when n == 0.
+
+    A spec built with ``scale=None`` gets the n-fold add by repeated
+    doubling, which is how each semiring's ``scale`` can be checked.
+    """
     if n < 0:
         raise SemiringError(f"natural scaling needs n >= 0, got {n}")
     if semiring.scale is not None:

@@ -243,35 +243,6 @@ class Trellis:
             )
         return self._edge_lookup().sections[depth - 1]
 
-    def walk(
-        self, direction: str
-    ) -> tuple[
-        int,
-        Iterator[tuple[tuple[int, tuple[Edge, ...]], ...]],
-        Callable[[Edge], int],
-    ]:
-        """The order in which a sweep in ``direction`` visits the vertices.
-
-        Returns ``(start, steps, neighbor)``.  A forward sweep starts at the
-        source and a backward one at the sink; ``steps`` yields one group
-        per layer, layer by layer away from ``start``, holding every vertex
-        of that layer with its local edges (in-edges going forward,
-        out-edges going backward); ``neighbor(e)`` is the end of a local
-        edge that the sweep has already visited, which lies in the group
-        before.  :class:`WalkPlan` is the same walk as index arrays.
-        """
-        lookup = self._edge_lookup()
-        if direction == "forward":
-            start, layers, local = self.source, self.layers[1:], lookup.into
-            neighbor = attrgetter("init")
-        elif direction == "backward":
-            start, layers, local = self.sink, self.layers[-2::-1], lookup.out
-            neighbor = attrgetter("fin")
-        else:
-            raise SemiringError(f"unknown direction {direction!r}")
-        steps = (tuple((v, local[v]) for v in layer) for layer in layers)
-        return start, steps, neighbor
-
     def plan(self, direction: str) -> "WalkPlan":
         """The walk in ``direction`` as index arrays (see :class:`WalkPlan`).
 
@@ -461,12 +432,15 @@ def _group_symbols(trellis: Trellis) -> SymbolGroups:
 
 @dataclass(frozen=True, eq=False)
 class WalkPlan:
-    """One direction's walk (``Trellis.walk``) as index arrays.
+    """One direction's walk as index arrays.
 
-    ``layers[0]`` is the start vertex alone; ``layers[k]`` (k >= 1) is
-    the k-th group of the walk, and its local edges are entries
-    ``bounds[k-1]:bounds[k]`` of the per-edge arrays, grouped by owning
-    vertex in layer order.  Per edge: ``edges`` is its position in
+    A forward walk starts at the source and a backward one at the sink,
+    and visits the vertices layer by layer away from it; a vertex's
+    local edges are its in-edges going forward and its out-edges going
+    backward.  ``layers[0]`` is the start vertex alone; ``layers[k]``
+    (k >= 1) is the k-th layer of the walk, and its local edges are
+    entries ``bounds[k-1]:bounds[k]`` of the per-edge arrays, grouped by
+    owning vertex in layer order.  Per edge: ``edges`` is its position in
     ``Trellis.edges``, ``owners`` the owning vertex's row in its layer and
     ``rows`` the neighbour's row in the layer before.  ``firsts[k]`` holds
     the offset of each vertex's first local edge within its layer's
@@ -507,7 +481,7 @@ def _walk_plan(trellis: Trellis, direction: str) -> WalkPlan:
     # In a valid trellis every edge joins consecutive depths, so a stable
     # sort of the edges by the walk layer and row of the vertex that owns
     # them lists each vertex's local edges in edge order, vertex by vertex
-    # in walk order: the order of Trellis.walk.
+    # in walk order, each in the order of in_edges or out_edges.
     a = trellis.edge_arrays
     if direction == "forward":
         start, layers = trellis.source, trellis.layers[1:]
@@ -879,7 +853,10 @@ def loads_trellis(text: str) -> Trellis:
             if fields[0] == "trellis":
                 rank = int(_keyed(fields[1], "rank"))
             elif fields[0] == "v":
-                vertex_depths[int(fields[1])] = int(_keyed(fields[2], "depth"))
+                vid = int(fields[1])
+                if vid in vertex_depths:
+                    raise ValueError(f"duplicate vertex id {vid}")
+                vertex_depths[vid] = int(_keyed(fields[2], "depth"))
             elif fields[0] == "e":
                 edges.append(
                     Edge(
@@ -938,6 +915,10 @@ def read_g_table(path, trellis: Trellis) -> DepthFunctionTable:
                 raise TrellisFormatError(f"line {lineno}: {exc}") from None
             if not math.isfinite(value):
                 raise TrellisFormatError(f"line {lineno}: non-finite g value {value!r}")
+            if edge_id in values:
+                raise TrellisFormatError(
+                    f"line {lineno}: duplicate g value for edge {edge_id}"
+                )
             values[edge_id] = value
     for e in trellis.edges:
         if e.id not in values:

@@ -1,8 +1,9 @@
 import math
+from operator import attrgetter
 
 import pytest
 
-from trelliskit import DepthFunctionTable, build_spc_trellis
+from trelliskit import DepthFunctionTable, SemiringError, build_spc_trellis
 
 
 def rel_err(a: float, b: float) -> float:
@@ -46,6 +47,29 @@ def spc4():
 @pytest.fixture(scope="session")
 def spc4_clabel_g(spc4):
     return DepthFunctionTable.from_clabels(spc4)
+
+
+def reference_walk(trellis, direction):
+    """The order in which a sweep in ``direction`` visits the vertices,
+    as ``Edge`` objects: the walk that ``Trellis.plan`` holds as arrays.
+
+    Returns ``(start, steps, neighbor)``.  A forward sweep starts at the
+    source and a backward one at the sink; ``steps`` yields one group per
+    layer, layer by layer away from ``start``, holding every vertex of
+    that layer with its local edges (in-edges going forward, out-edges
+    going backward); ``neighbor(e)`` is the end of a local edge that the
+    sweep has already visited, which lies in the group before.
+    """
+    if direction == "forward":
+        start, layers, local = trellis.source, trellis.layers[1:], trellis.in_edges
+        neighbor = attrgetter("init")
+    elif direction == "backward":
+        start, layers, local = trellis.sink, trellis.layers[-2::-1], trellis.out_edges
+        neighbor = attrgetter("fin")
+    else:
+        raise SemiringError(f"unknown direction {direction!r}")
+    steps = (tuple((v, local(v)) for v in layer) for layer in layers)
+    return start, steps, neighbor
 
 
 def entropy_bits(probabilities) -> float:

@@ -42,6 +42,8 @@ from trelliskit import distributions
 from trelliskit.distributions import ExactDistribution, QuantizedDistribution
 from trelliskit.oracles import random_trellis
 
+from conftest import reference_walk
+
 PROPERTY_SETTINGS = settings(
     max_examples=150, deadline=None, derandomize=True, database=None
 )
@@ -119,7 +121,7 @@ def reference_merge_exact(parts, step):
 
 
 def reference_exact_sweep(trellis, g, direction, step):
-    start, steps, neighbor = trellis.walk(direction)
+    start, steps, neighbor = reference_walk(trellis, direction)
     dists = {start: ExactDistribution(0.0, step, (1.0,))}
     for group in steps:
         for v, edges in group:
@@ -138,7 +140,7 @@ def reference_quantized_sweep(trellis, g, direction, half_bins, width):
                 f"quantized mode needs nonnegative labels; edge {e.id} "
                 f"has {e.lam}"
             )
-    start, steps, neighbor = trellis.walk(direction)
+    start, steps, neighbor = reference_walk(trellis, direction)
     dists = {start: QuantizedDistribution.dirac(half_bins, width)}
     flows = {start: 1.0}
     for group in steps:
@@ -443,22 +445,6 @@ def test_snap_mean_matches_reference(groups, width):
     for owner, wmean in enumerate(weighted):
         group = [mu for mu, o in zip(means, owners) if o == owner]
         assert bits(got[owner]) == bits(reference_snap_mean(wmean, group, width))
-
-
-def test_point_mass_merge_keeps_the_first_offset():
-    parts = [(1.0 + 1e-12, np.array([0.25])), (1.0, np.array([0.5]))]
-    offsets, lengths, block = distributions._merge_exact(
-        np.array([off for off, _ in parts]),
-        np.array([mass for _, mass in parts]),
-        np.ones(len(parts), dtype=np.intp),
-        np.zeros(len(parts), dtype=np.intp),
-        1,
-        0.0,
-    )
-    got = ExactDistribution(float(offsets[0]), 0.0, tuple(block[0, : lengths[0]].tolist()))
-    want = reference_merge_exact(parts, 0.0)
-    assert exact_fields(got) == exact_fields(want)
-    assert got.offset == 1.0 + 1e-12
 
 
 @PROPERTY_SETTINGS

@@ -10,6 +10,7 @@ from trelliskit import (
     LatticeError,
     QuantizationParams,
     QuantizedDistribution,
+    SemiringError,
     Trellis,
     ZeroFlowError,
     backward_distributions,
@@ -17,9 +18,11 @@ from trelliskit import (
     build_spc_trellis,
     channel_lambda_labels,
     convolve,
+    dumps_trellis,
     forward_distributions,
     forward_numerators,
     lattice_step,
+    loads_trellis,
     redistribute,
     shift,
     symbol_distribution,
@@ -234,6 +237,29 @@ class TestExactPipeline:
                     / total
                 )
                 assert_close(dist.total() / theta, want, 1e-9)
+
+    def test_states_of_another_trellis_raise(self, spc4, spc4_clabel_g):
+        fwd = forward_distributions(spc4, spc4_clabel_g, mode="exact")
+        bwd = backward_distributions(spc4, spc4_clabel_g, mode="exact")
+        for other in (build_spc_trellis(6), build_conv_trellis((7, 5), 3)):
+            g = DepthFunctionTable.from_clabels(other)
+            other_bwd = backward_distributions(other, g, mode="exact")
+            with pytest.raises(SemiringError, match="different trellises"):
+                trellis_distribution(fwd, other_bwd, 2)
+            with pytest.raises(SemiringError, match="different trellises"):
+                symbol_distribution(spc4, spc4_clabel_g, fwd, other_bwd, 2, 1.0)
+            with pytest.raises(SemiringError, match="not swept over this trellis"):
+                symbol_distribution(other, g, fwd, bwd, 2, 1.0)
+
+    def test_states_of_a_copy_or_a_reload_are_accepted(self, spc4, spc4_clabel_g):
+        fwd = forward_distributions(spc4, spc4_clabel_g, mode="exact")
+        bwd = backward_distributions(spc4, spc4_clabel_g, mode="exact")
+        cut = trellis_distribution(fwd, bwd, 2)
+        sym = symbol_distribution(spc4, spc4_clabel_g, fwd, bwd, 2, 1.0)
+        for t in (spc4.relabeled(lambda e: e.lam), loads_trellis(dumps_trellis(spc4))):
+            t_bwd = backward_distributions(t, spc4_clabel_g, mode="exact")
+            assert trellis_distribution(fwd, t_bwd, 2) == cut
+            assert symbol_distribution(t, spc4_clabel_g, fwd, t_bwd, 2, 1.0) == sym
 
     def test_normalizing_gives_density(self):
         t = random_trellis(16)

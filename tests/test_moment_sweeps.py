@@ -62,6 +62,8 @@ from trelliskit.distributions import ExactDistribution, QuantizedDistribution
 from trelliskit.oracles import random_trellis
 from trelliskit.semirings import _PASCAL
 
+from conftest import reference_walk
+
 PROPERTY_SETTINGS = settings(
     max_examples=150, deadline=None, derandomize=True, database=None
 )
@@ -106,7 +108,7 @@ def reference_numerators(trellis, g, max_order, direction):
     """Vertex -> numerator row (orders 0..max_order) of one sweep."""
     require_valid(trellis)
     _check_order(max_order)
-    start, steps, neighbor = trellis.walk(direction)
+    start, steps, neighbor = reference_walk(trellis, direction)
     lift = {e.id: _lift(e.lam, g.value(e), max_order) for e in trellis.edges}
     table = {start: [1.0] + [0.0] * max_order}
     for group in steps:
@@ -120,7 +122,7 @@ def reference_normalized_states(trellis, g, max_order, direction):
     """(vertex -> normalized row, vertex -> log flow) of one sweep."""
     require_valid(trellis)
     _check_order(max_order)
-    start, steps, neighbor = trellis.walk(direction)
+    start, steps, neighbor = reference_walk(trellis, direction)
     for e in trellis.edges:
         if e.lam < 0:
             raise SemiringError(
@@ -502,7 +504,7 @@ def test_labelling_and_op_sweeps_keep_few_tracked_objects():
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_distribution_states_are_read_only_vertex_mappings(direction):
     t = random_trellis(3)
-    start, steps, _ = t.walk(direction)
+    start, steps, _ = reference_walk(t, direction)
     walk_order = [start] + [v for group in steps for v, _ in group]
     g = DepthFunctionTable.from_clabels(t)
     sweep = forward_distributions if direction == "forward" else backward_distributions
@@ -599,7 +601,7 @@ def reference_semiring_numerators(trellis, g, max_order, semiring, direction):
     """Vertex -> numerator row of one sweep in ``semiring``."""
     require_valid(trellis)
     _check_order(max_order)
-    start, steps, neighbor = trellis.walk(direction)
+    start, steps, neighbor = reference_walk(trellis, direction)
     lift = {
         e.id: lift_in(semiring, e.lam, g.value(e), max_order) for e in trellis.edges
     }
@@ -626,7 +628,7 @@ def reference_symbol_moments(trellis, g, forward, backward, depth, symbol, semir
 def reference_joint(trellis, g_y, g_z, order_y, order_z, semiring):
     """Vertex -> joint numerator grid [k][m] of the forward sweep."""
     require_valid(trellis)
-    start, steps, neighbor = trellis.walk("forward")
+    start, steps, neighbor = reference_walk(trellis, "forward")
     lift_y, pow_z = {}, {}
     for e in trellis.edges:
         lift_y[e.id] = lift_in(semiring, e.lam, g_y.value(e), order_y)

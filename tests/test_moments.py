@@ -17,10 +17,12 @@ from trelliskit import (
     build_spc_trellis,
     counted_run,
     counted_symbol_pass,
+    dumps_trellis,
     forward_numerators,
     get_semiring,
     joint_forward_numerators,
     joint_trellis_moments,
+    loads_trellis,
     normalized_states,
     symbol_moments,
     trellis_moments,
@@ -306,6 +308,27 @@ class TestSymbolMoments:
         fwd = forward_numerators(spc4, spc4_clabel_g, 1)
         with pytest.raises(SemiringError):
             symbol_moments(spc4, spc4_clabel_g, fwd, fwd, 1, 1.0)
+
+    def test_states_of_another_trellis_raise(self, spc4, spc4_clabel_g):
+        spc6 = build_spc_trellis(6)
+        g6 = DepthFunctionTable.from_clabels(spc6)
+        fwd = forward_numerators(spc4, spc4_clabel_g, 2)
+        bwd = backward_numerators(spc4, spc4_clabel_g, 2)
+        bwd6 = backward_numerators(spc6, g6, 2)
+        with pytest.raises(SemiringError, match="not swept over this trellis"):
+            symbol_moments(spc4, spc4_clabel_g, fwd, bwd6, 2, 1.0)
+        with pytest.raises(SemiringError, match="not swept over this trellis"):
+            symbol_moments(spc6, g6, fwd, bwd, 2, 1.0)
+
+    def test_states_of_a_copy_or_a_reload_are_accepted(self, spc4, spc4_clabel_g):
+        fwd = forward_numerators(spc4, spc4_clabel_g, 2)
+        bwd = backward_numerators(spc4, spc4_clabel_g, 2)
+        want = symbol_moments(spc4, spc4_clabel_g, fwd, bwd, 2, 1.0)
+        copy = spc4.relabeled(lambda e: e.lam)
+        reloaded = loads_trellis(dumps_trellis(spc4))
+        assert reloaded.plan("forward").where is not spc4.plan("forward").where
+        for t in (copy, reloaded):
+            assert symbol_moments(t, spc4_clabel_g, fwd, bwd, 2, 1.0) == want
 
 
 class TestJointMoments:

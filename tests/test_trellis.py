@@ -255,6 +255,11 @@ class TestTextFormat:
         with pytest.raises(TrellisFormatError):
             loads_trellis("trellis rank=1\nv 0 depth=zero\n")
 
+    def test_repeated_vertex_names_line(self):
+        text = "trellis rank=2\nv 0 depth=0\nv 1 depth=1\nv 1 depth=2\nv 2 depth=2\n"
+        with pytest.raises(TrellisFormatError, match="line 4: duplicate vertex id 1"):
+            loads_trellis(text)
+
     def test_non_finite_labels_rejected(self):
         head = "trellis rank=1\nv 0 depth=0\nv 1 depth=1\n"
         for fields in ("lambda=nan clabel=1.0", "lambda=0.5 clabel=-inf"):
@@ -303,4 +308,16 @@ class TestDepthFunctionTable:
         path = tmp_path / "g.table"
         path.write_text("# g table\n" + "".join(f"g {e.id} nan\n" for e in spc4.edges))
         with pytest.raises(TrellisFormatError, match="line 2: non-finite"):
+            read_g_table(path, spc4)
+
+    def test_repeated_file_value_names_line(self, spc4, tmp_path):
+        from trelliskit import read_g_table
+
+        first = spc4.edges[0].id
+        lines = [f"g {e.id} 1.0\n" for e in spc4.edges] + [f"g {first} 2.0\n"]
+        path = tmp_path / "g.table"
+        path.write_text("".join(lines))
+        with pytest.raises(
+            TrellisFormatError, match=f"line {len(lines)}: duplicate g value for edge {first}"
+        ):
             read_g_table(path, spc4)
