@@ -32,13 +32,7 @@ import numpy as np
 
 from .errors import ChannelError, TrellisStructureError, ZeroFlowError
 from .moments import _posterior
-from .trellis import (
-    DepthFunctionTable,
-    Edge,
-    Trellis,
-    is_bipolar,
-    split_multi_symbol_edges,
-)
+from .trellis import DepthFunctionTable, Trellis, _chained, is_bipolar
 
 MAX_CONV_MEMORY = 16
 
@@ -159,14 +153,17 @@ def transmit(
 
 
 def random_codeword(trellis: Trellis, rng: np.random.Generator) -> list[float]:
-    """c-labels along a random source-to-sink walk (uniform per branch)."""
-    word = []
-    v = trellis.source
+    """c-labels along a random source-to-sink walk: at each vertex, one
+    of its out-edges, in edge order, drawn uniformly."""
+    a = trellis.edge_arrays
+    order = np.argsort(a.init, kind="stable")
+    tails, heads, clabels = a.init[order], a.fin[order].tolist(), a.clabel[order].tolist()
+    word, v = [], trellis.source
     while v != trellis.sink:
-        edges = trellis.out_edges(v)
-        e = edges[int(rng.integers(0, len(edges)))]
-        word.append(e.clabel)
-        v = e.fin
+        lo, hi = np.searchsorted(tails, (v, v + 1)).tolist()
+        k = lo + int(rng.integers(0, hi - lo))
+        word.append(clabels[k])
+        v = heads[k]
     return word
 
 
@@ -192,17 +189,17 @@ def build_spc_trellis(n: int) -> Trellis:
     """
     if n < 2:
         raise TrellisStructureError(f"SPC block length must be >= 2, got {n}")
-    edges: list[Edge] = []
-    for depth in range(1, n + 1):
-        for parity in (0,) if depth == 1 else (0, 1):
-            for symbol in (1.0, -1.0):
-                # A -1 flips the parity, and the sink takes even parity.
-                nxt = parity ^ (symbol < 0)
-                if depth < n or nxt == 0:
-                    init = max(2 * depth - 3 + parity, 0)
-                    fin = 2 * depth - 1 + nxt
-                    edges.append(Edge(len(edges), init, fin, 1.0, symbol))
-    return Trellis(n, {v: (v + 1) // 2 for v in range(2 * n)}, edges)
+    # (depth, parity before, flip) of every edge, in edge order: a -1
+    # symbol flips the parity, and the sink takes even parity.
+    d, p, x = np.array(
+        [(d, p, x) for d in range(1, n + 1) for p in range(1 + (d > 1)) for x in (0, 1)
+         if d < n or p == x]
+    ).T
+    v = np.arange(2 * n)
+    return Trellis._from_arrays(
+        n, v, (v + 1) // 2, np.arange(len(d)), np.maximum(2 * d - 3 + p, 0),
+        2 * d - 1 + (p ^ x), np.ones(len(d)), 1.0 - 2.0 * x,
+    )
 
 
 def parse_generators(spec: str) -> tuple[int, ...]:
@@ -240,43 +237,37 @@ def build_conv_trellis(generators: Sequence[int], info_len: int) -> Trellis:
             f"encoder memory {memory} exceeds the supported maximum "
             f"{MAX_CONV_MEMORY}"
         )
-    n_out = len(gens)
     sections = info_len + memory
     if sections == 0:
         raise TrellisStructureError(
             "memoryless code with zero info bits has an empty trellis"
         )
 
-    # Vertices are numbered layer by layer, states in increasing order.
-    layer, vid_of = [0], {(0, 0): 0}
-    edges: list[Edge] = []
-    symbols: dict[int, tuple[float, ...]] = {}
-    eid = 0
-    for t in range(1, sections + 1):
-        inputs = (0, 1) if t <= info_len else (0,)
-        prev = layer
-        layer = sorted({_conv_next(s, u, memory) for s in prev for u in inputs})
-        for s in layer:
-            vid_of[(t, s)] = len(vid_of)
-        for s in prev:
-            for u in inputs:
-                nxt = _conv_next(s, u, memory)
-                window = (u << memory) | s
-                out = tuple(
-                    1.0 - 2.0 * (bin(gen & window).count("1") & 1) for gen in gens
-                )
-                edges.append(Edge(eid, vid_of[(t - 1, s)], vid_of[(t, nxt)], 1.0, 0.0))
-                symbols[eid] = out
-                eid += 1
-    vertex_depths = {vid: depth for (depth, _), vid in vid_of.items()}
-    raw = Trellis(sections, vertex_depths, edges)
-    return split_multi_symbol_edges(raw, n_out, symbols)
-
-
-def _conv_next(state: int, u: int, memory: int) -> int:
-    if memory == 0:
-        return 0
-    return (u << (memory - 1)) | (state >> 1)
+    # Layer t holds the states whose bits low[t]..high[t]-1 are free (the
+    # bits below are the zero start, those above the zero tail), and the
+    # state j << low[t] is its row j.
+    t = np.arange(sections + 1)
+    low = np.maximum(memory - t, 0)
+    high = memory - np.maximum(t - info_len, 0)
+    sizes = 1 << np.maximum(high - low, 0)
+    first = np.cumsum(sizes) - sizes
+    # A section's edges: each state of the layer before, in order, with
+    # input 0 and then 1 (only 0 in the tail).
+    inputs = np.where(t[1:] <= info_len, 2, 1)
+    counts = sizes[:-1] * inputs
+    section = np.repeat(t[:-1], counts)
+    local = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    row, u = np.divmod(local, inputs[section])
+    # The input and the state, whose shift by one is the next state.
+    window = (u << memory) | (row << low[section])
+    # Each output symbol is the parity of its generator's taps.
+    taps = window[:, None] & np.array(gens)
+    for shift in (16, 8, 4, 2, 1):
+        taps ^= taps >> shift
+    init = first[section] + row
+    fin = first[section + 1] + ((window >> 1) >> low[section + 1])
+    symbols = 1.0 - 2.0 * (taps & 1)
+    return _chained(sections, sizes, init, fin, section, np.ones(len(init)), symbols)
 
 
 # -- uncertainty / correlation constants ----------------------------------------

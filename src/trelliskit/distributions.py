@@ -58,7 +58,8 @@ import numpy as np
 
 from .errors import LatticeError, SemiringError, ZeroFlowError
 from .moments import (
-    MomentState, _LayerRows, _require_swept_over, forward_numerators, trellis_moments,
+    MomentState, _LayerRows, _require_swept_over, _same_topology, forward_numerators,
+    trellis_moments,
 )
 from .trellis import DepthFunctionTable, Trellis, WalkPlan, require_valid
 
@@ -438,11 +439,11 @@ class _ExactRows(_LayerRows):
     each moved by the edge's shift.  The first read finds them all.
     """
 
-    __slots__ = ("_plan", "_shifts", "_step", "_starts", "_extents")
+    __slots__ = ("_shifts", "_step", "_starts", "_extents")
 
     def __init__(self, plan: WalkPlan, layers, shifts, step: float, starts):
-        super().__init__(plan.where, layers, None)
-        self._plan, self._shifts, self._step = plan, shifts, step
+        super().__init__(plan, layers, None)
+        self._shifts, self._step = shifts, step
         self._starts, self._extents = starts, None
 
     def __getitem__(self, v: int) -> ExactDistribution:
@@ -651,8 +652,8 @@ def _quantized_sweep(
         )
         layers.append((means, flow, block))
     return (
-        _LayerRows(plan.where, layers, partial(_quantized_row, half_bins, width)),
-        _LayerRows(plan.where, layers, _flow_row),
+        _LayerRows(plan, layers, partial(_quantized_row, half_bins, width)),
+        _LayerRows(plan, layers, _flow_row),
     )
 
 
@@ -727,7 +728,8 @@ def _check_pair(forward: DistributionState, backward: DistributionState):
         )
     if forward.mode != backward.mode:
         raise SemiringError("forward and backward states use different modes")
-    if forward.layers is not backward.layers and forward.layers != backward.layers:
+    rows, other = (s.exact or s.quantized for s in (forward, backward))
+    if not _same_topology(rows._plan.topology, other._plan.topology):
         raise SemiringError("forward and backward states come from different trellises")
     if forward.step != backward.step:
         raise LatticeError(

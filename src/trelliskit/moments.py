@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import SemiringError, ZeroFlowError
 from .semirings import MAX_ORDER, _PASCAL, REAL, SemiringSpec, binomial
-from .trellis import DepthFunctionTable, Trellis, WalkPlan, require_valid
+from .trellis import DepthFunctionTable, EdgeArrays, Trellis, WalkPlan, require_valid
 
 _NORMALIZABLE = ("real", "logreal")
 
@@ -81,26 +81,27 @@ def _check_order(max_order: int) -> None:
 class _LayerRows(Mapping):
     """Read-only vertex -> value view of a sweep kept as arrays per layer.
 
-    ``layers[k]`` holds the arrays of the walk's k-th layer (one block, or
-    a tuple of per-row arrays), and the vertex at ``where[v] == (k, r)``
-    is their row r; ``make(layers[k], r)`` builds the list, tuple, float
-    or distribution handed out, anew on every access, and iteration
-    follows ``where``.  A sweep keeps a few numpy arrays per layer
-    instead of one object per vertex on purpose: numpy arrays are not
-    tracked by CPython's cyclic garbage collector, while thousands of
-    per-vertex objects advance its allocation counters and move a full
-    collection into whatever code runs next.
+    ``layers[k]`` holds the arrays of the walk ``plan``'s k-th layer (one
+    block, or a tuple of per-row arrays), and the vertex at
+    ``plan.where[v] == (k, r)`` is their row r; ``make(layers[k], r)``
+    builds the list, tuple, float or distribution handed out, anew on
+    every access, and iteration follows ``plan.where``.  A sweep keeps a
+    few numpy arrays per layer instead of one object per vertex on
+    purpose: numpy arrays are not tracked by CPython's cyclic garbage
+    collector, while thousands of per-vertex objects advance its
+    allocation counters and move a full collection into whatever code
+    runs next.
     """
 
-    __slots__ = ("_where", "_layers", "_make")
+    __slots__ = ("_plan", "_where", "_layers", "_make")
 
     def __init__(
         self,
-        where: dict[int, tuple[int, int]],
+        plan: WalkPlan,
         layers: Sequence[Any],
         make: Callable[[Any, int], Any],
     ):
-        self._where = where
+        self._plan, self._where = plan, plan.where
         self._layers = layers
         self._make = make
 
@@ -115,17 +116,22 @@ class _LayerRows(Mapping):
         return len(self._where)
 
 
+def _same_topology(a: EdgeArrays, b: EdgeArrays) -> bool:
+    """Whether two trellises' edges join the same vertices in the same
+    order: a join reads states by layer and row, so rows of another
+    topology give wrong numbers.  ``relabeled`` copies share one
+    ``EdgeArrays``, so identity settles most calls; a trellis loaded
+    twice has equal ones."""
+    return a is b or (np.array_equal(a.init, b.init) and np.array_equal(a.fin, b.fin))
+
+
 def _require_swept_over(
     trellis: Trellis, forward: _LayerRows, backward: _LayerRows
 ) -> None:
-    """SemiringError unless ``forward`` and ``backward`` walked the layers
-    of ``trellis``: a join reads states by layer and row, so rows of
-    another topology give wrong numbers.  A ``relabeled`` copy shares the
-    walk plans, so identity settles most calls; a trellis loaded twice
-    compares equal."""
-    for direction, rows in (("forward", forward), ("backward", backward)):
-        where = trellis.plan(direction).where
-        if rows._where is not where and rows._where != where:
+    """SemiringError unless ``forward`` and ``backward`` walked the edges
+    of ``trellis``."""
+    for rows in (forward, backward):
+        if not _same_topology(rows._plan.topology, trellis.edge_arrays):
             raise SemiringError("the states were not swept over this trellis")
 
 
@@ -319,7 +325,7 @@ def _numerators(
     lam, gval = _edge_labels(semiring, trellis._lam, g.values_for(trellis))
     lift = _lift_rows(semiring, lam[plan.edges], gval[plan.edges], max_order).T
     layers = _sweep(semiring, plan, lift, (max_order,), prefix)
-    table = _LayerRows(plan.where, layers, _scaled_row)
+    table = _LayerRows(plan, layers, _scaled_row)
     return MomentState(
         direction, max_order, semiring, table, trellis.source, trellis.sink
     )
@@ -553,7 +559,7 @@ def joint_forward_numerators(
         (block.reshape(-1, order_y + 1, order_z + 1), exponent)
         for block, exponent in _sweep(semiring, plan, lift, (order_y, order_z))
     ]
-    table = _LayerRows(plan.where, grids, _scaled_row)
+    table = _LayerRows(plan, grids, _scaled_row)
     return JointMomentState(
         order_y, order_z, semiring, table, trellis.source, trellis.sink
     )
@@ -641,8 +647,8 @@ def normalized_states(
     return NormalizedMomentState(
         direction,
         max_order,
-        _LayerRows(plan.where, normalized, _row_tuple),
-        _LayerRows(plan.where, log_flow, _row_float),
+        _LayerRows(plan, normalized, _row_tuple),
+        _LayerRows(plan, log_flow, _row_float),
     )
 
 

@@ -11,6 +11,10 @@ allowed.  Each edge carries two labels:
 * ``clabel`` — the secondary symbol label (bipolar +/-1 code symbol in the
   coding application).  Always a plain real.
 
+A trellis keeps its edges as arrays, checked and indexed once by the one
+array constructor that the code builders, the edge splitter and the
+parser all end in; an :class:`Edge` is a read-side view of one edge.
+
 The module also provides the line-oriented text format used by the CLI,
 exhaustive path enumeration (the substrate for all brute-force oracles)
 and the edge-splitting transform that turns a multi-symbol-per-edge
@@ -91,9 +95,10 @@ class Trellis:
     be represented at all (unknown endpoints, duplicate ids, depths
     outside 0..rank) are rejected outright.
 
-    The edges are kept as arrays: the topology's :class:`EdgeArrays` and
-    one label array.  A ``relabeled`` copy stores only its labels, and
-    builds its ``Edge`` objects when a caller first reads them; any
+    The edges are kept as arrays, the topology's :class:`EdgeArrays` and
+    one label array, which one array core checks and indexes for every
+    way of making a trellis.  A trellis made from ``Edge`` objects keeps
+    them; any other builds them when a caller first reads them, and any
     trellis builds its per-vertex and per-section edge tuples then too.
     """
 
@@ -103,25 +108,66 @@ class Trellis:
         vertex_depths: Mapping[int, int] | Iterable[tuple[int, int]],
         edges: Iterable[Edge],
     ):
-        if rank < 1:
-            raise TrellisStructureError(f"rank must be >= 1, got {rank}")
         if isinstance(vertex_depths, Mapping):
             vertex_depths = vertex_depths.items()
-        depths: dict[int, int] = {}
-        by_depth: list[list[int]] = [[] for _ in range(rank + 1)]
-        for vid, depth in vertex_depths:
-            vid = int(vid)
-            if vid in depths:
-                raise TrellisStructureError(f"duplicate vertex id {vid}")
-            if not 0 <= depth <= rank:
-                raise TrellisStructureError(
-                    f"vertex {vid} depth {depth} outside 0..{rank}"
-                )
-            depths[vid] = int(depth)
-            by_depth[int(depth)].append(vid)
-        layers = tuple(tuple(sorted(layer)) for layer in by_depth)
+        vertices = np.array(list(vertex_depths), dtype=np.intp).reshape(-1, 2).T
         edges = tuple(edges)
-        arrays, lam = _edge_arrays(edges, layers)
+        ends = np.array([(e.id, e.init, e.fin) for e in edges], dtype=np.intp)
+        labels = np.array([(e.lam, e.clabel) for e in edges], dtype=float)
+        self._build(rank, *vertices, *ends.reshape(-1, 3).T, *labels.reshape(-1, 2).T, edges)
+
+    @classmethod
+    def _from_arrays(cls, *arrays: Any) -> "Trellis":
+        """``_build`` on a new trellis, which makes no ``Edge`` objects."""
+        trellis = object.__new__(cls)
+        trellis._build(*arrays, None)
+        return trellis
+
+    def _build(self, rank, vertex_ids, vertex_depths, ids, init, fin, lam, clabel, edges):
+        """Check and index a trellis given as arrays.  TrellisStructureError
+        names a rank below 1, else the first vertex with a repeated id or a
+        depth outside 0..rank, else the first edge with a repeated id, an
+        unknown init or fin vertex or a non-finite label, in that order."""
+        if rank < 1:
+            raise TrellisStructureError(f"rank must be >= 1, got {rank}")
+        repeated = _repeats(vertex_ids)
+        bad = repeated | (vertex_depths < 0) | (vertex_depths > rank)
+        if bad.any():
+            i = int(np.argmax(bad))
+            v, d = int(vertex_ids[i]), int(vertex_depths[i])
+            if repeated[i]:
+                raise TrellisStructureError(f"duplicate vertex id {v}")
+            raise TrellisStructureError(f"vertex {v} depth {d} outside 0..{rank}")
+        # Vertices layer by layer, each layer in increasing id order.
+        by_layer = np.lexsort((vertex_ids, vertex_depths))
+        vertices, depth = vertex_ids[by_layer], vertex_depths[by_layer]
+        sizes = np.bincount(depth, minlength=rank + 1)
+        first = np.cumsum(sizes) - sizes
+        flat, ends = vertices.tolist(), np.cumsum(sizes).tolist()
+        layers = tuple(tuple(flat[a:b]) for a, b in zip(first.tolist(), ends))
+        row = np.arange(len(vertices)) - first[depth]
+        by_vertex = np.argsort(vertices)
+        init_at, init_known = _find(vertices[by_vertex], init)
+        fin_at, fin_known = _find(vertices[by_vertex], fin)
+        repeated = _repeats(ids)
+        bad = repeated | ~init_known | ~fin_known | ~np.isfinite(lam) | ~np.isfinite(clabel)
+        if bad.any():
+            i = int(np.argmax(bad))
+            e = int(ids[i])
+            if repeated[i]:
+                raise TrellisStructureError(f"duplicate edge id {e}")
+            if not init_known[i]:
+                raise TrellisStructureError(f"edge {e} init vertex {init[i]} unknown")
+            if not fin_known[i]:
+                raise TrellisStructureError(f"edge {e} fin vertex {fin[i]} unknown")
+            raise TrellisStructureError(_non_finite(e, float(lam[i]), float(clabel[i])))
+        init_v, fin_v = by_vertex[init_at], by_vertex[fin_at]
+        arrays = EdgeArrays(
+            ids, init, fin, clabel, depth[init_v], depth[fin_v], row[init_v], row[fin_v]
+        )
+        for a in (*vars(arrays).values(), lam):
+            a.flags.writeable = False
+        depths = dict(zip(vertex_ids.tolist(), vertex_depths.tolist()))
         self._index(rank, depths, layers, lam, edges, {"edges": arrays})
 
     def _index(
@@ -322,53 +368,11 @@ def _find(known: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.where(found, at, 0), found
 
 
-def _edge_arrays(
-    edges: tuple[Edge, ...], layers: tuple[tuple[int, ...], ...]
-) -> tuple[EdgeArrays, np.ndarray]:
-    """The constructor's edges as arrays, and their labels.
-
-    Raises TrellisStructureError for the first edge with a repeated id,
-    an unknown init or fin vertex, or a non-finite label, checked in that
-    order.
-    """
-    n = len(edges)
-    ids, init, fin = (
-        np.fromiter(map(attrgetter(name), edges), np.intp, n)
-        for name in ("id", "init", "fin")
-    )
-    lam, clabel = (
-        np.fromiter(map(attrgetter(name), edges), float, n)
-        for name in ("lam", "clabel")
-    )
-    sizes = [len(layer) for layer in layers]
-    vertices = np.fromiter(chain.from_iterable(layers), np.intp, sum(sizes))
-    depth = np.repeat(np.arange(len(layers)), sizes)
-    row = np.arange(len(vertices)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    by_vertex = np.argsort(vertices)
-    init_at, init_known = _find(vertices[by_vertex], init)
-    fin_at, fin_known = _find(vertices[by_vertex], fin)
-    by_id = np.argsort(ids, kind="stable")
-    repeated = np.zeros(n, dtype=bool)
-    repeated[by_id[1:]] = ids[by_id[1:]] == ids[by_id[:-1]]
-    finite = np.isfinite(lam) & np.isfinite(clabel)
-    bad = repeated | ~init_known | ~fin_known | ~finite
-    if bad.any():
-        i = int(np.argmax(bad))
-        e = edges[i]
-        if repeated[i]:
-            raise TrellisStructureError(f"duplicate edge id {e.id}")
-        if not init_known[i]:
-            raise TrellisStructureError(f"edge {e.id} init vertex {e.init} unknown")
-        if not fin_known[i]:
-            raise TrellisStructureError(f"edge {e.id} fin vertex {e.fin} unknown")
-        raise TrellisStructureError(_non_finite(e.id, e.lam, e.clabel))
-    init_v, fin_v = by_vertex[init_at], by_vertex[fin_at]
-    arrays = EdgeArrays(
-        ids, init, fin, clabel, depth[init_v], depth[fin_v], row[init_v], row[fin_v]
-    )
-    for a in (*vars(arrays).values(), lam):
-        a.flags.writeable = False
-    return arrays, lam
+def _repeats(values: np.ndarray) -> np.ndarray:
+    """Whether each value occurred earlier in ``values``."""
+    repeated = np.ones(len(values), dtype=bool)
+    repeated[np.unique(values, return_index=True)[1]] = False
+    return repeated
 
 
 class SymbolGroups:
@@ -445,7 +449,7 @@ class WalkPlan:
     ``rows`` the neighbour's row in the layer before.  ``firsts[k]`` holds
     the offset of each vertex's first local edge within its layer's
     edges, and ``where`` maps every vertex to its ``(layer, row)``, in
-    walk order.
+    walk order.  ``topology`` is the :class:`EdgeArrays` walked.
     """
 
     layers: tuple[tuple[int, ...], ...]
@@ -455,6 +459,7 @@ class WalkPlan:
     bounds: tuple[int, ...]
     firsts: tuple[np.ndarray, ...]
     where: dict[int, tuple[int, int]]
+    topology: EdgeArrays
 
     def layer_edges(self) -> Iterator[tuple[int, slice]]:
         """Each layer after the start, with the slice of its local edges."""
@@ -499,7 +504,7 @@ def _walk_plan(trellis: Trellis, direction: str) -> WalkPlan:
             where[v] = (k, i)
         local = owners[bounds[k - 1] : bounds[k]]
         firsts.append(np.searchsorted(local, np.arange(len(layer))))
-    return WalkPlan(((start,), *layers), edges, owners, rows, bounds, tuple(firsts), where)
+    return WalkPlan(((start,), *layers), edges, owners, rows, bounds, tuple(firsts), where, a)
 
 
 # -- validation --------------------------------------------------------------
@@ -751,10 +756,6 @@ class DepthFunctionTable:
                 f"no g value for edge {edge.id} ({edge.init}->{edge.fin})"
             ) from None
 
-    def values_of(self, edges: Sequence[Edge]) -> np.ndarray:
-        """The g value of every edge in ``edges``, in that order."""
-        return np.array([self.value(e) for e in edges], dtype=float)
-
     def path_value(self, path: Sequence[Edge]) -> float:
         return sum(self.value(e) for e in path)
 
@@ -784,43 +785,44 @@ def split_multi_symbol_edges(
     c = int(symbols_per_edge)
     if c < 1:
         raise TrellisStructureError(f"symbols_per_edge must be >= 1, got {c}")
-    for e in trellis.edges:
-        if e.id not in symbol_table:
-            raise TrellisStructureError(f"no symbols for edge {e.id}")
-        if len(symbol_table[e.id]) != c:
+    a = trellis.edge_arrays
+    ids = a.ids.tolist()
+    for edge_id in ids:
+        if edge_id not in symbol_table:
+            raise TrellisStructureError(f"no symbols for edge {edge_id}")
+        if len(symbol_table[edge_id]) != c:
             raise TrellisStructureError(
-                f"edge {e.id} carries {len(symbol_table[e.id])} symbols, "
+                f"edge {edge_id} carries {len(symbol_table[edge_id])} symbols, "
                 f"expected {c}"
             )
+    symbols = np.array([symbol_table[i] for i in ids], dtype=float).reshape(-1, c)
+    # The original vertices, renumbered layer by layer, and the edges of
+    # every section, section by section in edge order.
+    sizes = np.array([len(layer) for layer in trellis.layers])
+    first = np.cumsum(sizes) - sizes
+    inside = np.flatnonzero(a.section < trellis.rank)
+    e = inside[np.argsort(a.section[inside], kind="stable")]
+    init, fin = first[a.section[e]] + a.init_row[e], first[a.fin_depth[e]] + a.fin_row[e]
+    return _chained(trellis.rank, sizes, init, fin, a.section[e], trellis._lam[e], symbols[e])
 
-    vmap = {v: i for i, v in enumerate(chain.from_iterable(trellis.layers))}
-    depths = {vmap[v]: c * d for d, layer in enumerate(trellis.layers) for v in layer}
-    next_vid = len(depths)
-    edges: list[Edge] = []
-    next_eid = 0
-    # The edges of every section, section by section, in edge order.
-    sections, all_edges = trellis.edge_arrays.section, trellis.edges
-    inside = np.flatnonzero(sections < trellis.rank)
-    order = inside[np.argsort(sections[inside], kind="stable")]
-    for i, section in zip(order.tolist(), sections[order].tolist()):
-        e, depth = all_edges[i], section + 1
-        symbols = symbol_table[e.id]
-        prev = vmap[e.init]
-        for k in range(c):
-            last = k == c - 1
-            if last:
-                nxt = vmap[e.fin]
-            else:
-                nxt = next_vid
-                depths[next_vid] = c * (depth - 1) + k + 1
-                next_vid += 1
-            edges.append(
-                Edge(next_eid, prev, nxt, e.lam if k == 0 else 1.0, float(symbols[k]))
-            )
-            next_eid += 1
-            prev = nxt
 
-    return Trellis(c * trellis.rank, depths, edges)
+def _chained(rank, sizes, init, fin, section, lam, symbols) -> Trellis:
+    """The trellis of rank c*``rank`` made of ``sizes[d]`` vertices at each
+    depth c*d, numbered layer by layer, and a chain of c =
+    ``symbols.shape[1]`` edges for each edge p from vertex ``init[p]`` in
+    section ``section[p]`` to ``fin[p]``: ids p*c..p*c+c-1, c-labels
+    ``symbols[p]``, lambda ``lam[p]`` on the first edge and 1.0 on the
+    rest.  The chains' inner vertices follow the layers, edge by edge."""
+    n, c = symbols.shape
+    inner = sizes.sum() + np.arange(n * (c - 1)).reshape(n, c - 1)
+    inner_depths = c * section[:, None] + np.arange(1, c)
+    depths = np.concatenate((c * np.repeat(np.arange(len(sizes)), sizes), inner_depths.ravel()))
+    lams = np.column_stack((lam, np.ones((n, c - 1))))
+    tails, heads = np.column_stack((init, inner)), np.column_stack((inner, fin))
+    return Trellis._from_arrays(
+        c * rank, np.arange(len(depths)), depths, np.arange(n * c),
+        tails.ravel(), heads.ravel(), lams.ravel(), symbols.ravel(),
+    )
 
 
 # -- text format -----------------------------------------------------------------
@@ -832,10 +834,10 @@ def dumps_trellis(trellis: Trellis) -> str:
     for depth in range(trellis.rank + 1):
         for v in trellis.layers[depth]:
             lines.append(f"v {v} depth={depth}")
-    for e in trellis.edges:
-        lines.append(
-            f"e {e.id} {e.init} {e.fin} lambda={e.lam!r} clabel={e.clabel!r}"
-        )
+    a = trellis.edge_arrays
+    fields = (a.ids, a.init, a.fin, trellis._lam, a.clabel)
+    for i, u, w, lam, clabel in zip(*(f.tolist() for f in fields)):
+        lines.append(f"e {i} {u} {w} lambda={lam!r} clabel={clabel!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -843,7 +845,8 @@ def loads_trellis(text: str) -> Trellis:
     """Parse the line-oriented text format produced by dumps_trellis."""
     rank = None
     vertex_depths: dict[int, int] = {}
-    edges: list[Edge] = []
+    ends: list[int] = []  # id, init and fin of every edge
+    labels: list[float] = []  # lambda and c-label of every edge
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -858,23 +861,19 @@ def loads_trellis(text: str) -> Trellis:
                     raise ValueError(f"duplicate vertex id {vid}")
                 vertex_depths[vid] = int(_keyed(fields[2], "depth"))
             elif fields[0] == "e":
-                edges.append(
-                    Edge(
-                        int(fields[1]),
-                        int(fields[2]),
-                        int(fields[3]),
-                        float(_keyed(fields[4], "lambda")),
-                        float(_keyed(fields[5], "clabel")),
-                    )
-                )
+                ends += (int(fields[1]), int(fields[2]), int(fields[3]))
+                labels += (float(_keyed(fields[4], "lambda")), float(_keyed(fields[5], "clabel")))
             else:
                 raise ValueError(f"unknown record type {fields[0]!r}")
         except (IndexError, ValueError) as exc:
             raise TrellisFormatError(f"line {lineno}: {exc}") from None
     if rank is None:
         raise TrellisFormatError("missing 'trellis rank=<n>' header")
+    vertices = np.array(list(vertex_depths.items()), dtype=np.intp).reshape(-1, 2).T
+    ends = np.array(ends, dtype=np.intp).reshape(-1, 3).T
+    labels = np.array(labels, dtype=float).reshape(-1, 2).T
     try:
-        return Trellis(rank, vertex_depths, edges)
+        return Trellis._from_arrays(rank, *vertices, *ends, *labels)
     except TrellisStructureError as exc:
         raise TrellisFormatError(str(exc)) from None
 
@@ -920,9 +919,9 @@ def read_g_table(path, trellis: Trellis) -> DepthFunctionTable:
                     f"line {lineno}: duplicate g value for edge {edge_id}"
                 )
             values[edge_id] = value
-    for e in trellis.edges:
-        if e.id not in values:
-            raise GTableError(f"g table is missing edge {e.id}")
+    for edge_id in trellis.edge_arrays.ids.tolist():
+        if edge_id not in values:
+            raise GTableError(f"g table is missing edge {edge_id}")
     return DepthFunctionTable(values)
 
 

@@ -1,9 +1,20 @@
 import math
+from itertools import chain
 from operator import attrgetter
 
+import numpy as np
 import pytest
 
-from trelliskit import DepthFunctionTable, SemiringError, build_spc_trellis
+from trelliskit import (
+    DepthFunctionTable,
+    Edge,
+    SemiringError,
+    Trellis,
+    TrellisFormatError,
+    TrellisStructureError,
+    build_spc_trellis,
+)
+from trelliskit.codes import MAX_CONV_MEMORY
 
 
 def rel_err(a: float, b: float) -> float:
@@ -74,3 +85,163 @@ def reference_walk(trellis, direction):
 
 def entropy_bits(probabilities) -> float:
     return -sum(p * math.log2(p) for p in probabilities if p > 0)
+
+
+# -- per-edge references of the array builders, splitter, parser and walker ----
+#
+# Each makes one ``Edge`` object per edge and hands them to ``Trellis``; the
+# library computes the same trellises as arrays.
+
+
+def reference_build_spc_trellis(n: int) -> Trellis:
+    if n < 2:
+        raise TrellisStructureError(f"SPC block length must be >= 2, got {n}")
+    edges: list[Edge] = []
+    for depth in range(1, n + 1):
+        for parity in (0,) if depth == 1 else (0, 1):
+            for symbol in (1.0, -1.0):
+                # A -1 flips the parity, and the sink takes even parity.
+                nxt = parity ^ (symbol < 0)
+                if depth < n or nxt == 0:
+                    init = max(2 * depth - 3 + parity, 0)
+                    fin = 2 * depth - 1 + nxt
+                    edges.append(Edge(len(edges), init, fin, 1.0, symbol))
+    return Trellis(n, {v: (v + 1) // 2 for v in range(2 * n)}, edges)
+
+
+def reference_build_conv_trellis(generators, info_len: int) -> Trellis:
+    gens = tuple(int(g) for g in generators)
+    if not gens or any(g <= 0 for g in gens):
+        raise TrellisStructureError(f"generators must be positive, got {gens}")
+    if info_len < 0:
+        raise TrellisStructureError(f"info length must be >= 0, got {info_len}")
+    memory = max(g.bit_length() for g in gens) - 1
+    if memory > MAX_CONV_MEMORY:
+        raise TrellisStructureError(
+            f"encoder memory {memory} exceeds the supported maximum "
+            f"{MAX_CONV_MEMORY}"
+        )
+    sections = info_len + memory
+    if sections == 0:
+        raise TrellisStructureError(
+            "memoryless code with zero info bits has an empty trellis"
+        )
+
+    def step(state: int, u: int) -> int:
+        return 0 if memory == 0 else (u << (memory - 1)) | (state >> 1)
+
+    # Vertices are numbered layer by layer, states in increasing order.
+    layer, vid_of = [0], {(0, 0): 0}
+    edges: list[Edge] = []
+    symbols: dict[int, tuple[float, ...]] = {}
+    for t in range(1, sections + 1):
+        inputs = (0, 1) if t <= info_len else (0,)
+        prev = layer
+        layer = sorted({step(s, u) for s in prev for u in inputs})
+        for s in layer:
+            vid_of[(t, s)] = len(vid_of)
+        for s in prev:
+            for u in inputs:
+                window = (u << memory) | s
+                symbols[len(edges)] = tuple(
+                    1.0 - 2.0 * (bin(gen & window).count("1") & 1) for gen in gens
+                )
+                edges.append(
+                    Edge(len(edges), vid_of[(t - 1, s)], vid_of[(t, step(s, u))], 1.0, 0.0)
+                )
+    vertex_depths = {vid: depth for (depth, _), vid in vid_of.items()}
+    raw = Trellis(sections, vertex_depths, edges)
+    return reference_split_multi_symbol_edges(raw, len(gens), symbols)
+
+
+def reference_split_multi_symbol_edges(trellis, symbols_per_edge, symbol_table) -> Trellis:
+    c = int(symbols_per_edge)
+    if c < 1:
+        raise TrellisStructureError(f"symbols_per_edge must be >= 1, got {c}")
+    for e in trellis.edges:
+        if e.id not in symbol_table:
+            raise TrellisStructureError(f"no symbols for edge {e.id}")
+        if len(symbol_table[e.id]) != c:
+            raise TrellisStructureError(
+                f"edge {e.id} carries {len(symbol_table[e.id])} symbols, "
+                f"expected {c}"
+            )
+
+    vmap = {v: i for i, v in enumerate(chain.from_iterable(trellis.layers))}
+    depths = {vmap[v]: c * d for d, layer in enumerate(trellis.layers) for v in layer}
+    edges: list[Edge] = []
+    # The edges of every section, section by section, in edge order.
+    sections = trellis.edge_arrays.section
+    inside = np.flatnonzero(sections < trellis.rank)
+    order = inside[np.argsort(sections[inside], kind="stable")]
+    for i, section in zip(order.tolist(), sections[order].tolist()):
+        e = trellis.edges[i]
+        prev = vmap[e.init]
+        for k in range(c):
+            if k == c - 1:
+                nxt = vmap[e.fin]
+            else:
+                nxt = len(depths)
+                depths[nxt] = c * section + k + 1
+            lam = e.lam if k == 0 else 1.0
+            edges.append(Edge(len(edges), prev, nxt, lam, float(symbol_table[e.id][k])))
+            prev = nxt
+    return Trellis(c * trellis.rank, depths, edges)
+
+
+def reference_loads_trellis(text: str) -> Trellis:
+    def keyed(field: str, key: str) -> str:
+        prefix = key + "="
+        if not field.startswith(prefix):
+            raise ValueError(f"expected {prefix}<value>, got {field!r}")
+        return field[len(prefix):]
+
+    rank = None
+    vertex_depths: dict[int, int] = {}
+    edges: list[Edge] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        try:
+            if fields[0] == "trellis":
+                rank = int(keyed(fields[1], "rank"))
+            elif fields[0] == "v":
+                vid = int(fields[1])
+                if vid in vertex_depths:
+                    raise ValueError(f"duplicate vertex id {vid}")
+                vertex_depths[vid] = int(keyed(fields[2], "depth"))
+            elif fields[0] == "e":
+                edges.append(
+                    Edge(
+                        int(fields[1]),
+                        int(fields[2]),
+                        int(fields[3]),
+                        float(keyed(fields[4], "lambda")),
+                        float(keyed(fields[5], "clabel")),
+                    )
+                )
+            else:
+                raise ValueError(f"unknown record type {fields[0]!r}")
+        except (IndexError, ValueError) as exc:
+            raise TrellisFormatError(f"line {lineno}: {exc}") from None
+    if rank is None:
+        raise TrellisFormatError("missing 'trellis rank=<n>' header")
+    try:
+        return Trellis(rank, vertex_depths, edges)
+    except TrellisStructureError as exc:
+        raise TrellisFormatError(str(exc)) from None
+
+
+def reference_random_codeword(trellis, rng) -> list[float]:
+    """c-labels along a random source-to-sink walk, one ``out_edges``
+    draw per vertex."""
+    word = []
+    v = trellis.source
+    while v != trellis.sink:
+        edges = trellis.out_edges(v)
+        e = edges[int(rng.integers(0, len(edges)))]
+        word.append(e.clabel)
+        v = e.fin
+    return word

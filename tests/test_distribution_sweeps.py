@@ -583,7 +583,7 @@ def test_lattice_step_matches_reference(instance, kind):
         g = lattice_g(t, seed, kind)
     want = step_outcome(reference_lattice_step, t, g)
     assert step_outcome(lattice_step, t, g) == want
-    assert step_outcome(lattice_step, t, g.values_of(t.edges)) == want
+    assert step_outcome(lattice_step, t, g.values_for(t)) == want
 
 
 # -- codes of realistic size --------------------------------------------------
