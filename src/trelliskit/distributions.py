@@ -29,9 +29,14 @@ A sweep does its numeric work one layer at a time in numpy, scattering
 all of a layer's vertices into one (vertices x values) block.  In exact
 mode the block is one lattice window shared by the layer: each edge's
 integer shift in it is found once per sweep, so a layer is one gather,
-one lambda scale and one scatter.  In quantized mode ``_merge_quantized``
-merges, snaps the means and moves the bins of the whole layer.  A state
-keeps every layer's arrays as the sweep made them, and builds a vertex's
+one lambda scale and one scatter.  In quantized mode, on a layer where
+paths merge, ``_merge_quantized`` merges, snaps the means and moves the
+bins of the whole layer; on a chain layer, where each vertex has one
+edge, a merge would change nothing, so the vertices only add g to their
+neighbours' means.  Quantized flows are kept as a block times 2^k per
+layer, rescaled as the moment sweeps' are, so their bins stay finite on
+codes whose flow underflows a double.  A state keeps every layer's
+arrays as the sweep made them, and builds a vertex's
 ``ExactDistribution``, ``QuantizedDistribution`` or flow only when a
 caller reads it.
 
@@ -58,8 +63,8 @@ import numpy as np
 
 from .errors import LatticeError, SemiringError, ZeroFlowError
 from .moments import (
-    MomentState, _LayerRows, _require_swept_over, _same_topology, forward_numerators,
-    trellis_moments,
+    _HIGH, _LOW, MomentState, _LayerRows, _require_swept_over, _rescale,
+    _same_topology, forward_numerators, trellis_moments,
 )
 from .trellis import DepthFunctionTable, Trellis, WalkPlan, require_valid
 
@@ -279,14 +284,23 @@ def _move_bins(
     s = np.floor(shifts)
     eps = shifts - s
     split = np.flatnonzero(eps)
+    # A whole shift past n_in + n_out sends every bin to a boundary bin,
+    # as does that bound itself, so clipping to it first keeps the cast
+    # in range and the index as it was.
+    reach = n_in + n_out + 1
+    s = np.clip(s, -reach, reach).astype(np.intp)
     base = (owners * bins + n_out)[:, None]
     target = np.arange(-n_in, n_in + 1) - s[:, None]
     # The 1-eps part of every row, then the eps part of the rows with a
     # fractional shift; bincount adds them in this order.
     index = np.empty((n_rows + len(split), n_bins), dtype=np.intp)
     weights = np.empty(index.shape)
-    index[:n_rows] = np.clip(target, -n_out, n_out) + base
-    index[n_rows:] = np.clip(target[split] - 1, -n_out, n_out) + base[split]
+    whole, part = index[:n_rows], index[n_rows:]
+    np.clip(target, -n_out, n_out, out=whole)
+    whole += base
+    np.subtract(target[split], 1, out=part)
+    np.clip(part, -n_out, n_out, out=part)
+    part += base[split]
     np.multiply(((1.0 - eps) * scales)[:, None], rows, out=weights[:n_rows])
     np.multiply((eps * scales)[split, None], rows[split], out=weights[n_rows:])
     block = np.bincount(index.ravel(), weights.ravel(), minlength=n_owners * bins)
@@ -410,8 +424,9 @@ class DistributionState:
     distribution or flow when it is read.  Exact mode keeps (offsets,
     lengths, masses) with one lattice window per layer: every row holds
     raw (flow-weighted) masses on the layer's offset + k*step.  Quantized
-    mode keeps (means, flows, masses): unit-mass bin vectors around the
-    tracked means, and the plain flows needed for relative edge weights.
+    mode keeps (means, flows, masses, k): unit-mass bin vectors around the
+    tracked means, and the flows needed for relative edge weights, which
+    are ``flows * 2^k``; ``flows`` hands out that product.
     The other mode's mappings are None.  ``sizing`` is the order-2
     forward moment sweep that sized the bins, when the quantized mode had
     no bin width given, and None otherwise.
@@ -469,14 +484,15 @@ class _ExactRows(_LayerRows):
 def _quantized_row(
     half_bins: int, width: float, layer, r: int
 ) -> QuantizedDistribution:
-    means, _, masses = layer
+    means, _, masses, _ = layer
     return QuantizedDistribution(
         float(means[r]), half_bins, width, tuple(masses[r].tolist())
     )
 
 
 def _flow_row(layer, r: int) -> float:
-    return float(layer[1][r])
+    _, flows, _, exponent = layer
+    return float(np.ldexp(flows[r], exponent))
 
 
 def _resolve_bin_width(
@@ -629,15 +645,27 @@ def _quantized_sweep(
     width: float,
 ) -> tuple[_LayerRows, _LayerRows]:
     """Every vertex's quantized distribution and flow, over (means, flows,
-    masses) per layer."""
+    masses, k) per layer, whose flows are ``flows * 2^k``.
+
+    On a chain layer, where each vertex has one local edge, a vertex takes
+    its neighbour's bins as they are and its mean plus g: a merge of one
+    row would snap to that mean, move by 0 and scale by 1 (unless the bin
+    width is below the spacing of doubles at the mean, where its weighted
+    mean could round a bin away).  Other layers merge in
+    ``_merge_quantized``.  The flows are rescaled by powers of two as the
+    moment sweep's are (``_rescale``); a merge reads only their ratios,
+    which that leaves as they are.
+    """
     plan = trellis.plan(direction)
     lam = plan.lam(trellis, nonnegative_for="quantized mode")
+    growth = np.add.reduceat(lam, plan.bounds[:-1]).tolist()
     start = QuantizedDistribution.dirac(half_bins, width)
-    layers = [(np.zeros(1), np.ones(1), np.asarray([start.mass]))]
+    layers = [(np.zeros(1), np.ones(1), np.asarray([start.mass]), 0)]
+    bound = 1.0
     gval = _edge_values(trellis, g)[plan.edges]
     for k, edges in plan.layer_edges():
         vertices, owners, rows = plan.layers[k], plan.owners[edges], plan.rows[edges]
-        means, flow, block = layers[-1]
+        means, flow, block, exponent = layers[-1]
         weights = lam[edges] * flow[rows]
         flow = np.bincount(owners, weights, minlength=len(vertices))
         dead = flow <= 0.0
@@ -646,11 +674,16 @@ def _quantized_sweep(
             raise ZeroFlowError(
                 v, f"zero incoming weight normalizer at vertex {v}"
             )
-        means, block = _merge_quantized(
-            block[rows], means[rows] + gval[edges], weights, owners, flow,
-            half_bins, width,
-        )
-        layers.append((means, flow, block))
+        means, block = means[rows] + gval[edges], block[rows]
+        if len(weights) > len(vertices):
+            means, block = _merge_quantized(
+                block, means, weights, owners, flow, half_bins, width
+            )
+        bound *= growth[k - 1]
+        if bound > _HIGH or flow.item(0) < _LOW:
+            flow, bound, shift = _rescale(flow, flow)
+            exponent += shift
+        layers.append((means, flow, block, exponent))
     return (
         _LayerRows(plan, layers, partial(_quantized_row, half_bins, width)),
         _LayerRows(plan, layers, _flow_row),
@@ -824,12 +857,13 @@ def _join(
     layer ``backward_layer``, and carries ``g[r]`` and ``lam[r]``.  Its
     forward and backward mass rows are convolved.  Exact rows land at
     their g's lattice shift on the sum's window; quantized rows merge as
-    one owner's incoming rows in a sweep.  With no edges, or no flow in
-    quantized mode, the result has zero mass.
+    one owner's incoming rows in a sweep, weighted by the scaled flows of
+    both layers; the result's mass then takes both layers' powers of two.
+    With no edges, or no flow in quantized mode, the result has zero mass.
     """
     f_layers, b_layers = ((s.exact or s.quantized)._layers for s in (forward, backward))
-    f_at, f_size, f_masses = f_layers[forward_layer]
-    b_at, b_size, b_masses = b_layers[backward_layer]
+    f_layer, b_layer = f_layers[forward_layer], b_layers[backward_layer]
+    (f_at, f_size, f_masses), (b_at, b_size, b_masses) = f_layer[:3], b_layer[:3]
     exact = forward.mode == "exact"
     half_bins, width = forward.half_bins, forward.bin_width
     if exact and not len(init_rows):
@@ -857,9 +891,8 @@ def _join(
         return _pad_hard(forward, merged.trimmed())
     at = f_at[init_rows] + g + b_at[fin_rows]
     means, block = _merge_quantized(rows, at, weights, owners, flow, half_bins, width)
-    return QuantizedDistribution(
-        float(means[0]), half_bins, width, tuple((block[0] * flow[0]).tolist())
-    )
+    mass = np.ldexp(block[0] * flow[0], f_layer[3] + b_layer[3])
+    return QuantizedDistribution(float(means[0]), half_bins, width, tuple(mass.tolist()))
 
 
 # -- Gaussian reference -----------------------------------------------------------

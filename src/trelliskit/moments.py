@@ -265,6 +265,27 @@ def _advance(
 
 # Scaled sweeps keep each layer's largest |flow| within 2^+-_SPAN.
 _SPAN = 256
+_HIGH, _LOW = 2.0**_SPAN, 2.0**-_SPAN
+
+
+def _rescale(block: np.ndarray, flows: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """One step of Rabiner's (1989) per-step scaling, in base 2.
+
+    A scaled sweep keeps a bound on its layer's largest |flow|, grown by
+    each layer's sum of |lambda|, and calls this when the bound passes
+    2^_SPAN or the layer's first flow drops below 2^-_SPAN; so a layer
+    costs one scalar test until a rescale may be due.  ``flows`` are the
+    layer's flows, in ``block`` or ``block`` itself.  Returns ``block``
+    divided by 2^shift, the largest |flow| so divided (the new bound),
+    and the shift: 0, with ``block`` as it is, when that flow lies within
+    2^+-_SPAN, else the power of two that brings it back.  Powers of two
+    are exact, so the ratios of the flows do not change.
+    """
+    bound = float(np.abs(flows).max())
+    shift = math.frexp(bound)[1]
+    if -_SPAN <= shift <= _SPAN:
+        return block, bound, 0
+    return np.ldexp(block, -shift), math.ldexp(bound, -shift), shift
 
 
 def _sweep(
@@ -276,12 +297,9 @@ def _sweep(
 ) -> list[tuple[np.ndarray, int]]:
     """``prefix``, then a ``(block, exponent)`` per further layer of
     ``plan``, whose moment rows are ``block * 2^exponent``.  Where the
-    product is the real one this is Rabiner's (1989) per-step scaling in
-    base 2: a bound on the largest |flow| grows by each layer's sum of
-    |lambda|; when it passes 2^_SPAN or the layer's first flow drops
-    below 2^-_SPAN, the block is rescaled if its largest |flow| lies
-    outside 2^+-_SPAN.  Powers of two are exact, so the rows are the
-    unscaled ones bit for bit wherever those neither under- nor overflow."""
+    product is the real one, ``_rescale`` keeps each block's flows within
+    2^+-_SPAN, so the rows are the unscaled ones bit for bit wherever
+    those neither under- nor overflow."""
     index = _binomial_index(orders)
     layers = list(prefix)
     if not layers:
@@ -293,19 +311,15 @@ def _sweep(
     if scaled:
         growth = np.add.reduceat(np.abs(lift[:, 0]), plan.bounds[:-1]).tolist()
         # The first layer reads its largest |flow|, which sets the bound.
-        bound, high, low = math.inf, 2.0**_SPAN, 2.0**-_SPAN
+        bound = math.inf
     for k, edges in islice(plan.layer_edges(), len(layers) - 1, None):
         prev = block[plan.rows[edges]]
         block = _advance(semiring, index, lift[edges], prev, plan.firsts[k])
         if scaled:
             bound *= growth[k - 1]
-            if bound > high or abs(block.item(0)) < low:
-                bound = float(np.abs(block[:, 0]).max())
-                shift = math.frexp(bound)[1]
-                if not -_SPAN <= shift <= _SPAN:
-                    block = np.ldexp(block, -shift)
-                    bound = math.ldexp(bound, -shift)
-                    exponent += shift
+            if bound > _HIGH or abs(block.item(0)) < _LOW:
+                block, bound, shift = _rescale(block, block[:, 0])
+                exponent += shift
         layers.append((block, exponent))
     return layers
 

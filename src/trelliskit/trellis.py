@@ -149,18 +149,12 @@ class Trellis:
         by_vertex = np.argsort(vertices)
         init_at, init_known = _find(vertices[by_vertex], init)
         fin_at, fin_known = _find(vertices[by_vertex], fin)
-        repeated = _repeats(ids)
-        bad = repeated | ~init_known | ~fin_known | ~np.isfinite(lam) | ~np.isfinite(clabel)
-        if bad.any():
-            i = int(np.argmax(bad))
-            e = int(ids[i])
-            if repeated[i]:
-                raise TrellisStructureError(f"duplicate edge id {e}")
-            if not init_known[i]:
-                raise TrellisStructureError(f"edge {e} init vertex {init[i]} unknown")
-            if not fin_known[i]:
-                raise TrellisStructureError(f"edge {e} fin vertex {fin[i]} unknown")
-            raise TrellisStructureError(_non_finite(e, float(lam[i]), float(clabel[i])))
+        _check_edges(
+            ids, lam, clabel,
+            (_repeats(ids), lambda i: f"duplicate edge id {ids[i]}"),
+            (~init_known, lambda i: f"edge {ids[i]} init vertex {init[i]} unknown"),
+            (~fin_known, lambda i: f"edge {ids[i]} fin vertex {fin[i]} unknown"),
+        )
         init_v, fin_v = by_vertex[init_at], by_vertex[fin_at]
         arrays = EdgeArrays(
             ids, init, fin, clabel, depth[init_v], depth[fin_v], row[init_v], row[fin_v]
@@ -334,13 +328,7 @@ class Trellis:
             raise TrellisStructureError(
                 f"expected {len(self._lam)} labels, got shape {lam.shape}"
             )
-        bad = ~np.isfinite(lam)
-        if bad.any():
-            i = int(np.argmax(bad))
-            a = self.edge_arrays
-            raise TrellisStructureError(
-                _non_finite(int(a.ids[i]), float(lam[i]), float(a.clabel[i]))
-            )
+        _check_edges(self.edge_arrays.ids, lam, self.edge_arrays.clabel)
         lam.flags.writeable = False
         copy = object.__new__(Trellis)
         copy._index(
@@ -355,8 +343,28 @@ class Trellis:
         )
 
 
-def _non_finite(edge_id: int, lam: float, clabel: float) -> str:
-    return f"edge {edge_id} has a non-finite label (lambda={lam!r}, clabel={clabel!r})"
+def _check_edges(
+    ids: np.ndarray,
+    lam: np.ndarray,
+    clabel: np.ndarray,
+    *faults: tuple[np.ndarray, Callable[[int], str]],
+) -> None:
+    """TrellisStructureError naming the first edge that has one of
+    ``faults`` or a non-finite label.  A fault is a (mask, message) pair:
+    the mask marks the edges that have it, and ``message(i)`` describes
+    edge i's.  An edge with several reports the first, the label last."""
+    bad = ~(np.isfinite(lam) & np.isfinite(clabel))
+    for mask, _ in faults:
+        bad |= mask
+    if bad.any():
+        i = int(np.argmax(bad))
+        for mask, message in faults:
+            if mask[i]:
+                raise TrellisStructureError(message(i))
+        raise TrellisStructureError(
+            f"edge {ids[i]} has a non-finite label "
+            f"(lambda={float(lam[i])!r}, clabel={float(clabel[i])!r})"
+        )
 
 
 def _find(known: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,8 +22,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trelliskit import (
+    Awgn,
     Bsc,
     DepthFunctionTable,
+    Edge,
     LatticeError,
     SemiringError,
     Trellis,
@@ -172,9 +174,14 @@ def reference_quantized_sweep(trellis, g, direction, half_bins, width):
 
 
 def reference_row(view, v):
-    """Vertex ``v``'s entries in its layer's arrays."""
+    """Vertex ``v``'s entries in its layer's arrays; a quantized layer's
+    flow comes scaled by its power of two."""
     layer, r = view._where[v]
-    return tuple(a[r] for a in view._layers[layer])
+    arrays = view._layers[layer]
+    if len(arrays) == 4:
+        means, flows, masses, exponent = arrays
+        return means[r], math.ldexp(flows[r], exponent), masses[r]
+    return tuple(a[r] for a in arrays)
 
 
 def reference_pad_hard(dist, rank):
@@ -261,8 +268,9 @@ def reference_symbol_distribution(trellis, g, forward, backward, depth, symbol):
             merged = reference_pad_hard(merged, forward.rank)
         return merged
 
-    f_means, f_flows, f_masses = forward.quantized._layers[depth - 1]
-    b_means, b_flows, b_masses = backward.quantized._layers[forward.rank - depth]
+    f_means, f_flows, f_masses, f_exponent = forward.quantized._layers[depth - 1]
+    b_means, b_flows, b_masses, b_exponent = backward.quantized._layers[forward.rank - depth]
+    f_flows, b_flows = np.ldexp(f_flows, f_exponent), np.ldexp(b_flows, b_exponent)
     entries = [
         (
             f_means[i] + gval + b_means[j],
@@ -496,6 +504,37 @@ def test_quantized_zero_flow_hits_the_same_vertex():
     assert got.value.vertex == want.value.vertex == dead
 
 
+@pytest.mark.parametrize("soft", [True, False])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("generators, info_len", [((7, 5), 5), ((0o171, 0o133), 3)])
+def test_chain_layers_only_shift_means(generators, info_len, direction, soft):
+    """On a layer of a split trellis where every vertex has one local
+    edge, the sweep merges nothing: each vertex keeps its neighbour's
+    bins, and adds the edge's g to its mean and lambda to its flow."""
+    code = build_conv_trellis(generators, info_len)
+    _, received = make_received(code, Awgn(0.5), 3)
+    t = channel_lambda_labels(code, Awgn(0.5), received)
+    g = correlation_g_table(t, received) if soft else DepthFunctionTable.from_clabels(t)
+    sweep = forward_distributions if direction == "forward" else backward_distributions
+    state = sweep(t, g, "quantized")
+    dists, flows = state.quantized, state.flows
+    local = t.in_edges if direction == "forward" else t.out_edges
+    chains = 0
+    for layer in t.layers:
+        edges = [local(v) for v in layer]
+        if any(len(e) != 1 for e in edges):
+            continue
+        chains += 1
+        for v, (e,) in zip(layer, edges):
+            u = e.init if direction == "forward" else e.fin
+            assert bits(dists[v].mean) == bits(dists[u].mean + g.value(e))
+            assert [bits(w) for w in dists[v].mass] == [bits(w) for w in dists[u].mass]
+            assert bits(flows[v]) == bits(e.lam * flows[u])
+    # Splitting a rate-1/2 section leaves one layer of its two a chain,
+    # and the walk's growth out of its start vertex adds more.
+    assert chains > t.rank // 2
+
+
 @PROPERTY_SETTINGS
 @given(
     st.integers(1, 6),
@@ -528,6 +567,32 @@ def test_move_bins_matches_reference(n_out, extra, shifts, seed):
         want[owners[r]] += scales[r] * reference_move_bins(rows[r], n_in, shifts[r], n_out)
     for a, b in zip(got.ravel(), want.ravel()):
         assert abs(a - b) <= QUANTIZED_RTOL * max(abs(a), abs(b))
+
+
+def test_move_bins_sends_extreme_shifts_to_a_boundary_bin():
+    """Whole shifts of n_in + n_out + 1 or more leave no bin in range, so
+    each row lands whole in one boundary bin.  The integer part of a
+    shift is clipped before it is cast to an index, so 1e300 makes no
+    cast warning, which a test run turns into an error."""
+    for n_out, extra in ((1, 0), (3, 2), (32, 0)):
+        n_in = n_out + extra
+        reach = n_in + n_out + 1
+        shifts = np.array([reach, reach + 1, reach + 1.5, 1e300])
+        shifts = np.append(shifts, -shifts)
+        rows = np.random.default_rng(n_out).random((len(shifts), 2 * n_in + 1))
+        one, first = np.ones(1), np.zeros(1, dtype=np.intp)
+        for row, shift in zip(rows, shifts):
+            got = distributions._move_bins(row[None], np.array([shift]), one, first, 1, n_out)[0]
+            edge = 0 if shift > 0 else 2 * n_out
+            assert bits(got[edge]) == bits(sum(row.tolist())), shift
+            assert not np.delete(got, edge).any(), shift
+            if abs(shift) < 1e300:
+                want = reference_move_bins(row, n_in, shift, n_out)
+                assert [bits(x) for x in got] == [bits(x) for x in want], shift
+        owners = np.repeat([0, 1], len(shifts) // 2)
+        block = distributions._move_bins(rows, shifts, np.ones(len(shifts)), owners, 2, n_out)
+        assert abs(block.sum() - rows.sum()) <= QUANTIZED_RTOL * rows.sum()
+        assert block[0, 0] + block[1, -1] == block.sum()
 
 
 def reference_lattice_step(trellis, g):
@@ -677,3 +742,45 @@ def test_reading_vertices_leaves_joins_unchanged(bsc_words):
         for state in (fd, bd):
             assert len([state.exact[v] for v in state.exact]) == len(t.vertices)
         assert joins() == before
+
+
+def test_quantized_sweeps_stay_finite_on_a_long_code():
+    """[7,5] K=300 (n=604) over AWGN sigma2=2.0: the flow falls to about
+    2^-1400, so unscaled flows underflow and the sweep would find a
+    vertex with no flow.  Scaled, every vertex's bins are finite and sum
+    to 1."""
+    code = build_conv_trellis((7, 5), 300)
+    _, received = make_received(code, Awgn(2.0), 3)
+    t = channel_lambda_labels(code, Awgn(2.0), received)
+    g = correlation_g_table(t, received)
+    for sweep in (forward_distributions, backward_distributions):
+        state = sweep(t, g, "quantized")
+        assert state.quantized._layers[-1][3] < -1000
+        for v in state.quantized:
+            mass = np.array(state.quantized[v].mass)
+            assert np.isfinite(mass).all(), v
+            assert abs(mass.sum() - 1.0) <= 1e-12, v
+
+
+def test_quantized_joins_take_both_scales():
+    """Sections 1-3 carry labels near 1e-200 and sections 4-6 near 1e200:
+    the forward flows fall below the smallest double and the backward
+    ones pass the largest, while every path's label is about 1.  The
+    joins weigh by the scaled flows and take both powers of two at the
+    end, so their masses are the path sums."""
+    edges = []
+    for depth in range(6):
+        scale = 1e-200 if depth < 3 else 1e200
+        for k, (lam, c) in enumerate(((1.0, 1.0), (3.0, -1.0))):
+            edges.append(Edge(2 * depth + k, depth, depth + 1, lam * scale, c))
+    t = Trellis(6, {v: v for v in range(7)}, edges)
+    g = DepthFunctionTable({e.id: 0.1 * e.id - 0.3 for e in edges})
+    params = distributions.QuantizationParams(8, 0.25)
+    fd = forward_distributions(t, g, "quantized", params)
+    bd = backward_distributions(t, g, "quantized", params)
+    assert fd.quantized._layers[3][3] < -1900 and bd.quantized._layers[3][3] > 1900
+    for depth in range(7):
+        assert_rel(trellis_distribution(fd, bd, depth).total(), 4.0**6)
+    for depth in range(1, 7):
+        assert_rel(symbol_distribution(t, g, fd, bd, depth, 1.0).total(), 4.0**5)
+        assert_rel(symbol_distribution(t, g, fd, bd, depth, -1.0).total(), 3 * 4.0**5)
