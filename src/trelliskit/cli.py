@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -100,8 +101,17 @@ def build_parser() -> argparse.ArgumentParser:
 # -- helpers -----------------------------------------------------------------------
 
 
+def _strict(value):
+    """``value`` with non-finite floats as "inf", "-inf" or "nan"."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit_json(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(_strict(payload), indent=2, allow_nan=False)
     if out:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text + "\n")
@@ -290,7 +300,7 @@ def _cmd_distribution(args) -> int:
     if fwd.mode == "quantized":
         summary["half_bins"] = fwd.half_bins
         summary["bin_width"] = fwd.bin_width
-    sys.stdout.write(json.dumps(summary) + "\n")
+    sys.stdout.write(json.dumps(_strict(summary), allow_nan=False) + "\n")
 
     if args.oracle:
         if fwd.mode != "exact":

@@ -407,7 +407,8 @@ class QuantizationParams:
 
     ``bin_width=None`` sizes the bins from a preliminary order-2 moment
     pass so that the 2N+1 bins span four standard deviations on each
-    side of the mean.
+    side of the mean.  A backward sweep given ``QuantizationParams(half_bins=
+    fwd.half_bins, bin_width=fwd.bin_width)`` skips a second sizing pass.
     """
 
     half_bins: int = 32
@@ -711,7 +712,9 @@ def backward_distributions(
     mode: str = "auto",
     params: Optional[QuantizationParams] = None,
 ) -> DistributionState:
-    """Mirror of forward_distributions, propagating from the sink."""
+    """Mirror of forward_distributions, propagating from the sink; in
+    quantized mode pass ``QuantizationParams(half_bins=fwd.half_bins,
+    bin_width=fwd.bin_width)`` to skip a second order-2 sizing sweep."""
     return _distributions(trellis, g, "backward", mode, params)
 
 

@@ -17,10 +17,10 @@ symbol moments.  All of this is generic over the commutative semirings in
 
 Every engine runs one layer step, in any of the five semirings, on the
 trellis's walk plan (``Trellis.plan``, the walk as index arrays, built
-once per topology and direction): a layer gathers its edges' neighbour
-rows, forms the terms C(m, j) lam(e) g(e)^(m-j) row[j] of that layer only
-with the semiring's ``scale`` and ``mul``, and reduces them with its
-``add`` over j <= m and then per vertex.  The joint engine runs the same
+once per topology and direction).  A sweep forms the weights C(m, j)
+lam(e) g(e)^(m-j) once per run of layers, orders-major; a layer gathers
+its neighbour columns, multiplies them by its weights and reduces over
+j <= m, and per vertex where paths merge.  The joint engine runs the same
 step on the (M_y+1)(M_z+1) grid flattened into one row; ``symbol_moments``
 joins alpha, the lifted labels and beta of a section's edges in one
 multinomial sum.  States keep one block per layer behind read-only
@@ -39,10 +39,10 @@ g-powers precomputed and tallied separately).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from itertools import islice
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -171,11 +171,13 @@ class MomentState:
 
 
 @lru_cache(maxsize=None)
-def _binomial_index(orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """For one order M: C(m, j) for j <= m (0 above the diagonal), the
-    power m - j and the mask j <= m.  For the flattened joint grid of
-    several orders: the Kronecker products of the per-order coefficients
-    and masks, and the flat index of the per-order powers."""
+def _binomial_index(
+    semiring: SemiringSpec, orders: tuple[int, ...]
+) -> tuple[np.ndarray, ...]:
+    """For one order M: scale(C(m, j), one) and the mask j <= m as
+    (m, j, 1), and the power m - j.  For the flattened joint grid of
+    several orders: from the Kronecker products of the per-order
+    coefficients and masks, and the flat index of the per-order powers."""
     coefficients, power = np.ones((1, 1)), np.zeros((1, 1), dtype=np.intp)
     lower = np.ones((1, 1), dtype=bool)
     for order in orders:
@@ -187,9 +189,11 @@ def _binomial_index(orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
         power = np.kron(power * (order + 1), np.ones_like(m)) + np.kron(
             np.ones_like(power), np.where(below, m - j, 0)
         )
-    for shared in (coefficients, power, lower):
+    scale = semiring.scale(coefficients, semiring.one)
+    out = scale[:, :, None], power, lower[:, :, None]
+    for shared in out:
         shared.flags.writeable = False
-    return coefficients, power, lower
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -238,29 +242,26 @@ def _lift_rows(
 
 def _advance(
     semiring: SemiringSpec,
-    index: tuple[np.ndarray, np.ndarray, np.ndarray],
-    lift: np.ndarray,
+    weights: np.ndarray,
+    lower: np.ndarray,
     prev: np.ndarray,
     firsts: np.ndarray,
     live: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """The binomial step for every vertex of one layer, in the semiring.
-
-    Row e of ``lift`` is an edge's lam g^l (l = 0..M) and row e of
-    ``prev`` its neighbour's moment row; each vertex's order m sums
-    C(m, j) lift[m-j] prev[j] over j <= m (``index`` from
-    ``_binomial_index``) and over its edges, which start at ``firsts``.
-    Terms with j > m are left out, so an order of ``prev`` that
-    overflowed to inf cannot turn a lower order into NaN through a zero
-    coefficient.  Edges outside the boolean mask ``live`` add nothing.
-    """
-    coefficients, power, lower = index
-    terms = semiring.scale(coefficients, lift[:, power])
-    semiring.mul(terms, prev[:, None, :], out=terms)
-    terms = semiring.add.reduce(terms, axis=2, where=lower, initial=semiring.zero)
+    """The binomial step for every vertex of one layer, in the semiring:
+    order m sums weights[m, j, e] prev[j, e] over j <= m (``lower``), j by
+    j, and over the vertex's edges e, which start at ``firsts``, where it
+    has several.  ``weights[m, j, e]`` is C(m, j) lam g^(m-j) of edge e and
+    ``prev[:, e]`` its neighbour's row.  Terms with j > m are left out, so
+    an order that overflowed to inf cannot make a lower one NaN through a
+    zero coefficient.  Edges off the boolean mask ``live`` add nothing."""
+    terms = semiring.mul(weights, prev)
+    terms = semiring.add.reduce(terms, axis=1, where=lower, initial=semiring.zero)
     if live is not None:
-        terms[~live] = semiring.zero
-    return semiring.add.reduceat(terms, firsts, axis=0)
+        terms[:, ~live] = semiring.zero
+    if len(firsts) == terms.shape[1]:
+        return terms
+    return semiring.add.reduceat(terms, firsts, axis=1)
 
 
 # Scaled sweeps keep each layer's largest |flow| within 2^+-_SPAN.
@@ -288,6 +289,11 @@ def _rescale(block: np.ndarray, flows: np.ndarray) -> tuple[np.ndarray, float, i
     return np.ldexp(block, -shift), math.ldexp(bound, -shift), shift
 
 
+# The weights a sweep makes at once, for a run of layers, unless one
+# layer alone has more; so its memory stays O(widest section (M+1)^2).
+_RUN_WEIGHTS = 2**15
+
+
 def _sweep(
     semiring: SemiringSpec,
     plan: WalkPlan,
@@ -296,31 +302,41 @@ def _sweep(
     prefix: Sequence[tuple[np.ndarray, int]] = (),
 ) -> list[tuple[np.ndarray, int]]:
     """``prefix``, then a ``(block, exponent)`` per further layer of
-    ``plan``, whose moment rows are ``block * 2^exponent``.  Where the
-    product is the real one, ``_rescale`` keeps each block's flows within
-    2^+-_SPAN, so the rows are the unscaled ones bit for bit wherever
-    those neither under- nor overflow."""
-    index = _binomial_index(orders)
+    ``plan``, whose moment rows are ``block * 2^exponent``, from the rows
+    of ``_lift_rows`` in walk order.  Where the product is the real one,
+    ``_rescale`` keeps each block's flows within 2^+-_SPAN, so the rows
+    are the unscaled ones bit for bit wherever those neither under- nor
+    overflow."""
+    scale, power, lower = _binomial_index(semiring, orders)
     layers = list(prefix)
     if not layers:
-        start = np.full((1, lift.shape[1]), semiring.zero)
+        start = np.full((1, len(lift)), semiring.zero)
         start[0, 0] = semiring.one
         layers.append((start, 0))
     block, exponent = layers[-1]
+    block, bounds = block.T, plan.bounds
     scaled = semiring.mul is np.multiply
     if scaled:
-        growth = np.add.reduceat(np.abs(lift[:, 0]), plan.bounds[:-1]).tolist()
+        growth = np.add.reduceat(np.abs(lift[0]), bounds[:-1]).tolist()
         # The first layer reads its largest |flow|, which sets the bound.
         bound = math.inf
-    for k, edges in islice(plan.layer_edges(), len(layers) - 1, None):
-        prev = block[plan.rows[edges]]
-        block = _advance(semiring, index, lift[edges], prev, plan.firsts[k])
-        if scaled:
-            bound *= growth[k - 1]
-            if bound > _HIGH or abs(block.item(0)) < _LOW:
-                block, bound, shift = _rescale(block, block[:, 0])
-                exponent += shift
-        layers.append((block, exponent))
+    first, most = len(layers), _RUN_WEIGHTS // len(lift) ** 2
+    while first < len(bounds):
+        end = max(first + 1, bisect_right(bounds, bounds[first - 1] + most))
+        origin = bounds[first - 1]
+        weights = lift[:, origin : bounds[end - 1]][power]  # (m, j, edge)
+        semiring.mul(weights, scale, out=weights)
+        for k in range(first, end):
+            prev = block.take(plan.rows[bounds[k - 1] : bounds[k]], axis=1)
+            local = weights[:, :, bounds[k - 1] - origin : bounds[k] - origin]
+            block = _advance(semiring, local, lower, prev, plan.firsts[k])
+            if scaled:
+                bound *= growth[k - 1]
+                if bound > _HIGH or abs(block.item(0)) < _LOW:
+                    block, bound, shift = _rescale(block, block[0])
+                    exponent += shift
+            layers.append((block.T, exponent))
+        first = end
     return layers
 
 
@@ -337,7 +353,7 @@ def _numerators(
     _check_order(max_order)
     plan = trellis.plan(direction)
     lam, gval = _edge_labels(semiring, trellis._lam, g.values_for(trellis))
-    lift = _lift_rows(semiring, lam[plan.edges], gval[plan.edges], max_order).T
+    lift = _lift_rows(semiring, lam[plan.edges], gval[plan.edges], max_order)
     layers = _sweep(semiring, plan, lift, (max_order,), prefix)
     table = _LayerRows(plan, layers, _scaled_row)
     return MomentState(
@@ -568,7 +584,7 @@ def joint_forward_numerators(
     # The joint grid of one edge is the outer product of its two lifts,
     # flattened into one row.
     lift = semiring.mul(lift_y[:, None, :], pow_z[None, :, :])
-    lift = lift.reshape(-1, n).T[plan.edges]
+    lift = lift.reshape(-1, n)[:, plan.edges]
     grids = [
         (block.reshape(-1, order_y + 1, order_z + 1), exponent)
         for block, exponent in _sweep(semiring, plan, lift, (order_y, order_z))
@@ -638,7 +654,7 @@ def normalized_states(
     plan = trellis.plan(direction)
     log_lam = np.log(plan.lam(trellis, nonnegative_for="normalized recursion"))
     gval = g.values_for(trellis)[plan.edges]
-    index = _binomial_index((max_order,))
+    scale, power, lower = _binomial_index(REAL, (max_order,))
     normalized = [np.eye(1, max_order + 1)]
     log_flow = [np.zeros(1)]
     for k, edges in plan.layer_edges():
@@ -652,11 +668,11 @@ def normalized_states(
         weights = np.exp(terms - total[owners])
         # The weight leads each edge's powers, and an edge of weight 0
         # drops out, so a large g^l cannot overflow where w g^l does not.
-        lift = _lift_rows(REAL, weights, gval[edges], max_order).T
-        live = weights != 0.0
-        row = _advance(REAL, index, lift, normalized[-1][rows], firsts, live)
-        row[:, 0] = 1.0
-        normalized.append(row)
+        lift = _lift_rows(REAL, weights, gval[edges], max_order)[power] * scale
+        prev = normalized[-1].T.take(rows, axis=1)
+        row = _advance(REAL, lift, lower, prev, firsts, live=weights != 0.0)
+        row[0] = 1.0
+        normalized.append(row.T)
         log_flow.append(total)
     return NormalizedMomentState(
         direction,

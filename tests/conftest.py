@@ -1,5 +1,5 @@
 import math
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 
 import numpy as np
@@ -12,9 +12,12 @@ from trelliskit import (
     Trellis,
     TrellisFormatError,
     TrellisStructureError,
+    ZeroFlowError,
     build_spc_trellis,
+    moments,
 )
 from trelliskit.codes import MAX_CONV_MEMORY
+from trelliskit.semirings import _PASCAL, REAL
 
 
 def rel_err(a: float, b: float) -> float:
@@ -245,3 +248,90 @@ def reference_random_codeword(trellis, rng) -> list[float]:
         word.append(e.clabel)
         v = e.fin
     return word
+
+
+# -- the moment layer step before runs of prebuilt weights ----------------------
+#
+# Each layer gathered and scaled its edges' binomial weights anew, edge by
+# edge, and joined them per vertex with ``reduceat`` on every layer.  The
+# library's step must give the same blocks and exponents.
+
+
+def reference_advance(semiring, index, lift, prev, firsts, live=None):
+    """One layer: ``lift`` is (edges, orders), ``prev`` (edges, orders)."""
+    coefficients, power, lower = index
+    terms = semiring.scale(coefficients, lift[:, power])
+    semiring.mul(terms, prev[:, None, :], out=terms)
+    terms = semiring.add.reduce(terms, axis=2, where=lower, initial=semiring.zero)
+    if live is not None:
+        terms[~live] = semiring.zero
+    return semiring.add.reduceat(terms, firsts, axis=0)
+
+
+def reference_index(orders):
+    """C(m, j) (0 above the diagonal), the power m - j and the mask j <= m,
+    for one order or the flattened joint grid of several."""
+    coefficients, power = np.ones((1, 1)), np.zeros((1, 1), dtype=np.intp)
+    lower = np.ones((1, 1), dtype=bool)
+    for order in orders:
+        m, j = np.indices((order + 1, order + 1))
+        below = j <= m
+        pascal = [_PASCAL[k] + [0] * (order - k) for k in range(order + 1)]
+        coefficients = np.kron(coefficients, np.array(pascal, dtype=float))
+        lower = np.kron(lower, below)
+        power = np.kron(power * (order + 1), np.ones_like(m)) + np.kron(
+            np.ones_like(power), np.where(below, m - j, 0)
+        )
+    return coefficients, power, lower
+
+
+def reference_sweep(semiring, plan, lift, orders, prefix=()):
+    """``moments._sweep`` with ``lift`` as (edges, orders) in walk order:
+    the transpose of ``_lift_rows``' rows, as the sweep was handed it."""
+    index = reference_index(orders)
+    layers = list(prefix)
+    if not layers:
+        start = np.full((1, lift.shape[1]), semiring.zero)
+        start[0, 0] = semiring.one
+        layers.append((start, 0))
+    block, exponent = layers[-1]
+    scaled = semiring.mul is np.multiply
+    if scaled:
+        growth = np.add.reduceat(np.abs(lift[:, 0]), plan.bounds[:-1]).tolist()
+        bound = math.inf
+    for k, edges in islice(plan.layer_edges(), len(layers) - 1, None):
+        prev = block[plan.rows[edges]]
+        block = reference_advance(semiring, index, lift[edges], prev, plan.firsts[k])
+        if scaled:
+            bound *= growth[k - 1]
+            if bound > moments._HIGH or abs(block.item(0)) < moments._LOW:
+                block, bound, shift = moments._rescale(block, block[:, 0])
+                exponent += shift
+        layers.append((block, exponent))
+    return layers
+
+
+def reference_normalized_layers(trellis, g, max_order, direction):
+    """The normalized and log-flow blocks of ``normalized_states``."""
+    plan = trellis.plan(direction)
+    log_lam = np.log(plan.lam(trellis, nonnegative_for="normalized recursion"))
+    gval = g.values_for(trellis)[plan.edges]
+    index = reference_index((max_order,))
+    normalized = [np.eye(1, max_order + 1)]
+    log_flow = [np.zeros(1)]
+    for k, edges in plan.layer_edges():
+        rows, owners, firsts = plan.rows[edges], plan.owners[edges], plan.firsts[k]
+        terms = log_lam[edges] + log_flow[-1][rows]
+        hi = np.maximum.reduceat(terms, firsts)
+        dead = hi == -np.inf
+        if dead.any():
+            raise ZeroFlowError(plan.layers[k][int(np.argmax(dead))])
+        total = hi + np.log(np.add.reduceat(np.exp(terms - hi[owners]), firsts))
+        weights = np.exp(terms - total[owners])
+        lift = moments._lift_rows(REAL, weights, gval[edges], max_order).T
+        live = weights != 0.0
+        row = reference_advance(REAL, index, lift, normalized[-1][rows], firsts, live)
+        row[:, 0] = 1.0
+        normalized.append(row)
+        log_flow.append(total)
+    return normalized, log_flow

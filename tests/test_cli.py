@@ -17,10 +17,19 @@ def spc4_file(tmp_path):
     return str(path)
 
 
+def strict_json(text):
+    """Parse ``text`` as strict JSON, which has no NaN or Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_json(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
-    return code, json.loads(captured.out) if captured.out.strip() else None
+    return code, strict_json(captured.out) if captured.out.strip() else None
 
 
 class TestBuildAndValidate:
@@ -178,6 +187,19 @@ class TestMoments:
         assert payload["numerators"] == [4.0, 3.0, 2.0]
         assert all(type(x) is float for x in payload["numerators"])
 
+    def test_non_finite_numerators_print_as_strings(self, tmp_path, capsys):
+        """No path has c-label 5 at depth 1, so every min-plus numerator
+        is the semiring zero, inf, written as the string "inf"."""
+        path = tmp_path / "conv.trellis"
+        assert main(["build-code", "--conv", "7,5", "--info-len", "3", "--out", str(path)]) == 0
+        code, payload = run_json(
+            capsys,
+            ["moments", "--trellis", str(path), "--g", "clabel", "--max-order", "1",
+             "--semiring", "tropical", "--symbol-depth", "1", "--symbol-value", "5"],
+        )
+        assert code == 0
+        assert payload["numerators"] == ["inf", "inf"]
+
     def test_g_table_file(self, spc4_file, tmp_path, capsys):
         t = read_trellis(spc4_file)
         gpath = tmp_path / "g.table"
@@ -270,7 +292,7 @@ class TestDistribution:
             ]
         )
         assert code == 0
-        summary = json.loads(capsys.readouterr().out)
+        summary = strict_json(capsys.readouterr().out)
         assert summary["mode"] == "exact"
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "domain_value,mass,normalized_mass,gaussian_approx"
@@ -302,6 +324,19 @@ class TestDistribution:
         gauss = np.array([float(r[3]) for r in rows])
         # matched Gaussian has mean 0 and variance 4 here
         assert_close(float((values * gauss).sum()), 0.0, 1e-9)
+
+    @pytest.mark.parametrize("mode", ["exact", "quantized"])
+    def test_overflowing_mass_prints_as_a_string(self, spc4_file, tmp_path, capsys, mode):
+        """Labels of 1e300 overflow the total mass to inf, which the
+        summary writes as the string "inf"."""
+        path = tmp_path / "big.trellis"
+        write_trellis(path, read_trellis(spc4_file).relabeled(lambda e: 1e300))
+        argv = ["distribution", "--trellis", str(path), "--g", "clabel",
+                "--mode", mode, "--out", str(tmp_path / "d.csv")]
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, summary = run_json(capsys, argv)
+        assert code == 0
+        assert summary["total_mass"] == "inf"
 
     def test_exact_forbids_quantization_flags(self, spc4_file, tmp_path, capsys):
         code = main(
@@ -381,7 +416,7 @@ class TestDistribution:
             ]
         )
         assert code == 0
-        summary = json.loads(capsys.readouterr().out)
+        summary = strict_json(capsys.readouterr().out)
         assert summary["mode"] == "quantized"
         assert len(sizing) == 1
 
@@ -412,7 +447,7 @@ class TestDistribution:
             ]
         )
         assert code == 0
-        summary = json.loads(capsys.readouterr().out)
+        summary = strict_json(capsys.readouterr().out)
         assert summary["mode"] == "quantized"
         assert summary["half_bins"] == 32
 
@@ -595,7 +630,7 @@ class TestFigures:
             ]
         )
         assert code == 0
-        meta = json.loads((out / "fig1_meta.json").read_text())
+        meta = strict_json((out / "fig1_meta.json").read_text())
         assert meta["seed"] == 7
         assert_close(meta["prob_plus"] + meta["prob_minus"], 1.0, 1e-9)
 
