@@ -25,20 +25,20 @@ hard-decision case), the tracked mean snaps onto that common lattice so
 that every redistribution moves whole bins; the quantized pipeline then
 reproduces the exact one bin for bin.
 
-A sweep does its numeric work one layer at a time in numpy, scattering
-all of a layer's vertices into one (vertices x values) block.  In exact
-mode the block is one lattice window shared by the layer: each edge's
-integer shift in it is found once per sweep, so a layer is one gather,
-one lambda scale and one scatter.  In quantized mode, on a layer where
-paths merge, ``_merge_quantized`` merges, snaps the means and moves the
-bins of the whole layer; on a chain layer, where each vertex has one
-edge, a merge would change nothing, so the vertices only add g to their
-neighbours' means.  Quantized flows are kept as a block times 2^k per
-layer, rescaled as the moment sweeps' are, so their bins stay finite on
-codes whose flow underflows a double.  A state keeps every layer's
-arrays as the sweep made them, and builds a vertex's
-``ExactDistribution``, ``QuantizedDistribution`` or flow only when a
-caller reads it.
+A sweep does its numeric work one layer at a time in numpy, on one
+(vertices x values) block per layer.  In exact mode each edge's integer
+lattice shift is found once per sweep.  Where paths merge, a layer is one
+gather, one lambda scale and one scatter onto a lattice window shared by
+the layer; on a chain layer, where each vertex has one edge, it is only
+the gather and the scale, and each row adds the shift to its neighbour's
+column offset.  In quantized mode, where paths merge, ``_merge_quantized``
+merges, snaps the means and moves the bins of the whole layer; on a chain
+layer the vertices only add g to their neighbours' means.  Quantized
+flows are kept as a block times 2^k per layer, rescaled as the moment
+sweeps' are, so their bins stay finite on codes whose flow underflows a
+double.  A state keeps every layer's arrays as the sweep made them, and
+builds a vertex's ``ExactDistribution``, ``QuantizedDistribution`` or
+flow only when a caller reads it.
 
 The whole-trellis and symbol distributions are one join, forward (x)
 edge (x) backward summed over the edges of one section, as BCJR joins
@@ -46,9 +46,9 @@ its state and branch posteriors.  A symbol distribution joins the
 section's edges that carry the c-label; a cut at depth d is a section of
 identity edges, each vertex of layer d to itself with g 0 and lambda 1.
 The join convolves each edge's forward and backward rows.  In exact mode
-every row of a layer sits at that layer's window offset, so the rows
-scatter on the edges' lattice shifts, as in the sweep; in quantized mode
-they merge as one owner's rows in the sweep's merge.
+the rows scatter on the edges' lattice shifts plus both rows' column
+offsets, as in the sweep; in quantized mode they merge as one owner's
+rows in the sweep's merge.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ import numpy as np
 
 from .errors import LatticeError, SemiringError, ZeroFlowError
 from .moments import (
-    _HIGH, _LOW, MomentState, _LayerRows, _require_swept_over, _rescale,
-    _same_topology, forward_numerators, trellis_moments,
+    _HIGH, _LOW, MomentState, _LayerRows, _quiet, _require_swept_over,
+    _rescale, _same_topology, forward_numerators, trellis_moments,
 )
 from .trellis import DepthFunctionTable, Trellis, WalkPlan, require_valid
 
@@ -423,8 +423,9 @@ class DistributionState:
     walk, and ``exact``, ``quantized`` and ``flows`` are read-only vertex
     mappings over them, in walk order, that build a vertex's
     distribution or flow when it is read.  Exact mode keeps (offsets,
-    lengths, masses) with one lattice window per layer: every row holds
-    raw (flow-weighted) masses on the layer's offset + k*step.  Quantized
+    lengths, masses) per layer: row r holds raw (flow-weighted) masses on
+    offsets[r] + k*step, all rows of a layer where paths merge on one
+    lattice window, and each row of a chain layer on its own.  Quantized
     mode keeps (means, flows, masses, k): unit-mass bin vectors around the
     tracked means, and the flows needed for relative edge weights, which
     are ``flows * 2^k``; ``flows`` hands out that product.
@@ -448,19 +449,20 @@ class DistributionState:
 
 
 class _ExactRows(_LayerRows):
-    """The exact sweep's windows, read as vertex -> ExactDistribution.
+    """The exact sweep's rows, read as vertex -> ExactDistribution.
 
-    A vertex's own lattice points are the columns lo..hi-1 of its layer
+    Row r of layer k starts at column ``starts[k] + ats[k][r]``.  A
+    vertex's own lattice points are the columns lo..hi-1 of its layer
     that its edges reach: the least lo and greatest hi of its neighbours,
     each moved by the edge's shift.  The first read finds them all.
     """
 
-    __slots__ = ("_shifts", "_step", "_starts", "_extents")
+    __slots__ = ("_shifts", "_step", "_starts", "_ats", "_extents")
 
-    def __init__(self, plan: WalkPlan, layers, shifts, step: float, starts):
+    def __init__(self, plan: WalkPlan, layers, shifts, step: float, starts, ats):
         super().__init__(plan, layers, None)
         self._shifts, self._step = shifts, step
-        self._starts, self._extents = starts, None
+        self._starts, self._ats, self._extents = starts, ats, None
 
     def __getitem__(self, v: int) -> ExactDistribution:
         plan, (k, r) = self._plan, self._where[v]
@@ -471,9 +473,9 @@ class _ExactRows(_LayerRows):
                 moved = extents[-1][plan.rows[edges]] + signed[edges]
                 extents.append(np.minimum.reduceat(moved, plan.firsts[j]))
             self._extents = [(e * [1, -1]).tolist() for e in extents]
-        (lo, hi), start = self._extents[k][r], self._starts[k]
+        (lo, hi), start = self._extents[k][r], self._starts[k] + int(self._ats[k][r])
         offsets, _, masses = self._layers[k]
-        # The window starts at column ``start``; columns it trimmed are 0.
+        # The row starts at column ``start``; columns it trimmed are 0.
         a = min(max(lo, start), hi)
         b = max(a, min(hi, start + masses.shape[1]))
         mass = masses[r, a - start : b - start].tolist()
@@ -563,48 +565,59 @@ def _lattice_shifts(
     return lows, np.rint(t).astype(np.intp)
 
 
+@_quiet
 def _exact_sweep(
     trellis: Trellis,
     g: Union[DepthFunctionTable, np.ndarray],
     direction: str,
     step: float,
 ) -> _ExactRows:
-    """Every vertex's exact distribution, over one lattice window per layer.
+    """Every vertex's exact distribution, over lattice windows per layer.
 
-    Column c of layer k holds the value ``origins[k] + c*step``, where
-    ``origins[k]`` adds up the smallest g of each section walked so far.
-    An edge's integer shift q = (g - its section's smallest g) / step is
-    where its neighbour's row lands, so a layer is one gather, one lambda
-    scale and one scatter.  It keeps its nonzero columns, from column
-    ``starts[k]`` on.
+    Column c of row r of layer k holds ``origins[k] + (starts[k] + ats[k][r]
+    + c)*step``; ``origins[k]`` adds up the smallest g of each section
+    walked so far, and an edge's shift q = (g - its section's smallest g) /
+    step moves its neighbour's row q columns up.  A chain layer, where each
+    vertex has one local edge, only gathers its rows, scales them by lambda
+    and adds q to their ``ats``.  Where paths merge, the rows scatter onto
+    one window, with ``ats`` 0, that keeps its nonzero columns.
     """
     plan = trellis.plan(direction)
-    lam = plan.lam(trellis)
+    lam = plan.lam(trellis)[:, None]
     gval = _edge_values(trellis, g)[plan.edges]
     lows, shifts = _lattice_shifts(gval, plan.bounds, step)
-    growth = np.maximum.reduceat(shifts, plan.bounds[:-1])
-    cols = np.arange(growth.sum() + 1)
-    starts, blocks = [0], [np.ones((1, 1))]
-    for k, edges in plan.layer_edges():
-        block, n = blocks[-1], len(plan.layers[k])
-        width = block.shape[1] + growth[k - 1]
-        index = plan.owners[edges] * width + shifts[edges]
-        index = (index[:, None] + cols[: block.shape[1]]).ravel()
-        rows = block[plan.rows[edges]] * lam[edges, None]
-        block = np.bincount(index, rows.ravel(), minlength=n * width).reshape(n, width)
-        used = block.any(axis=0).nonzero()[0]
-        a, b = (int(used[0]), int(used[-1]) + 1) if len(used) else (0, 1)
-        starts.append(starts[-1] + a)
-        blocks.append(block[:, a:b].copy() if b - a < width else block)
-    # Every row of a layer is at its window's offset, with its length.
+    growth = np.maximum.reduceat(shifts, plan.bounds[:-1]).tolist()
+    cols = np.arange(sum(growth) + 1)
     sizes = [len(layer) for layer in plan.layers]
-    origins = np.cumsum(np.append(0.0, lows))
-    offsets = np.repeat(origins + np.array(starts) * step, sizes)
+    signed, zeros = np.signbit(lam).any(), np.zeros(max(sizes), dtype=np.intp)
+    # (starts, ats, block) per layer; every ats of the last is at most top.
+    made, top = [(0, zeros[:1], np.ones((1, 1)))], 0
+    for k, edges in plan.layer_edges():
+        (start, prev, block), n, rows = made[-1], sizes[k], plan.rows[edges]
+        at = prev[rows] + shifts[edges] if top else shifts[edges]
+        moved = block.take(rows, axis=0)
+        moved *= lam[edges]
+        top, a = top + growth[k - 1], 0
+        if len(at) > n:
+            width = block.shape[1] + top
+            index = plan.owners[edges] * width + at
+            index = (index[:, None] + cols[: block.shape[1]]).ravel()
+            moved = np.bincount(index, moved.ravel(), minlength=n * width).reshape(n, width)
+            used = moved.any(axis=0).nonzero()[0]
+            a, b = (int(used[0]), int(used[-1]) + 1) if len(used) else (0, 1)
+            moved = moved[:, a:b].copy() if b - a < width else moved
+            at, top = zeros[:n], 0
+        elif signed:
+            moved += 0.0  # a scatter's sum from 0.0 has no -0.0
+        made.append((start + a, at, moved))
+    starts, ats, blocks = zip(*made)
+    origins = np.cumsum(np.append(0.0, lows)) + np.array(starts) * step
+    offsets = np.repeat(origins, sizes) + np.concatenate(ats) * step
     lengths = np.repeat([block.shape[1] for block in blocks], sizes)
     ends = np.cumsum(sizes).tolist()
     layers = [(offsets[j - n : j], lengths[j - n : j], block)
               for n, j, block in zip(sizes, ends, blocks)]
-    return _ExactRows(plan, layers, shifts, step, starts)
+    return _ExactRows(plan, layers, shifts, step, starts, ats)
 
 
 def _merge_quantized(
@@ -843,6 +856,7 @@ def symbol_distribution(
     )
 
 
+@_quiet
 def _join(
     forward: DistributionState,
     backward: DistributionState,
@@ -884,12 +898,14 @@ def _join(
     pairs = zip(init_rows.tolist(), fin_rows.tolist())
     rows = np.array([np.convolve(f_masses[i], b_masses[j]) for i, j in pairs])
     if exact:
-        # Every row of a window layer sits at its layer's offset, so an
-        # edge's place in the sum is its g's lattice shift.
+        # An edge's place in the sum is its g's lattice shift plus its
+        # rows' columns, counted from the columns of each layer's row 0.
         (low,), shifts = _lattice_shifts(g, (0, len(g)), forward.step)
-        index = shifts[:, None] + np.arange(rows.shape[1])
+        f_ats, b_ats = forward.exact._ats[forward_layer], backward.exact._ats[backward_layer]
+        places = shifts + (f_ats[init_rows] - f_ats[0]) + (b_ats[fin_rows] - b_ats[0])
+        index = (places - places.min())[:, None] + np.arange(rows.shape[1])
         mass = np.bincount(index.ravel(), (rows * lam[:, None]).ravel())
-        at = f_at[0] + low + b_at[0]
+        at = f_at[0] + low + b_at[0] + places.min() * forward.step
         merged = ExactDistribution(float(at), forward.step, tuple(mass.tolist()))
         return _pad_hard(forward, merged.trimmed())
     at = f_at[init_rows] + g + b_at[fin_rows]

@@ -105,6 +105,7 @@ class _LayerRows(Mapping):
         self._layers = layers
         self._make = make
 
+    @_quiet
     def __getitem__(self, v: int) -> Any:
         layer, row = self._where[v]
         return self._make(self._layers[layer], row)
@@ -415,6 +416,7 @@ class TrellisMoments:
         return len(self.numerators) - 1
 
 
+@_quiet
 def trellis_moments(state: MomentState) -> TrellisMoments:
     """Moments of the whole trellis from a completed sweep.
 
@@ -595,6 +597,7 @@ def joint_forward_numerators(
     )
 
 
+@_quiet
 def joint_trellis_moments(
     state: JointMomentState,
 ) -> tuple[tuple[tuple[Any, ...], ...], Optional[tuple[tuple[float, ...], ...]]]:

@@ -35,10 +35,12 @@ from trelliskit import (
     channel_lambda_labels,
     correlation_g_table,
     forward_distributions,
+    forward_numerators,
     lattice_step,
     make_received,
     symbol_distribution,
     trellis_distribution,
+    trellis_moments,
 )
 from trelliskit import distributions
 from trelliskit.distributions import ExactDistribution, QuantizedDistribution
@@ -705,6 +707,70 @@ def test_exact_sweep_on_a_non_dyadic_lattice(bsc_words, direction):
             assert abs(a.offset - b.offset) <= 1e-12 * max(abs(a.offset), abs(b.offset), step)
 
 
+def merge_layers(t: Trellis, direction: str) -> int:
+    """Layers of the walk where some vertex has more than one local edge."""
+    plan = t.plan(direction)
+    return sum(e.stop - e.start > len(plan.layers[k]) for k, e in plan.layer_edges())
+
+
+def assert_joined(got, want, dyadic: bool) -> None:
+    """Equal joins; off a dyadic lattice the offsets may differ in the
+    last bits, since the references add the same tenths in another order."""
+    if not dyadic:
+        assert abs(float.fromhex(got[1][0]) - float.fromhex(want[1][0])) <= 1e-12 * max(
+            abs(float.fromhex(want[1][0])), 1.0
+        )
+        got, want = (got[0], got[1][1:]), (want[0], want[1][1:])
+    assert got == want
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("generators, info_len", [((7, 5), 5), ((0o171, 0o133), 3)])
+def test_exact_chain_layers_only_gather(generators, info_len, direction, monkeypatch):
+    """A chain layer gathers and scales its neighbours' rows, each at its
+    neighbour's column plus the edge's shift, and scatters nothing: the
+    sweep counts one bincount per merge layer.  Every vertex, cut and
+    symbol join, on chain and merge layers alike, matches the per-vertex
+    references, signed zeros included: with negative labels a chain row
+    holds 0 times a negative lambda, which the references sum as +0.0."""
+    code = build_conv_trellis(generators, info_len)
+    _, received = make_received(code, Bsc(0.2), 4)
+    t = channel_lambda_labels(code, Bsc(0.2), received)
+    signs = np.random.default_rng(4).choice([-1.0, 0.0, 1.0], len(t.edges), p=[0.3, 0.2, 0.5])
+    calls, bincount = [], np.bincount
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return bincount(*args, **kwargs)
+
+    for lab in (t, t.relabeled(t._lam * signs)):
+        for g, dyadic in ((correlation_g_table(lab, received), True), (tenths_g(lab), False)):
+            step = lattice_step(lab, g)
+            lab.plan(direction)  # built before bincount is counted
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "bincount", counted)
+                calls.clear()
+                got = distributions._exact_sweep(lab, g, direction, step)
+            assert len(calls) == merge_layers(lab, direction)
+            want = reference_exact_sweep(lab, g, direction, step)
+            for v in want:
+                a, b = got[v], want[v]
+                assert [bits(w) for w in a.mass] == [bits(w) for w in b.mass], v
+                if dyadic:
+                    assert bits(a.offset) == bits(b.offset), v
+                else:  # sums of tenths, added in another order
+                    assert abs(a.offset - b.offset) <= 1e-12 * max(abs(b.offset), step)
+            fd, bd = forward_distributions(lab, g, "exact"), backward_distributions(lab, g, "exact")
+            for depth in range(lab.rank + 1):
+                got = joined(trellis_distribution, fd, bd, depth)
+                assert_joined(got, joined(reference_trellis_distribution, fd, bd, depth), dyadic)
+            for depth in range(1, lab.rank + 1):
+                for symbol in (1.0, -1.0):
+                    got = joined(symbol_distribution, lab, g, fd, bd, depth, symbol)
+                    want = joined(reference_symbol_distribution, lab, g, fd, bd, depth, symbol)
+                    assert_joined(got, want, dyadic)
+
+
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_exact_windows_stay_within_the_lattice_bound(bsc_words, direction):
     """A layer's window spans at most the sections walked so far: one
@@ -784,3 +850,23 @@ def test_quantized_joins_take_both_scales():
     for depth in range(1, 7):
         assert_rel(symbol_distribution(t, g, fd, bd, depth, 1.0).total(), 4.0**5)
         assert_rel(symbol_distribution(t, g, fd, bd, depth, -1.0).total(), 3 * 4.0**5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflow_to_inf_is_silent():
+    """[7,5] K=3 with every label 1e300: the flows pass the largest double.
+    The exact sweep's lambda scale, the moment rows and the quantized
+    join and flows, rebuilt from their powers of two, overflow to inf
+    without a RuntimeWarning, as plain float arithmetic does."""
+    t = build_conv_trellis((7, 5), 3).relabeled(lambda e: 1e300)
+    g = DepthFunctionTable.from_clabels(t)
+    fd, bd = forward_distributions(t, g, "exact"), backward_distributions(t, g, "exact")
+    assert max(fd.exact[t.sink].mass) == math.inf
+    trellis_distribution(fd, bd, t.rank // 2)
+    state = forward_numerators(t, g, 2)
+    assert trellis_moments(state).numerators[0] == state.table[t.sink][0] == math.inf
+    fd = forward_distributions(t, g, "quantized")
+    params = distributions.QuantizationParams(fd.half_bins, fd.bin_width)
+    bd = backward_distributions(t, g, "quantized", params)
+    assert trellis_distribution(fd, bd, t.rank // 2).total() == math.inf
+    assert fd.flows[t.sink] == math.inf
