@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import codes, distributions, moments, oracles, semirings, trellis as tgraph
+from . import codes, distributions, moments, semirings, trellis as tgraph
 from .errors import TrelliskitError, ZeroFlowError
 
 
@@ -226,6 +226,7 @@ def _cmd_moments(args) -> int:
         payload["op_counts"] = counter.as_dict()
 
     if args.oracle:
+        from . import oracles
         if semiring.name != "real":
             raise TrelliskitError("--oracle supports the real semiring only")
         oracle_values = [
@@ -303,6 +304,7 @@ def _cmd_distribution(args) -> int:
     sys.stdout.write(json.dumps(_strict(summary), allow_nan=False) + "\n")
 
     if args.oracle:
+        from . import oracles
         if fwd.mode != "exact":
             raise TrelliskitError(
                 "oracle verification compares lattice points and needs the "

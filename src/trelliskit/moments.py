@@ -22,12 +22,12 @@ lam(e) g(e)^(m-j) once per run of layers, orders-major; a layer gathers
 its neighbour columns, multiplies them by its weights and reduces over
 j <= m, and per vertex where paths merge.  The joint engine runs the same
 step on the (M_y+1)(M_z+1) grid flattened into one row; ``symbol_moments``
-joins alpha, the lifted labels and beta of a section's edges in one
-multinomial sum.  States keep one block per layer behind read-only
-vertex mappings; in the real and max-product semirings each block
-carries a power-of-two exponent, which keeps normalized moments finite
-where the flow underflows.  ``_posterior`` gives the coding layer the
-moments of a code or of a one-symbol subcode from one forward sweep.
+joins alpha, lifted labels and beta of all sections in one sum per state
+pair, kept on the forward state.  States keep one block per layer behind
+read-only vertex mappings; in the real and max-product semirings each
+block carries a power-of-two exponent, which keeps normalized moments
+finite where the flow underflows.  ``_posterior`` gives the coding layer
+a code's or one-symbol subcode's moments from one forward sweep.
 
 ``counted_run`` / ``counted_symbol_pass`` are real-semiring evaluators
 instrumented with exact add/multiply tallies, performing literally the
@@ -39,9 +39,10 @@ g-powers precomputed and tallied separately).
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -137,7 +138,7 @@ def _require_swept_over(
 
 
 def _unscaled(row: list[Any], exponent: int) -> list[Any]:
-    return np.ldexp(row, exponent).tolist() if exponent else row
+    return _quiet(np.ldexp)(row, exponent).tolist() if exponent else row
 
 
 def _scaled_row(layer: tuple[np.ndarray, int], r: int) -> list[Any]:
@@ -163,6 +164,7 @@ class MomentState:
     table: Mapping[int, list[Any]]
     source: int
     sink: int
+    _joined: Any = field(default=None, compare=False, repr=False)
 
     def scaled(self, v: int) -> tuple[list[Any], int]:
         """(row, k) with ``table[v]`` equal to row * 2^k."""
@@ -442,7 +444,6 @@ class SymbolMoments:
     semiring: str
 
 
-@_quiet
 def symbol_moments(
     trellis: Trellis,
     g: DepthFunctionTable,
@@ -456,7 +457,9 @@ def symbol_moments(
     The states must come from sweeps over this trellis or a copy with its
     layers; others raise SemiringError.  When no section-``depth``
     edge carries c-label ``symbol`` the numerators are all the semiring
-    zero and ``normalized`` is None.
+    zero and ``normalized`` is None.  The first call joins every section
+    and keeps the rows on ``forward`` for this ``backward``, label array,
+    topology and ``g``, each by identity; later calls look theirs up.
     """
     if forward.direction != "forward" or backward.direction != "backward":
         raise SemiringError("symbol_moments needs one forward and one backward state")
@@ -466,32 +469,57 @@ def symbol_moments(
         raise SemiringError(f"section depth {depth} outside 1..{trellis.rank}")
     _require_swept_over(trellis, forward.table, backward.table)
     semiring = forward.semiring
-    max_order = min(forward.max_order, backward.max_order)
     groups = trellis.symbol_groups()
     members = groups.find(depth, symbol)
     if members is None:
-        numerators = scaled = (semiring.zero,) * (max_order + 1)
+        scaled = (semiring.zero,) * (min(forward.max_order, backward.max_order) + 1)
     else:
-        # One multinomial sum over the group's edges, split by split:
-        #   out[m] = sum C(m; a, b, c) alpha[a] lam g^b beta[c], a+b+c = m.
-        positions = groups.positions[members]
-        a, b, c, coefficients, starts = _multinomial_index(max_order, len(positions))
-        lam, gval = _edge_labels(
-            semiring, trellis._lam[positions], g.values_for(trellis)[positions]
-        )
-        lift = _lift_rows(semiring, lam, gval, max_order)
-        if max_order:  # order 0 has the one split (0, 0, 0), of weight 1
-            lift = semiring.scale(coefficients, lift.take(b, axis=0))
-        alpha, alpha_exponent = forward.table._layers[depth - 1]
-        beta, beta_exponent = backward.table._layers[trellis.rank - depth]
-        alpha = alpha[groups.init_rows[members], a]
-        beta = beta[groups.fin_rows[members], c]
-        terms = semiring.mul(semiring.mul(alpha, lift), beta)
-        scaled = semiring.add.reduceat(terms.ravel(), starts).tolist()
-        numerators = tuple(_unscaled(scaled, alpha_exponent + beta_exponent))
-    return SymbolMoments(
-        depth, symbol, numerators, _normalize(semiring, scaled), semiring.name
-    )
+        k = bisect_right(groups._bounds, members.start) - 1
+        key, memo = (backward, trellis._lam, trellis.edge_arrays, g), forward._joined
+        if memo is None or not all(map(operator.is_, memo[0], key)):
+            try:
+                memo = forward._joined = (key, _symbol_join(trellis, g, forward, backward))
+            except SemiringError:  # alone, group k raises only for its own values
+                memo = (key, {k: _symbol_join(trellis, g, forward, backward, members)[0]})
+        scaled = memo[1][k]
+    exponent = forward.table._layers[depth - 1][1]
+    exponent += backward.table._layers[trellis.rank - depth][1]
+    numerators = tuple(_unscaled(scaled, exponent))
+    return SymbolMoments(depth, symbol, numerators, _normalize(semiring, scaled), semiring.name)
+
+
+@_quiet
+def _symbol_join(
+    trellis: Trellis, g: DepthFunctionTable, forward: MomentState,
+    backward: MomentState, members: slice = slice(None),
+) -> list[list[Any]]:
+    """Scaled numerators of the symbol groups whose entries ``members``
+    spans (all by default), a row each: one multinomial sum over their
+    edges, split by split, as each group's own (split, edge) grid ravels,
+        out[m] = sum C(m; a, b, c) alpha[a] lam g^b beta[c], a+b+c = m."""
+    semiring, max_order = forward.semiring, min(forward.max_order, backward.max_order)
+    groups, e = trellis._symbol_groups(), trellis.edge_arrays
+    positions = groups.positions[members]
+    a, b, c, coefficients, starts = _multinomial_index(max_order, len(positions))
+    lam, gval = _edge_labels(semiring, trellis._lam[positions], g.values_for(trellis)[positions])
+    lift = _lift_rows(semiring, lam, gval, max_order)
+    if max_order:  # order 0 has the one split (0, 0, 0), of weight 1
+        lift = semiring.scale(coefficients, lift.take(b, axis=0))
+    depth = np.cumsum([0, *map(len, trellis.layers)])  # where each depth's rows start
+    alpha = np.concatenate([block for block, _ in forward.table._layers])
+    beta = np.concatenate([block for block, _ in backward.table._layers[::-1]])
+    alpha = alpha[(depth[e.section] + e.init_row)[positions], a]
+    beta = beta[(depth[e.fin_depth] + e.fin_row)[positions], c]
+    terms = semiring.mul(semiring.mul(alpha, lift), beta).ravel()
+    if members == slice(None):  # group by group, in an order built once per topology and M
+        sizes, cached = np.diff(groups.offsets), f"symbol join {max_order}"
+        if cached not in trellis._plans:
+            group = np.repeat(np.arange(len(sizes)), sizes)
+            trellis._plans[cached] = np.argsort(np.tile(group, len(b)), kind="stable")
+        terms = terms.take(trellis._plans[cached])
+        below = _multinomial_index(max_order, 1)[4]  # the splits of the orders below m
+        starts = (len(b) * groups.offsets[:-1, None] + np.multiply.outer(sizes, below)).ravel()
+    return semiring.add.reduceat(terms, starts).reshape(-1, max_order + 1).tolist()
 
 
 class _Posterior(NamedTuple):

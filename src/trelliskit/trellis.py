@@ -184,9 +184,9 @@ class Trellis:
         self._edges = edges
         self._lookup: _Lookup | None = None
         # The edge arrays, and the validation report, the walk plans by
-        # direction and the symbol groups, built on first use.  relabeled()
-        # copies share this dict with their parent, so a topology builds
-        # each once.
+        # direction, the symbol groups and their joins' term orders, built on
+        # first use.  relabeled() copies share this dict with their parent,
+        # so a topology builds each once.
         self._plans = plans
 
     # -- structural queries -------------------------------------------------

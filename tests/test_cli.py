@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +33,17 @@ def run_json(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, strict_json(captured.out) if captured.out.strip() else None
+
+
+def test_start_up_leaves_the_oracles_unimported():
+    """Only ``--oracle`` uses the path-enumeration oracles, so importing
+    the CLI must not import them."""
+    import trelliskit
+
+    src = os.path.dirname(os.path.dirname(trelliskit.__file__))
+    probe = "import sys, trelliskit.cli; sys.exit('trelliskit.oracles' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 class TestBuildAndValidate:
