@@ -32,13 +32,14 @@ gather, one lambda scale and one scatter onto a lattice window shared by
 the layer; on a chain layer, where each vertex has one edge, it is only
 the gather and the scale, and each row adds the shift to its neighbour's
 column offset.  In quantized mode, where paths merge, ``_merge_quantized``
-merges, snaps the means and moves the bins of the whole layer; on a chain
-layer the vertices only add g to their neighbours' means.  Quantized
-flows are kept as a block times 2^k per layer, rescaled as the moment
-sweeps' are, so their bins stay finite on codes whose flow underflows a
-double.  A state keeps every layer's arrays as the sweep made them, and
-builds a vertex's ``ExactDistribution``, ``QuantizedDistribution`` or
-flow only when a caller reads it.
+merges, snaps the means and moves the bins of the whole layer, reading
+each row's target bins from a table built once per pair of bin counts;
+on a chain layer the vertices only add g to their neighbours' means.
+Quantized flows are kept as a block times 2^k per layer, rescaled as the
+moment sweeps' are, so their bins stay finite on codes whose flow
+underflows a double.  A state keeps every layer's arrays as the sweep
+made them, and builds a vertex's ``ExactDistribution``,
+``QuantizedDistribution`` or flow only when a caller reads it.
 
 The whole-trellis and symbol distributions are one join, forward (x)
 edge (x) backward summed over the edges of one section, as BCJR joins
@@ -56,7 +57,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -175,8 +176,10 @@ class QuantizedDistribution:
     def __post_init__(self):
         if self.half_bins < 1:
             raise SemiringError("need at least one bin on each side of the mean")
-        if self.bin_width <= 0:
-            raise SemiringError(f"bin width must be positive, got {self.bin_width}")
+        if not 0 < self.bin_width < math.inf:
+            raise SemiringError(
+                f"bin width must be a finite positive number, got {self.bin_width}"
+            )
         if len(self.mass) != 2 * self.half_bins + 1:
             raise SemiringError(
                 f"expected {2 * self.half_bins + 1} bins, got {len(self.mass)}"
@@ -259,6 +262,18 @@ def _first_rows(owners: np.ndarray, n_owners: int) -> np.ndarray:
     return np.searchsorted(owners, np.arange(n_owners))
 
 
+@lru_cache(maxsize=None)
+def _bin_targets(n_in: int, n_out: int) -> np.ndarray:
+    """Row s + reach holds clip(j - s, -n_out, n_out) for j = -n_in..n_in:
+    the target bins of a whole shift s = -reach..reach+1, where reach =
+    n_in + n_out + 1.  Read-only, built once per pair of bin counts."""
+    reach = n_in + n_out + 1
+    shifts = np.arange(-reach, reach + 2)[:, None]
+    table = np.clip(np.arange(-n_in, n_in + 1) - shifts, -n_out, n_out)
+    table.flags.writeable = False
+    return table
+
+
 def _move_bins(
     rows: np.ndarray,
     shifts: np.ndarray,
@@ -276,7 +291,9 @@ def _move_bins(
     down.  Mass whose target falls outside -n_out..n_out accumulates in
     the nearest boundary bin; the fractional part eps of the shift splits
     each bin between the two neighboring target bins with weights eps and
-    1-eps.  Total mass is conserved.
+    1-eps.  Total mass is conserved.  The targets of a whole shift s are
+    row s of ``_bin_targets``, and the eps part reads row s + 1; one
+    gather and one scatter move every row.
     """
     n_rows, n_bins = rows.shape
     n_in = n_bins // 2
@@ -284,25 +301,19 @@ def _move_bins(
     s = np.floor(shifts)
     eps = shifts - s
     split = np.flatnonzero(eps)
-    # A whole shift past n_in + n_out sends every bin to a boundary bin,
-    # as does that bound itself, so clipping to it first keeps the cast
-    # in range and the index as it was.
+    # Table row s + reach.  Clipping a whole shift to +-reach before the
+    # cast keeps it in range: from n_in + n_out on, every bin lands in a
+    # boundary bin.  A nan shift, whose weights are nan, reads row -1
+    # (every bin to -n_out) and its eps part row 0 (every bin to n_out).
     reach = n_in + n_out + 1
-    s = np.clip(s, -reach, reach).astype(np.intp)
-    base = (owners * bins + n_out)[:, None]
-    target = np.arange(-n_in, n_in + 1) - s[:, None]
+    at = np.where(np.isnan(s), -1, np.fmin(np.fmax(s + reach, 0), 2 * reach)).astype(np.intp)
     # The 1-eps part of every row, then the eps part of the rows with a
     # fractional shift; bincount adds them in this order.
-    index = np.empty((n_rows + len(split), n_bins), dtype=np.intp)
-    weights = np.empty(index.shape)
-    whole, part = index[:n_rows], index[n_rows:]
-    np.clip(target, -n_out, n_out, out=whole)
-    whole += base
-    np.subtract(target[split], 1, out=part)
-    np.clip(part, -n_out, n_out, out=part)
-    part += base[split]
-    np.multiply(((1.0 - eps) * scales)[:, None], rows, out=weights[:n_rows])
-    np.multiply((eps * scales)[split, None], rows[split], out=weights[n_rows:])
+    parts = np.concatenate([np.arange(n_rows), split])
+    index = _bin_targets(n_in, n_out).take(np.concatenate([at, at[split] + 1]), axis=0)
+    index += (owners.take(parts) * bins + n_out)[:, None]
+    weights = rows.take(parts, axis=0)
+    weights *= np.concatenate([(1.0 - eps) * scales, (eps * scales)[split]])[:, None]
     block = np.bincount(index.ravel(), weights.ravel(), minlength=n_owners * bins)
     return block.reshape(n_owners, bins)
 
@@ -314,8 +325,11 @@ def redistribute(
 
     The fraction eps = delta_mu/width - floor(delta_mu/width) of each bin
     moves one extra bin toward -N; out-of-range mass accumulates in the
-    boundary bins.  Total mass is conserved exactly.
+    boundary bins.  Total mass is conserved exactly.  A delta_mu that is
+    not finite raises SemiringError.
     """
+    if not math.isfinite(delta_mu):
+        raise SemiringError(f"cannot re-center by a non-finite delta_mu, got {delta_mu}")
     moved = _move_bins(
         np.asarray([dist.mass], dtype=float),
         np.array([float(delta_mu) / dist.bin_width]),
@@ -502,20 +516,20 @@ def _resolve_bin_width(
     trellis: Trellis, g: DepthFunctionTable, params: QuantizationParams
 ) -> tuple[float, Optional[MomentState]]:
     """The bin width, and the order-2 forward sweep that sized it when
-    ``params`` gives none."""
-    if params.bin_width is not None:
-        if params.bin_width <= 0:
-            raise SemiringError("bin width must be positive")
-        return float(params.bin_width), None
-    sweep = forward_numerators(trellis, g, 2)
-    moments = trellis_moments(sweep)
-    if moments.normalized is None:
-        raise ZeroFlowError(None, "cannot size bins: total flow is zero")
-    mean, second = moments.normalized[1], moments.normalized[2]
-    sigma = math.sqrt(max(second - mean * mean, 0.0))
-    if sigma == 0.0:
-        return 1.0, sweep
-    return 4.0 * sigma / params.half_bins, sweep
+    ``params`` gives none.  A width, given or sized, that is not a finite
+    positive number raises SemiringError."""
+    width, sweep = params.bin_width, None
+    if width is None:
+        sweep = forward_numerators(trellis, g, 2)
+        moments = trellis_moments(sweep)
+        if moments.normalized is None:
+            raise ZeroFlowError(None, "cannot size bins: total flow is zero")
+        mean, second = moments.normalized[1], moments.normalized[2]
+        sigma = math.sqrt(max(second - mean * mean, 0.0))
+        width = 4.0 * sigma / params.half_bins if sigma != 0.0 else 1.0
+    if not 0 < width < math.inf:
+        raise SemiringError(f"bin width must be a finite positive number, got {width}")
+    return float(width), sweep
 
 
 def _snap_mean(
@@ -529,13 +543,16 @@ def _snap_mean(
     its weighted mean, exact ties broken toward the point of smaller
     magnitude so symmetric instances keep centered windows);
     redistributions then move whole bins and the binned representation
-    stays exact.  Otherwise the plain weighted mean is used.
+    stays exact.  Otherwise the plain weighted mean is used; when no owner
+    aligns, as on every soft-decision layer, that is ``weighted_means``.
     """
     first = _first_rows(owners, len(weighted_means))
     base = means[first]
     t = (means - base[owners]) / width
     off = np.abs(t - np.round(t)) > _ALIGN_TOL * np.maximum(1.0, np.abs(t))
     aligned = ~np.logical_or.reduceat(off, first)
+    if not aligned.any():
+        return weighted_means
     t = (weighted_means - base) / width
     lo = np.floor(t)
     frac = t - lo
@@ -651,6 +668,7 @@ def _merge_quantized(
     return merged, block
 
 
+@_quiet
 def _quantized_sweep(
     trellis: Trellis,
     g: Union[DepthFunctionTable, np.ndarray],

@@ -370,6 +370,15 @@ class TestDistribution:
         assert code == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("width", ["nan", "inf", "0"])
+    def test_quantized_width_must_be_finite_and_positive(self, spc4_file, tmp_path, capsys, width):
+        argv = ["distribution", "--trellis", spc4_file, "--g", "clabel", "--mode", "quantized"]
+        code = main(argv + ["--width", width, "--out", str(tmp_path / "q.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: bin width must be a finite positive number, got {float(width)}" in err
+
     def test_quantized_mode(self, spc4_file, tmp_path):
         out = tmp_path / "q.csv"
         code = main(

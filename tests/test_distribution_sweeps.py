@@ -8,6 +8,12 @@ adds the same numbers in the same order, so its states must be
 bit-identical; the quantized one scales each moved row in another
 order, so its masses may differ in the last bits.
 
+``reference_move_bins_scatter`` is the batched bin move that the lookup
+in ``distributions._bin_targets`` replaced: it clips every (row, bin)
+target on each call.  Both hand bincount the same index and weights in
+the same order, so every bin, and every quantized state and join built
+from them, must be bit-identical.
+
 ``reference_trellis_distribution`` and ``reference_symbol_distribution``
 are the per-vertex cut and per-edge symbol combines that the one
 section join replaced.  The join adds g = 0 and multiplies by lambda = 1
@@ -73,6 +79,33 @@ def reference_move_bins(
     if eps != 0.0:
         np.add.at(out, lo, eps * mass)
     return out
+
+
+def reference_move_bins_scatter(rows, shifts, scales, owners, n_owners, n_out):
+    """``distributions._move_bins`` as it was before the target table: the
+    clipped target of every (row, bin) pair built on each call."""
+    n_rows, n_bins = rows.shape
+    n_in = n_bins // 2
+    bins = 2 * n_out + 1
+    s = np.floor(shifts)
+    eps = shifts - s
+    split = np.flatnonzero(eps)
+    reach = n_in + n_out + 1
+    s = np.clip(s, -reach, reach).astype(np.intp)
+    base = (owners * bins + n_out)[:, None]
+    target = np.arange(-n_in, n_in + 1) - s[:, None]
+    index = np.empty((n_rows + len(split), n_bins), dtype=np.intp)
+    weights = np.empty(index.shape)
+    whole, part = index[:n_rows], index[n_rows:]
+    np.clip(target, -n_out, n_out, out=whole)
+    whole += base
+    np.subtract(target[split], 1, out=part)
+    np.clip(part, -n_out, n_out, out=part)
+    part += base[split]
+    np.multiply(((1.0 - eps) * scales)[:, None], rows, out=weights[:n_rows])
+    np.multiply((eps * scales)[split, None], rows[split], out=weights[n_rows:])
+    block = np.bincount(index.ravel(), weights.ravel(), minlength=n_owners * bins)
+    return block.reshape(n_owners, bins)
 
 
 def reference_snap_mean(weighted_mean, means, width):
@@ -457,6 +490,21 @@ def test_snap_mean_matches_reference(groups, width):
         assert bits(got[owner]) == bits(reference_snap_mean(wmean, group, width))
 
 
+def test_snap_mean_keeps_weighted_means_when_no_owner_aligns():
+    """Soft g leaves no owner's incoming means on one lattice, so the
+    snap hands back the weighted means themselves.  Put one owner's
+    means on a lattice and that owner alone snaps."""
+    width = 0.25
+    means = np.array([0.1, 0.33, -0.2, 0.07, 1.0, 1.3])
+    owners = np.array([0, 0, 1, 1, 2, 2], dtype=np.intp)
+    weighted = np.array([0.2, -0.1, 1.1])
+    got = distributions._snap_mean(weighted, means, owners, width)
+    assert got is weighted
+    means[5] = 1.0 + 2 * width
+    got = distributions._snap_mean(weighted, means, owners, width)
+    assert [bits(x) for x in got] == [bits(0.2), bits(-0.1), bits(1.0)]
+
+
 @PROPERTY_SETTINGS
 @given(
     instances(),
@@ -597,6 +645,49 @@ def test_move_bins_sends_extreme_shifts_to_a_boundary_bin():
         assert block[0, 0] + block[1, -1] == block.sum()
 
 
+@st.composite
+def bin_moves(draw):
+    """Arguments of one ``_move_bins`` call: 1-4 owners with 1-3 rows
+    each; whole and fractional shifts, among them the edges of the target
+    table (+-reach, +-(reach +- 0.5), +-(reach + 1)) and +-1e300; scales
+    of 0, 1e-300 and random ones."""
+    n_out = draw(st.integers(1, 8))
+    n_in = draw(st.sampled_from([n_out, n_out + 3, 2 * n_out]))
+    reach = n_in + n_out + 1
+    edges = [reach, reach - 0.5, reach + 0.5, reach + 1, 1e300]
+    shift = st.one_of(
+        st.sampled_from(edges + [-x for x in edges]),
+        st.integers(-reach - 2, reach + 2).map(float),
+        st.floats(-reach - 2.0, reach + 2.0),
+    )
+    scale = st.one_of(st.sampled_from([0.0, 1e-300]), st.floats(0.0, 4.0))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    n = sum(sizes)
+    shifts = draw(st.lists(shift, min_size=n, max_size=n))
+    scales = draw(st.lists(scale, min_size=n, max_size=n))
+    rows = np.random.default_rng(draw(st.integers(0, 10**6))).random((n, 2 * n_in + 1))
+    owners = np.repeat(np.arange(len(sizes)), sizes)
+    return rows, np.array(shifts), np.array(scales), owners, len(sizes), n_out
+
+
+@PROPERTY_SETTINGS
+@given(bin_moves())
+def test_move_bins_matches_the_scatter_reference(move):
+    """Targets looked up in the table equal the ones clipped per call,
+    and bincount adds the same weights in the same order: every bin has
+    the same bits."""
+    got = distributions._move_bins(*move)
+    want = reference_move_bins_scatter(*move)
+    assert [bits(x) for x in got.ravel()] == [bits(x) for x in want.ravel()]
+
+
+def test_bin_targets_are_read_only_and_built_once():
+    table = distributions._bin_targets(32, 32)
+    assert table.shape == (2 * 65 + 2, 65) and not table.flags.writeable
+    assert distributions._bin_targets(32, 32) is table
+    assert table[0].tolist() == [32] * 65 and table[-1].tolist() == [-32] * 65
+
+
 def reference_lattice_step(trellis, g):
     """The per-section loop ``lattice_step`` replaced."""
     diffs = []
@@ -678,6 +769,40 @@ def tenths_g(t: Trellis) -> DepthFunctionTable:
     """g = 0.1*k, k in -3..3: a lattice whose step no double holds."""
     rng = np.random.default_rng(7)
     return DepthFunctionTable({e.id: 0.1 * float(rng.integers(-3, 4)) for e in t.edges})
+
+
+def quantized_answers(t, g):
+    """Every layer array of both quantized sweeps (means, flows, bins,
+    exponent), then every cut and symbol join, as bit strings."""
+    fd = forward_distributions(t, g, "auto")
+    params = distributions.QuantizationParams(fd.half_bins, fd.bin_width)
+    bd = backward_distributions(t, g, "auto", params)
+    assert fd.mode == bd.mode == "quantized"
+    out = [
+        [np.asarray(part).tobytes() for part in layer]
+        for state in (fd, bd)
+        for layer in state.quantized._layers
+    ]
+    out += [dist_fields(trellis_distribution(fd, bd, d)) for d in range(t.rank + 1)]
+    out += [
+        dist_fields(symbol_distribution(t, g, fd, bd, d, c))
+        for d in range(1, t.rank + 1)
+        for c in (1.0, -1.0)
+    ]
+    return out
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_quantized_answers_match_the_scatter_moves(seed, monkeypatch):
+    """[171,133] K=24 over AWGN sigma2=0.5: both sweeps, every cut and
+    every symbol join are bit-identical with the per-call scatter moves."""
+    code = build_conv_trellis((0o171, 0o133), 24)
+    _, received = make_received(code, Awgn(0.5), seed)
+    t = channel_lambda_labels(code, Awgn(0.5), received)
+    g = correlation_g_table(t, received)
+    got = quantized_answers(t, g)
+    monkeypatch.setattr(distributions, "_move_bins", reference_move_bins_scatter)
+    assert got == quantized_answers(t, g)
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -870,3 +995,22 @@ def test_overflow_to_inf_is_silent():
     bd = backward_distributions(t, g, "quantized", params)
     assert trellis_distribution(fd, bd, t.rank // 2).total() == math.inf
     assert fd.flows[t.sink] == math.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quantized_overflow_is_silent():
+    """[7,5] K=3 over AWGN sigma2=0.5 with g = 1e308*clabel and 32 bins of
+    width 1: the means pass the largest double, and every shift of the
+    merges is nan.  The sweeps run without a RuntimeWarning; at the sink
+    the mean is nan and the nan weights land in both boundary bins."""
+    code = build_conv_trellis((7, 5), 3)
+    _, received = make_received(code, Awgn(0.5), 1)
+    t = channel_lambda_labels(code, Awgn(0.5), received)
+    g = DepthFunctionTable({e.id: 1e308 * e.clabel for e in t.edges})
+    params = distributions.QuantizationParams(32, 1.0)
+    fd = forward_distributions(t, g, "quantized", params)
+    sink = fd.quantized[t.sink]
+    assert math.isnan(sink.mean)
+    assert np.flatnonzero(np.isnan(sink.mass)).tolist() == [0, 64]
+    bd = backward_distributions(t, g, "quantized", params)
+    assert math.isnan(trellis_distribution(fd, bd, t.rank // 2).mean)

@@ -29,7 +29,7 @@ from trelliskit import (
     trellis_distribution,
     trellis_moments,
 )
-from trelliskit.codes import Bsc, make_received, correlation_g_table
+from trelliskit.codes import Awgn, Bsc, make_received, correlation_g_table
 from trelliskit.oracles import (
     oracle_distribution,
     random_g_table,
@@ -355,6 +355,40 @@ class TestRedistribute:
             before = d.moment(1)
             after = out.moment(1)
             assert abs(after - before) <= width + 1e-9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_shift_is_rejected(self, delta):
+        d = QuantizedDistribution(0.0, 2, 1.0, (0.1, 0.2, 0.4, 0.2, 0.1))
+        with pytest.raises(SemiringError, match=f"non-finite delta_mu, got {delta}"):
+            redistribute(d, delta)
+
+
+class TestBinWidth:
+    @pytest.mark.parametrize("width", [math.nan, math.inf, 0.0, -1.0])
+    def test_distribution_rejects_a_width_that_is_not_finite_and_positive(self, width):
+        with pytest.raises(SemiringError, match=f"finite positive number, got {width}"):
+            QuantizedDistribution(0.0, 1, width, (0.0, 1.0, 0.0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("width", [math.nan, math.inf, 0.0])
+    def test_sweeps_reject_a_given_width(self, width):
+        t = build_spc_trellis(4)
+        g = random_g_table(t, 3)
+        for sweep in (forward_distributions, backward_distributions):
+            with pytest.raises(SemiringError, match=f"finite positive number, got {width}"):
+                sweep(t, g, "quantized", QuantizationParams(4, width))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_width_sized_from_a_non_finite_variance_is_rejected(self):
+        """[7,5] K=3 over AWGN sigma2=0.5 with g = 1e308*clabel: the
+        order-2 moments overflow, so the sized width would be nan."""
+        code = build_conv_trellis((7, 5), 3)
+        _, received = make_received(code, Awgn(0.5), 1)
+        t = channel_lambda_labels(code, Awgn(0.5), received)
+        g = DepthFunctionTable({e.id: 1e308 * e.clabel for e in t.edges})
+        with pytest.raises(SemiringError, match="finite positive number, got nan"):
+            forward_distributions(t, g, "quantized")
 
 
 class TestQuantizedPipeline:
