@@ -322,19 +322,6 @@ def uncertainty_constants(
     return UncertaintyConstants(k1b, k2, k1a)
 
 
-def word_uncertainty(
-    channel: ChannelModel,
-    word: Sequence[float],
-    codeword: Sequence[float],
-    constants: Optional[UncertaintyConstants] = None,
-) -> float:
-    """-log2 P(w|c) + k1a via the affine form (k1a taken as 0 if unset)."""
-    constants = constants or uncertainty_constants(channel, word)
-    corr = sum(c * w for c, w in zip(codeword, word))
-    k1a = constants.k1a or 0.0
-    return k1a - constants.k1b - constants.k2 * corr
-
-
 # -- correlation moments and entropies -------------------------------------------
 
 

@@ -26,8 +26,9 @@ that every redistribution moves whole bins; the quantized pipeline then
 reproduces the exact one bin for bin.
 
 A sweep does its numeric work one layer at a time in numpy, on one
-(vertices x values) block per layer.  In exact mode each edge's integer
-lattice shift is found once per sweep.  Where paths merge, a layer is one
+(vertices x values) block per layer.  In exact mode ``_lattice`` finds
+each edge's integer lattice shift once per sweep, as it does for
+``lattice_step`` and the joins.  Where paths merge, a layer is one
 gather, one lambda scale and one scatter onto a lattice window shared by
 the layer; on a chain layer, where each vertex has one edge, it is only
 the gather and the scale, and each row adds the shift to its neighbour's
@@ -74,6 +75,7 @@ MIN_LATTICE_STEP = 1e-6
 MAX_EXACT_BINS = 1 << 16
 
 _ALIGN_TOL = 1e-9
+_NO_LATTICE = "g values share no usable lattice; use the quantized mode"
 
 
 @dataclass(frozen=True)
@@ -230,12 +232,8 @@ def shift(dist, b: float):
     """
     b = float(b)
     if isinstance(dist, ExactDistribution):
-        if len(dist.mass) > 1:
-            t = b / dist.step
-            if abs(t - round(t)) > _ALIGN_TOL * max(1.0, abs(t)):
-                raise LatticeError(
-                    f"shift by {b} is off the step-{dist.step} lattice"
-                )
+        if len(dist.mass) > 1 and not (math.isfinite(b) and _aligned(b / dist.step)):
+            raise LatticeError(f"shift by {b} is off the step-{dist.step} lattice")
         return ExactDistribution(dist.offset + b, dist.step, dist.mass)
     if isinstance(dist, QuantizedDistribution):
         return QuantizedDistribution(
@@ -299,7 +297,8 @@ def _move_bins(
     n_in = n_bins // 2
     bins = 2 * n_out + 1
     s = np.floor(shifts)
-    eps = shifts - s
+    # An infinite shift, from a finite delta_mu over a tiny width, is whole.
+    eps = np.subtract(shifts, s, out=np.zeros_like(shifts), where=~np.isinf(shifts))
     split = np.flatnonzero(eps)
     # Table row s + reach.  Clipping a whole shift to +-reach before the
     # cast keeps it in range: from n_in + n_out on, every bin lands in a
@@ -349,6 +348,12 @@ def redistribute(
 # -- lattice detection ---------------------------------------------------------
 
 
+def _aligned(t):
+    """Whether t is a whole number, to ``_ALIGN_TOL`` times max(1, |t|):
+    the one test that a value lies a whole number of steps away."""
+    return np.abs(t - np.rint(t)) <= _ALIGN_TOL * np.maximum(1.0, np.abs(t))
+
+
 def _float_gcd(values: Iterable[float]) -> float:
     g = 0.0
     for v in values:
@@ -367,8 +372,45 @@ def _edge_values(
     return g if isinstance(g, np.ndarray) else g.values_for(trellis)
 
 
+def _lattice(
+    gval: np.ndarray, bounds: Sequence[int], step: Optional[float] = None
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The step, each section's smallest g, and every edge's integer
+    shift rint(spread / step), its spread being its g less that smallest.
+
+    Section j is ``gval[bounds[j]:bounds[j+1]]``, none empty.  A given
+    ``step`` must hold every spread (step 0: every spread is 0).  Else the
+    step is the gcd of the gaps between the sorted distinct spreads,
+    which span the sections' lattice with small numbers, or 0.0 when all
+    are 0; LatticeError is raised unless it is at least MIN_LATTICE_STEP,
+    holds every spread and needs at most MAX_EXACT_BINS points, one plus
+    each section's largest shift.
+    """
+    lows = np.minimum.reduceat(gval, bounds[:-1])
+    spread = gval - np.repeat(lows, np.diff(bounds))
+    derive = step is None
+    if derive:
+        gaps = np.diff(np.sort(spread))
+        gaps = gaps[gaps > 0.0]
+        step = _float_gcd(gaps.tolist())
+        if len(gaps) and step < MIN_LATTICE_STEP:
+            raise LatticeError(_NO_LATTICE)
+    t = spread / step if step else np.where(spread == 0.0, 0.0, 0.5)
+    if not _aligned(t).all():
+        raise LatticeError(
+            _NO_LATTICE if derive else f"g values of a section are off the step-{step} lattice"
+        )
+    shifts = np.rint(t).astype(np.intp)
+    if derive and np.maximum.reduceat(shifts, bounds[:-1]).sum() + 1 > MAX_EXACT_BINS:
+        raise LatticeError(
+            f"exact mode would need more than {MAX_EXACT_BINS} lattice "
+            "points; use the quantized mode"
+        )
+    return step, lows, shifts
+
+
 def lattice_step(trellis: Trellis, g: DepthFunctionTable) -> float:
-    """Common lattice step of the per-section g differences.
+    """Common lattice step of the per-section g values.
 
     Returns 0.0 when every section's g values coincide (all path values
     equal a single point); raises LatticeError when no usable lattice
@@ -377,39 +419,7 @@ def lattice_step(trellis: Trellis, g: DepthFunctionTable) -> float:
     valid trellis.
     """
     plan = trellis.plan("forward")
-    # The forward walk's layers are the sections in depth order; sort
-    # each one's values and drop repeats.
-    section = np.repeat(np.arange(trellis.rank), np.diff(plan.bounds))
-    values = _edge_values(trellis, g)[plan.edges]
-    order = np.lexsort((values, section))
-    values, section = values[order], section[order]
-    distinct = np.ones(len(values), dtype=bool)
-    distinct[1:] = (values[1:] != values[:-1]) | (section[1:] != section[:-1])
-    values, section = values[distinct], section[distinct]
-    inner = section[1:] == section[:-1]
-    diffs = (values[1:] - values[:-1])[inner]
-    if not len(diffs):
-        return 0.0
-    step = _float_gcd(diffs.tolist())
-    if step < MIN_LATTICE_STEP:
-        raise LatticeError(
-            "g values share no usable lattice; use the quantized mode"
-        )
-    t = diffs / step
-    if (np.abs(t - np.round(t)) > _ALIGN_TOL * np.maximum(1.0, np.abs(t))).any():
-        raise LatticeError(
-            "g values share no usable lattice; use the quantized mode"
-        )
-    first = _first_rows(section, trellis.rank)
-    last = np.append(first[1:], len(values)) - 1
-    # Section spans added one after another, as a running sum.
-    span = np.cumsum(values[last] - values[first])[-1]
-    if span / step + 1 > MAX_EXACT_BINS:
-        raise LatticeError(
-            f"exact mode would need more than {MAX_EXACT_BINS} lattice "
-            "points; use the quantized mode"
-        )
-    return step
+    return _lattice(_edge_values(trellis, g)[plan.edges], plan.bounds)[0]
 
 
 # -- propagation state -----------------------------------------------------------
@@ -548,9 +558,7 @@ def _snap_mean(
     """
     first = _first_rows(owners, len(weighted_means))
     base = means[first]
-    t = (means - base[owners]) / width
-    off = np.abs(t - np.round(t)) > _ALIGN_TOL * np.maximum(1.0, np.abs(t))
-    aligned = ~np.logical_or.reduceat(off, first)
+    aligned = np.logical_and.reduceat(_aligned((means - base[owners]) / width), first)
     if not aligned.any():
         return weighted_means
     t = (weighted_means - base) / width
@@ -563,23 +571,6 @@ def _snap_mean(
     )
     up = (frac > 0.5) | ((frac == 0.5) & nearer)
     return np.where(aligned, base + (lo + up) * width, weighted_means)
-
-
-def _lattice_shifts(
-    gval: np.ndarray, bounds: Sequence[int], step: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each section's smallest g, and every edge's integer shift above it.
-
-    Section j is ``gval[bounds[j]:bounds[j+1]]``, none empty.  An edge's
-    shift is rint((g - its section's smallest g) / step); with ``step`` 0
-    every section's g values must coincide, and every shift is 0.
-    """
-    lows = np.minimum.reduceat(gval, bounds[:-1])
-    spread = gval - np.repeat(lows, np.diff(bounds))
-    t = spread / step if step else np.where(spread == 0.0, 0.0, 0.5)
-    if (np.abs(t - np.rint(t)) > 1e-6).any():
-        raise LatticeError(f"g values of a section are off the step-{step} lattice")
-    return lows, np.rint(t).astype(np.intp)
 
 
 @_quiet
@@ -602,7 +593,7 @@ def _exact_sweep(
     plan = trellis.plan(direction)
     lam = plan.lam(trellis)[:, None]
     gval = _edge_values(trellis, g)[plan.edges]
-    lows, shifts = _lattice_shifts(gval, plan.bounds, step)
+    _, lows, shifts = _lattice(gval, plan.bounds, step)
     growth = np.maximum.reduceat(shifts, plan.bounds[:-1]).tolist()
     cols = np.arange(sum(growth) + 1)
     sizes = [len(layer) for layer in plan.layers]
@@ -918,7 +909,7 @@ def _join(
     if exact:
         # An edge's place in the sum is its g's lattice shift plus its
         # rows' columns, counted from the columns of each layer's row 0.
-        (low,), shifts = _lattice_shifts(g, (0, len(g)), forward.step)
+        _, (low,), shifts = _lattice(g, (0, len(g)), forward.step)
         f_ats, b_ats = forward.exact._ats[forward_layer], backward.exact._ats[backward_layer]
         places = shifts + (f_ats[init_rows] - f_ats[0]) + (b_ats[fin_rows] - b_ats[0])
         index = (places - places.min())[:, None] + np.arange(rows.shape[1])

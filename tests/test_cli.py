@@ -698,3 +698,41 @@ class TestFigures:
         assert (a / "fig3_meta.json").read_bytes() == (
             b / "fig3_meta.json"
         ).read_bytes()
+
+
+BOUNDARY_ERRORS = [
+    pytest.param(
+        ["moments", "--g", "clabel", "--max-order", "1", "--symbol-depth", "1"],
+        "--symbol-depth and --symbol-value must be given together",
+        id="symbol depth without a value",
+    ),
+    pytest.param(
+        ["label", "--channel", "bsc:0.1", "--received", "seed:x", "--received-out", "{tmp}/r.txt",
+         "--out", "{tmp}/l.trellis"],
+        "bad seed in 'seed:x'",
+        id="seed that is not a number",
+    ),
+    pytest.param(
+        ["moments", "--g", "clabel", "--max-order", "1", "--semiring", "tropical", "--count-ops"],
+        "--count-ops supports the real semiring only",
+        id="op counts in the tropical semiring",
+    ),
+    pytest.param(
+        ["moments", "--g", "clabel", "--max-order", "1", "--semiring", "tropical", "--oracle"],
+        "--oracle supports the real semiring only",
+        id="oracle in the tropical semiring",
+    ),
+    pytest.param(
+        ["distribution", "--g", "clabel", "--mode", "quantized", "--oracle", "--out", "{tmp}/d.csv"],
+        "oracle verification compares lattice points and needs the exact mode",
+        id="oracle on quantized bins",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, message", BOUNDARY_ERRORS)
+def test_boundary_errors(spc4_file, tmp_path, capsys, argv, message):
+    """Domain errors exit 1 and name the problem on stderr."""
+    command, *rest = argv
+    assert main([command, "--trellis", spc4_file, *(a.format(tmp=tmp_path) for a in rest)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

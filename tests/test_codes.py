@@ -7,6 +7,7 @@ from trelliskit import (
     Awgn,
     Bsc,
     ChannelError,
+    SemiringError,
     DepthFunctionTable,
     TrellisStructureError,
     build_conv_trellis,
@@ -407,3 +408,47 @@ class TestFigureDatasets:
         ]
         assert len(ratios) >= 2
         assert max(ratios) / min(ratios) > 1.0 + 1e-6
+
+
+def _labeled_spc4():
+    t = build_spc_trellis(4)
+    _, received = make_received(t, Bsc(0.35), 17)
+    return channel_lambda_labels(t, Bsc(0.35), received), received
+
+
+def _no_plus_at_depth_1():
+    labeled, _ = _labeled_spc4()
+    first = [e.id for e in labeled.edges_at(1) if e.clabel == 1.0]
+    return labeled.relabeled(lambda e: 0.0 if e.id in first else e.lam)
+
+
+BOUNDARIES = [
+    pytest.param(
+        lambda: correlation_moments(*_labeled_spc4(), 2, constraint=(0, 1.0)),
+        (SemiringError, r"section depth 0 outside 1\.\.4"),
+        id="constraint at depth 0",
+    ),
+    pytest.param(
+        lambda: correlation_moments(*_labeled_spc4(), 2, constraint=(5, -1.0)),
+        (SemiringError, r"section depth 5 outside 1\.\.4"),
+        id="constraint past the rank",
+    ),
+    pytest.param(
+        lambda: symbol_probability(_labeled_spc4()[0], 2, 3.0), 0.0,
+        id="symbol no edge carries",
+    ),
+    pytest.param(
+        lambda: symbol_probability(_no_plus_at_depth_1(), 1, 1.0), 0.0,
+        id="symbol whose edges carry no flow",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, want", BOUNDARIES)
+def test_boundaries(call, want):
+    """Typed errors, or a probability of 0.0 for a symbol with no flow."""
+    if isinstance(want, float):
+        assert call() == want
+    else:
+        with pytest.raises(want[0], match=want[1]):
+            call()

@@ -744,6 +744,63 @@ def test_lattice_step_matches_reference(instance, kind):
     assert step_outcome(lattice_step, t, g.values_for(t)) == want
 
 
+def section_shifts(t: Trellis, g: DepthFunctionTable, step: float) -> list[list[int]]:
+    """rint((g - the section's smallest g) / step) for every edge, by section."""
+    out = []
+    for depth in range(1, t.rank + 1):
+        vals = [g.value(e) for e in t.edges_at(depth)]
+        low = min(vals)
+        out.append([int(np.rint((v - low) / step)) if step else 0 for v in vals])
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(
+    instances(),
+    st.sampled_from([0.1, 1 / 3]),
+    st.sampled_from([3, 30, 400]),
+    st.booleans(),
+)
+def test_lattice_step_off_the_dyadic_lattice(instance, unit, reach, jitter):
+    """g = 0.1*k or k/3 with |k| <= reach: no double holds the step, and
+    the gcd of the spreads' gaps may land some ulp from the reference's
+    gcd of per-section differences.  Both give every edge the same
+    integer shift, the true one, (k - the section's smallest k) / the gcd
+    of those spreads of k, so the masses do not depend on which gcd ran.
+    Up to |k| = 30 both find the lattice, or both fail alike when a 1e-7
+    jitter on some g leaves none; at |k| = 400 the float gcds can miss a
+    lattice, each on instances where the other finds it, and a step
+    found lies within twice the alignment tolerance of the true one."""
+    t, _, seed = instance
+    rng = np.random.default_rng(seed)
+    k = rng.integers(-reach, reach + 1, size=len(t.edges))
+    values = 0.1 * k if unit == 0.1 else k / 3
+    if jitter:
+        values = values + 1e-7 * (rng.random(len(t.edges)) < 0.3)
+    g = DepthFunctionTable({e.id: float(v) for e, v in zip(t.edges, values)})
+    got, want = (step_outcome(fn, t, g) for fn in (lattice_step, reference_lattice_step))
+    if reach <= 30 or got[0] is want[0] is LatticeError:
+        assert got[0] == want[0] and (got[0] == "ok" or got == want)
+    if got[0] != "ok":
+        return
+    step = float.fromhex(got[1])
+    if want[0] == "ok":
+        assert section_shifts(t, g, step) == section_shifts(t, g, float.fromhex(want[1]))
+    if not jitter:
+        # The true lattice: the gcd of the spreads of k, and the shifts the
+        # sweeps and joins place rows by, in walk order.
+        plan = t.plan("forward")
+        walked = k[plan.edges]
+        spread = walked - np.repeat(np.minimum.reduceat(walked, plan.bounds[:-1]), np.diff(plan.bounds))
+        gcd = math.gcd(*spread.tolist())
+        _, _, shifts = distributions._lattice(values[plan.edges], plan.bounds)
+        assert shifts.tolist() == (spread // gcd if gcd else spread).tolist()
+        _, _, shifts = distributions._lattice(values[plan.edges], plan.bounds, unit)
+        assert shifts.tolist() == spread.tolist()
+        tol = 1e-12 if reach <= 30 else 2 * _ALIGN_TOL
+        assert abs(step - unit * gcd) <= tol * unit * gcd
+
+
 # -- codes of realistic size --------------------------------------------------
 
 

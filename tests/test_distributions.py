@@ -65,6 +65,22 @@ class TestShift:
         with pytest.raises(LatticeError):
             shift(d, 1.0)
 
+    @pytest.mark.parametrize(
+        "steps, whole",
+        [(3 + 2e-9, True), (3 + 5e-9, False), (3e6 + 2e-3, True), (3e6 + 4e-3, False),
+         (math.nan, False), (math.inf, False), (-math.inf, False)],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_whole_number_of_steps_is_within_1e_9_relative(self, steps, whole):
+        """Within 1e-9 of max(1, |t|) steps of a whole number t; nan and
+        +-inf never."""
+        d = ExactDistribution(-2.0, 2.0, (0.25, 0.5, 0.25))
+        if whole:
+            assert shift(d, 2.0 * steps).mass == d.mass
+        else:
+            with pytest.raises(LatticeError, match="off the step-2.0 lattice"):
+                shift(d, 2.0 * steps)
+
     def test_quantized_shift_moves_mean_only(self):
         d = QuantizedDistribution(3.2, 2, 1.0, (0.1, 0.2, 0.4, 0.2, 0.1))
         out = shift(d, 0.7)
@@ -363,6 +379,16 @@ class TestRedistribute:
         with pytest.raises(SemiringError, match=f"non-finite delta_mu, got {delta}"):
             redistribute(d, delta)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("delta, bin", [(1e10, 0), (-1e10, 4)])
+    def test_an_overflowing_whole_shift_fills_a_boundary_bin(self, delta, bin):
+        """delta_mu / bin_width overflows to +-inf: a whole shift past
+        every bin, so all the mass lands in the bin it moves toward."""
+        d = QuantizedDistribution(0.0, 2, 1e-300, (0.1, 0.2, 0.4, 0.2, 0.1))
+        out = redistribute(d, delta)
+        assert out.mean == delta and out.mass[bin] == pytest.approx(1.0, abs=1e-15)
+        assert out.mass[:bin] + out.mass[bin + 1 :] == (0.0,) * 4
+
 
 class TestBinWidth:
     @pytest.mark.parametrize("width", [math.nan, math.inf, 0.0, -1.0])
@@ -389,6 +415,28 @@ class TestBinWidth:
         g = DepthFunctionTable({e.id: 1e308 * e.clabel for e in t.edges})
         with pytest.raises(SemiringError, match="finite positive number, got nan"):
             forward_distributions(t, g, "quantized")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_subnormal_width_keeps_means_and_mass(self):
+        """[7,5] K=3 over AWGN sigma2=0.5 with bins of width 1e-310: every
+        incoming mean sits an overflowing number of bins from the next,
+        so no merge snaps; the means stay the flow-weighted ones and
+        every move is a whole shift into a boundary bin."""
+        code = build_conv_trellis((7, 5), 3)
+        _, received = make_received(code, Awgn(0.5), 1)
+        t = channel_lambda_labels(code, Awgn(0.5), received)
+        g = correlation_g_table(t, received)
+        params = QuantizationParams(4, 1e-310)
+        fd = forward_distributions(t, g, "quantized", params)
+        bd = backward_distributions(t, g, "quantized", params)
+        mean = trellis_moments(forward_numerators(t, g, 1)).normalized[1]
+        for dist in (fd.quantized[t.sink], bd.quantized[t.source]):
+            assert_close(dist.mean, mean, 1e-12)
+            assert all(map(math.isfinite, dist.mass)) and abs(dist.total() - 1.0) <= 1e-12
+        for depth in range(t.rank + 1):
+            cut = trellis_distribution(fd, bd, depth)
+            assert_close(cut.mean, mean, 1e-12)
+            assert_close(cut.total(), fd.flows[t.sink], 1e-12)
 
 
 class TestQuantizedPipeline:
@@ -473,3 +521,76 @@ class TestQuantizedPipeline:
         bq = backward_distributions(spc4, spc4_clabel_g, "quantized", params)
         dist = symbol_distribution(spc4, spc4_clabel_g, fq, bq, 1, 9.0)
         assert dist.total() == 0.0
+
+
+def _states(t, g, mode):
+    return forward_distributions(t, g, mode), backward_distributions(t, g, mode)
+
+
+def _quantized_pair(t, g, forward, backward):
+    return (
+        forward_distributions(t, g, "quantized", QuantizationParams(*forward)),
+        backward_distributions(t, g, "quantized", QuantizationParams(*backward)),
+    )
+
+
+BOUNDARY_ERRORS = [
+    pytest.param(
+        lambda t, g: forward_distributions(t, g, "fuzzy"),
+        SemiringError, "unknown distribution mode 'fuzzy'",
+        id="unknown mode",
+    ),
+    pytest.param(
+        lambda t, g: trellis_distribution(*_states(t, g, "exact")[::-1]),
+        SemiringError, "need one forward and one backward",
+        id="directions swapped",
+    ),
+    pytest.param(
+        lambda t, g: trellis_distribution(
+            forward_distributions(t, g, "exact"), backward_distributions(t, g, "quantized")
+        ),
+        SemiringError, "forward and backward states use different modes",
+        id="modes differ",
+    ),
+    pytest.param(
+        lambda t, g: trellis_distribution(*_quantized_pair(t, g, (2, 2.0), (3, 2.0))),
+        SemiringError, "quantization parameters differ",
+        id="half bins differ",
+    ),
+    pytest.param(
+        lambda t, g: symbol_distribution(t, g, *_quantized_pair(t, g, (2, 2.0), (2, 1.0)), 1, 1.0),
+        SemiringError, "quantization parameters differ",
+        id="widths differ",
+    ),
+    pytest.param(
+        lambda t, g: trellis_distribution(*_states(t, g, "exact"), -1),
+        SemiringError, r"cut depth -1 outside 0\.\.4",
+        id="cut below 0",
+    ),
+    pytest.param(
+        lambda t, g: trellis_distribution(*_states(t, g, "quantized"), 5),
+        SemiringError, r"cut depth 5 outside 0\.\.4",
+        id="cut past the rank",
+    ),
+    pytest.param(
+        lambda t, g: symbol_distribution(t, g, *_states(t, g, "exact"), 0, 1.0),
+        SemiringError, r"section depth 0 outside 1\.\.4",
+        id="section depth 0",
+    ),
+    pytest.param(
+        lambda t, g: symbol_distribution(t, g, *_states(t, g, "quantized"), 5, 1.0),
+        SemiringError, r"section depth 5 outside 1\.\.4",
+        id="section depth past the rank",
+    ),
+    pytest.param(
+        lambda t, g: forward_distributions(t.relabeled(np.zeros(len(t.edges))), g, "quantized"),
+        ZeroFlowError, "cannot size bins: total flow is zero",
+        id="no flow to size bins",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, match", BOUNDARY_ERRORS)
+def test_boundary_errors(spc4, spc4_clabel_g, call, error, match):
+    with pytest.raises(error, match=match):
+        call(spc4, spc4_clabel_g)

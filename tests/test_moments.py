@@ -574,3 +574,32 @@ def test_engines_restore_each_threads_error_state(monkeypatch):
         a.join(10)
     assert not a.is_alive()
     assert seen == {"over": "raise"}
+
+
+def _pair(t, g, order, forward=REAL, backward=REAL):
+    return forward_numerators(t, g, order, forward), backward_numerators(t, g, order, backward)
+
+
+BOUNDARY_ERRORS = [
+    pytest.param(
+        lambda t, g: symbol_moments(t, g, *_pair(t, g, 1, REAL, TROPICAL), 1, 1.0),
+        "forward and backward states use different semirings",
+        id="symbol moments over two semirings",
+    ),
+    pytest.param(
+        lambda t, g: counted_symbol_pass(t, g, *_pair(t, g, 1, TROPICAL, TROPICAL), 1),
+        "counted runs support the real semiring only",
+        id="counted pass over a non-real semiring",
+    ),
+    pytest.param(
+        lambda t, g: counted_symbol_pass(t, g, *_pair(t, g, 2), 3),
+        "states were not computed to the requested order",
+        id="counted pass past the states' order",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, match", BOUNDARY_ERRORS)
+def test_boundary_errors(spc4, spc4_clabel_g, call, match):
+    with pytest.raises(SemiringError, match=match):
+        call(spc4, spc4_clabel_g)

@@ -321,3 +321,37 @@ class TestDepthFunctionTable:
             TrellisFormatError, match=f"line {len(lines)}: duplicate g value for edge {first}"
         ):
             read_g_table(path, spc4)
+
+
+BAD_FILES = [
+    pytest.param(
+        "g_table", "g 0 1.0\ng 1\n", r"^line 2: expected 'g <edge-id> <value>'$",
+        id="g line with two fields",
+    ),
+    pytest.param(
+        "g_table", "# header\nh 0 1.0\n", r"^line 2: expected 'g <edge-id> <value>'$",
+        id="line not tagged g",
+    ),
+    pytest.param(
+        "g_table", "g x 1.0\n", r"^line 1: invalid literal for int\(\)",
+        id="edge id not an integer",
+    ),
+    pytest.param(
+        "g_table", "\ng 0 one\n", r"^line 2: could not convert string to float: 'one'$",
+        id="g value not a number",
+    ),
+    pytest.param(
+        "received", "1.0\n-1.0 1.0\n", r"^line 2: could not convert string to float",
+        id="received value not a number",
+    ),
+]
+
+
+@pytest.mark.parametrize("reader, text, match", BAD_FILES)
+def test_bad_lines_name_their_line(spc4, tmp_path, reader, text, match):
+    from trelliskit import read_g_table, read_received
+
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    with pytest.raises(TrellisFormatError, match=match):
+        read_g_table(path, spc4) if reader == "g_table" else read_received(path)
