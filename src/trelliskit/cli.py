@@ -15,10 +15,15 @@ import json
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import codes, distributions, moments, semirings, trellis as tgraph
+# Each subcommand imports the engines it runs, so a process loads only
+# those; semirings names the --semiring choices.
+from . import semirings
 from .errors import TrelliskitError, ZeroFlowError
+
+if TYPE_CHECKING:
+    from .trellis import DepthFunctionTable, Trellis
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="auto", choices=("exact", "quantized", "auto"))
     p.add_argument("--bins", type=int, help="half bin count N (quantized)")
     p.add_argument("--width", type=float, help="bin width (quantized)")
-    p.add_argument("--cut", type=int, default=0, help="combining depth")
+    p.add_argument(
+        "--cut",
+        type=int,
+        help="combining depth of the whole-trellis distribution (default 0)",
+    )
     p.add_argument("--symbol-depth", type=int)
     p.add_argument("--symbol-value", type=float)
     p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
@@ -136,7 +145,9 @@ def _constraint(args) -> Optional[tuple[int, float]]:
     return args.symbol_depth, args.symbol_value
 
 
-def _load_g(args, graph: tgraph.Trellis) -> tgraph.DepthFunctionTable:
+def _load_g(args, graph: Trellis) -> DepthFunctionTable:
+    from . import trellis as tgraph
+
     if args.g == "clabel":
         return tgraph.DepthFunctionTable.from_clabels(graph)
     return tgraph.read_g_table(args.g, graph)
@@ -150,6 +161,8 @@ def _rel_err(a: float, b: float) -> float:
 
 
 def _cmd_validate(args) -> int:
+    from . import trellis as tgraph
+
     graph = tgraph.read_trellis(args.trellis)
     report = tgraph.validate(graph)
     _emit_json(
@@ -165,6 +178,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_build_code(args) -> int:
+    from . import codes, trellis as tgraph
+
     if args.spc is not None:
         graph = codes.build_spc_trellis(args.spc)
     else:
@@ -178,6 +193,8 @@ def _cmd_build_code(args) -> int:
 
 
 def _cmd_label(args) -> int:
+    from . import codes, trellis as tgraph
+
     graph = tgraph.read_trellis(args.trellis)
     channel = codes.parse_channel(args.channel)
     if args.received.startswith("seed:"):
@@ -199,6 +216,8 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    from . import moments, trellis as tgraph
+
     graph = tgraph.read_trellis(args.trellis)
     g = _load_g(args, graph)
     semiring = semirings.get_semiring(args.semiring)
@@ -252,11 +271,15 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_distribution(args) -> int:
-    graph = tgraph.read_trellis(args.trellis)
-    g = _load_g(args, graph)
+    from . import distributions, moments, trellis as tgraph
+
     constraint = _constraint(args)
     if args.mode == "exact" and (args.bins is not None or args.width is not None):
         raise _UsageError("--bins/--width apply to the quantized mode only")
+    if args.cut is not None and constraint is not None:
+        raise _UsageError("--cut applies to the whole-trellis distribution only")
+    graph = tgraph.read_trellis(args.trellis)
+    g = _load_g(args, graph)
     params = None
     if args.bins is not None or args.width is not None:
         params = distributions.QuantizationParams(
@@ -270,7 +293,7 @@ def _cmd_distribution(args) -> int:
         params = distributions.QuantizationParams(fwd.half_bins, fwd.bin_width)
     bwd = distributions.backward_distributions(graph, g, fwd.mode, params)
     if constraint is None:
-        dist = distributions.trellis_distribution(fwd, bwd, args.cut)
+        dist = distributions.trellis_distribution(fwd, bwd, args.cut or 0)
     else:
         dist = distributions.symbol_distribution(graph, g, fwd, bwd, *constraint)
 
@@ -334,6 +357,8 @@ def _cmd_distribution(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
+    from . import codes, trellis as tgraph
+
     graph = tgraph.read_trellis(args.trellis)
     channel = codes.parse_channel(args.channel)
     received = tgraph.read_received(args.received)
@@ -354,6 +379,8 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_figures(args) -> int:
+    from . import codes
+
     os.makedirs(args.out, exist_ok=True)
     if args.which == 1:
         generators = codes.parse_generators(args.generators or "5,7")

@@ -31,7 +31,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ChannelError, TrellisStructureError, ZeroFlowError
-from .moments import _posterior
 from .trellis import DepthFunctionTable, Trellis, _chained, is_bipolar
 
 MAX_CONV_MEMORY = 16
@@ -350,6 +349,8 @@ def correlation_moments(
     ``max_order``, restricted to the subcode when ``constraint=(depth,
     symbol)`` is given.
     """
+    from .moments import _posterior
+
     g = correlation_g_table(trellis, word)
     return _posterior(trellis, g, max_order, constraint).normalized
 
@@ -380,6 +381,8 @@ def conditional_entropy_detail(
     uncertainty-correlation relation reduces the entropy to
     log2(flow) - K1b - K2 times the first correlation moment.
     """
+    from .moments import _posterior
+
     g = correlation_g_table(trellis, received)
     code = _posterior(trellis, g, 1)
     log2_flow = code.log2_flow
@@ -410,6 +413,8 @@ def symbol_probability(trellis: Trellis, depth: int, symbol: float) -> float:
     """Symbol probability P(c_i = x | r) on a likelihood-labeled trellis:
     the subcode's flow over the code's, each from one order-0 sweep.
     """
+    from .moments import _posterior
+
     g = DepthFunctionTable.constant(trellis, 0.0)
     code = _posterior(trellis, g, 0)
     try:
@@ -494,6 +499,7 @@ def correlation_distribution_with_gaussian(
     equal the distribution's first two normalized moments.
     """
     from .distributions import gaussian_lattice_mass, trellis_distribution
+    from .moments import _posterior
 
     labeled, g, fwd, bwd, codeword, received = _figure_word(
         generators, info_len, p, seed

@@ -46,6 +46,57 @@ def test_start_up_leaves_the_oracles_unimported():
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
+# The trelliskit modules a process holds after each subcommand, besides
+# the package and the CLI: each loads only the engines it runs.
+FOOTPRINTS = [
+    pytest.param(None, {"errors"}, id="import trelliskit"),
+    pytest.param(["build-code", "--spc", "3", "--out", "{tmp}/b.trellis"],
+                 {"errors", "semirings", "trellis", "codes"}, id="build-code"),
+    pytest.param(["label", "--trellis", "{spc4}", "--channel", "bsc:0.2", "--received",
+                  "seed:1", "--received-out", "{tmp}/r1.txt", "--out", "{tmp}/l1.trellis"],
+                 {"errors", "semirings", "trellis", "codes"}, id="label"),
+    pytest.param(["validate", "--trellis", "{spc4}", "--out", "{tmp}/v.json"],
+                 {"errors", "semirings", "trellis"}, id="validate"),
+    pytest.param(["entropy", "--trellis", "{labeled}", "--channel", "bsc:0.2", "--received",
+                  "{received}", "--out", "{tmp}/h.json"],
+                 {"errors", "semirings", "trellis", "codes", "moments"}, id="entropy"),
+    pytest.param(["moments", "--trellis", "{labeled}", "--g", "clabel", "--max-order", "2",
+                  "--out", "{tmp}/m.json"],
+                 {"errors", "semirings", "trellis", "moments"}, id="moments"),
+    pytest.param(["distribution", "--trellis", "{labeled}", "--g", "clabel", "--out",
+                  "{tmp}/d.csv"],
+                 {"errors", "semirings", "trellis", "moments", "distributions"},
+                 id="distribution"),
+    pytest.param(["figures", "--which", "3", "--seed", "1", "--info-len", "4", "--out",
+                  "{tmp}/figs"],
+                 {"errors", "semirings", "trellis", "codes", "moments", "distributions"},
+                 id="figures"),
+]
+
+
+@pytest.mark.parametrize("argv, modules", FOOTPRINTS)
+def test_each_subcommand_imports_only_its_engines(spc4_file, tmp_path, argv, modules):
+    import trelliskit
+
+    received = tmp_path / "r.txt"
+    labeled = tmp_path / "l.trellis"
+    assert main(["label", "--trellis", spc4_file, "--channel", "bsc:0.2", "--received",
+                 "seed:3", "--received-out", str(received), "--out", str(labeled)]) == 0
+    paths = {"tmp": tmp_path, "spc4": spc4_file, "labeled": labeled, "received": received}
+    run = "" if argv is None else "import trelliskit.cli; trelliskit.cli.main(sys.argv[1:]); "
+    probe = (
+        "import json, sys, trelliskit; " + run
+        + "print(json.dumps([m for m in sys.modules if m.startswith('trelliskit.')]))"
+    )
+    src = os.path.dirname(os.path.dirname(trelliskit.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *(a.format(**paths) for a in argv or ())],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    loaded = set(json.loads(proc.stdout.splitlines()[-1])) - {"trelliskit.cli"}
+    assert loaded == {f"trelliskit.{m}" for m in modules}
+
+
 class TestBuildAndValidate:
     def test_round_trip(self, spc4_file, tmp_path):
         t = read_trellis(spc4_file)
@@ -369,6 +420,23 @@ class TestDistribution:
         )
         assert code == 2
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut", ["0", "2", "99"])
+    def test_cut_with_a_symbol_is_a_usage_error(self, spc4_file, tmp_path, capsys, cut):
+        """A symbol distribution has no cut: --cut beside a constraint,
+        in range or not, is refused rather than ignored."""
+        argv = ["distribution", "--trellis", spc4_file, "--g", "clabel", "--cut", cut,
+                "--symbol-depth", "2", "--symbol-value", "1", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "usage error: --cut applies to the whole-trellis distribution only\n"
+        )
+
+    def test_cut_out_of_range_is_reported(self, spc4_file, tmp_path, capsys):
+        argv = ["distribution", "--trellis", spc4_file, "--g", "clabel", "--cut", "99",
+                "--out", str(tmp_path / "c.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: cut depth 99 outside 0..4\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("width", ["nan", "inf", "0"])
