@@ -384,7 +384,9 @@ def conditional_entropy_detail(
     from .moments import _posterior
 
     g = correlation_g_table(trellis, received)
-    code = _posterior(trellis, g, 1)
+    # Row 0 and its exponent have the same bits at any order, so the
+    # whole code's sweep needs order 1 only when its moment is read.
+    code = _posterior(trellis, g, 1 if constraint is None else 0)
     log2_flow = code.log2_flow
     if constraint is not None:
         code = _posterior(trellis, g, 1, constraint)

@@ -30,16 +30,21 @@ A sweep does its numeric work one layer at a time in numpy, on one
 each edge's integer lattice shift once per sweep, as it does for
 ``lattice_step`` and the joins.  Where paths merge, a layer is one
 gather, one lambda scale and one scatter onto a lattice window shared by
-the layer; on a chain layer, where each vertex has one edge, it is only
-the gather and the scale, and each row adds the shift to its neighbour's
-column offset.  In quantized mode, where paths merge, ``_merge_quantized``
-merges, snaps the means and moves the bins of the whole layer, reading
-each row's target bins from a table built once per pair of bin counts;
-on a chain layer the vertices only add g to their neighbours' means.
-Quantized flows are kept as a block times 2^k per layer, rescaled as the
-moment sweeps' are, so their bins stay finite on codes whose flow
-underflows a double.  A state keeps every layer's arrays as the sweep
-made them, and builds a vertex's ``ExactDistribution``,
+the layer.  On a chain layer, where each vertex has one edge, each row
+is its neighbour's row gathered and scaled by lambda, at its neighbour's
+column offset plus the shift; the sweep stores no block for it, and the
+next merge layer gathers its rows straight from the last kept block and
+applies the chain's lambdas in walk order.  In quantized mode, where
+paths merge, ``_merge_quantized`` merges, snaps the means and moves the
+bins of the whole layer, reading each row's target bins from a table
+built once per pair of bin counts; on a chain layer the vertices only
+add g to their neighbours' means and keep their bins, so again no block
+is stored.  Quantized flows are kept as a block times 2^k per layer,
+rescaled as the moment sweeps' are, so their bins stay finite on codes
+whose flow underflows a double.  A state so keeps the blocks of its
+merge layers only, about a third of the bytes on a split convolutional
+trellis.  It builds a chain row, the same bit for bit as the sweep would
+have stored it, and a vertex's ``ExactDistribution``,
 ``QuantizedDistribution`` or flow only when a caller reads it.
 
 The whole-trellis and symbol distributions are one join, forward (x)
@@ -56,10 +61,10 @@ rows in the sweep's merge.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -446,13 +451,16 @@ class DistributionState:
     The sweep's arrays stay as it made them, one tuple per layer of its
     walk, and ``exact``, ``quantized`` and ``flows`` are read-only vertex
     mappings over them, in walk order, that build a vertex's
-    distribution or flow when it is read.  Exact mode keeps (offsets,
+    distribution or flow when it is read.  Exact mode has (offsets,
     lengths, masses) per layer: row r holds raw (flow-weighted) masses on
     offsets[r] + k*step, all rows of a layer where paths merge on one
     lattice window, and each row of a chain layer on its own.  Quantized
-    mode keeps (means, flows, masses, k): unit-mass bin vectors around the
+    mode has (means, flows, masses, k): unit-mass bin vectors around the
     tracked means, and the flows needed for relative edge weights, which
-    are ``flows * 2^k``; ``flows`` hands out that product.
+    are ``flows * 2^k``; ``flows`` hands out that product.  Only merge
+    layers store their masses; a chain layer's masses are rebuilt from
+    the last stored block when read, and exact offsets and lengths are
+    made from each layer's column offsets when read.
     The other mode's mappings are None.  ``sizing`` is the order-2
     forward moment sweep that sized the bins, when the quantized mode had
     no bin width given, and None otherwise.
@@ -472,22 +480,104 @@ class DistributionState:
     sizing: Optional[MomentState] = None
 
 
+class _Layers(Sequence):
+    """One sweep's arrays, read per layer as a tuple whose index 2 holds the
+    layer's (rows x values) block.
+
+    ``fields(k)`` gives layer k's other arrays (and its exponent), which
+    the block joins after the first two.  A layer where paths merge keeps
+    its block; a chain layer, where each vertex has one local edge, keeps
+    none.  Its row r is its edge's neighbour row times, in exact mode,
+    the edge's lambda, so ``masses`` rebuilds it from the walk ``plan``
+    and ``lam``: it composes the row index back down the chain run to the
+    last kept block, gathers those rows, and multiplies them by the run's
+    lambdas in walk order, with ``+= 0.0`` after each when ``signed`` (a
+    -0.0 product reads +0.0, as a scatter's sum does).  Those are the
+    operations that made a stored chain row, so the rows have its bits;
+    quantized chain rows are only gathered (``lam`` None).  A read builds
+    only the rows it asks for.
+    """
+
+    __slots__ = ("fields", "_plan", "_lam", "_signed", "_blocks")
+
+    def __init__(
+        self,
+        plan: WalkPlan,
+        block: np.ndarray,
+        fields: Callable[[int], tuple],
+        lam: Optional[np.ndarray] = None,
+    ):
+        self.fields, self._plan, self._lam = fields, plan, lam
+        self._signed = lam is not None and bool(np.signbit(lam).any())
+        self._blocks: list[Optional[np.ndarray]] = [block]
+
+    def keep(self, block: Optional[np.ndarray]) -> None:
+        """Append a layer that keeps ``block``, or a chain layer (None)."""
+        self._blocks.append(block)
+
+    def masses(self, k: int, rows=None) -> np.ndarray:
+        """Layer k's block (k >= 0), or a copy of its rows ``rows`` (an
+        integer array), or of its row ``rows`` (an integer); a chain
+        layer's built from its base."""
+        block, factors = self._blocks[k], []
+        while block is None:
+            # A chain layer's row r is the one of its edge bounds[k-1] + r.
+            start = self._plan.bounds[k - 1]
+            edges = slice(start, self._plan.bounds[k]) if rows is None else start + rows
+            if self._lam is not None:
+                factors.append(self._lam[edges])
+            rows, k = self._plan.rows[edges], k - 1
+            block = self._blocks[k]
+        if rows is not None:
+            block = block.take(rows, axis=0)
+        for f in reversed(factors):
+            block *= f[..., None]
+            if self._signed:
+                block += 0.0
+        return block
+
+    @_quiet
+    def __getitem__(self, k: int) -> tuple:
+        k = range(len(self))[k]
+        fields = self.fields(k)
+        return (*fields[:2], self.masses(k), *fields[2:])
+
+    def __len__(self) -> int:
+        return len(self._blocks)
+
+
+class _SweepRows(_LayerRows):
+    """A ``_Layers`` read as vertex -> value: ``make(layers, k, r)`` builds
+    the value of row r of layer k, and only that row's masses."""
+
+    __slots__ = ()
+
+    @_quiet
+    def __getitem__(self, v: int):
+        k, r = self._where[v]
+        return self._make(self._layers, k, r)
+
+
 class _ExactRows(_LayerRows):
     """The exact sweep's rows, read as vertex -> ExactDistribution.
 
-    Row r of layer k starts at column ``starts[k] + ats[k][r]``.  A
+    Row r of layer k starts at column ``starts[k] + ats[k][r]``, which
+    lies at ``origins[k]`` plus that many steps.  A
     vertex's own lattice points are the columns lo..hi-1 of its layer
     that its edges reach: the least lo and greatest hi of its neighbours,
     each moved by the edge's shift.  The first read finds them all.
     """
 
-    __slots__ = ("_shifts", "_step", "_starts", "_ats", "_extents")
+    __slots__ = ("_shifts", "_step", "_origins", "_starts", "_ats", "_extents")
 
-    def __init__(self, plan: WalkPlan, layers, shifts, step: float, starts, ats):
+    def __init__(
+        self, plan: WalkPlan, layers: _Layers, shifts, step: float, origins, starts, ats
+    ):
         super().__init__(plan, layers, None)
         self._shifts, self._step = shifts, step
-        self._starts, self._ats, self._extents = starts, ats, None
+        self._origins, self._starts, self._ats, self._extents = origins, starts, ats, None
 
+    @_quiet
     def __getitem__(self, v: int) -> ExactDistribution:
         plan, (k, r) = self._plan, self._where[v]
         if self._extents is None:
@@ -498,27 +588,27 @@ class _ExactRows(_LayerRows):
                 extents.append(np.minimum.reduceat(moved, plan.firsts[j]))
             self._extents = [(e * [1, -1]).tolist() for e in extents]
         (lo, hi), start = self._extents[k][r], self._starts[k] + int(self._ats[k][r])
-        offsets, _, masses = self._layers[k]
+        row = self._layers.masses(k, r)
         # The row starts at column ``start``; columns it trimmed are 0.
         a = min(max(lo, start), hi)
-        b = max(a, min(hi, start + masses.shape[1]))
-        mass = masses[r, a - start : b - start].tolist()
+        b = max(a, min(hi, start + len(row)))
+        mass = row[a - start : b - start].tolist()
         mass = [0.0] * (a - lo) + mass + [0.0] * (hi - b)
-        offset = float(offsets[r] + (lo - start) * self._step)
+        # Row r's offset, as ``_exact_fields`` makes it, then lo's.
+        at = self._origins[k] + self._starts[k] * self._step + self._ats[k][r] * self._step
+        offset = float(at + (lo - start) * self._step)
         return ExactDistribution(offset, self._step, tuple(mass))
 
 
 def _quantized_row(
-    half_bins: int, width: float, layer, r: int
+    half_bins: int, width: float, layers: _Layers, k: int, r: int
 ) -> QuantizedDistribution:
-    means, _, masses, _ = layer
-    return QuantizedDistribution(
-        float(means[r]), half_bins, width, tuple(masses[r].tolist())
-    )
+    mean, mass = layers.fields(k)[0][r], layers.masses(k, r)
+    return QuantizedDistribution(float(mean), half_bins, width, tuple(mass.tolist()))
 
 
-def _flow_row(layer, r: int) -> float:
-    _, flows, _, exponent = layer
+def _flow_row(layers: _Layers, k: int, r: int) -> float:
+    _, flows, exponent = layers.fields(k)
     return float(np.ldexp(flows[r], exponent))
 
 
@@ -573,6 +663,12 @@ def _snap_mean(
     return np.where(aligned, base + (lo + up) * width, weighted_means)
 
 
+def _exact_fields(origins, starts, ats, widths, step: float, k: int) -> tuple:
+    """Layer k's row offsets and lengths (its block's width) in exact mode."""
+    offsets = (origins[k] + starts[k] * step) + ats[k] * step
+    return offsets, np.full(len(offsets), widths[k])
+
+
 @_quiet
 def _exact_sweep(
     trellis: Trellis,
@@ -586,46 +682,47 @@ def _exact_sweep(
     + c)*step``; ``origins[k]`` adds up the smallest g of each section
     walked so far, and an edge's shift q = (g - its section's smallest g) /
     step moves its neighbour's row q columns up.  A chain layer, where each
-    vertex has one local edge, only gathers its rows, scales them by lambda
-    and adds q to their ``ats``.  Where paths merge, the rows scatter onto
-    one window, with ``ats`` 0, that keeps its nonzero columns.
+    vertex has one local edge, only adds q to its rows' ``ats`` and keeps
+    no block: its rows are its neighbours' scaled by lambda, which
+    ``_Layers`` builds when they are read.  Where paths merge, the rows
+    scatter onto one window, with ``ats`` 0, that keeps its nonzero
+    columns.
     """
     plan = trellis.plan(direction)
-    lam = plan.lam(trellis)[:, None]
+    lam = plan.lam(trellis)
     gval = _edge_values(trellis, g)[plan.edges]
     _, lows, shifts = _lattice(gval, plan.bounds, step)
     growth = np.maximum.reduceat(shifts, plan.bounds[:-1]).tolist()
     cols = np.arange(sum(growth) + 1)
     sizes = [len(layer) for layer in plan.layers]
-    signed, zeros = np.signbit(lam).any(), np.zeros(max(sizes), dtype=np.intp)
-    # (starts, ats, block) per layer; every ats of the last is at most top.
-    made, top = [(0, zeros[:1], np.ones((1, 1)))], 0
+    zeros = np.zeros(max(sizes), dtype=np.intp)
+    # starts, ats and block width per layer; every ats of the last is at most top.
+    starts, ats, widths, top = [0], [zeros[:1]], [1], 0
+    origins = np.cumsum(np.append(0.0, lows))
+    fields = partial(_exact_fields, origins, starts, ats, widths, step)
+    layers = _Layers(plan, np.ones((1, 1)), fields, lam)
     for k, edges in plan.layer_edges():
-        (start, prev, block), n, rows = made[-1], sizes[k], plan.rows[edges]
-        at = prev[rows] + shifts[edges] if top else shifts[edges]
-        moved = block.take(rows, axis=0)
-        moved *= lam[edges]
+        n, rows, width = sizes[k], plan.rows[edges], widths[-1]
+        at = ats[-1][rows] + shifts[edges] if top else shifts[edges]
         top, a = top + growth[k - 1], 0
         if len(at) > n:
-            width = block.shape[1] + top
-            index = plan.owners[edges] * width + at
-            index = (index[:, None] + cols[: block.shape[1]]).ravel()
-            moved = np.bincount(index, moved.ravel(), minlength=n * width).reshape(n, width)
+            moved = layers.masses(k - 1, rows)
+            moved *= lam[edges, None]
+            span = width + top
+            index = plan.owners[edges] * span + at
+            index = (index[:, None] + cols[:width]).ravel()
+            moved = np.bincount(index, moved.ravel(), minlength=n * span).reshape(n, span)
             used = moved.any(axis=0).nonzero()[0]
             a, b = (int(used[0]), int(used[-1]) + 1) if len(used) else (0, 1)
-            moved = moved[:, a:b].copy() if b - a < width else moved
-            at, top = zeros[:n], 0
-        elif signed:
-            moved += 0.0  # a scatter's sum from 0.0 has no -0.0
-        made.append((start + a, at, moved))
-    starts, ats, blocks = zip(*made)
-    origins = np.cumsum(np.append(0.0, lows)) + np.array(starts) * step
-    offsets = np.repeat(origins, sizes) + np.concatenate(ats) * step
-    lengths = np.repeat([block.shape[1] for block in blocks], sizes)
-    ends = np.cumsum(sizes).tolist()
-    layers = [(offsets[j - n : j], lengths[j - n : j], block)
-              for n, j, block in zip(sizes, ends, blocks)]
-    return _ExactRows(plan, layers, shifts, step, starts, ats)
+            moved = moved[:, a:b].copy() if b - a < span else moved
+            layers.keep(moved)
+            at, top, width = zeros[:n], 0, moved.shape[1]
+        else:
+            layers.keep(None)
+        starts.append(starts[-1] + a)
+        ats.append(at)
+        widths.append(width)
+    return _ExactRows(plan, layers, shifts, step, origins, starts, ats)
 
 
 def _merge_quantized(
@@ -671,10 +768,11 @@ def _quantized_sweep(
     masses, k) per layer, whose flows are ``flows * 2^k``.
 
     On a chain layer, where each vertex has one local edge, a vertex takes
-    its neighbour's bins as they are and its mean plus g: a merge of one
-    row would snap to that mean, move by 0 and scale by 1 (unless the bin
-    width is below the spacing of doubles at the mean, where its weighted
-    mean could round a bin away).  Other layers merge in
+    its neighbour's bins as they are, so the layer keeps no block, and
+    its mean plus g: a merge of one row would snap to that mean, move by
+    0 and scale by 1 (unless the bin width is below the spacing of
+    doubles at the mean, where its weighted mean could round a bin
+    away).  Other layers merge in
     ``_merge_quantized``.  The flows are rescaled by powers of two as the
     moment sweep's are (``_rescale``); a merge reads only their ratios,
     which that leaves as they are.
@@ -682,13 +780,13 @@ def _quantized_sweep(
     plan = trellis.plan(direction)
     lam = plan.lam(trellis, nonnegative_for="quantized mode")
     growth = np.add.reduceat(lam, plan.bounds[:-1]).tolist()
+    means, flow, exponent, bound = np.zeros(1), np.ones(1), 0, 1.0
+    fields = [(means, flow, exponent)]
     start = QuantizedDistribution.dirac(half_bins, width)
-    layers = [(np.zeros(1), np.ones(1), np.asarray([start.mass]), 0)]
-    bound = 1.0
+    layers = _Layers(plan, np.asarray([start.mass]), fields.__getitem__)
     gval = _edge_values(trellis, g)[plan.edges]
     for k, edges in plan.layer_edges():
         vertices, owners, rows = plan.layers[k], plan.owners[edges], plan.rows[edges]
-        means, flow, block, exponent = layers[-1]
         weights = lam[edges] * flow[rows]
         flow = np.bincount(owners, weights, minlength=len(vertices))
         dead = flow <= 0.0
@@ -697,19 +795,22 @@ def _quantized_sweep(
             raise ZeroFlowError(
                 v, f"zero incoming weight normalizer at vertex {v}"
             )
-        means, block = means[rows] + gval[edges], block[rows]
+        means = means[rows] + gval[edges]
         if len(weights) > len(vertices):
             means, block = _merge_quantized(
-                block, means, weights, owners, flow, half_bins, width
+                layers.masses(k - 1, rows), means, weights, owners, flow, half_bins, width
             )
+            layers.keep(block)
+        else:
+            layers.keep(None)
         bound *= growth[k - 1]
         if bound > _HIGH or flow.item(0) < _LOW:
             flow, bound, shift = _rescale(flow, flow)
             exponent += shift
-        layers.append((means, flow, block, exponent))
+        fields.append((means, flow, exponent))
     return (
-        _LayerRows(plan, layers, partial(_quantized_row, half_bins, width)),
-        _LayerRows(plan, layers, _flow_row),
+        _SweepRows(plan, layers, partial(_quantized_row, half_bins, width)),
+        _SweepRows(plan, layers, _flow_row),
     )
 
 
@@ -888,8 +989,8 @@ def _join(
     With no edges, or no flow in quantized mode, the result has zero mass.
     """
     f_layers, b_layers = ((s.exact or s.quantized)._layers for s in (forward, backward))
-    f_layer, b_layer = f_layers[forward_layer], b_layers[backward_layer]
-    (f_at, f_size, f_masses), (b_at, b_size, b_masses) = f_layer[:3], b_layer[:3]
+    f_fields, b_fields = f_layers.fields(forward_layer), b_layers.fields(backward_layer)
+    (f_at, f_size), (b_at, b_size) = f_fields[:2], b_fields[:2]
     exact = forward.mode == "exact"
     half_bins, width = forward.half_bins, forward.bin_width
     if exact and not len(init_rows):
@@ -904,8 +1005,9 @@ def _join(
             return QuantizedDistribution(
                 0.0, half_bins, width, (0.0,) * (2 * half_bins + 1)
             )
-    pairs = zip(init_rows.tolist(), fin_rows.tolist())
-    rows = np.array([np.convolve(f_masses[i], b_masses[j]) for i, j in pairs])
+    f_masses = f_layers.masses(forward_layer, init_rows)
+    b_masses = b_layers.masses(backward_layer, fin_rows)
+    rows = np.array([np.convolve(f, b) for f, b in zip(f_masses, b_masses)])
     if exact:
         # An edge's place in the sum is its g's lattice shift plus its
         # rows' columns, counted from the columns of each layer's row 0.
@@ -919,7 +1021,7 @@ def _join(
         return _pad_hard(forward, merged.trimmed())
     at = f_at[init_rows] + g + b_at[fin_rows]
     means, block = _merge_quantized(rows, at, weights, owners, flow, half_bins, width)
-    mass = np.ldexp(block[0] * flow[0], f_layer[3] + b_layer[3])
+    mass = np.ldexp(block[0] * flow[0], f_fields[2] + b_fields[2])
     return QuantizedDistribution(float(means[0]), half_bins, width, tuple(mass.tolist()))
 
 

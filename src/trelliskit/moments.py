@@ -137,8 +137,11 @@ def _require_swept_over(
             raise SemiringError("the states were not swept over this trellis")
 
 
+_ldexp = _quiet(np.ldexp)
+
+
 def _unscaled(row: list[Any], exponent: int) -> list[Any]:
-    return _quiet(np.ldexp)(row, exponent).tolist() if exponent else row
+    return _ldexp(row, exponent).tolist() if exponent else row
 
 
 def _scaled_row(layer: tuple[np.ndarray, int], r: int) -> list[Any]:

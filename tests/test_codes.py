@@ -334,6 +334,34 @@ class TestConditionalEntropy:
             assert detail.entropy_bits < 1e-9
         assert min(raw) < 0.0
 
+    def test_constrained_entropy_sweeps_the_code_at_order_0(self, monkeypatch):
+        """With a constraint, the whole code's sweep gives only its log2
+        flow, and row 0 and its exponent have the same bits at any order:
+        that sweep runs at order 0, the constrained one at order 1, and the
+        log2 flow equals the unconstrained detail's bit for bit.  [7,5]
+        K=300 over AWGN sigma2=2.0: the flow falls to about 2^-1400, so
+        the sweeps rescale."""
+        from trelliskit import moments
+
+        t = build_conv_trellis((7, 5), 300)
+        channel = Awgn(2.0)
+        _, received = make_received(t, channel, 3)
+        labeled = channel_lambda_labels(t, channel, received)
+        whole = conditional_entropy_detail(labeled, channel, received)
+        orders, sweep = [], moments.forward_numerators
+
+        def spy(trellis, g, max_order, *args):
+            orders.append(max_order)
+            return sweep(trellis, g, max_order, *args)
+
+        monkeypatch.setattr(moments, "forward_numerators", spy)
+        for constraint in ((1, 1.0), (300, -1.0)):
+            orders.clear()
+            detail = conditional_entropy_detail(labeled, channel, received, constraint)
+            assert orders == [0, 1]
+            assert detail.log2_flow.hex() == whole.log2_flow.hex()
+        assert whole.log2_flow < -1000
+
     def test_classical_symbol_probability_cross_check(self):
         # first unconstrained moment decomposes into sum_i r_i (P+ - P-)
         labeled, channel, received = self._instance(12)

@@ -21,7 +21,9 @@ on a cut, both exact, and sums in the same order, so every result must
 be bit-identical.
 """
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -973,9 +975,34 @@ def test_exact_windows_stay_within_the_lattice_bound(bsc_words, direction):
         assert bounds[-1] <= distributions.MAX_EXACT_BINS
 
 
+def soft_word():
+    """(labeled trellis, g) for [171,133] K=24 over AWGN sigma2=0.5, seed 3,
+    with the soft g table c*r."""
+    code = build_conv_trellis((0o171, 0o133), 24)
+    _, received = make_received(code, Awgn(0.5), 3)
+    t = channel_lambda_labels(code, Awgn(0.5), received)
+    return t, correlation_g_table(t, received)
+
+
+def distribution_pair(t, g, mode):
+    """Forward and backward states in ``mode``; a quantized backward sweep
+    takes the forward one's bins."""
+    fd = forward_distributions(t, g, mode)
+    params = None
+    if mode == "quantized":
+        params = distributions.QuantizationParams(fd.half_bins, fd.bin_width)
+    return fd, backward_distributions(t, g, mode, params)
+
+
 def test_reading_vertices_leaves_joins_unchanged(bsc_words):
-    for t, g in bsc_words:
-        fd, bd = forward_distributions(t, g, "exact"), backward_distributions(t, g, "exact")
+    """A chain layer's rows are built from the last kept block when read:
+    reading every vertex, and every flow, in both modes, changes no
+    kept block, so the joins before and after are bit-identical."""
+    inputs = [(t, g, "exact") for t, g in bsc_words]
+    inputs += [(t, g, "quantized") for t, g in bsc_words[::2]]
+    inputs.append((*soft_word(), "quantized"))
+    for t, g, mode in inputs:
+        fd, bd = distribution_pair(t, g, mode)
 
         def joins():
             cuts = [trellis_distribution(fd, bd, d) for d in range(0, t.rank + 1, 7)]
@@ -984,12 +1011,46 @@ def test_reading_vertices_leaves_joins_unchanged(bsc_words):
                 for d in range(1, t.rank + 1, 7)
                 for s in (1.0, -1.0)
             ]
-            return [exact_fields(d) for d in cuts + symbols]
+            return [dist_fields(d) for d in cuts + symbols]
 
         before = joins()
         for state in (fd, bd):
-            assert len([state.exact[v] for v in state.exact]) == len(t.vertices)
+            for view in (state.exact, state.quantized, state.flows):
+                if view is not None:
+                    assert len([view[v] for v in view]) == len(t.vertices)
         assert joins() == before
+
+
+def retained_share(sweeps) -> float:
+    """Bytes the states that ``sweeps()`` returns keep right after it runs,
+    over the bytes of their layers' blocks as ``_layers`` materializes
+    them.  A first call builds the walk plans and bin tables."""
+    sweeps()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        states = sweeps()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    layers = [(state.exact or state.quantized)._layers for state in states]
+    return kept / sum(layer[2].nbytes for view in layers for layer in view)
+
+
+def test_states_keep_only_the_merge_layers_blocks():
+    """On split convolutional trellises the chain layers, which keep no
+    block, hold about two thirds of the block bytes: an exact pair on
+    [7,5] K=200 over BSC p=0.05, and a quantized pair on [171,133] K=24
+    over AWGN, each keep at most 45 % of the bytes of every layer's block
+    (a state that stores every block keeps more than 100 %)."""
+    code = build_conv_trellis((7, 5), 200)
+    _, received = make_received(code, Bsc(0.05), 1)
+    t = channel_lambda_labels(code, Bsc(0.05), received)
+    g = correlation_g_table(t, received)
+    assert retained_share(lambda: distribution_pair(t, g, "exact")) <= 0.45
+    t, g = soft_word()
+    assert retained_share(lambda: distribution_pair(t, g, "quantized")) <= 0.45
 
 
 def test_quantized_sweeps_stay_finite_on_a_long_code():
