@@ -169,7 +169,9 @@ def random_codeword(trellis: Trellis, rng: np.random.Generator) -> list[float]:
 def make_received(
     trellis: Trellis, channel: ChannelModel, seed: int
 ) -> tuple[list[float], list[float]]:
-    """Seeded (transmitted codeword, received word) pair."""
+    """Seeded (transmitted codeword, received word) pair; seed >= 0."""
+    if seed < 0:
+        raise ChannelError(f"seed must be at least 0, got {seed}")
     rng = np.random.default_rng(seed)
     codeword = random_codeword(trellis, rng)
     return codeword, transmit(codeword, channel, rng)

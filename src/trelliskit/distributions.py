@@ -61,6 +61,7 @@ rows in the sweep's merge.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -167,6 +168,12 @@ class ExactDistribution:
         return ExactDistribution(float(offset), self.step, tuple(mass))
 
 
+def _check_half_bins(n) -> None:
+    """SemiringError unless the half bin count ``n`` is a whole number >= 1."""
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise SemiringError(f"need at least one bin on each side of the mean, got {n!r}")
+
+
 @dataclass(frozen=True)
 class QuantizedDistribution:
     """2N+1 mid-tread bins of width ``bin_width`` around ``mean``.
@@ -181,8 +188,7 @@ class QuantizedDistribution:
     mass: tuple[float, ...]
 
     def __post_init__(self):
-        if self.half_bins < 1:
-            raise SemiringError("need at least one bin on each side of the mean")
+        _check_half_bins(self.half_bins)
         if not 0 < self.bin_width < math.inf:
             raise SemiringError(
                 f"bin width must be a finite positive number, got {self.bin_width}"
@@ -194,9 +200,8 @@ class QuantizedDistribution:
 
     @classmethod
     def dirac(cls, half_bins: int, bin_width: float, mean: float = 0.0):
-        mass = [0.0] * (2 * half_bins + 1)
-        mass[half_bins] = 1.0
-        return cls(float(mean), half_bins, float(bin_width), tuple(mass))
+        zeros = (0.0,) * half_bins
+        return cls(float(mean), half_bins, float(bin_width), zeros + (1.0,) + zeros)
 
     def values(self) -> tuple[float, ...]:
         n = self.half_bins
@@ -434,14 +439,19 @@ def lattice_step(trellis: Trellis, g: DepthFunctionTable) -> float:
 class QuantizationParams:
     """Bin count and width for the quantized mode.
 
-    ``bin_width=None`` sizes the bins from a preliminary order-2 moment
-    pass so that the 2N+1 bins span four standard deviations on each
-    side of the mean.  A backward sweep given ``QuantizationParams(half_bins=
-    fwd.half_bins, bin_width=fwd.bin_width)`` skips a second sizing pass.
+    ``half_bins`` (N) must be a whole number >= 1, or SemiringError is
+    raised here.  ``bin_width=None`` sizes the bins from a preliminary
+    order-2 moment pass so that the 2N+1 bins span four standard
+    deviations on each side of the mean.  A backward sweep given
+    ``QuantizationParams(half_bins=fwd.half_bins, bin_width=fwd.bin_width)``
+    skips a second sizing pass.
     """
 
     half_bins: int = 32
     bin_width: Optional[float] = None
+
+    def __post_init__(self):
+        _check_half_bins(self.half_bins)
 
 
 @dataclass
@@ -451,17 +461,18 @@ class DistributionState:
     The sweep's arrays stay as it made them, one tuple per layer of its
     walk, and ``exact``, ``quantized`` and ``flows`` are read-only vertex
     mappings over them, in walk order, that build a vertex's
-    distribution or flow when it is read.  Exact mode has (offsets,
-    lengths, masses) per layer: row r holds raw (flow-weighted) masses on
-    offsets[r] + k*step, all rows of a layer where paths merge on one
-    lattice window, and each row of a chain layer on its own.  Quantized
-    mode has (means, flows, masses, k): unit-mass bin vectors around the
-    tracked means, and the flows needed for relative edge weights, which
-    are ``flows * 2^k``; ``flows`` hands out that product.  Only merge
-    layers store their masses; a chain layer's masses are rebuilt from
-    the last stored block when read, and exact offsets and lengths are
-    made from each layer's column offsets when read.
-    The other mode's mappings are None.  ``sizing`` is the order-2
+    distribution or flow when it is read (``moments._LayerRows``; the
+    exact view adds only each vertex's extent, as int arrays per layer).
+    Exact mode has (offsets, lengths, masses) per layer: row r holds raw
+    (flow-weighted) masses on offsets[r] + k*step, all rows of a layer
+    where paths merge on one lattice window, and each row of a chain
+    layer on its own.  Quantized mode has (means, flows, masses, k):
+    unit-mass bin vectors around the tracked means, and the flows needed
+    for relative edge weights, which are ``flows * 2^k``; ``flows`` hands
+    out that product.  Only merge layers store their masses; a chain
+    layer's masses are rebuilt from the last stored block when read, and
+    exact offsets and lengths are made from each layer's column offsets
+    when read.  The other mode's mappings are None.  ``sizing`` is the order-2
     forward moment sweep that sized the bins, when the quantized mode had
     no bin width given, and None otherwise.
     """
@@ -546,36 +557,22 @@ class _Layers(Sequence):
         return len(self._blocks)
 
 
-class _SweepRows(_LayerRows):
-    """A ``_Layers`` read as vertex -> value: ``make(layers, k, r)`` builds
-    the value of row r of layer k, and only that row's masses."""
-
-    __slots__ = ()
-
-    @_quiet
-    def __getitem__(self, v: int):
-        k, r = self._where[v]
-        return self._make(self._layers, k, r)
-
-
 class _ExactRows(_LayerRows):
     """The exact sweep's rows, read as vertex -> ExactDistribution.
 
-    Row r of layer k starts at column ``starts[k] + ats[k][r]``, which
-    lies at ``origins[k]`` plus that many steps.  A
-    vertex's own lattice points are the columns lo..hi-1 of its layer
-    that its edges reach: the least lo and greatest hi of its neighbours,
-    each moved by the edge's shift.  The first read finds them all.
+    It adds only each vertex's extent, its own lattice points: the columns
+    lo..hi-1 of its layer that its edges reach, the least lo and greatest
+    hi of its neighbours each moved by the edge's shift.  The first read
+    finds them all as one (lo, -hi) int array per layer.  Row r of layer
+    k starts at column ``starts[k] + ats[k][r]``, at ``fields(k)``'s offset.
     """
 
-    __slots__ = ("_shifts", "_step", "_origins", "_starts", "_ats", "_extents")
+    __slots__ = ("_shifts", "_step", "_starts", "_ats", "_extents")
 
-    def __init__(
-        self, plan: WalkPlan, layers: _Layers, shifts, step: float, origins, starts, ats
-    ):
+    def __init__(self, plan: WalkPlan, layers: _Layers, shifts, step: float, starts, ats):
         super().__init__(plan, layers, None)
         self._shifts, self._step = shifts, step
-        self._origins, self._starts, self._ats, self._extents = origins, starts, ats, None
+        self._starts, self._ats, self._extents = starts, ats, None
 
     @_quiet
     def __getitem__(self, v: int) -> ExactDistribution:
@@ -586,17 +583,16 @@ class _ExactRows(_LayerRows):
             for j, edges in plan.layer_edges():
                 moved = extents[-1][plan.rows[edges]] + signed[edges]
                 extents.append(np.minimum.reduceat(moved, plan.firsts[j]))
-            self._extents = [(e * [1, -1]).tolist() for e in extents]
-        (lo, hi), start = self._extents[k][r], self._starts[k] + int(self._ats[k][r])
+            self._extents = extents
+        lo, neg_hi = self._extents[k][r].tolist()
+        hi, start = -neg_hi, self._starts[k] + int(self._ats[k][r])
         row = self._layers.masses(k, r)
         # The row starts at column ``start``; columns it trimmed are 0.
         a = min(max(lo, start), hi)
         b = max(a, min(hi, start + len(row)))
         mass = row[a - start : b - start].tolist()
         mass = [0.0] * (a - lo) + mass + [0.0] * (hi - b)
-        # Row r's offset, as ``_exact_fields`` makes it, then lo's.
-        at = self._origins[k] + self._starts[k] * self._step + self._ats[k][r] * self._step
-        offset = float(at + (lo - start) * self._step)
+        offset = float(self._layers.fields(k)[0][r] + (lo - start) * self._step)
         return ExactDistribution(offset, self._step, tuple(mass))
 
 
@@ -722,7 +718,7 @@ def _exact_sweep(
         starts.append(starts[-1] + a)
         ats.append(at)
         widths.append(width)
-    return _ExactRows(plan, layers, shifts, step, origins, starts, ats)
+    return _ExactRows(plan, layers, shifts, step, starts, ats)
 
 
 def _merge_quantized(
@@ -809,8 +805,8 @@ def _quantized_sweep(
             exponent += shift
         fields.append((means, flow, exponent))
     return (
-        _SweepRows(plan, layers, partial(_quantized_row, half_bins, width)),
-        _SweepRows(plan, layers, _flow_row),
+        _LayerRows(plan, layers, partial(_quantized_row, half_bins, width)),
+        _LayerRows(plan, layers, _flow_row),
     )
 
 

@@ -80,18 +80,18 @@ def _check_order(max_order: int) -> None:
 
 
 class _LayerRows(Mapping):
-    """Read-only vertex -> value view of a sweep kept as arrays per layer.
+    """Read-only vertex -> value view of a sweep kept as arrays per layer:
+    the one view of every moment and distribution state.
 
-    ``layers[k]`` holds the arrays of the walk ``plan``'s k-th layer (one
-    block, or a tuple of per-row arrays), and the vertex at
-    ``plan.where[v] == (k, r)`` is their row r; ``make(layers[k], r)``
-    builds the list, tuple, float or distribution handed out, anew on
-    every access, and iteration follows ``plan.where``.  A sweep keeps a
-    few numpy arrays per layer instead of one object per vertex on
-    purpose: numpy arrays are not tracked by CPython's cyclic garbage
-    collector, while thousands of per-vertex objects advance its
-    allocation counters and move a full collection into whatever code
-    runs next.
+    ``layers[k]`` holds the arrays of the walk ``plan``'s k-th layer, and
+    the vertex at ``plan.where[v] == (k, r)`` is their row r;
+    ``make(layers, k, r)`` builds the list, tuple, float or distribution
+    handed out, anew on every access, from that row alone, and iteration
+    follows ``plan.where``.  A sweep keeps a few numpy arrays per layer
+    instead of one object per vertex on purpose: numpy arrays are not
+    tracked by CPython's cyclic garbage collector, while thousands of
+    per-vertex objects advance its allocation counters and move a full
+    collection into whatever code runs next.
     """
 
     __slots__ = ("_plan", "_where", "_layers", "_make")
@@ -100,7 +100,7 @@ class _LayerRows(Mapping):
         self,
         plan: WalkPlan,
         layers: Sequence[Any],
-        make: Callable[[Any, int], Any],
+        make: Callable[[Sequence[Any], int, int], Any],
     ):
         self._plan, self._where = plan, plan.where
         self._layers = layers
@@ -108,8 +108,8 @@ class _LayerRows(Mapping):
 
     @_quiet
     def __getitem__(self, v: int) -> Any:
-        layer, row = self._where[v]
-        return self._make(self._layers[layer], row)
+        k, r = self._where[v]
+        return self._make(self._layers, k, r)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._where)
@@ -144,17 +144,17 @@ def _unscaled(row: list[Any], exponent: int) -> list[Any]:
     return _ldexp(row, exponent).tolist() if exponent else row
 
 
-def _scaled_row(layer: tuple[np.ndarray, int], r: int) -> list[Any]:
-    block, exponent = layer
+def _scaled_row(layers: Sequence[tuple[np.ndarray, int]], k: int, r: int) -> list[Any]:
+    block, exponent = layers[k]
     return _unscaled(block[r].tolist(), exponent)
 
 
-def _row_tuple(block: np.ndarray, r: int) -> tuple[float, ...]:
-    return tuple(block[r].tolist())
+def _row_tuple(layers: Sequence[np.ndarray], k: int, r: int) -> tuple[float, ...]:
+    return tuple(layers[k][r].tolist())
 
 
-def _row_float(block: np.ndarray, r: int) -> float:
-    return float(block[r])
+def _row_float(layers: Sequence[np.ndarray], k: int, r: int) -> float:
+    return float(layers[k][r])
 
 
 @dataclass

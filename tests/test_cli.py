@@ -6,7 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from trelliskit import build_spc_trellis, distributions, moments, read_trellis, write_g_table
+from trelliskit import (
+    TrelliskitError, build_spc_trellis, codes, distributions, moments, read_trellis,
+    write_g_table,
+)
 from trelliskit.cli import main
 from trelliskit.trellis import DepthFunctionTable, write_trellis
 
@@ -804,3 +807,55 @@ def test_boundary_errors(spc4_file, tmp_path, capsys, argv, message):
     command, *rest = argv
     assert main([command, "--trellis", spc4_file, *(a.format(tmp=tmp_path) for a in rest)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _awgn75_sweep(half_bins):
+    """A quantized forward sweep with ``half_bins`` of [7,5] K=4 labelled
+    over AWGN sigma2=0.5 from seed 1, with g = c.r."""
+    code = codes.build_conv_trellis((7, 5), 4)
+    _, received = codes.make_received(code, codes.Awgn(0.5), 1)
+    labeled = codes.channel_lambda_labels(code, codes.Awgn(0.5), received)
+    g = codes.correlation_g_table(labeled, received)
+    params = distributions.QuantizationParams(half_bins=half_bins)
+    return distributions.forward_distributions(labeled, g, "quantized", params)
+
+
+_QUANTIZED = ["distribution", "--trellis", "{labeled}", "--g", "clabel", "--mode", "quantized",
+              "--out", "{tmp}/d.csv"]
+BELOW_RANGE = [
+    pytest.param(lambda: _awgn75_sweep(0), [*_QUANTIZED, "--bins", "0"], id="zero bins"),
+    pytest.param(lambda: distributions.QuantizationParams(-1),
+                 [*_QUANTIZED, "--bins", "-1"], id="negative bins"),
+    pytest.param(lambda: distributions.QuantizationParams(-3, 0.5),
+                 [*_QUANTIZED, "--bins", "-3", "--width", "0.5"], id="negative bins with a width"),
+    pytest.param(lambda: distributions.QuantizedDistribution.dirac(-3, 0.5), None,
+                 id="point mass with negative bins"),
+    pytest.param(lambda: distributions.QuantizationParams(2.5), None, id="fractional bins"),
+    pytest.param(lambda: codes.make_received(codes.build_conv_trellis((7, 5), 4),
+                                             codes.Awgn(0.5), -5),
+                 ["label", "--trellis", "{code}", "--channel", "awgn:0.5", "--received",
+                  "seed:-5", "--received-out", "{tmp}/r.txt", "--out", "{tmp}/l.trellis"],
+                 id="negative seed"),
+    pytest.param(lambda: codes.correlation_symbol_curves((5, 7), 4, 0.1, 2, -1),
+                 ["figures", "--which", "1", "--info-len", "4", "--seed", "-1",
+                  "--out", "{tmp}/figs"], id="negative figure seed"),
+]
+
+
+@pytest.mark.parametrize("call, argv", BELOW_RANGE)
+def test_bin_counts_and_seeds_below_range_are_typed_errors(tmp_path, capsys, call, argv):
+    """A bin count below 1 or not whole, and a negative seed, raise a
+    TrelliskitError in the library, and the CLI reports them on stderr
+    with exit 1 instead of a traceback."""
+    with pytest.raises(TrelliskitError):
+        call()
+    if argv is None:
+        return
+    paths = {"tmp": tmp_path, "code": tmp_path / "code.trellis", "labeled": tmp_path / "l.trellis"}
+    assert main(["build-code", "--conv", "7,5", "--info-len", "4", "--out", str(paths["code"])]) == 0
+    assert main(["label", "--trellis", str(paths["code"]), "--channel", "awgn:0.5", "--received",
+                 "seed:1", "--received-out", str(tmp_path / "r.txt"),
+                 "--out", str(paths["labeled"])]) == 0
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("error:")

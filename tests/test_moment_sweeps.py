@@ -544,6 +544,25 @@ def test_distribution_sweep_keeps_few_tracked_objects(mode):
     assert len(state.exact or state.quantized) == len(code.vertices)
 
 
+def test_exact_vertex_reads_keep_few_tracked_objects():
+    """The first read of an exact state finds every vertex's extent and
+    keeps them as one int array per layer, not as Python lists, so it
+    leaves almost nothing for the cyclic garbage collector, and a read of
+    another vertex leaves nothing."""
+    code = build_conv_trellis((7, 5), 200)
+    g = DepthFunctionTable.from_clabels(code)
+    state = forward_distributions(code, g, "exact")
+    gc.collect()
+    before = len(gc.get_objects())
+    assert isinstance(state.exact[code.sink], ExactDistribution)
+    gc.collect()
+    first = len(gc.get_objects())
+    assert isinstance(state.exact[code.source], ExactDistribution)
+    gc.collect()
+    assert first - before < 10
+    assert len(gc.get_objects()) == first
+
+
 def test_semiring_and_joint_sweeps_keep_few_tracked_objects():
     """Every semiring's state and the joint state keep one block per
     layer, like the real one, rather than one list per vertex."""
