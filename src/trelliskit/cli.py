@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 # Each subcommand imports the engines it runs, so a process loads only
 # those; semirings names the --semiring choices.
 from . import semirings
-from .errors import TrelliskitError, ZeroFlowError
+from .errors import TrelliskitError
 
 if TYPE_CHECKING:
     from .trellis import DepthFunctionTable, Trellis
@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--received-out",
-        help="where to store the drawn received word (required with seed:)",
+        help="where to store the drawn received word (with seed: only, and required there)",
     )
     p.add_argument("--out", required=True)
 
@@ -101,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.35)
     p.add_argument("--generators", default=None, help="octal, default 5,7 / 7,5")
     p.add_argument("--info-len", type=int, default=98)
-    p.add_argument("--symbol-depth", type=int, default=10)
-    p.add_argument("--cut", type=int, default=None)
+    p.add_argument("--symbol-depth", type=int, help="figure 1 only (default 10)")
+    p.add_argument("--cut", type=int, help="figure 3 only (default half the block length)")
 
     return parser
 
@@ -195,9 +195,12 @@ def _cmd_build_code(args) -> int:
 def _cmd_label(args) -> int:
     from . import codes, trellis as tgraph
 
+    seeded = args.received.startswith("seed:")
+    if args.received_out is not None and not seeded:
+        raise _UsageError("--received-out applies to a seed:<int> received word only")
     graph = tgraph.read_trellis(args.trellis)
     channel = codes.parse_channel(args.channel)
-    if args.received.startswith("seed:"):
+    if seeded:
         try:
             seed = int(args.received[5:])
         except ValueError:
@@ -305,16 +308,23 @@ def _cmd_distribution(args) -> int:
     total = sum(mass)
     normalized = [w / total for w in mass] if total > 0 else [0.0] * len(mass)
     # Gaussian reference matched to the first two normalized moments of
-    # the corresponding moment-engine result, reusing the order-2 sweep
-    # that sized the bins if one did.
-    try:
-        matched = moments._posterior(graph, g, 2, constraint, fwd.sizing)
-    except ZeroFlowError:
+    # the order-2 moments, as `moments` gives them: of the forward sweep
+    # (the one that sized the bins, if one did), joined under a
+    # constraint with the backward sweep.  All zero unless the flow is
+    # positive: the ratio flow/flow is 1 when the flow is finite and
+    # nonzero, and numerators[0] keeps its sign when it underflows.
+    forward = fwd.sizing or moments.forward_numerators(graph, g, 2)
+    if constraint is None:
+        matched = moments.trellis_moments(forward)
+    else:
+        backward = moments.backward_numerators(graph, g, 2)
+        matched = moments.symbol_moments(graph, g, forward, backward, *constraint)
+    ratios = matched.normalized
+    if ratios is None or not math.copysign(ratios[0], matched.numerators[0]) > 0:
         gauss = [0.0] * len(values)
     else:
-        _, mean, second = matched.normalized
-        variance = second - mean * mean
-        gauss = distributions.gaussian_lattice_mass(values, step, mean, variance)
+        _, mean, second = ratios
+        gauss = distributions.gaussian_lattice_mass(values, step, mean, second - mean * mean)
     _emit_csv(
         args.out,
         ("domain_value", "mass", "normalized_mass", "gaussian_approx"),
@@ -381,34 +391,32 @@ def _cmd_entropy(args) -> int:
 def _cmd_figures(args) -> int:
     from . import codes
 
-    os.makedirs(args.out, exist_ok=True)
     if args.which == 1:
+        if args.cut is not None:
+            raise _UsageError("--cut applies to figure 3 only")
         generators = codes.parse_generators(args.generators or "5,7")
+        depth = 10 if args.symbol_depth is None else args.symbol_depth
         data = codes.correlation_symbol_curves(
-            generators, args.info_len, args.p, args.symbol_depth, args.seed
+            generators, args.info_len, args.p, depth, args.seed
         )
-        _emit_csv(
-            os.path.join(args.out, "fig1.csv"),
-            ("domain_value", "mass_plus", "mass_minus"),
-            (data["domain"], data["mass_plus"], data["mass_minus"]),
-        )
-        _emit_json(data["meta"], os.path.join(args.out, "fig1_meta.json"))
+        columns = ("mass_plus", "mass_minus")
     else:
+        if args.symbol_depth is not None:
+            raise _UsageError("--symbol-depth applies to figure 1 only")
         generators = codes.parse_generators(args.generators or "7,5")
         data = codes.correlation_distribution_with_gaussian(
             generators, args.info_len, args.p, args.seed, args.cut
         )
-        _emit_csv(
-            os.path.join(args.out, "fig3.csv"),
-            ("domain_value", "mass", "normalized_mass", "gaussian_approx"),
-            (
-                data["domain"],
-                data["mass"],
-                data["normalized_mass"],
-                data["gaussian_approx"],
-            ),
-        )
-        _emit_json(data["meta"], os.path.join(args.out, "fig3_meta.json"))
+        columns = ("mass", "normalized_mass", "gaussian_approx")
+    # The directory is made only once there is a dataset to write.
+    os.makedirs(args.out, exist_ok=True)
+    name = os.path.join(args.out, f"fig{args.which}")
+    _emit_csv(
+        f"{name}.csv",
+        ("domain_value", *columns),
+        [data["domain"], *(data[c] for c in columns)],
+    )
+    _emit_json(data["meta"], f"{name}_meta.json")
     return 0
 
 

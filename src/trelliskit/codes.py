@@ -25,6 +25,7 @@ higher correlation means lower uncertainty.)
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -169,9 +170,10 @@ def random_codeword(trellis: Trellis, rng: np.random.Generator) -> list[float]:
 def make_received(
     trellis: Trellis, channel: ChannelModel, seed: int
 ) -> tuple[list[float], list[float]]:
-    """Seeded (transmitted codeword, received word) pair; seed >= 0."""
-    if seed < 0:
-        raise ChannelError(f"seed must be at least 0, got {seed}")
+    """Seeded (transmitted codeword, received word) pair; seed a whole
+    number >= 0."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ChannelError(f"seed must be a whole number at least 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     codeword = random_codeword(trellis, rng)
     return codeword, transmit(codeword, channel, rng)

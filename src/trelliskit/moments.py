@@ -305,28 +305,23 @@ def _sweep(
     plan: WalkPlan,
     lift: np.ndarray,
     orders: tuple[int, ...],
-    prefix: Sequence[tuple[np.ndarray, int]] = (),
 ) -> list[tuple[np.ndarray, int]]:
-    """``prefix``, then a ``(block, exponent)`` per further layer of
-    ``plan``, whose moment rows are ``block * 2^exponent``, from the rows
-    of ``_lift_rows`` in walk order.  Where the product is the real one,
-    ``_rescale`` keeps each block's flows within 2^+-_SPAN, so the rows
-    are the unscaled ones bit for bit wherever those neither under- nor
-    overflow."""
+    """A ``(block, exponent)`` per layer of ``plan``, whose moment rows
+    are ``block * 2^exponent``, from the rows of ``_lift_rows`` in walk
+    order; the first is the start vertex's one-hot row, exponent 0.
+    Where the product is the real one, ``_rescale`` keeps each block's
+    flows within 2^+-_SPAN, so the rows are the unscaled ones bit for bit
+    wherever those neither under- nor overflow."""
     scale, power, lower = _binomial_index(semiring, orders)
-    layers = list(prefix)
-    if not layers:
-        start = np.full((1, len(lift)), semiring.zero)
-        start[0, 0] = semiring.one
-        layers.append((start, 0))
-    block, exponent = layers[-1]
-    block, bounds = block.T, plan.bounds
+    start = np.full((1, len(lift)), semiring.zero)
+    start[0, 0] = semiring.one
+    layers, block, exponent, bounds = [(start, 0)], start.T, 0, plan.bounds
     scaled = semiring.mul is np.multiply
     if scaled:
         growth = np.add.reduceat(np.abs(lift[0]), bounds[:-1]).tolist()
         # The first layer reads its largest |flow|, which sets the bound.
         bound = math.inf
-    first, most = len(layers), _RUN_WEIGHTS // len(lift) ** 2
+    first, most = 1, _RUN_WEIGHTS // len(lift) ** 2
     while first < len(bounds):
         end = max(first + 1, bisect_right(bounds, bounds[first - 1] + most))
         origin = bounds[first - 1]
@@ -353,14 +348,13 @@ def _numerators(
     max_order: int,
     semiring: SemiringSpec,
     direction: str,
-    prefix: Sequence[tuple[np.ndarray, int]] = (),
 ) -> MomentState:
     require_valid(trellis)
     _check_order(max_order)
     plan = trellis.plan(direction)
     lam, gval = _edge_labels(semiring, trellis._lam, g.values_for(trellis))
     lift = _lift_rows(semiring, lam[plan.edges], gval[plan.edges], max_order)
-    layers = _sweep(semiring, plan, lift, (max_order,), prefix)
+    layers = _sweep(semiring, plan, lift, (max_order,))
     table = _LayerRows(plan, layers, _scaled_row)
     return MomentState(
         direction, max_order, semiring, table, trellis.source, trellis.sink
@@ -542,16 +536,13 @@ def _posterior(
     g: DepthFunctionTable,
     max_order: int,
     constraint: Optional[tuple[int, float]] = None,
-    forward: Optional[MomentState] = None,
 ) -> _Posterior:
     """Real moments of orders 0..max_order over every path, or with
     ``constraint=(depth, symbol)`` over the paths whose section-``depth``
     edge has c-label ``symbol``: one forward sweep over a copy whose
-    other section-``depth`` edges have lambda 0, taking the layers before
-    ``depth`` from ``forward`` (a real forward sweep of ``trellis`` and
-    ``g`` to ``max_order``) if given.  Raises ZeroFlowError when the flow
-    is not positive."""
-    message, reuse = "total flow is zero or negative", trellis.rank + 1
+    other section-``depth`` edges have lambda 0.  Raises ZeroFlowError
+    when the flow is not positive."""
+    message = "total flow is zero or negative"
     if constraint is not None:
         depth, symbol = constraint
         if not 1 <= depth <= trellis.rank:
@@ -559,12 +550,8 @@ def _posterior(
         a = trellis.edge_arrays
         other = (a.section == depth - 1) & (a.clabel != symbol)
         trellis = trellis.relabeled(np.where(other, 0.0, trellis._lam))
-        message, reuse = f"no flow through c-label {symbol} at depth {depth}", depth
-    if forward is None:
-        state = forward_numerators(trellis, g, max_order)
-    else:
-        prefix = forward.table._layers[:reuse]
-        state = _numerators(trellis, g, max_order, REAL, "forward", prefix)
+        message = f"no flow through c-label {symbol} at depth {depth}"
+    state = forward_numerators(trellis, g, max_order)
     row, exponent = state.scaled(trellis.sink)
     flow = row[0]
     if not flow > 0.0:

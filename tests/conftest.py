@@ -1,5 +1,5 @@
 import math
-from itertools import chain, islice
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -285,21 +285,18 @@ def reference_index(orders):
     return coefficients, power, lower
 
 
-def reference_sweep(semiring, plan, lift, orders, prefix=()):
+def reference_sweep(semiring, plan, lift, orders):
     """``moments._sweep`` with ``lift`` as (edges, orders) in walk order:
     the transpose of ``_lift_rows``' rows, as the sweep was handed it."""
     index = reference_index(orders)
-    layers = list(prefix)
-    if not layers:
-        start = np.full((1, lift.shape[1]), semiring.zero)
-        start[0, 0] = semiring.one
-        layers.append((start, 0))
-    block, exponent = layers[-1]
+    block = np.full((1, lift.shape[1]), semiring.zero)
+    block[0, 0], exponent = semiring.one, 0
+    layers = [(block, exponent)]
     scaled = semiring.mul is np.multiply
     if scaled:
         growth = np.add.reduceat(np.abs(lift[:, 0]), plan.bounds[:-1]).tolist()
         bound = math.inf
-    for k, edges in islice(plan.layer_edges(), len(layers) - 1, None):
+    for k, edges in plan.layer_edges():
         prev = block[plan.rows[edges]]
         block = reference_advance(semiring, index, lift[edges], prev, plan.firsts[k])
         if scaled:

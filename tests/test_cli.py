@@ -11,7 +11,7 @@ from trelliskit import (
     write_g_table,
 )
 from trelliskit.cli import main
-from trelliskit.trellis import DepthFunctionTable, write_trellis
+from trelliskit.trellis import DepthFunctionTable, read_g_table, write_trellis
 
 from conftest import assert_close
 
@@ -859,3 +859,126 @@ def test_bin_counts_and_seeds_below_range_are_typed_errors(tmp_path, capsys, cal
     capsys.readouterr()
     assert main([a.format(**paths) for a in argv]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _csv_rows(path):
+    return [list(map(float, line.split(","))) for line in path.read_text().splitlines()[1:]]
+
+
+def test_entropy_of_a_subcode_matches_the_library(spc4_file, tmp_path, capsys):
+    """entropy --symbol-depth/--symbol-value prints the subcode's entropy
+    and first moment bit for bit as conditional_entropy_detail gives
+    them, and the constraint under "symbol"."""
+    received = [1.0, -1.0, 1.0, -1.0]
+    (tmp_path / "r.txt").write_text("".join(f"{x!r}\n" for x in received))
+    code, payload = run_json(capsys, [
+        "entropy", "--trellis", spc4_file, "--channel", "bsc:0.35", "--received",
+        str(tmp_path / "r.txt"), "--symbol-depth", "2", "--symbol-value", "-1",
+    ])
+    assert code == 0
+    channel = codes.parse_channel("bsc:0.35")
+    labeled = codes.channel_lambda_labels(read_trellis(spc4_file), channel, received)
+    detail = codes.conditional_entropy_detail(labeled, channel, received, (2, -1.0))
+    assert payload["symbol"] == {"depth": 2, "value": -1.0}
+    assert payload["entropy_bits"] == detail.entropy_bits
+    assert payload["first_moment"] == detail.first_moment
+
+
+@pytest.mark.parametrize("mode", ["auto", "quantized"])
+def test_symbol_no_edge_carries_has_zero_columns(spc4_file, tmp_path, mode):
+    """No section-2 edge of SPC(4) carries c-label 3, so the subcode has
+    no flow: every mass and the whole Gaussian column are 0."""
+    out = tmp_path / "d.csv"
+    assert main(["distribution", "--trellis", spc4_file, "--g", "clabel", "--mode", mode,
+                 "--symbol-depth", "2", "--symbol-value", "3", "--out", str(out)]) == 0
+    rows = _csv_rows(out)
+    assert rows and all(row[1:] == [0.0, 0.0, 0.0] for row in rows)
+
+
+@pytest.mark.parametrize("symbol", [[], ["--symbol-depth", "3", "--symbol-value", "1"]])
+def test_negative_flow_has_a_zero_gaussian(spc4_file, tmp_path, symbol):
+    """With the section-1 labels negated every path label, and so the
+    flow, is negative: the Gaussian reference is all 0."""
+    path, out = tmp_path / "neg.trellis", tmp_path / "d.csv"
+    t = read_trellis(spc4_file)
+    write_trellis(path, t.relabeled(lambda e: -1.0 if e.init == t.source else 1.0))
+    assert main(["distribution", "--trellis", str(path), "--g", "clabel", *symbol,
+                 "--out", str(out)]) == 0
+    rows = _csv_rows(out)
+    assert any(row[1] < 0 for row in rows)
+    assert all(row[3] == 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--g", "clabel", "--mode", "exact"], id="exact"),
+    pytest.param(["--g", "{g}", "--mode", "quantized"], id="quantized, sized bins"),
+    pytest.param(["--g", "{g}", "--mode", "quantized", "--width", "0.5"],
+                 id="quantized, given width"),
+])
+def test_constrained_gaussian_is_the_symbol_moments_pair(tmp_path, capsys, flags):
+    """Under a constraint the Gaussian column is gaussian_lattice_mass of
+    the order-2 forward/backward pair's symbol moments, bit for bit, as
+    `moments --symbol-depth` gives them; [7,5] K=6 over AWGN
+    sigma2=0.5, seed 3, with g the c-labels or c.r."""
+    code = codes.build_conv_trellis((7, 5), 6)
+    _, received = codes.make_received(code, codes.Awgn(0.5), 3)
+    labeled = codes.channel_lambda_labels(code, codes.Awgn(0.5), received)
+    paths = {"t": tmp_path / "l.trellis", "g": tmp_path / "g.table", "out": tmp_path / "d.csv"}
+    write_trellis(paths["t"], labeled)
+    write_g_table(paths["g"], codes.correlation_g_table(labeled, received))
+    argv = ["distribution", "--trellis", str(paths["t"]), *(f.format(**paths) for f in flags),
+            "--symbol-depth", "5", "--symbol-value", "-1", "--out", str(paths["out"])]
+    assert main(argv) == 0
+    summary = strict_json(capsys.readouterr().out)
+    t = read_trellis(paths["t"])
+    g = DepthFunctionTable.from_clabels(t) if "clabel" in flags else read_g_table(paths["g"], t)
+    pair = [sweep(t, g, 2) for sweep in (moments.forward_numerators, moments.backward_numerators)]
+    _, mean, second = moments.symbol_moments(t, g, *pair, 5, -1.0).normalized
+    if summary["mode"] == "exact":
+        step = distributions.lattice_step(t, g)
+    else:
+        step = summary["bin_width"]
+    rows = _csv_rows(paths["out"])
+    want = distributions.gaussian_lattice_mass([r[0] for r in rows], step, mean, second - mean**2)
+    assert [r[3] for r in rows] == want
+    assert 0.5 < sum(want) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--which", "1", "--seed", "-1"], id="negative seed"),
+    pytest.param(["--which", "1", "--seed", "1", "--symbol-depth", "500"],
+                 id="depth past the last section"),
+    pytest.param(["--which", "3", "--seed", "1", "--cut", "500"], id="cut past the sink"),
+])
+def test_failed_figures_leave_no_out_directory(tmp_path, capsys, argv):
+    """The dataset is built before --out is made, so a run that fails
+    exits 1 and leaves no directory behind."""
+    out = tmp_path / "figs"
+    assert main(["figures", "--info-len", "4", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["figures", "--which", "1", "--seed", "1", "--cut", "3", "--out", "{tmp}/figs"],
+                 id="cut on figure 1"),
+    pytest.param(["figures", "--which", "3", "--seed", "1", "--symbol-depth", "5",
+                  "--out", "{tmp}/figs"], id="symbol depth on figure 3"),
+    pytest.param(["label", "--trellis", "{code}", "--channel", "bsc:0.1",
+                  "--received", "{tmp}/r.txt", "--received-out", "{tmp}/x.txt",
+                  "--out", "{tmp}/l.trellis"],
+                 id="received-out beside a received-word file"),
+])
+def test_flags_that_do_not_apply_are_usage_errors(spc4_file, tmp_path, capsys, argv):
+    """A flag the run would ignore exits 2 with a usage error, and the
+    run writes nothing."""
+    (tmp_path / "r.txt").write_text("1.0\n-1.0\n1.0\n-1.0\n")
+    before = set(tmp_path.iterdir())
+    assert main([a.format(tmp=tmp_path, code=spc4_file) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert set(tmp_path.iterdir()) == before
+
+
+def test_figure_one_depth_defaults_to_10(tmp_path):
+    assert main(["figures", "--which", "1", "--seed", "1", "--out", str(tmp_path)]) == 0
+    assert strict_json((tmp_path / "fig1_meta.json").read_text())["symbol_depth"] == 10

@@ -175,6 +175,15 @@ class TestChannels:
         assert math.prod(codeword) == 1.0
         assert all(r in (-1.0, 1.0) for r in received)
 
+    @pytest.mark.parametrize("seed", [2.5, "3", 3.0, None, -1])
+    def test_seed_that_is_not_a_whole_number_at_least_0_is_a_channel_error(self, seed):
+        with pytest.raises(ChannelError, match="seed must be a whole number at least 0"):
+            make_received(build_spc_trellis(4), Bsc(0.1), seed)
+
+    def test_numpy_integer_seed_is_a_whole_number(self):
+        t = build_spc_trellis(6)
+        assert make_received(t, Bsc(0.35), np.int64(3)) == make_received(t, Bsc(0.35), 3)
+
 
 class TestUncertaintyConstants:
     def test_bsc_k2_closed_form(self):
