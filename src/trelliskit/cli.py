@@ -307,12 +307,11 @@ def _cmd_distribution(args) -> int:
         step = dist.bin_width
     total = sum(mass)
     normalized = [w / total for w in mass] if total > 0 else [0.0] * len(mass)
-    # Gaussian reference matched to the first two normalized moments of
-    # the order-2 moments, as `moments` gives them: of the forward sweep
-    # (the one that sized the bins, if one did), joined under a
-    # constraint with the backward sweep.  All zero unless the flow is
-    # positive: the ratio flow/flow is 1 when the flow is finite and
-    # nonzero, and numerators[0] keeps its sign when it underflows.
+    # Gaussian reference matched to the first two normalized moments as
+    # `moments` reads them: the order-2 forward sweep (the sizing one, if
+    # any), joined under a constraint with the backward sweep.  It is all
+    # zero unless the flow is positive: flow/flow is 1 only for a finite
+    # nonzero flow, and numerators[0] keeps the sign where it underflows.
     forward = fwd.sizing or moments.forward_numerators(graph, g, 2)
     if constraint is None:
         matched = moments.trellis_moments(forward)
