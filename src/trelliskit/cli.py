@@ -274,7 +274,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_distribution(args) -> int:
-    from . import distributions, moments, trellis as tgraph
+    from . import distributions, trellis as tgraph
 
     constraint = _constraint(args)
     if args.mode == "exact" and (args.bins is not None or args.width is not None):
@@ -295,41 +295,11 @@ def _cmd_distribution(args) -> int:
         # The backward sweep reuses the bins the forward one sized.
         params = distributions.QuantizationParams(fwd.half_bins, fwd.bin_width)
     bwd = distributions.backward_distributions(graph, g, fwd.mode, params)
-    if constraint is None:
-        dist = distributions.trellis_distribution(fwd, bwd, args.cut or 0)
-    else:
-        dist = distributions.symbol_distribution(graph, g, fwd, bwd, *constraint)
-
-    values, mass = list(dist.values()), list(dist.mass)
-    if isinstance(dist, distributions.ExactDistribution):
-        step = dist.step if dist.step > 0 else 1.0
-    else:
-        step = dist.bin_width
-    total = sum(mass)
-    normalized = [w / total for w in mass] if total > 0 else [0.0] * len(mass)
-    # Gaussian reference matched to the first two normalized moments as
-    # `moments` reads them: the order-2 forward sweep (the sizing one, if
-    # any), joined under a constraint with the backward sweep.  It is all
-    # zero unless the flow is positive: flow/flow is 1 only for a finite
-    # nonzero flow, and numerators[0] keeps the sign where it underflows.
-    forward = fwd.sizing or moments.forward_numerators(graph, g, 2)
-    if constraint is None:
-        matched = moments.trellis_moments(forward)
-    else:
-        backward = moments.backward_numerators(graph, g, 2)
-        matched = moments.symbol_moments(graph, g, forward, backward, *constraint)
-    ratios = matched.normalized
-    if ratios is None or not math.copysign(ratios[0], matched.numerators[0]) > 0:
-        gauss = [0.0] * len(values)
-    else:
-        _, mean, second = ratios
-        gauss = distributions.gaussian_lattice_mass(values, step, mean, second - mean * mean)
-    _emit_csv(
-        args.out,
-        ("domain_value", "mass", "normalized_mass", "gaussian_approx"),
-        (values, mass, normalized, gauss),
-    )
-    summary = {"mode": fwd.mode, "points": len(values), "total_mass": total}
+    columns = distributions._dataset(graph, g, fwd, bwd, args.cut or 0, constraint)[:4]
+    header = ("domain_value", "mass", "normalized_mass", "gaussian_approx")
+    _emit_csv(args.out, header, columns)
+    values, mass = columns[:2]
+    summary = {"mode": fwd.mode, "points": len(values), "total_mass": sum(mass)}
     if fwd.mode == "quantized":
         summary["half_bins"] = fwd.half_bins
         summary["bin_width"] = fwd.bin_width

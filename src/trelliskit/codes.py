@@ -61,14 +61,14 @@ class Bsc:
 
 @dataclass(frozen=True)
 class Awgn:
-    """AWGN channel with noise variance sigma2 > 0 (unit bipolar input)."""
+    """AWGN channel with noise variance 0 < sigma2 < inf (unit bipolar input)."""
 
     sigma2: float
 
     def __post_init__(self):
-        if not self.sigma2 > 0.0:
+        if not (math.isfinite(self.sigma2) and self.sigma2 > 0.0):
             raise ChannelError(
-                f"AWGN noise variance must be positive, got {self.sigma2}"
+                f"AWGN noise variance must be finite and positive, got {self.sigma2}"
             )
 
     kind = "awgn"
@@ -351,7 +351,7 @@ def correlation_moments(
     The trellis must already carry channel likelihoods as lambda-labels;
     the result is then the posterior expectation of (c.w)^m for m up to
     ``max_order``, restricted to the subcode when ``constraint=(depth,
-    symbol)`` is given.
+    symbol)`` is given; order and depth must be whole numbers.
     """
     from .moments import _posterior
 
@@ -383,7 +383,8 @@ def conditional_entropy_detail(
     average is taken under the posterior renormalized over the subcode.
     Everything is evaluated on the trellis: the affine
     uncertainty-correlation relation reduces the entropy to
-    log2(flow) - K1b - K2 times the first correlation moment.
+    log2(flow) - K1b - K2 times the first correlation moment.  A
+    constraint's depth must be a whole number in 1..rank.
     """
     from .moments import _posterior
 
@@ -417,7 +418,8 @@ def conditional_entropy(
 
 def symbol_probability(trellis: Trellis, depth: int, symbol: float) -> float:
     """Symbol probability P(c_i = x | r) on a likelihood-labeled trellis:
-    the subcode's flow over the code's, each from one order-0 sweep.
+    the subcode's flow over the code's, each from one order-0 sweep;
+    ``depth`` (i) must be a whole number in 1..rank.
     """
     from .moments import _posterior
 
@@ -435,7 +437,8 @@ def symbol_probability(trellis: Trellis, depth: int, symbol: float) -> float:
 
 def _figure_word(generators: Sequence[int], info_len: int, p: float, seed: int):
     """The code trellis labeled with one seeded BSC word, the g table of c.r,
-    its exact forward and backward distributions, and both words."""
+    its exact forward and backward distributions, and ``meta(key, value,
+    **tail)``: the shared meta fields, with ``key`` before both words."""
     from .distributions import backward_distributions, forward_distributions
 
     channel = Bsc(p)
@@ -445,7 +448,13 @@ def _figure_word(generators: Sequence[int], info_len: int, p: float, seed: int):
     g = correlation_g_table(labeled, received)
     fwd = forward_distributions(labeled, g, mode="exact")
     bwd = backward_distributions(labeled, g, mode="exact")
-    return labeled, g, fwd, bwd, codeword, received
+
+    def meta(key: str, value, **tail) -> dict:
+        return {"seed": seed, "p": p, "generators_octal": [f"{x:o}" for x in generators],
+                "info_len": info_len, "block_len": labeled.rank, key: value,
+                "transmitted": codeword, "received": received, **tail}
+
+    return labeled, g, fwd, bwd, meta
 
 
 def correlation_symbol_curves(
@@ -465,9 +474,7 @@ def correlation_symbol_curves(
     """
     from .distributions import symbol_distribution
 
-    labeled, g, fwd, bwd, codeword, received = _figure_word(
-        generators, info_len, p, seed
-    )
+    labeled, g, fwd, bwd, meta = _figure_word(generators, info_len, p, seed)
     plus = symbol_distribution(labeled, g, fwd, bwd, depth, 1.0)
     minus = symbol_distribution(labeled, g, fwd, bwd, depth, -1.0)
     # The two curves partition the code, so their masses add to its flow.
@@ -476,18 +483,8 @@ def correlation_symbol_curves(
         "domain": list(plus.values()),
         "mass_plus": [w / flow for w in plus.mass],
         "mass_minus": [w / flow for w in minus.mass],
-        "meta": {
-            "seed": seed,
-            "p": p,
-            "generators_octal": [f"{g:o}" for g in generators],
-            "info_len": info_len,
-            "block_len": labeled.rank,
-            "symbol_depth": depth,
-            "transmitted": codeword,
-            "received": received,
-            "prob_plus": float(sum(plus.mass) / flow),
-            "prob_minus": float(sum(minus.mass) / flow),
-        },
+        "meta": meta("symbol_depth", depth, prob_plus=float(sum(plus.mass) / flow),
+                     prob_minus=float(sum(minus.mass) / flow)),
     }
 
 
@@ -502,37 +499,20 @@ def correlation_distribution_with_gaussian(
 
     Returns the raw and normalized distribution over the correlation
     domain together with a Gaussian reference whose mean and variance
-    equal the distribution's first two normalized moments.
+    equal the distribution's first two normalized moments, as CLI
+    ``distribution`` builds them; ZeroFlowError if the flow is not positive.
     """
-    from .distributions import gaussian_lattice_mass, trellis_distribution
-    from .moments import _posterior
+    from .distributions import _dataset
 
-    labeled, g, fwd, bwd, codeword, received = _figure_word(
-        generators, info_len, p, seed
-    )
-    _, mean, second = _posterior(labeled, g, 2).normalized
-    variance = second - mean * mean
+    labeled, g, fwd, bwd, meta = _figure_word(generators, info_len, p, seed)
     cut = labeled.rank // 2 if cut is None else cut
-    dist = trellis_distribution(fwd, bwd, cut)
-    total = dist.total()
-    values = list(dist.values())
+    domain, mass, normalized, gaussian, fit = _dataset(labeled, g, fwd, bwd, cut)
+    if fit is None:
+        raise ZeroFlowError(None, "total flow is zero or negative")
     return {
-        "domain": values,
-        "mass": list(dist.mass),
-        "normalized_mass": [w / total for w in dist.mass],
-        "gaussian_approx": gaussian_lattice_mass(
-            values, dist.step, mean, variance
-        ),
-        "meta": {
-            "seed": seed,
-            "p": p,
-            "generators_octal": [f"{g:o}" for g in generators],
-            "info_len": info_len,
-            "block_len": labeled.rank,
-            "cut": cut,
-            "transmitted": codeword,
-            "received": received,
-            "mean": mean,
-            "variance": variance,
-        },
+        "domain": domain,
+        "mass": mass,
+        "normalized_mass": normalized,
+        "gaussian_approx": gaussian,
+        "meta": meta("cut", cut, mean=fit[0], variance=fit[1]),
     }

@@ -71,8 +71,9 @@ import numpy as np
 
 from .errors import LatticeError, SemiringError, ZeroFlowError
 from .moments import (
-    _HIGH, _LOW, MomentState, _LayerRows, _quiet, _require_swept_over,
-    _rescale, _same_topology, forward_numerators, trellis_moments,
+    _HIGH, _LOW, MomentState, _LayerRows, _quiet, _require_swept_over, _rescale,
+    _same_topology, _section, backward_numerators, forward_numerators, symbol_moments,
+    trellis_moments,
 )
 from .trellis import DepthFunctionTable, Trellis, WalkPlan, require_valid
 
@@ -918,11 +919,13 @@ def trellis_distribution(
     total mass is the flow.  Quantized mode: each vertex's forward and
     backward vectors are convolved, recentered on the weighted combined
     mean and summed; the result is scaled back to total mass equal to
-    the flow.
+    the flow.  ``depth`` must be a whole number in 0..rank, or
+    SemiringError is raised.
     """
     _check_pair(forward, backward)
-    if not 0 <= depth <= forward.rank:
+    if not isinstance(depth, numbers.Integral) or not 0 <= depth <= forward.rank:
         raise SemiringError(f"cut depth {depth} outside 0..{forward.rank}")
+    depth = int(depth)
     # The cut's identity edges: each vertex's row in both layers, g 0, lambda 1.
     rows = np.arange(len(forward.layers[depth]))
     g, lam = np.zeros(len(rows)), np.ones(len(rows))
@@ -940,12 +943,12 @@ def symbol_distribution(
     """Distribution restricted to paths whose section-``depth`` edge
     carries c-label ``symbol``; total mass is the constrained flow.
 
-    The states must come from sweeps over this trellis or a copy with
-    its layers; others raise SemiringError.
+    ``depth`` must be a whole number in 1..rank.  The states must come
+    from sweeps over this trellis or a copy with its layers.  Either
+    failing raises SemiringError.
     """
     _check_pair(forward, backward)
-    if not 1 <= depth <= forward.rank:
-        raise SemiringError(f"section depth {depth} outside 1..{forward.rank}")
+    depth = _section(depth, forward.rank)
     _require_swept_over(trellis, *((s.exact or s.quantized) for s in (forward, backward)))
     groups = trellis.symbol_groups()
     members = groups.find(depth, symbol) or slice(0, 0)
@@ -1027,12 +1030,47 @@ def _join(
 def gaussian_lattice_mass(
     values: Sequence[float], step: float, mean: float, variance: float
 ) -> list[float]:
-    """Gaussian cell masses over a lattice (CDF differences per cell)."""
+    """Gaussian cell masses over a lattice (CDF differences per cell).  A
+    variance <= 0 is the sigma -> 0 limit, a CDF that is 1/2 at the mean."""
     if variance <= 0:
-        return [1.0 if abs(v - mean) <= step / 2 else 0.0 for v in values]
-    sigma = math.sqrt(variance)
-
-    def cdf(x: float) -> float:
-        return 0.5 * (1.0 + math.erf((x - mean) / (sigma * math.sqrt(2.0))))
-
+        def cdf(x: float) -> float:
+            return 0.5 * (1.0 + ((x > mean) - (x < mean)))
+    else:
+        sigma = math.sqrt(variance)
+        def cdf(x: float) -> float:
+            return 0.5 * (1.0 + math.erf((x - mean) / (sigma * math.sqrt(2.0))))
     return [cdf(v + step / 2.0) - cdf(v - step / 2.0) for v in values]
+
+
+def _dataset(trellis, g, forward, backward, cut: int = 0, constraint=None) -> tuple:
+    """(domain, masses, normalized masses, Gaussian, fit) of the cut's or,
+    with ``constraint=(depth, symbol)``, the symbol distribution, as CLI
+    ``distribution`` and figure 3 write them.  The fit (mean, variance) is
+    read from the order-2 forward sweep (the one that sized the bins, if
+    any), under a constraint joined with the backward one; the Gaussian's
+    cells are the bin width or the lattice step (1 for a point mass).
+    Normalized masses are 0 unless the total mass is positive, and the
+    Gaussian (fit None) unless the flow is: flow/flow is 1 only for a
+    finite nonzero flow, and numerators[0] keeps its sign on underflow."""
+    if constraint is None:
+        dist = trellis_distribution(forward, backward, cut)
+    else:
+        dist = symbol_distribution(trellis, g, forward, backward, *constraint)
+    domain, mass, total = list(dist.values()), list(dist.mass), sum(dist.mass)
+    normalized = [w / total for w in mass] if total > 0 else [0.0] * len(mass)
+    sweep = forward.sizing or forward_numerators(trellis, g, 2)
+    if constraint is None:
+        matched = trellis_moments(sweep)
+    else:
+        reverse = backward_numerators(trellis, g, 2)
+        matched = symbol_moments(trellis, g, sweep, reverse, *constraint)
+    ratios = matched.normalized
+    if ratios is None or not math.copysign(ratios[0], matched.numerators[0]) > 0:
+        return domain, mass, normalized, [0.0] * len(domain), None
+    if isinstance(dist, QuantizedDistribution):
+        step = dist.bin_width
+    else:
+        step = dist.step if dist.step > 0 else 1.0
+    _, mean, second = ratios
+    fit = (mean, second - mean * mean)
+    return domain, mass, normalized, gaussian_lattice_mass(domain, step, *fit), fit

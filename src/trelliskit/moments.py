@@ -39,6 +39,7 @@ g-powers precomputed and tallied separately).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from bisect import bisect_right
 from collections.abc import Mapping
@@ -73,10 +74,18 @@ def _quiet(engine: Callable) -> Callable:
 
 
 def _check_order(max_order: int) -> None:
-    if not 0 <= max_order <= MAX_ORDER:
+    """SemiringError unless ``max_order`` is an ``Integral`` in 0..MAX_ORDER."""
+    if not isinstance(max_order, numbers.Integral) or not 0 <= max_order <= MAX_ORDER:
         raise SemiringError(
             f"max order {max_order} outside supported range 0..{MAX_ORDER}"
         )
+
+
+def _section(depth: int, rank: int) -> int:
+    """``depth`` as an int; SemiringError unless it is an ``Integral`` in 1..rank."""
+    if not isinstance(depth, numbers.Integral) or not 1 <= depth <= rank:
+        raise SemiringError(f"section depth {depth} outside 1..{rank}")
+    return int(depth)
 
 
 class _LayerRows(Mapping):
@@ -367,7 +376,8 @@ def forward_numerators(
     max_order: int,
     semiring: SemiringSpec = REAL,
 ) -> MomentState:
-    """Numerators of orders 0..max_order at every vertex, source first."""
+    """Numerators of orders 0..max_order at every vertex, source first.  Every
+    engine raises SemiringError unless an order is whole (not 2.0), 0..MAX_ORDER."""
     return _numerators(trellis, g, max_order, semiring, "forward")
 
 
@@ -451,8 +461,9 @@ def symbol_moments(
 ) -> SymbolMoments:
     """Combine forward and backward numerators across one section.
 
-    The states must come from sweeps over this trellis or a copy with its
-    layers; others raise SemiringError.  When no section-``depth``
+    ``depth`` must be a whole number in 1..rank, or SemiringError is
+    raised.  The states must come from sweeps over this trellis or a copy
+    with its layers; others raise SemiringError.  When no section-``depth``
     edge carries c-label ``symbol`` the numerators are all the semiring
     zero and ``normalized`` is None.  The first call joins every section
     and keeps the rows on ``forward`` for this ``backward``, label array,
@@ -462,8 +473,7 @@ def symbol_moments(
         raise SemiringError("symbol_moments needs one forward and one backward state")
     if forward.semiring.name != backward.semiring.name:
         raise SemiringError("forward and backward states use different semirings")
-    if not 1 <= depth <= trellis.rank:
-        raise SemiringError(f"section depth {depth} outside 1..{trellis.rank}")
+    depth = _section(depth, trellis.rank)
     _require_swept_over(trellis, forward.table, backward.table)
     semiring = forward.semiring
     groups = trellis.symbol_groups()
@@ -541,12 +551,11 @@ def _posterior(
     ``constraint=(depth, symbol)`` over the paths whose section-``depth``
     edge has c-label ``symbol``: one forward sweep over a copy whose
     other section-``depth`` edges have lambda 0.  Raises ZeroFlowError
-    when the flow is not positive."""
+    when the flow is not positive; SemiringError unless depth is whole, in 1..rank."""
     message = "total flow is zero or negative"
     if constraint is not None:
         depth, symbol = constraint
-        if not 1 <= depth <= trellis.rank:
-            raise SemiringError(f"section depth {depth} outside 1..{trellis.rank}")
+        depth = _section(depth, trellis.rank)
         a = trellis.edge_arrays
         other = (a.section == depth - 1) & (a.clabel != symbol)
         trellis = trellis.relabeled(np.where(other, 0.0, trellis._lam))
@@ -824,6 +833,7 @@ def counted_symbol_pass(
     """
     if forward.semiring.name != "real" or backward.semiring.name != "real":
         raise SemiringError("counted runs support the real semiring only")
+    _check_order(order)
     if order > min(forward.max_order, backward.max_order):
         raise SemiringError("states were not computed to the requested order")
     counter = OpCounter()

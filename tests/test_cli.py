@@ -982,3 +982,40 @@ def test_flags_that_do_not_apply_are_usage_errors(spc4_file, tmp_path, capsys, a
 def test_figure_one_depth_defaults_to_10(tmp_path):
     assert main(["figures", "--which", "1", "--seed", "1", "--out", str(tmp_path)]) == 0
     assert strict_json((tmp_path / "fig1_meta.json").read_text())["symbol_depth"] == 10
+
+
+@pytest.mark.parametrize("out", [True, False], ids=["--out", "stdout"])
+def test_moments_oracle_mismatch_exits_1_and_still_writes_json(
+    spc4_file, tmp_path, capsys, monkeypatch, out
+):
+    from trelliskit import oracles
+
+    oracle_moment = oracles.oracle_moment
+    monkeypatch.setattr(oracles, "oracle_moment", lambda *args: 1.5 * oracle_moment(*args))
+    path = tmp_path / "m.json"
+    argv = ["moments", "--trellis", spc4_file, "--g", "clabel", "--max-order", "2", "--oracle"]
+    assert main([*argv, *(["--out", str(path)] if out else [])]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: oracle cross-check failed: relative error ")
+    payload = strict_json(path.read_text() if out else captured.out)
+    assert payload["oracle"]["max_relative_error"] == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(lambda points: [(0.5, 1.0), *points], "no mass near 0.5", id="missing point"),
+    pytest.param(lambda points: [(v, 2.0 * w) for v, w in points], "relative error 5.000e-01",
+                 id="mass mismatch"),
+    pytest.param(lambda points: points[1:], "unmatched mass", id="unmatched mass"),
+])
+def test_distribution_oracle_mismatch_exits_1(
+    spc4_file, tmp_path, capsys, monkeypatch, corrupt, message
+):
+    from trelliskit import oracles
+
+    oracle_distribution = oracles.oracle_distribution
+    monkeypatch.setattr(oracles, "oracle_distribution", lambda *args: oracles.OracleDistribution(
+        tuple(corrupt(list(oracle_distribution(*args).points)))))
+    argv = ["distribution", "--trellis", spc4_file, "--g", "clabel", "--mode", "exact"]
+    assert main([*argv, "--oracle", "--out", str(tmp_path / "d.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: oracle cross-check failed: ") and message in err

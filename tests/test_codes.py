@@ -10,6 +10,8 @@ from trelliskit import (
     SemiringError,
     DepthFunctionTable,
     TrellisStructureError,
+    backward_distributions,
+    backward_numerators,
     build_conv_trellis,
     build_spc_trellis,
     channel_lambda_labels,
@@ -18,12 +20,19 @@ from trelliskit import (
     correlation_moments,
     correlation_symbol_curves,
     correlation_distribution_with_gaussian,
+    counted_run,
+    counted_symbol_pass,
     enumerate_paths,
+    forward_distributions,
     forward_numerators,
     make_received,
+    normalized_states,
     parse_channel,
     parse_generators,
+    symbol_distribution,
+    symbol_moments,
     symbol_probability,
+    trellis_distribution,
     trellis_moments,
     uncertainty_constants,
     validate,
@@ -489,3 +498,75 @@ def test_boundaries(call, want):
     else:
         with pytest.raises(want[0], match=want[1]):
             call()
+
+
+def _labeled_conv75():
+    """[7,5] K=6 (rank 16) over BSC p=0.1, seed 1: the labeled trellis,
+    the received word and the c-label g."""
+    t = build_conv_trellis((7, 5), 6)
+    _, received = make_received(t, Bsc(0.1), 1)
+    labeled = channel_lambda_labels(t, Bsc(0.1), received)
+    return labeled, received, DepthFunctionTable.from_clabels(labeled)
+
+
+def _moment_pair(t, g):
+    return forward_numerators(t, g, 2), backward_numerators(t, g, 2)
+
+
+def _distribution_pair(t, g):
+    return forward_distributions(t, g), backward_distributions(t, g)
+
+
+SECTION = r"section depth 2\.5 outside 1\.\.16"
+NOT_WHOLE = [
+    pytest.param(lambda t, r, g: symbol_probability(t, 2.5, 1.0), SECTION, id="P(c=+1)"),
+    pytest.param(lambda t, r, g: symbol_probability(t, 2.5, -1.0), SECTION, id="P(c=-1)"),
+    pytest.param(lambda t, r, g: conditional_entropy(t, Bsc(0.1), r, (2.5, 1.0)), SECTION,
+                 id="subcode entropy"),
+    pytest.param(lambda t, r, g: correlation_moments(t, r, 2, (2.5, 1.0)), SECTION,
+                 id="subcode correlation moments"),
+    pytest.param(lambda t, r, g: symbol_moments(t, g, *_moment_pair(t, g), 2.5, 1.0), SECTION,
+                 id="symbol_moments"),
+    pytest.param(lambda t, r, g: symbol_distribution(t, g, *_distribution_pair(t, g), 2.5, 1.0),
+                 SECTION, id="symbol_distribution"),
+    pytest.param(lambda t, r, g: trellis_distribution(*_distribution_pair(t, g), 2.5),
+                 r"cut depth 2\.5 outside 0\.\.16", id="trellis_distribution"),
+    pytest.param(lambda t, r, g: forward_numerators(t, g, 1.5),
+                 r"max order 1\.5 outside", id="forward_numerators"),
+    pytest.param(lambda t, r, g: normalized_states(t, g, 2.0),
+                 r"max order 2\.0 outside", id="normalized_states"),
+    pytest.param(lambda t, r, g: correlation_moments(t, r, 2.0),
+                 r"max order 2\.0 outside", id="correlation_moments"),
+    pytest.param(lambda t, r, g: counted_run(t, g, 1.5),
+                 r"max order 1\.5 outside", id="counted_run"),
+    pytest.param(lambda t, r, g: counted_symbol_pass(t, g, *_moment_pair(t, g), 1.5),
+                 r"max order 1\.5 outside", id="counted_symbol_pass"),
+]
+
+
+@pytest.mark.parametrize("call, message", NOT_WHOLE)
+def test_depths_and_orders_must_be_whole_numbers(call, message):
+    """A fractional section depth matched no edge, so the subcode was
+    answered as the whole code (both symbol probabilities 1.0), or numpy
+    raised a TypeError; so did an order that is not an integer.  Each is
+    now a SemiringError."""
+    with pytest.raises(SemiringError, match=message):
+        call(*_labeled_conv75())
+
+
+def test_numpy_integer_depths_and_orders_are_whole_numbers():
+    t, r, g = _labeled_conv75()
+    assert symbol_probability(t, np.int64(3), 1.0) == symbol_probability(t, 3, 1.0)
+    assert correlation_moments(t, r, np.int64(2)) == correlation_moments(t, r, 2)
+    result = symbol_moments(t, g, *_moment_pair(t, g), np.int64(3), 1.0)
+    assert type(result.depth) is int and result.depth == 3
+
+
+@pytest.mark.parametrize("spec", ["awgn:inf", "awgn:nan"])
+def test_awgn_variance_must_be_finite(spec):
+    """An infinite variance made every label 0, and entropy then failed
+    with a zero total flow."""
+    with pytest.raises(ChannelError, match="must be finite and positive"):
+        parse_channel(spec)
+    with pytest.raises(ChannelError, match="must be finite and positive"):
+        Awgn(float(spec[5:]))

@@ -21,6 +21,7 @@ from trelliskit import (
     dumps_trellis,
     forward_distributions,
     forward_numerators,
+    gaussian_lattice_mass,
     lattice_step,
     loads_trellis,
     redistribute,
@@ -594,3 +595,13 @@ BOUNDARY_ERRORS = [
 def test_boundary_errors(spc4, spc4_clabel_g, call, error, match):
     with pytest.raises(error, match=match):
         call(spc4, spc4_clabel_g)
+
+
+def test_zero_variance_gaussian_is_the_sigma_to_zero_limit():
+    """A variance <= 0 gives the sigma -> 0 limit of the CDF differences:
+    a mean on a cell edge splits its unit mass between the two cells, as a
+    tiny positive variance does, instead of counting it in both."""
+    edge = gaussian_lattice_mass([0.0, 1.0], 1.0, 0.5, 0.0)
+    assert edge == [0.5, 0.5] == gaussian_lattice_mass([0.0, 1.0], 1.0, 0.5, 1e-30)
+    assert gaussian_lattice_mass([0.0, 1.0], 1.0, 0.5, -4.4e-16) == edge
+    assert gaussian_lattice_mass([-2.0, 0.0, 2.0], 2.0, 0.3, 0.0) == [0.0, 1.0, 0.0]
