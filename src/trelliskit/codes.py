@@ -472,12 +472,12 @@ def correlation_symbol_curves(
     P(c.r = u, c_i = +/-1 | r): the per-symbol value distributions scaled
     by the total flow.  Each curve sums to the symbol probability.
     """
-    from .distributions import symbol_distribution
+    from .distributions import _join
 
     labeled, g, fwd, bwd, meta = _figure_word(generators, info_len, p, seed)
-    plus = symbol_distribution(labeled, g, fwd, bwd, depth, 1.0)
-    minus = symbol_distribution(labeled, g, fwd, bwd, depth, -1.0)
-    # The two curves partition the code, so their masses add to its flow.
+    # The curves partition the code and both take the same layers' powers
+    # of two, so their scaled masses add to the code's scaled flow.
+    plus, minus = (_join(labeled, g, fwd, bwd, 0, (depth, x))[0] for x in (1.0, -1.0))
     flow = plus.total() + minus.total()
     return {
         "domain": list(plus.values()),

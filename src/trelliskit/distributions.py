@@ -28,34 +28,34 @@ reproduces the exact one bin for bin.
 A sweep does its numeric work one layer at a time in numpy, on one
 (vertices x values) block per layer.  In exact mode ``_lattice`` finds
 each edge's integer lattice shift once per sweep, as it does for
-``lattice_step`` and the joins.  Where paths merge, a layer is one
-gather, one lambda scale and one scatter onto a lattice window shared by
-the layer.  On a chain layer, where each vertex has one edge, each row
-is its neighbour's row gathered and scaled by lambda, at its neighbour's
-column offset plus the shift; the sweep stores no block for it, and the
-next merge layer gathers its rows straight from the last kept block and
-applies the chain's lambdas in walk order.  In quantized mode, where
-paths merge, ``_merge_quantized`` merges, snaps the means and moves the
-bins of the whole layer, reading each row's target bins from a table
-built once per pair of bin counts; on a chain layer the vertices only
-add g to their neighbours' means and keep their bins, so again no block
-is stored.  Quantized flows are kept as a block times 2^k per layer,
-rescaled as the moment sweeps' are, so their bins stay finite on codes
-whose flow underflows a double.  A state so keeps the blocks of its
-merge layers only, about a third of the bytes on a split convolutional
-trellis.  It builds a chain row, the same bit for bit as the sweep would
-have stored it, and a vertex's ``ExactDistribution``,
-``QuantizedDistribution`` or flow only when a caller reads it.
+``lattice_step`` and the joins.  Where paths merge (``WalkPlan.merges``)
+an exact layer is one gather, one lambda scale and one scatter onto a
+lattice window shared by the layer; a quantized one merges, snaps the
+means and moves the bins in ``_merge_quantized``, reading each row's
+target bins from a table built once per pair of bin counts.  A chain
+layer, where each vertex has one edge, stores no block: an exact row is
+its neighbour's scaled by lambda, at the neighbour's column offset plus
+the shift, and a quantized vertex adds g to its neighbour's mean and
+keeps its bins.  A state so keeps the blocks of merge layers only, about
+a third of the bytes on a split convolutional trellis, and builds a
+chain row, bit for bit as the sweep would have stored it, and a vertex's
+``ExactDistribution``, ``QuantizedDistribution`` or flow only when read.
+Both sweeps scale each layer by a power of two under the moment sweeps'
+rule (``moments._Scale``): the quantized flows, and the exact masses,
+where a chain layer whose masses a rescale moves keeps its block.
 
-The whole-trellis and symbol distributions are one join, forward (x)
-edge (x) backward summed over the edges of one section, as BCJR joins
-its state and branch posteriors.  A symbol distribution joins the
-section's edges that carry the c-label; a cut at depth d is a section of
-identity edges, each vertex of layer d to itself with g 0 and lambda 1.
-The join convolves each edge's forward and backward rows.  In exact mode
-the rows scatter on the edges' lattice shifts plus both rows' column
-offsets, as in the sweep; in quantized mode they merge as one owner's
-rows in the sweep's merge.
+The whole-trellis and symbol distributions are one join, ``_join``:
+forward (x) edge (x) backward summed over the edges of one section, as
+BCJR joins its state and branch posteriors.  A symbol distribution joins
+the section's edges that carry the c-label; a cut at depth d is a
+section of identity edges, each vertex of layer d to itself with g 0
+and lambda 1.  Exact rows scatter on the edges' lattice shifts plus both
+rows' column offsets, as in the sweep; quantized rows merge as one
+owner's rows in the sweep's merge.  The join keeps the masses scaled and
+adds both layers' exponents.  ``trellis_distribution``,
+``symbol_distribution`` and vertex reads apply the exponent, so their raw
+masses underflow where the flow does; the CLI's normalized column and
+the figures normalize the scaled masses, which stay finite.
 """
 
 from __future__ import annotations
@@ -63,17 +63,17 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import LatticeError, SemiringError, ZeroFlowError
 from .moments import (
-    _HIGH, _LOW, MomentState, _LayerRows, _quiet, _require_swept_over, _rescale,
-    _same_topology, _section, backward_numerators, forward_numerators, symbol_moments,
-    trellis_moments,
+    MomentState, _LayerRows, _quiet, _require_flow, _require_swept_over, _Scale,
+    _same_topology, _section, _unscaled, backward_numerators, forward_numerators,
+    symbol_moments, trellis_moments,
 )
 from .trellis import DepthFunctionTable, Trellis, WalkPlan, require_valid
 
@@ -265,12 +265,6 @@ def convolve(a: ExactDistribution, b: ExactDistribution) -> ExactDistribution:
     return ExactDistribution(a.offset + b.offset, step, tuple(mass.tolist()))
 
 
-def _first_rows(owners: np.ndarray, n_owners: int) -> np.ndarray:
-    """Index of each owner's first row; rows come grouped by owner, in
-    owner order, and every owner has at least one."""
-    return np.searchsorted(owners, np.arange(n_owners))
-
-
 @lru_cache(maxsize=None)
 def _bin_targets(n_in: int, n_out: int) -> np.ndarray:
     """Row s + reach holds clip(j - s, -n_out, n_out) for j = -n_in..n_in:
@@ -365,14 +359,23 @@ def _aligned(t):
     return np.abs(t - np.rint(t)) <= _ALIGN_TOL * np.maximum(1.0, np.abs(t))
 
 
-def _float_gcd(values: Iterable[float]) -> float:
-    g = 0.0
-    for v in values:
-        v = abs(v)
-        while v > MIN_LATTICE_STEP * 1e-3:
-            g, v = v, math.fmod(g, v)
-        g = abs(g)
-    return g
+def _float_gcd(values: Sequence[float]) -> float:
+    """The smallest of the positive ``values`` (0.0 for none; below
+    MIN_LATTICE_STEP * 1e-3 they are noise) over the lcm of the
+    denominators of the others' ratios to it, each a fraction whose
+    denominator keeps the step >= MIN_LATTICE_STEP, else a smaller step."""
+    values = np.asarray(values)
+    values = values[values > MIN_LATTICE_STEP * 1e-3]
+    if not len(values):
+        return 0.0
+    step, lcm = float(values.min()), 1
+    most, ratios = int(step / MIN_LATTICE_STEP), values / step
+    for t in ratios[~_aligned(ratios)].tolist():
+        from fractions import Fraction  # here, as its import costs 0.4 MB of RSS
+        if lcm > most:
+            break
+        lcm = math.lcm(lcm, Fraction(t).limit_denominator(most).denominator)
+    return step / lcm
 
 
 def _edge_values(
@@ -403,7 +406,7 @@ def _lattice(
     if derive:
         gaps = np.diff(np.sort(spread))
         gaps = gaps[gaps > 0.0]
-        step = _float_gcd(gaps.tolist())
+        step = _float_gcd(gaps)
         if len(gaps) and step < MIN_LATTICE_STEP:
             raise LatticeError(_NO_LATTICE)
     t = spread / step if step else np.where(spread == 0.0, 0.0, 0.5)
@@ -464,14 +467,15 @@ class DistributionState:
     mappings over them, in walk order, that build a vertex's
     distribution or flow when it is read (``moments._LayerRows``; the
     exact view adds only each vertex's extent, as int arrays per layer).
-    Exact mode has (offsets, lengths, masses) per layer: row r holds raw
-    (flow-weighted) masses on offsets[r] + k*step, all rows of a layer
+    Exact mode has (offsets, lengths, masses) per layer: row r holds
+    flow-weighted masses, scaled as the layer's exponent says (the vertex
+    view scales them back), on offsets[r] + k*step, all rows of a layer
     where paths merge on one lattice window, and each row of a chain
     layer on its own.  Quantized mode has (means, flows, masses, k):
     unit-mass bin vectors around the tracked means, and the flows needed
     for relative edge weights, which are ``flows * 2^k``; ``flows`` hands
-    out that product.  Only merge layers store their masses; a chain
-    layer's masses are rebuilt from the last stored block when read, and
+    out that product.  Merge layers store their masses; a chain layer's
+    are rebuilt from the last stored block when read, unless rescaled, and
     exact offsets and lengths are made from each layer's column offsets
     when read.  The other mode's mappings are None.  ``sizing`` is the order-2
     forward moment sweep that sized the bins, when the quantized mode had
@@ -497,20 +501,21 @@ class _Layers(Sequence):
     layer's (rows x values) block.
 
     ``fields(k)`` gives layer k's other arrays (and its exponent), which
-    the block joins after the first two.  A layer where paths merge keeps
-    its block; a chain layer, where each vertex has one local edge, keeps
-    none.  Its row r is its edge's neighbour row times, in exact mode,
-    the edge's lambda, so ``masses`` rebuilds it from the walk ``plan``
-    and ``lam``: it composes the row index back down the chain run to the
-    last kept block, gathers those rows, and multiplies them by the run's
-    lambdas in walk order, with ``+= 0.0`` after each when ``signed`` (a
-    -0.0 product reads +0.0, as a scatter's sum does).  Those are the
-    operations that made a stored chain row, so the rows have its bits;
-    quantized chain rows are only gathered (``lam`` None).  A read builds
-    only the rows it asks for.
+    the block joins after the first two; ``exponents[k]`` is the power of
+    two that scales its masses (exact) or flows (quantized).  A layer where
+    paths merge keeps its block, and so does a chain layer that ``keep``
+    rescales; other chain layers keep none.  Their row r is the edge's
+    neighbour row times, in exact mode, the edge's lambda, so ``masses``
+    rebuilds it from the walk ``plan`` and ``lam``: it composes the row
+    index back down the chain run to the last kept block, gathers those
+    rows, and multiplies them by the run's lambdas in walk order, with
+    ``+= 0.0`` after each when ``signed`` (a -0.0 product reads +0.0, as a
+    scatter's sum does).  Those are the operations that made a stored
+    chain row, so the rows have its bits; quantized chain rows are only
+    gathered (``lam`` None).  A read builds only the rows it asks for.
     """
 
-    __slots__ = ("fields", "_plan", "_lam", "_signed", "_blocks")
+    __slots__ = ("fields", "exponents", "_plan", "_lam", "_signed", "_blocks")
 
     def __init__(
         self,
@@ -522,10 +527,19 @@ class _Layers(Sequence):
         self.fields, self._plan, self._lam = fields, plan, lam
         self._signed = lam is not None and bool(np.signbit(lam).any())
         self._blocks: list[Optional[np.ndarray]] = [block]
+        self.exponents = [0]
 
-    def keep(self, block: Optional[np.ndarray]) -> None:
-        """Append a layer that keeps ``block``, or a chain layer (None)."""
+    def keep(self, block: Optional[np.ndarray], rule: _Scale, rescale: bool = False) -> None:
+        """Append a layer that keeps ``block``, or a chain layer (None), at
+        ``rule``'s exponent; with ``rescale``, its masses, chain or not, as
+        ``rule`` rescales them, where that moves them."""
         self._blocks.append(block)
+        if rescale:
+            block = self.masses(len(self) - 1)
+            scaled = rule.rescale(block, block)
+            if scaled is not block:
+                self._blocks[-1] = scaled
+        self.exponents.append(rule.exponent)
 
     def masses(self, k: int, rows=None) -> np.ndarray:
         """Layer k's block (k >= 0), or a copy of its rows ``rows`` (an
@@ -591,7 +605,7 @@ class _ExactRows(_LayerRows):
         # The row starts at column ``start``; columns it trimmed are 0.
         a = min(max(lo, start), hi)
         b = max(a, min(hi, start + len(row)))
-        mass = row[a - start : b - start].tolist()
+        mass = _unscaled(row[a - start : b - start].tolist(), self._layers.exponents[k])
         mass = [0.0] * (a - lo) + mass + [0.0] * (hi - b)
         offset = float(self._layers.fields(k)[0][r] + (lo - start) * self._step)
         return ExactDistribution(offset, self._step, tuple(mass))
@@ -609,6 +623,13 @@ def _flow_row(layers: _Layers, k: int, r: int) -> float:
     return float(np.ldexp(flows[r], exponent))
 
 
+def _mean_variance(normalized: Sequence[float]) -> tuple[float, float]:
+    """Mean and variance from normalized moments (1, E[f], E[f^2]), floored at
+    0: on a point mass E[f^2] - E[f]^2 cancels to a residue of either sign."""
+    _, mean, second = normalized
+    return mean, max(second - mean * mean, 0.0)
+
+
 def _resolve_bin_width(
     trellis: Trellis, g: DepthFunctionTable, params: QuantizationParams
 ) -> tuple[float, Optional[MomentState]]:
@@ -621,8 +642,7 @@ def _resolve_bin_width(
         moments = trellis_moments(sweep)
         if moments.normalized is None:
             raise ZeroFlowError(None, "cannot size bins: total flow is zero")
-        mean, second = moments.normalized[1], moments.normalized[2]
-        sigma = math.sqrt(max(second - mean * mean, 0.0))
+        sigma = math.sqrt(_mean_variance(moments.normalized)[1])
         width = 4.0 * sigma / params.half_bins if sigma != 0.0 else 1.0
     if not 0 < width < math.inf:
         raise SemiringError(f"bin width must be a finite positive number, got {width}")
@@ -643,7 +663,8 @@ def _snap_mean(
     stays exact.  Otherwise the plain weighted mean is used; when no owner
     aligns, as on every soft-decision layer, that is ``weighted_means``.
     """
-    first = _first_rows(owners, len(weighted_means))
+    # Each owner's first row: rows come grouped by owner, in owner order.
+    first = np.searchsorted(owners, np.arange(len(weighted_means)))
     base = means[first]
     aligned = np.logical_and.reduceat(_aligned((means - base[owners]) / width), first)
     if not aligned.any():
@@ -678,16 +699,16 @@ def _exact_sweep(
     Column c of row r of layer k holds ``origins[k] + (starts[k] + ats[k][r]
     + c)*step``; ``origins[k]`` adds up the smallest g of each section
     walked so far, and an edge's shift q = (g - its section's smallest g) /
-    step moves its neighbour's row q columns up.  A chain layer, where each
-    vertex has one local edge, only adds q to its rows' ``ats`` and keeps
-    no block: its rows are its neighbours' scaled by lambda, which
-    ``_Layers`` builds when they are read.  Where paths merge, the rows
-    scatter onto one window, with ``ats`` 0, that keeps its nonzero
-    columns.
+    step moves its neighbour's row q columns up.  A chain layer only adds
+    q to its rows' ``ats``, and ``_Layers`` builds its rows when read;
+    where paths merge, the rows scatter onto one window, with ``ats`` 0,
+    that keeps its nonzero columns.  Layer k's masses are scaled by
+    2^``exponents[k]`` of ``_Layers``, as the ``_Scale`` rule sets it.
     """
     plan = trellis.plan(direction)
     lam = plan.lam(trellis)
     gval = _edge_values(trellis, g)[plan.edges]
+    rule = _Scale(lam, plan.bounds)
     _, lows, shifts = _lattice(gval, plan.bounds, step)
     growth = np.maximum.reduceat(shifts, plan.bounds[:-1]).tolist()
     cols = np.arange(sum(growth) + 1)
@@ -701,8 +722,8 @@ def _exact_sweep(
     for k, edges in plan.layer_edges():
         n, rows, width = sizes[k], plan.rows[edges], widths[-1]
         at = ats[-1][rows] + shifts[edges] if top else shifts[edges]
-        top, a = top + growth[k - 1], 0
-        if len(at) > n:
+        top, a, moved = top + growth[k - 1], 0, None
+        if plan.merges[k]:
             moved = layers.masses(k - 1, rows)
             moved *= lam[edges, None]
             span = width + top
@@ -712,10 +733,8 @@ def _exact_sweep(
             used = moved.any(axis=0).nonzero()[0]
             a, b = (int(used[0]), int(used[-1]) + 1) if len(used) else (0, 1)
             moved = moved[:, a:b].copy() if b - a < span else moved
-            layers.keep(moved)
             at, top, width = zeros[:n], 0, moved.shape[1]
-        else:
-            layers.keep(None)
+        layers.keep(moved, rule, rule.due(k))
         starts.append(starts[-1] + a)
         ats.append(at)
         widths.append(width)
@@ -762,23 +781,19 @@ def _quantized_sweep(
     width: float,
 ) -> tuple[_LayerRows, _LayerRows]:
     """Every vertex's quantized distribution and flow, over (means, flows,
-    masses, k) per layer, whose flows are ``flows * 2^k``.
+    masses, k) per layer, whose flows are ``flows * 2^k`` (``_Scale``; a
+    merge reads only their ratios, which a rescale leaves as they are).
 
-    On a chain layer, where each vertex has one local edge, a vertex takes
-    its neighbour's bins as they are, so the layer keeps no block, and
+    On a chain layer a vertex takes its neighbour's bins as they are and
     its mean plus g: a merge of one row would snap to that mean, move by
     0 and scale by 1 (unless the bin width is below the spacing of
     doubles at the mean, where its weighted mean could round a bin
-    away).  Other layers merge in
-    ``_merge_quantized``.  The flows are rescaled by powers of two as the
-    moment sweep's are (``_rescale``); a merge reads only their ratios,
-    which that leaves as they are.
+    away).  Other layers merge in ``_merge_quantized``.
     """
     plan = trellis.plan(direction)
     lam = plan.lam(trellis, nonnegative_for="quantized mode")
-    growth = np.add.reduceat(lam, plan.bounds[:-1]).tolist()
-    means, flow, exponent, bound = np.zeros(1), np.ones(1), 0, 1.0
-    fields = [(means, flow, exponent)]
+    rule, means, flow = _Scale(lam, plan.bounds), np.zeros(1), np.ones(1)
+    fields = [(means, flow, 0)]
     start = QuantizedDistribution.dirac(half_bins, width)
     layers = _Layers(plan, np.asarray([start.mass]), fields.__getitem__)
     gval = _edge_values(trellis, g)[plan.edges]
@@ -786,25 +801,16 @@ def _quantized_sweep(
         vertices, owners, rows = plan.layers[k], plan.owners[edges], plan.rows[edges]
         weights = lam[edges] * flow[rows]
         flow = np.bincount(owners, weights, minlength=len(vertices))
-        dead = flow <= 0.0
-        if dead.any():
-            v = vertices[int(np.argmax(dead))]
-            raise ZeroFlowError(
-                v, f"zero incoming weight normalizer at vertex {v}"
-            )
-        means = means[rows] + gval[edges]
-        if len(weights) > len(vertices):
+        _require_flow(vertices, flow <= 0.0)
+        means, block = means[rows] + gval[edges], None
+        if plan.merges[k]:
             means, block = _merge_quantized(
                 layers.masses(k - 1, rows), means, weights, owners, flow, half_bins, width
             )
-            layers.keep(block)
-        else:
-            layers.keep(None)
-        bound *= growth[k - 1]
-        if bound > _HIGH or flow.item(0) < _LOW:
-            flow, bound, shift = _rescale(flow, flow)
-            exponent += shift
-        fields.append((means, flow, exponent))
+        if rule.due(k, flow.item(0)):
+            flow = rule.rescale(flow, flow)
+        layers.keep(block, rule)
+        fields.append((means, flow, rule.exponent))
     return (
         _LayerRows(plan, layers, partial(_quantized_row, half_bins, width)),
         _LayerRows(plan, layers, _flow_row),
@@ -919,17 +925,11 @@ def trellis_distribution(
     total mass is the flow.  Quantized mode: each vertex's forward and
     backward vectors are convolved, recentered on the weighted combined
     mean and summed; the result is scaled back to total mass equal to
-    the flow.  ``depth`` must be a whole number in 0..rank, or
-    SemiringError is raised.
+    the flow.  Masses are raw, and underflow to 0 where the flow does.
+    ``depth`` must be a whole number in 0..rank, or SemiringError is raised.
     """
-    _check_pair(forward, backward)
-    if not isinstance(depth, numbers.Integral) or not 0 <= depth <= forward.rank:
-        raise SemiringError(f"cut depth {depth} outside 0..{forward.rank}")
-    depth = int(depth)
-    # The cut's identity edges: each vertex's row in both layers, g 0, lambda 1.
-    rows = np.arange(len(forward.layers[depth]))
-    g, lam = np.zeros(len(rows)), np.ones(len(rows))
-    return _join(forward, backward, depth, forward.rank - depth, rows, rows, g, lam)
+    dist, exponent = _join(None, None, forward, backward, depth)
+    return replace(dist, mass=tuple(_unscaled(list(dist.mass), exponent)))
 
 
 def symbol_distribution(
@@ -941,87 +941,80 @@ def symbol_distribution(
     symbol: float,
 ):
     """Distribution restricted to paths whose section-``depth`` edge
-    carries c-label ``symbol``; total mass is the constrained flow.
+    carries c-label ``symbol``; total mass is the constrained flow, raw.
 
     ``depth`` must be a whole number in 1..rank.  The states must come
     from sweeps over this trellis or a copy with its layers.  Either
     failing raises SemiringError.
     """
-    _check_pair(forward, backward)
-    depth = _section(depth, forward.rank)
-    _require_swept_over(trellis, *((s.exact or s.quantized) for s in (forward, backward)))
-    groups = trellis.symbol_groups()
-    members = groups.find(depth, symbol) or slice(0, 0)
-    positions = groups.positions[members]
-    return _join(
-        forward,
-        backward,
-        depth - 1,
-        forward.rank - depth,
-        groups.init_rows[members],
-        groups.fin_rows[members],
-        g.values_for(trellis)[positions],
-        trellis._lam[positions],
-    )
+    dist, exponent = _join(trellis, g, forward, backward, 0, (depth, symbol))
+    return replace(dist, mass=tuple(_unscaled(list(dist.mass), exponent)))
 
 
 @_quiet
-def _join(
-    forward: DistributionState,
-    backward: DistributionState,
-    forward_layer: int,
-    backward_layer: int,
-    init_rows: np.ndarray,
-    fin_rows: np.ndarray,
-    g: np.ndarray,
-    lam: np.ndarray,
-):
-    """Forward (x) edge (x) backward, summed over the edges of one section.
+def _join(trellis, g, forward, backward, cut: int = 0, constraint=None) -> tuple:
+    """Forward (x) edge (x) backward, summed over the edges of one section:
+    the cut's, or with ``constraint=(depth, symbol)`` the symbol's; the
+    arguments are those of ``trellis_distribution`` and ``symbol_distribution``.
 
-    Edge r joins row ``init_rows[r]`` of the forward state's layer
-    ``forward_layer`` to row ``fin_rows[r]`` of the backward state's
-    layer ``backward_layer``, and carries ``g[r]`` and ``lam[r]``.  Its
-    forward and backward mass rows are convolved.  Exact rows land at
-    their g's lattice shift on the sum's window; quantized rows merge as
-    one owner's incoming rows in a sweep, weighted by the scaled flows of
-    both layers; the result's mass then takes both layers' powers of two.
-    With no edges, or no flow in quantized mode, the result has zero mass.
+    Each edge's forward and backward mass rows are convolved.  Exact rows
+    land at their g's lattice shift on the sum's window; quantized rows
+    merge as one owner's incoming rows in a sweep, weighted by the scaled
+    flows of both layers.  Returns the result, with scaled masses, and the
+    sum of both layers' powers of two, which scales them back.  With no
+    edges, or no flow in quantized mode, the result has zero mass.
     """
+    _check_pair(forward, backward)
+    if constraint is None:
+        if not isinstance(cut, numbers.Integral) or not 0 <= cut <= forward.rank:
+            raise SemiringError(f"cut depth {cut} outside 0..{forward.rank}")
+        # The cut's identity edges: each vertex's row in both layers, g 0, lambda 1.
+        f_k, b_k = int(cut), forward.rank - int(cut)
+        init_rows = fin_rows = np.arange(len(forward.layers[f_k]))
+        g, lam = np.zeros(len(init_rows)), np.ones(len(init_rows))
+    else:
+        depth = _section(constraint[0], forward.rank)
+        _require_swept_over(trellis, *((s.exact or s.quantized) for s in (forward, backward)))
+        groups, f_k, b_k = trellis.symbol_groups(), depth - 1, forward.rank - depth
+        members = groups.find(depth, constraint[1]) or slice(0, 0)
+        init_rows, fin_rows = groups.init_rows[members], groups.fin_rows[members]
+        positions = groups.positions[members]
+        g, lam = g.values_for(trellis)[positions], trellis._lam[positions]
     f_layers, b_layers = ((s.exact or s.quantized)._layers for s in (forward, backward))
-    f_fields, b_fields = f_layers.fields(forward_layer), b_layers.fields(backward_layer)
-    (f_at, f_size), (b_at, b_size) = f_fields[:2], b_fields[:2]
+    f_at, f_size = f_layers.fields(f_k)[:2]
+    b_at, b_size = b_layers.fields(b_k)[:2]
+    exponent = f_layers.exponents[f_k] + b_layers.exponents[b_k]
     exact = forward.mode == "exact"
     half_bins, width = forward.half_bins, forward.bin_width
     if exact and not len(init_rows):
         # Zero mass; with bipolar g, at a point of the padded domain.
         at = -float(forward.rank) if forward.hard_decision else 0.0
-        return _pad_hard(forward, ExactDistribution(at, forward.step, (0.0,)))
+        return _pad_hard(forward, ExactDistribution(at, forward.step, (0.0,))), exponent
     if not exact:
         owners = np.zeros(len(init_rows), dtype=np.intp)
         weights = f_size[init_rows] * lam * b_size[fin_rows]
         flow = np.bincount(owners, weights, minlength=1)
         if flow[0] <= 0.0:
-            return QuantizedDistribution(
-                0.0, half_bins, width, (0.0,) * (2 * half_bins + 1)
-            )
-    f_masses = f_layers.masses(forward_layer, init_rows)
-    b_masses = b_layers.masses(backward_layer, fin_rows)
+            zeros = (0.0,) * (2 * half_bins + 1)
+            return QuantizedDistribution(0.0, half_bins, width, zeros), exponent
+    f_masses = f_layers.masses(f_k, init_rows)
+    b_masses = b_layers.masses(b_k, fin_rows)
     rows = np.array([np.convolve(f, b) for f, b in zip(f_masses, b_masses)])
     if exact:
         # An edge's place in the sum is its g's lattice shift plus its
         # rows' columns, counted from the columns of each layer's row 0.
         _, (low,), shifts = _lattice(g, (0, len(g)), forward.step)
-        f_ats, b_ats = forward.exact._ats[forward_layer], backward.exact._ats[backward_layer]
+        f_ats, b_ats = forward.exact._ats[f_k], backward.exact._ats[b_k]
         places = shifts + (f_ats[init_rows] - f_ats[0]) + (b_ats[fin_rows] - b_ats[0])
         index = (places - places.min())[:, None] + np.arange(rows.shape[1])
         mass = np.bincount(index.ravel(), (rows * lam[:, None]).ravel())
         at = f_at[0] + low + b_at[0] + places.min() * forward.step
         merged = ExactDistribution(float(at), forward.step, tuple(mass.tolist()))
-        return _pad_hard(forward, merged.trimmed())
+        return _pad_hard(forward, merged.trimmed()), exponent
     at = f_at[init_rows] + g + b_at[fin_rows]
     means, block = _merge_quantized(rows, at, weights, owners, flow, half_bins, width)
-    mass = np.ldexp(block[0] * flow[0], f_fields[2] + b_fields[2])
-    return QuantizedDistribution(float(means[0]), half_bins, width, tuple(mass.tolist()))
+    mass = tuple((block[0] * flow[0]).tolist())
+    return QuantizedDistribution(float(means[0]), half_bins, width, mass), exponent
 
 
 # -- Gaussian reference -----------------------------------------------------------
@@ -1049,15 +1042,15 @@ def _dataset(trellis, g, forward, backward, cut: int = 0, constraint=None) -> tu
     read from the order-2 forward sweep (the one that sized the bins, if
     any), under a constraint joined with the backward one; the Gaussian's
     cells are the bin width or the lattice step (1 for a point mass).
-    Normalized masses are 0 unless the total mass is positive, and the
-    Gaussian (fit None) unless the flow is: flow/flow is 1 only for a
-    finite nonzero flow, and numerators[0] keeps its sign on underflow."""
-    if constraint is None:
-        dist = trellis_distribution(forward, backward, cut)
-    else:
-        dist = symbol_distribution(trellis, g, forward, backward, *constraint)
-    domain, mass, total = list(dist.values()), list(dist.mass), sum(dist.mass)
-    normalized = [w / total for w in mass] if total > 0 else [0.0] * len(mass)
+    Normalized masses come from the join's scaled masses, so they stay
+    finite where the raw ones underflow, and are 0 unless their total is
+    positive; the Gaussian is 0 (fit None) unless the flow is positive:
+    flow/flow is 1 only for a finite nonzero flow, and numerators[0]
+    keeps its sign on underflow."""
+    dist, exponent = _join(trellis, g, forward, backward, cut, constraint)
+    domain, scaled, total = list(dist.values()), list(dist.mass), sum(dist.mass)
+    mass = _unscaled(scaled, exponent)
+    normalized = [w / total for w in scaled] if total > 0 else [0.0] * len(scaled)
     sweep = forward.sizing or forward_numerators(trellis, g, 2)
     if constraint is None:
         matched = trellis_moments(sweep)
@@ -1071,6 +1064,5 @@ def _dataset(trellis, g, forward, backward, cut: int = 0, constraint=None) -> tu
         step = dist.bin_width
     else:
         step = dist.step if dist.step > 0 else 1.0
-    _, mean, second = ratios
-    fit = (mean, second - mean * mean)
+    fit = _mean_variance(ratios)
     return domain, mass, normalized, gaussian_lattice_mass(domain, step, *fit), fit

@@ -20,14 +20,16 @@ trellis's walk plan (``Trellis.plan``, the walk as index arrays, built
 once per topology and direction).  A sweep forms the weights C(m, j)
 lam(e) g(e)^(m-j) once per run of layers, orders-major; a layer gathers
 its neighbour columns, multiplies them by its weights and reduces over
-j <= m, and per vertex where paths merge.  The joint engine runs the same
-step on the (M_y+1)(M_z+1) grid flattened into one row; ``symbol_moments``
-joins alpha, lifted labels and beta of all sections in one sum per state
-pair, kept on the forward state.  States keep one block per layer behind
-read-only vertex mappings; in the real and max-product semirings each
-block carries a power-of-two exponent, which keeps normalized moments
-finite where the flow underflows.  ``_posterior`` gives the coding layer
-a code's or one-symbol subcode's moments from one forward sweep.
+j <= m, and per vertex where paths merge (the plan's ``merges`` flag).
+The joint engine runs the same step on the (M_y+1)(M_z+1) grid flattened
+into one row; ``symbol_moments`` joins alpha, lifted labels and beta of
+all sections in one sum per state pair, kept on the forward state.
+States keep one block per layer behind read-only vertex mappings; in the
+real and max-product semirings each block carries a power-of-two
+exponent, which keeps normalized moments finite where the flow
+underflows.  Its rule, ``_Scale``, and the dead-flow check serve both
+distribution sweeps too.  ``_posterior`` gives the coding layer a
+code's or one-symbol subcode's moments from one forward sweep.
 
 ``counted_run`` / ``counted_symbol_pass`` are real-semiring evaluators
 instrumented with exact add/multiply tallies, performing literally the
@@ -86,6 +88,12 @@ def _section(depth: int, rank: int) -> int:
     if not isinstance(depth, numbers.Integral) or not 1 <= depth <= rank:
         raise SemiringError(f"section depth {depth} outside 1..{rank}")
     return int(depth)
+
+
+def _require_flow(vertices: Sequence[int], dead: np.ndarray) -> None:
+    """The one dead-flow check: ZeroFlowError at the first ``dead`` vertex."""
+    if dead.any():
+        raise ZeroFlowError(vertices[int(np.argmax(dead))])
 
 
 class _LayerRows(Mapping):
@@ -261,12 +269,13 @@ def _advance(
     lower: np.ndarray,
     prev: np.ndarray,
     firsts: np.ndarray,
+    merge: bool,
     live: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The binomial step for every vertex of one layer, in the semiring:
     order m sums weights[m, j, e] prev[j, e] over j <= m (``lower``), j by
-    j, and over the vertex's edges e, which start at ``firsts``, where it
-    has several.  ``weights[m, j, e]`` is C(m, j) lam g^(m-j) of edge e and
+    j, and, where paths ``merge``, over the vertex's edges e, which start
+    at ``firsts``.  ``weights[m, j, e]`` is C(m, j) lam g^(m-j) of edge e and
     ``prev[:, e]`` its neighbour's row.  Terms with j > m are left out, so
     an order that overflowed to inf cannot make a lower one NaN through a
     zero coefficient.  Edges off the boolean mask ``live`` add nothing."""
@@ -274,9 +283,7 @@ def _advance(
     terms = semiring.add.reduce(terms, axis=1, where=lower, initial=semiring.zero)
     if live is not None:
         terms[:, ~live] = semiring.zero
-    if len(firsts) == terms.shape[1]:
-        return terms
-    return semiring.add.reduceat(terms, firsts, axis=1)
+    return semiring.add.reduceat(terms, firsts, axis=1) if merge else terms
 
 
 # Scaled sweeps keep each layer's largest |flow| within 2^+-_SPAN.
@@ -287,12 +294,8 @@ _HIGH, _LOW = 2.0**_SPAN, 2.0**-_SPAN
 def _rescale(block: np.ndarray, flows: np.ndarray) -> tuple[np.ndarray, float, int]:
     """One step of Rabiner's (1989) per-step scaling, in base 2.
 
-    A scaled sweep keeps a bound on its layer's largest |flow|, grown by
-    each layer's sum of |lambda|, and calls this when the bound passes
-    2^_SPAN or the layer's first flow drops below 2^-_SPAN; so a layer
-    costs one scalar test until a rescale may be due.  ``flows`` are the
-    layer's flows, in ``block`` or ``block`` itself.  Returns ``block``
-    divided by 2^shift, the largest |flow| so divided (the new bound),
+    ``flows`` are the layer's flows, in ``block`` or ``block`` itself.
+    Returns ``block`` divided by 2^shift, the largest |flow| so divided,
     and the shift: 0, with ``block`` as it is, when that flow lies within
     2^+-_SPAN, else the power of two that brings it back.  Powers of two
     are exact, so the ratios of the flows do not change.
@@ -302,6 +305,35 @@ def _rescale(block: np.ndarray, flows: np.ndarray) -> tuple[np.ndarray, float, i
     if -_SPAN <= shift <= _SPAN:
         return block, bound, 0
     return np.ldexp(block, -shift), math.ldexp(bound, -shift), shift
+
+
+class _Scale:
+    """The one rescale rule of the moment, quantized and exact sweeps.
+
+    ``due`` grows a bound on the layer's largest |flow| by its sum of
+    |lambda|, and is true when that passes 2^_SPAN or the probe, a flow of
+    the layer, else a floor shrunk by its smallest nonzero |lambda|, drops
+    below 2^-_SPAN; ``rescale`` then adds ``_rescale``'s shift to
+    ``exponent``.  A shift is nonzero only where the largest |flow| leaves
+    2^+-_SPAN, so how loose the bounds are moves no exponent.
+    """
+
+    def __init__(self, lam: np.ndarray, bounds: Sequence[int]):
+        size = np.abs(lam)
+        self.growth = np.add.reduceat(size, bounds[:-1]).tolist()
+        self.shrink = np.minimum.reduceat(np.where(size > 0, size, np.inf), bounds[:-1]).tolist()
+        self.high = self.low = 1.0
+        self.exponent = 0
+
+    def due(self, k: int, probe: Optional[float] = None) -> bool:
+        self.high *= self.growth[k - 1]
+        self.low *= self.shrink[k - 1]
+        return self.high > _HIGH or abs(self.low if probe is None else probe) < _LOW
+
+    def rescale(self, block: np.ndarray, flows: np.ndarray) -> np.ndarray:
+        block, self.high, shift = _rescale(block, flows)
+        self.low, self.exponent = self.high, self.exponent + shift
+        return block
 
 
 # The weights a sweep makes at once, for a run of layers, unless one
@@ -318,18 +350,15 @@ def _sweep(
     """A ``(block, exponent)`` per layer of ``plan``, whose moment rows
     are ``block * 2^exponent``, from the rows of ``_lift_rows`` in walk
     order; the first is the start vertex's one-hot row, exponent 0.
-    Where the product is the real one, ``_rescale`` keeps each block's
+    Where the product is the real one, ``_Scale`` keeps each block's
     flows within 2^+-_SPAN, so the rows are the unscaled ones bit for bit
     wherever those neither under- nor overflow."""
     scale, power, lower = _binomial_index(semiring, orders)
     start = np.full((1, len(lift)), semiring.zero)
     start[0, 0] = semiring.one
-    layers, block, exponent, bounds = [(start, 0)], start.T, 0, plan.bounds
+    layers, block, bounds = [(start, 0)], start.T, plan.bounds
     scaled = semiring.mul is np.multiply
-    if scaled:
-        growth = np.add.reduceat(np.abs(lift[0]), bounds[:-1]).tolist()
-        # The first layer reads its largest |flow|, which sets the bound.
-        bound = math.inf
+    rule = _Scale(lift[0], bounds)
     first, most = 1, _RUN_WEIGHTS // len(lift) ** 2
     while first < len(bounds):
         end = max(first + 1, bisect_right(bounds, bounds[first - 1] + most))
@@ -339,13 +368,10 @@ def _sweep(
         for k in range(first, end):
             prev = block.take(plan.rows[bounds[k - 1] : bounds[k]], axis=1)
             local = weights[:, :, bounds[k - 1] - origin : bounds[k] - origin]
-            block = _advance(semiring, local, lower, prev, plan.firsts[k])
-            if scaled:
-                bound *= growth[k - 1]
-                if bound > _HIGH or abs(block.item(0)) < _LOW:
-                    block, bound, shift = _rescale(block, block[0])
-                    exponent += shift
-            layers.append((block.T, exponent))
+            block = _advance(semiring, local, lower, prev, plan.firsts[k], plan.merges[k])
+            if scaled and rule.due(k, block.item(0)):
+                block = rule.rescale(block, block[0])
+            layers.append((block.T, rule.exponent))
         first = end
     return layers
 
@@ -691,16 +717,14 @@ def normalized_states(
         rows, owners, firsts = plan.rows[edges], plan.owners[edges], plan.firsts[k]
         terms = log_lam[edges] + log_flow[-1][rows]
         hi = np.maximum.reduceat(terms, firsts)
-        dead = hi == -np.inf
-        if dead.any():
-            raise ZeroFlowError(plan.layers[k][int(np.argmax(dead))])
+        _require_flow(plan.layers[k], hi == -np.inf)
         total = hi + np.log(np.add.reduceat(np.exp(terms - hi[owners]), firsts))
         weights = np.exp(terms - total[owners])
         # The weight leads each edge's powers, and an edge of weight 0
         # drops out, so a large g^l cannot overflow where w g^l does not.
         lift = _lift_rows(REAL, weights, gval[edges], max_order)[power] * scale
         prev = normalized[-1].T.take(rows, axis=1)
-        row = _advance(REAL, lift, lower, prev, firsts, live=weights != 0.0)
+        row = _advance(REAL, lift, lower, prev, firsts, plan.merges[k], weights != 0.0)
         row[0] = 1.0
         normalized.append(row.T)
         log_flow.append(total)

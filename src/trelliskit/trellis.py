@@ -458,6 +458,7 @@ class WalkPlan:
     the offset of each vertex's first local edge within its layer's
     edges, and ``where`` maps every vertex to its ``(layer, row)``, in
     walk order.  ``topology`` is the :class:`EdgeArrays` walked.
+    ``merges[k]`` is whether paths merge in layer k: the one chain-layer flag.
     """
 
     layers: tuple[tuple[int, ...], ...]
@@ -468,6 +469,7 @@ class WalkPlan:
     firsts: tuple[np.ndarray, ...]
     where: dict[int, tuple[int, int]]
     topology: EdgeArrays
+    merges: tuple[bool, ...]
 
     def layer_edges(self) -> Iterator[tuple[int, slice]]:
         """Each layer after the start, with the slice of its local edges."""
@@ -506,13 +508,15 @@ def _walk_plan(trellis: Trellis, direction: str) -> WalkPlan:
     owners, rows = owners[edges], rows[edges]
     bounds = (0, *np.cumsum(np.bincount(step, minlength=trellis.rank + 1)[1:]).tolist())
     where = {start: (0, 0)}
-    firsts = [np.zeros(0, dtype=np.intp)]
+    firsts, merges = [np.zeros(0, dtype=np.intp)], [False]
     for k, layer in enumerate(layers, start=1):
         for i, v in enumerate(layer):
             where[v] = (k, i)
         local = owners[bounds[k - 1] : bounds[k]]
         firsts.append(np.searchsorted(local, np.arange(len(layer))))
-    return WalkPlan(((start,), *layers), edges, owners, rows, bounds, tuple(firsts), where, a)
+        merges.append(len(local) > len(layer))
+    plan = ((start,), *layers), edges, owners, rows, bounds, tuple(firsts), where, a
+    return WalkPlan(*plan, tuple(merges))
 
 
 # -- validation --------------------------------------------------------------
