@@ -6,9 +6,12 @@ code symbol per edge).  Labeling the edges with memoryless channel
 likelihoods makes every path label the conditional probability of the
 received word given that codeword, after which the moment and
 distribution engines deliver correlation moments, symbol probabilities
-and conditional entropies of the code and of its one-bit subcodes, each
-from one forward moment sweep (``moments._posterior``) that stays finite
-on codes whose flow underflows a float.
+and conditional entropies of the code and of its one-bit subcodes from
+forward moment sweeps (``moments._posterior``) that stay finite on codes
+whose flow underflows a float.  The labelled trellis keeps the code's
+sweep, so questions about one code share it: the code's flow for every
+symbol probability comes from one sweep, and each subcode, a relabeled
+copy, takes one sweep of its own.
 
 For both the binary symmetric and the AWGN channel the uncertainty
 -log2 P(c|w) is affine in the correlation c.w:
@@ -418,8 +421,9 @@ def conditional_entropy(
 
 def symbol_probability(trellis: Trellis, depth: int, symbol: float) -> float:
     """Symbol probability P(c_i = x | r) on a likelihood-labeled trellis:
-    the subcode's flow over the code's, each from one order-0 sweep;
-    ``depth`` (i) must be a whole number in 1..rank.
+    the subcode's flow over the code's, each from one order-0 sweep, of
+    which the trellis keeps the code's, so every depth takes rank + 1
+    sweeps in all; ``depth`` (i) must be a whole number in 1..rank.
     """
     from .moments import _posterior
 

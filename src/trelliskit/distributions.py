@@ -444,11 +444,12 @@ class QuantizationParams:
     """Bin count and width for the quantized mode.
 
     ``half_bins`` (N) must be a whole number >= 1, or SemiringError is
-    raised here.  ``bin_width=None`` sizes the bins from a preliminary
-    order-2 moment pass so that the 2N+1 bins span four standard
-    deviations on each side of the mean.  A backward sweep given
-    ``QuantizationParams(half_bins=fwd.half_bins, bin_width=fwd.bin_width)``
-    skips a second sizing pass.
+    raised here.  ``bin_width=None`` sizes the bins from the order-2
+    forward moments so that the 2N+1 bins span four standard deviations
+    on each side of the mean.  The trellis keeps the moment sweep that
+    gives them (see ``moments.forward_numerators``), so a second sizing
+    with the same g, as by the backward sweep of a pair, reads its rows
+    and sweeps no more.
     """
 
     half_bins: int = 32
@@ -838,9 +839,10 @@ def backward_distributions(
     mode: str = "auto",
     params: Optional[QuantizationParams] = None,
 ) -> DistributionState:
-    """Mirror of forward_distributions, propagating from the sink; in
-    quantized mode pass ``QuantizationParams(half_bins=fwd.half_bins,
-    bin_width=fwd.bin_width)`` to skip a second order-2 sizing sweep."""
+    """Mirror of forward_distributions, propagating from the sink.  In
+    quantized mode without a bin width it sizes the bins as the forward
+    sweep does, from the order-2 forward moments the trellis kept, so a
+    pair runs one sizing sweep (see ``QuantizationParams``)."""
     return _distributions(trellis, g, "backward", mode, params)
 
 

@@ -31,6 +31,19 @@ underflows.  Its rule, ``_Scale``, and the dead-flow check serve both
 distribution sweeps too.  ``_posterior`` gives the coding layer a
 code's or one-symbol subcode's moments from one forward sweep.
 
+A labelled trellis keeps its last sweep of each direction and semiring,
+with the bits of g's values and the order, as long as the trellis
+lives; a ``relabeled`` copy, such as ``_posterior``'s subcode, keeps its
+own.  A later call with the same g bits at an order no higher, or at
+order 0 with any g (row 0 and its exponent read only lambda), makes the
+sweep's checks and then hands out read-only column views of the kept
+blocks, bit for bit the rows a sweep would make: rows 0..m of a sweep do
+not depend on its order.  So the entropy, correlation moments, symbol
+probabilities, bin sizing and the CLI Gaussian share sweeps.
+``symbol_moments`` joins every section once per state pair and keeps
+every symbol group's numerators and normalized moments as arrays; a
+later call checks its arguments and reads one row.
+
 ``counted_run`` / ``counted_symbol_pass`` are real-semiring evaluators
 instrumented with exact add/multiply tallies, performing literally the
 operation schedule that the O(|E|) complexity accounting assumes
@@ -42,7 +55,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -85,6 +97,8 @@ def _check_order(max_order: int) -> None:
 
 def _section(depth: int, rank: int) -> int:
     """``depth`` as an int; SemiringError unless it is an ``Integral`` in 1..rank."""
+    if type(depth) is int and 0 < depth <= rank:
+        return depth
     if not isinstance(depth, numbers.Integral) or not 1 <= depth <= rank:
         raise SemiringError(f"section depth {depth} outside 1..{rank}")
     return int(depth)
@@ -387,9 +401,17 @@ def _numerators(
     require_valid(trellis)
     _check_order(max_order)
     plan = trellis.plan(direction)
-    lam, gval = _edge_labels(semiring, trellis._lam, g.values_for(trellis))
-    lift = _lift_rows(semiring, lam[plan.edges], gval[plan.edges], max_order)
-    layers = _sweep(semiring, plan, lift, (max_order,))
+    values = g.values_for(trellis)
+    lam, gval = _edge_labels(semiring, trellis._lam, values)
+    bits, order, layers = trellis._sweeps.get((direction, semiring), (None, -1, None))
+    if max_order > order or (max_order and bits != values.tobytes()):
+        lift = _lift_rows(semiring, lam[plan.edges], gval[plan.edges], max_order)
+        layers = _sweep(semiring, plan, lift, (max_order,))
+        for block, _ in layers:
+            block.flags.writeable = False
+        trellis._sweeps[direction, semiring] = (values.tobytes(), max_order, layers)
+    elif max_order < order:  # rows 0..m of a sweep do not depend on its order
+        layers = [(block[:, : max_order + 1], exponent) for block, exponent in layers]
     table = _LayerRows(plan, layers, _scaled_row)
     return MomentState(
         direction, max_order, semiring, table, trellis.source, trellis.sink
@@ -403,7 +425,14 @@ def forward_numerators(
     semiring: SemiringSpec = REAL,
 ) -> MomentState:
     """Numerators of orders 0..max_order at every vertex, source first.  Every
-    engine raises SemiringError unless an order is whole (not 2.0), 0..MAX_ORDER."""
+    engine raises SemiringError unless an order is whole (not 2.0), 0..MAX_ORDER.
+
+    ``trellis`` keeps this sweep, one per direction and semiring, until
+    its next sweep there, and for as long as the trellis lives.  A later
+    call whose g values have the same bits (-0.0 is not 0.0) at an order
+    no higher, or any call at order 0, makes the same checks and returns
+    read-only column views of the kept blocks instead of sweeping again.
+    """
     return _numerators(trellis, g, max_order, semiring, "forward")
 
 
@@ -413,7 +442,8 @@ def backward_numerators(
     max_order: int,
     semiring: SemiringSpec = REAL,
 ) -> MomentState:
-    """Mirror sweep from the sink; order 0 gives the flows to the sink."""
+    """Mirror sweep from the sink; order 0 gives the flows to the sink.  It
+    is kept and served as ``forward_numerators`` says."""
     return _numerators(trellis, g, max_order, semiring, "backward")
 
 
@@ -492,40 +522,84 @@ def symbol_moments(
     with its layers; others raise SemiringError.  When no section-``depth``
     edge carries c-label ``symbol`` the numerators are all the semiring
     zero and ``normalized`` is None.  The first call joins every section
-    and keeps the rows on ``forward`` for this ``backward``, label array,
-    topology and ``g``, each by identity; later calls look theirs up.
+    and keeps every group's numerators and normalized moments on
+    ``forward``, as arrays, for this ``backward``, label array, topology
+    and ``g``, each by identity; later calls check their arguments and
+    read one row.  Should the join of every section raise, as where the
+    carrier cannot hold some group's g, each call joins its group alone.
     """
     if forward.direction != "forward" or backward.direction != "backward":
         raise SemiringError("symbol_moments needs one forward and one backward state")
     if forward.semiring.name != backward.semiring.name:
         raise SemiringError("forward and backward states use different semirings")
     depth = _section(depth, trellis.rank)
-    _require_swept_over(trellis, forward.table, backward.table)
-    semiring = forward.semiring
-    groups = trellis.symbol_groups()
-    members = groups.find(depth, symbol)
-    if members is None:
-        scaled = (semiring.zero,) * (min(forward.max_order, backward.max_order) + 1)
+    semiring, memo = forward.semiring, forward._joined
+    if not (
+        memo is not None and memo[0] is backward and memo[1] is trellis._lam
+        and memo[2] is trellis.edge_arrays and memo[3] is g
+    ):  # a kept join was checked against this trellis when it was made
+        _require_swept_over(trellis, forward.table, backward.table)
+        require_valid(trellis)
+        memo = None
+    k = trellis._symbol_groups().group(depth, symbol)
+    if k is None:
+        zeros = (semiring.zero,) * (min(forward.max_order, backward.max_order) + 1)
+        return SymbolMoments(depth, symbol, zeros, None, semiring.name)
+    if memo is None:
+        key = (backward, trellis._lam, trellis.edge_arrays, g)
+        try:
+            memo = forward._joined = (*key, _prepared_join(trellis, g, forward, backward))
+        except SemiringError:  # alone, group k raises only for its own values
+            memo, k = (*key, _prepared_join(trellis, g, forward, backward, k)), 0
+    rows = memo[4]
+    if rows.normalized is None or rows.scaled[k, 0] == semiring.zero:
+        normalized = _normalize(semiring, rows.scaled[k].tolist())
     else:
-        k = bisect_right(groups._bounds, members.start) - 1
-        key, memo = (backward, trellis._lam, trellis.edge_arrays, g), forward._joined
-        if memo is None or not all(map(operator.is_, memo[0], key)):
-            try:
-                memo = forward._joined = (key, _symbol_join(trellis, g, forward, backward))
-            except SemiringError:  # alone, group k raises only for its own values
-                memo = (key, {k: _symbol_join(trellis, g, forward, backward, members)[0]})
-        scaled = memo[1][k]
-    exponent = forward.table._layers[depth - 1][1]
-    exponent += backward.table._layers[trellis.rank - depth][1]
-    numerators = tuple(_unscaled(scaled, exponent))
-    return SymbolMoments(depth, symbol, numerators, _normalize(semiring, scaled), semiring.name)
+        normalized = tuple(rows.normalized[k].tolist())
+    numerators = tuple(rows.numerators[k].tolist())
+    return SymbolMoments(depth, symbol, numerators, normalized, semiring.name)
+
+
+class _JoinedRows(NamedTuple):
+    """Symbol groups' rows, one array row per group: ``scaled`` as
+    ``_symbol_join`` sums them, the ``numerators`` they stand for and, in
+    the real semiring, the ``normalized`` rows, which ``_normalize`` gives
+    wherever the scaled flow is not 0; else None."""
+
+    scaled: np.ndarray
+    numerators: np.ndarray
+    normalized: Optional[np.ndarray]
+
+
+@_quiet
+def _prepared_join(
+    trellis: Trellis, g: DepthFunctionTable, forward: MomentState,
+    backward: MomentState, k: Optional[int] = None,
+) -> _JoinedRows:
+    """Every symbol group's rows from one join, or group ``k``'s alone:
+    the numerators from one ``ldexp`` by each group's exponent, that of
+    its section's alpha plus that of its beta, and the real normalized
+    rows from one divide."""
+    groups = trellis._symbol_groups()
+    if k is None:
+        scaled, depths = _symbol_join(trellis, g, forward, backward), groups.depths
+    else:
+        members = slice(groups._bounds[k], groups._bounds[k + 1])
+        scaled = _symbol_join(trellis, g, forward, backward, members)
+        depths = groups.depths[k : k + 1]
+    alpha = np.array([exponent for _, exponent in forward.table._layers])
+    beta = np.array([exponent for _, exponent in backward.table._layers])
+    exponents = (alpha[depths - 1] + beta[trellis.rank - depths])[:, None]
+    numerators = np.ldexp(scaled, exponents) if exponents.any() else scaled
+    normalized = scaled / scaled[:, :1] if forward.semiring.name == "real" else None
+    return _JoinedRows(scaled, numerators, normalized)
 
 
 @_quiet
 def _symbol_join(
     trellis: Trellis, g: DepthFunctionTable, forward: MomentState,
     backward: MomentState, members: slice = slice(None),
-) -> list[list[Any]]:
+) -> np.ndarray:
     """Scaled numerators of the symbol groups whose entries ``members``
     spans (all by default), a row each: one multinomial sum over their
     edges, split by split, as each group's own (split, edge) grid ravels,
@@ -552,7 +626,7 @@ def _symbol_join(
         terms = terms.take(trellis._plans[cached])
         below = _multinomial_index(max_order, 1)[4]  # the splits of the orders below m
         starts = (len(b) * groups.offsets[:-1, None] + np.multiply.outer(sizes, below)).ravel()
-    return semiring.add.reduceat(terms, starts).reshape(-1, max_order + 1).tolist()
+    return semiring.add.reduceat(terms, starts).reshape(-1, max_order + 1)
 
 
 class _Posterior(NamedTuple):

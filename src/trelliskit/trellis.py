@@ -188,6 +188,10 @@ class Trellis:
         # first use.  relabeled() copies share this dict with their parent,
         # so a topology builds each once.
         self._plans = plans
+        # The last moment sweep per (direction, semiring), with its g bits
+        # and order (see moments._numerators).  It depends on the labels,
+        # so every copy starts its own, and it lives as long as the trellis.
+        self._sweeps: dict[tuple[str, Any], tuple[bytes, int, list]] = {}
 
     # -- structural queries -------------------------------------------------
 
@@ -318,8 +322,9 @@ class Trellis:
 
         The structure is unchanged, so the copy shares this trellis's
         depths, layers, validation report, edge arrays, walk plans and
-        symbol groups, and stores only its label array.  A non-finite
-        label raises TrellisStructureError naming the first such edge.
+        symbol groups, and stores only its label array and the moment
+        sweeps run on it.  A non-finite label raises TrellisStructureError
+        naming the first such edge.
         """
         if callable(labels):
             labels = [float(labels(e)) for e in self.edges]
@@ -407,15 +412,21 @@ class SymbolGroups:
         self._labels = clabels.tolist()
         self._bounds = offsets.tolist()
 
-    def find(self, depth: int, clabel: float) -> slice | None:
-        """The entries of the section-``depth`` edges with ``clabel``, or
-        None when there are none."""
+    def group(self, depth: int, clabel: float) -> int | None:
+        """The index k of the group of the section-``depth`` edges with
+        ``clabel``, or None when there are none."""
         if not 0 < depth < len(self._first) - 1:
             return None
         for k in range(self._first[depth], self._first[depth + 1]):
             if self._labels[k] == clabel:
-                return slice(self._bounds[k], self._bounds[k + 1])
+                return k
         return None
+
+    def find(self, depth: int, clabel: float) -> slice | None:
+        """The entries of the section-``depth`` edges with ``clabel``, or
+        None when there are none."""
+        k = self.group(depth, clabel)
+        return None if k is None else slice(self._bounds[k], self._bounds[k + 1])
 
 
 def _group_symbols(trellis: Trellis) -> SymbolGroups:

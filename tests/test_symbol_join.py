@@ -282,3 +282,21 @@ def test_a_bad_value_outside_the_group_leaves_the_group_answered(code):
                 want = reference_symbol_moments(t, g_bad, forward, backward, depth, symbol)
                 assert_identical(got, want, (depth, symbol))
                 assert math.isfinite(got.numerators[0])
+
+
+@pytest.mark.parametrize("name", ["real", "maxprod"])
+def test_long_code_rows_unscale_by_each_groups_exponent(name):
+    """[7,5] K=300 over AWGN sigma2=2.0, seed 3, whose flow falls to about
+    2^-1400: the sweeps rescale, so the groups' exponents differ, and the
+    rows of the one join must unscale each by its own, bit for bit."""
+    code = build_conv_trellis((0o7, 0o5), 300)
+    _, received = make_received(code, Awgn(2.0), seed=3)
+    labeled = channel_lambda_labels(code, Awgn(2.0), received)
+    semiring = get_semiring(name)
+    values = correlation_g_table(labeled, received).values_for(labeled)
+    g = DepthFunctionTable.from_values(labeled, np.abs(values))
+    forward = forward_numerators(labeled, g, 2, semiring)
+    backward = backward_numerators(labeled, g, 2, semiring)
+    exponents = {exponent for _, exponent in forward.table._layers}
+    assert len(exponents) > 2 and min(exponents) < -1000
+    assert_all_match(labeled, g, forward, backward)
