@@ -9,9 +9,10 @@ distribution engines deliver correlation moments, symbol probabilities
 and conditional entropies of the code and of its one-bit subcodes from
 forward moment sweeps (``moments._posterior``) that stay finite on codes
 whose flow underflows a float.  The labelled trellis keeps the code's
-sweep, so questions about one code share it: the code's flow for every
-symbol probability comes from one sweep, and each subcode, a relabeled
-copy, takes one sweep of its own.
+sweep, so questions about one code share it: the whole code's entropy
+sweeps at order 2, which serves the correlation moments up to order 2
+after it, the code's flow for every symbol probability comes from one
+sweep, and each subcode, a relabeled copy, takes one sweep of its own.
 
 For both the binary symmetric and the AWGN channel the uncertainty
 -log2 P(c|w) is affine in the correlation c.w:
@@ -388,13 +389,19 @@ def conditional_entropy_detail(
     uncertainty-correlation relation reduces the entropy to
     log2(flow) - K1b - K2 times the first correlation moment.  A
     constraint's depth must be a whole number in 1..rank.
+
+    Without a constraint the code is swept at order 2, whose rows 0 and
+    1 have the bits of an order-1 sweep; the trellis keeps that sweep,
+    so later order-2 questions about this word's c.w read it:
+    ``correlation_moments`` up to order 2, the quantized bin sizing and
+    the Gaussian of ``distributions._dataset``.
+    With one, the whole code is swept at order 0 for its flow alone.
     """
     from .moments import _posterior
 
     g = correlation_g_table(trellis, received)
-    # Row 0 and its exponent have the same bits at any order, so the
-    # whole code's sweep needs order 1 only when its moment is read.
-    code = _posterior(trellis, g, 1 if constraint is None else 0)
+    # Rows 0..1 and every exponent have the same bits at any order.
+    code = _posterior(trellis, g, 2 if constraint is None else 0)
     log2_flow = code.log2_flow
     if constraint is not None:
         code = _posterior(trellis, g, 1, constraint)

@@ -41,8 +41,9 @@ blocks, bit for bit the rows a sweep would make: rows 0..m of a sweep do
 not depend on its order.  So the entropy, correlation moments, symbol
 probabilities, bin sizing and the CLI Gaussian share sweeps.
 ``symbol_moments`` joins every section once per state pair and keeps
-every symbol group's numerators and normalized moments as arrays; a
-later call checks its arguments and reads one row.
+every symbol group's numerators and normalized moments as the tuples it
+hands out; a later call checks its arguments, looks up its group and
+wraps them.
 
 ``counted_run`` / ``counted_symbol_pass`` are real-semiring evaluators
 instrumented with exact add/multiply tallies, performing literally the
@@ -523,10 +524,11 @@ def symbol_moments(
     edge carries c-label ``symbol`` the numerators are all the semiring
     zero and ``normalized`` is None.  The first call joins every section
     and keeps every group's numerators and normalized moments on
-    ``forward``, as arrays, for this ``backward``, label array, topology
-    and ``g``, each by identity; later calls check their arguments and
-    read one row.  Should the join of every section raise, as where the
-    carrier cannot hold some group's g, each call joins its group alone.
+    ``forward``, as tuples, for this ``backward``, label array, topology
+    and ``g``, each by identity; later calls check their arguments, look
+    up their group and hand out its tuples.  Should the join of every
+    section raise, as where the carrier cannot hold some group's g, each
+    call joins its group alone.
     """
     if forward.direction != "forward" or backward.direction != "backward":
         raise SemiringError("symbol_moments needs one forward and one backward state")
@@ -552,23 +554,16 @@ def symbol_moments(
         except SemiringError:  # alone, group k raises only for its own values
             memo, k = (*key, _prepared_join(trellis, g, forward, backward, k)), 0
     rows = memo[4]
-    if rows.normalized is None or rows.scaled[k, 0] == semiring.zero:
-        normalized = _normalize(semiring, rows.scaled[k].tolist())
-    else:
-        normalized = tuple(rows.normalized[k].tolist())
-    numerators = tuple(rows.numerators[k].tolist())
-    return SymbolMoments(depth, symbol, numerators, normalized, semiring.name)
+    return SymbolMoments(depth, symbol, rows.numerators[k], rows.normalized[k], semiring.name)
 
 
 class _JoinedRows(NamedTuple):
-    """Symbol groups' rows, one array row per group: ``scaled`` as
-    ``_symbol_join`` sums them, the ``numerators`` they stand for and, in
-    the real semiring, the ``normalized`` rows, which ``_normalize`` gives
-    wherever the scaled flow is not 0; else None."""
+    """Symbol groups' answers, one entry per group, as ``symbol_moments``
+    hands them out: the ``numerators`` tuple and the ``normalized`` tuple
+    or None."""
 
-    scaled: np.ndarray
-    numerators: np.ndarray
-    normalized: Optional[np.ndarray]
+    numerators: list[tuple[Any, ...]]
+    normalized: list[Optional[tuple[float, ...]]]
 
 
 @_quiet
@@ -576,10 +571,11 @@ def _prepared_join(
     trellis: Trellis, g: DepthFunctionTable, forward: MomentState,
     backward: MomentState, k: Optional[int] = None,
 ) -> _JoinedRows:
-    """Every symbol group's rows from one join, or group ``k``'s alone:
+    """Every symbol group's answers from one join, or group ``k``'s alone:
     the numerators from one ``ldexp`` by each group's exponent, that of
-    its section's alpha plus that of its beta, and the real normalized
-    rows from one divide."""
+    its section's alpha plus that of its beta; the normalized moments in
+    the real semiring from one divide of the scaled rows, and where the
+    scaled flow is 0, or in another semiring, from ``_normalize``."""
     groups = trellis._symbol_groups()
     if k is None:
         scaled, depths = _symbol_join(trellis, g, forward, backward), groups.depths
@@ -591,8 +587,13 @@ def _prepared_join(
     beta = np.array([exponent for _, exponent in backward.table._layers])
     exponents = (alpha[depths - 1] + beta[trellis.rank - depths])[:, None]
     numerators = np.ldexp(scaled, exponents) if exponents.any() else scaled
-    normalized = scaled / scaled[:, :1] if forward.semiring.name == "real" else None
-    return _JoinedRows(scaled, numerators, normalized)
+    semiring, rows = forward.semiring, scaled.tolist()
+    if semiring.name == "real":
+        ratios = (scaled / scaled[:, :1]).tolist()
+        normalized = [None if row[0] == 0.0 else tuple(q) for row, q in zip(rows, ratios)]
+    else:
+        normalized = [_normalize(semiring, row) for row in rows]
+    return _JoinedRows(list(map(tuple, numerators.tolist())), normalized)
 
 
 @_quiet

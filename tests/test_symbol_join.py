@@ -40,6 +40,8 @@ from trelliskit.moments import SymbolMoments, _edge_labels, _lift_rows, _normali
 from trelliskit.oracles import random_trellis
 from trelliskit.semirings import _PASCAL
 
+from test_layer_step import trellises
+
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 SEMIRINGS = ["boolean", "logreal", "maxprod", "real", "tropical"]
@@ -300,3 +302,61 @@ def test_long_code_rows_unscale_by_each_groups_exponent(name):
     exponents = {exponent for _, exponent in forward.table._layers}
     assert len(exponents) > 2 and min(exponents) < -1000
     assert_all_match(labeled, g, forward, backward)
+
+
+@SETTINGS
+@given(trellises(), st.sampled_from(SEMIRINGS), st.integers(0, 3))
+def test_served_answers_equal_the_per_group_join(instance, name, order):
+    """After the first call prepares the join, every (depth, +-1) answer
+    is served from it, bit for bit the per-group join's (by ``float.hex``,
+    under which NaN equals NaN)."""
+    t, seed = instance
+    semiring = get_semiring(name)
+    g = carrier_g(t, seed, name)
+    forward = forward_numerators(t, g, order, semiring)
+    backward = backward_numerators(t, g, order, semiring)
+    with mock.patch.object(moments, "_symbol_join", wraps=moments._symbol_join) as join:
+        for depth in range(1, t.rank + 1):
+            for symbol in (1.0, -1.0):
+                got = symbol_moments(t, g, forward, backward, depth, symbol)
+                want = reference_symbol_moments(t, g, forward, backward, depth, symbol)
+                assert_identical(got, want, (depth, symbol))
+        assert join.call_count == 1 and forward._joined is not None
+
+
+@pytest.mark.parametrize("name", SEMIRINGS)
+def test_served_zero_flow_missing_and_fallback_groups(code, name):
+    """Served from a prepared join: a group whose edges all carry lambda
+    0, with normalized None where the semiring normalizes, and a c-label
+    no edge carries, with zeros and None.  Where the carrier rejects one
+    edge's g, every other group is still answered, each alone."""
+    t, _, g = code
+    a = t.edge_arrays
+    dead = t.relabeled(np.where((a.section == 2) & (a.clabel == 1.0), 0.0, t._lam))
+    semiring = get_semiring(name)
+    forward = forward_numerators(dead, g, 2, semiring)
+    backward = backward_numerators(dead, g, 2, semiring)
+    symbol_moments(dead, g, forward, backward, 1, 1.0)
+    assert forward._joined is not None
+    for symbol in (1.0, 7.0):
+        got = symbol_moments(dead, g, forward, backward, 3, symbol)
+        want = reference_symbol_moments(dead, g, forward, backward, 3, symbol)
+        assert_identical(got, want, symbol)
+        assert got.normalized is None
+    assert symbol_moments(dead, g, forward, backward, 3, 7.0).numerators == (semiring.zero,) * 3
+    if name in ("logreal", "maxprod"):
+        values = g.values_for(t).copy()
+        values[int(np.flatnonzero(a.section == 4)[0])] = -0.25
+        g_bad = DepthFunctionTable.from_values(t, values)
+        forward = forward_numerators(t, g, 2, semiring)
+        backward = backward_numerators(t, g, 2, semiring)
+        for depth in range(1, t.rank + 1):
+            for symbol in (1.0, -1.0):
+                try:
+                    got = symbol_moments(t, g_bad, forward, backward, depth, symbol)
+                except SemiringError:
+                    assert depth == 5
+                    continue
+                want = reference_symbol_moments(t, g_bad, forward, backward, depth, symbol)
+                assert_identical(got, want, (depth, symbol))
+        assert forward._joined is None
