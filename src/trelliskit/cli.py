@@ -291,9 +291,6 @@ def _cmd_distribution(args) -> int:
         )
 
     fwd = distributions.forward_distributions(graph, g, args.mode, params)
-    if fwd.mode == "quantized":
-        # The backward sweep reuses the bins the forward one sized.
-        params = distributions.QuantizationParams(fwd.half_bins, fwd.bin_width)
     bwd = distributions.backward_distributions(graph, g, fwd.mode, params)
     columns = distributions._dataset(graph, g, fwd, bwd, args.cut or 0, constraint)[:4]
     header = ("domain_value", "mass", "normalized_mass", "gaussian_approx")

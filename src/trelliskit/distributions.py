@@ -71,7 +71,7 @@ import numpy as np
 
 from .errors import LatticeError, SemiringError, ZeroFlowError
 from .moments import (
-    MomentState, _LayerRows, _quiet, _require_flow, _require_swept_over, _Scale,
+    _LayerRows, _quiet, _require_flow, _require_swept_over, _Scale,
     _same_topology, _section, _unscaled, backward_numerators, forward_numerators,
     symbol_moments, trellis_moments,
 )
@@ -447,9 +447,9 @@ class QuantizationParams:
     raised here.  ``bin_width=None`` sizes the bins from the order-2
     forward moments so that the 2N+1 bins span four standard deviations
     on each side of the mean.  The trellis keeps the moment sweep that
-    gives them (see ``moments.forward_numerators``), so a second sizing
-    with the same g, as by the backward sweep of a pair, reads its rows
-    and sweeps no more.
+    gives them (see ``moments.forward_numerators``), so the two sweeps of
+    a pair, given the same params and g, size the same width from one
+    sweep.
     """
 
     half_bins: int = 32
@@ -478,9 +478,7 @@ class DistributionState:
     out that product.  Merge layers store their masses; a chain layer's
     are rebuilt from the last stored block when read, unless rescaled, and
     exact offsets and lengths are made from each layer's column offsets
-    when read.  The other mode's mappings are None.  ``sizing`` is the order-2
-    forward moment sweep that sized the bins, when the quantized mode had
-    no bin width given, and None otherwise.
+    when read.  The other mode's mappings are None.
     """
 
     direction: str
@@ -494,7 +492,6 @@ class DistributionState:
     step: Optional[float] = None
     half_bins: Optional[int] = None
     bin_width: Optional[float] = None
-    sizing: Optional[MomentState] = None
 
 
 class _Layers(Sequence):
@@ -633,21 +630,20 @@ def _mean_variance(normalized: Sequence[float]) -> tuple[float, float]:
 
 def _resolve_bin_width(
     trellis: Trellis, g: DepthFunctionTable, params: QuantizationParams
-) -> tuple[float, Optional[MomentState]]:
-    """The bin width, and the order-2 forward sweep that sized it when
-    ``params`` gives none.  A width, given or sized, that is not a finite
-    positive number raises SemiringError."""
-    width, sweep = params.bin_width, None
+) -> float:
+    """The bin width ``params`` gives, or else the one sized from the
+    order-2 forward sweep, which the trellis keeps.  A width, given or
+    sized, that is not a finite positive number raises SemiringError."""
+    width = params.bin_width
     if width is None:
-        sweep = forward_numerators(trellis, g, 2)
-        moments = trellis_moments(sweep)
+        moments = trellis_moments(forward_numerators(trellis, g, 2))
         if moments.normalized is None:
             raise ZeroFlowError(None, "cannot size bins: total flow is zero")
         sigma = math.sqrt(_mean_variance(moments.normalized)[1])
         width = 4.0 * sigma / params.half_bins if sigma != 0.0 else 1.0
     if not 0 < width < math.inf:
         raise SemiringError(f"bin width must be a finite positive number, got {width}")
-    return float(width), sweep
+    return float(width)
 
 
 def _snap_mean(
@@ -841,8 +837,8 @@ def backward_distributions(
 ) -> DistributionState:
     """Mirror of forward_distributions, propagating from the sink.  In
     quantized mode without a bin width it sizes the bins as the forward
-    sweep does, from the order-2 forward moments the trellis kept, so a
-    pair runs one sizing sweep (see ``QuantizationParams``)."""
+    sweep does, from the order-2 forward moments, so with the same params
+    it has the forward sweep's width (see ``QuantizationParams``)."""
     return _distributions(trellis, g, "backward", mode, params)
 
 
@@ -867,7 +863,7 @@ def _distributions(trellis, g, direction, mode, params) -> DistributionState:
             direction, "exact", trellis.rank, hard, trellis.layers, exact=exact, step=step
         )
     params = params or QuantizationParams()
-    width, sizing = _resolve_bin_width(trellis, g, params)
+    width = _resolve_bin_width(trellis, g, params)
     dists, flows = _quantized_sweep(
         trellis, values, direction, params.half_bins, width
     )
@@ -881,7 +877,6 @@ def _distributions(trellis, g, direction, mode, params) -> DistributionState:
         flows=flows,
         half_bins=params.half_bins,
         bin_width=width,
-        sizing=sizing,
     )
 
 
@@ -1041,8 +1036,8 @@ def _dataset(trellis, g, forward, backward, cut: int = 0, constraint=None) -> tu
     """(domain, masses, normalized masses, Gaussian, fit) of the cut's or,
     with ``constraint=(depth, symbol)``, the symbol distribution, as CLI
     ``distribution`` and figure 3 write them.  The fit (mean, variance) is
-    read from the order-2 forward sweep (the one that sized the bins, if
-    any), under a constraint joined with the backward one; the Gaussian's
+    read from the order-2 forward sweep, which the trellis keeps, under a
+    constraint joined with the backward one; the Gaussian's
     cells are the bin width or the lattice step (1 for a point mass).
     Normalized masses come from the join's scaled masses, so they stay
     finite where the raw ones underflow, and are 0 unless their total is
@@ -1053,7 +1048,7 @@ def _dataset(trellis, g, forward, backward, cut: int = 0, constraint=None) -> tu
     domain, scaled, total = list(dist.values()), list(dist.mass), sum(dist.mass)
     mass = _unscaled(scaled, exponent)
     normalized = [w / total for w in scaled] if total > 0 else [0.0] * len(scaled)
-    sweep = forward.sizing or forward_numerators(trellis, g, 2)
+    sweep = forward_numerators(trellis, g, 2)
     if constraint is None:
         matched = trellis_moments(sweep)
     else:

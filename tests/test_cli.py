@@ -8,7 +8,7 @@ import pytest
 
 from trelliskit import (
     TrelliskitError, build_spc_trellis, codes, distributions, moments, read_trellis,
-    write_g_table,
+    trellis as tgraph, write_g_table,
 )
 from trelliskit.cli import main
 from trelliskit.trellis import DepthFunctionTable, read_g_table, write_trellis
@@ -21,6 +21,31 @@ def spc4_file(tmp_path):
     path = tmp_path / "spc4.trellis"
     assert main(["build-code", "--spc", "4", "--out", str(path)]) == 0
     return str(path)
+
+
+def order2_forward_sweeps(monkeypatch):
+    """Watch the CLI's trellis reads and ``moments._sweep`` runs; the
+    returned function counts the runs so far on the forward walk of the
+    trellis read, at order 2.  A call served from a kept sweep runs none."""
+    graphs, runs = [], []
+    read, sweep = tgraph.read_trellis, moments._sweep
+
+    def reading(*args):
+        graphs.append(read(*args))
+        return graphs[-1]
+
+    def sweeping(semiring, plan, lift, orders):
+        runs.append((plan, orders[0]))
+        return sweep(semiring, plan, lift, orders)
+
+    monkeypatch.setattr(tgraph, "read_trellis", reading)
+    monkeypatch.setattr(moments, "_sweep", sweeping)
+
+    def count():
+        (graph,) = graphs
+        return sum(plan is graph.plan("forward") and order == 2 for plan, order in runs)
+
+    return count
 
 
 def strict_json(text):
@@ -483,17 +508,17 @@ class TestDistribution:
     def test_quantized_pair_sizes_bins_once(
         self, spc4_file, tmp_path, capsys, monkeypatch, bins
     ):
-        """Without --width the forward sweep sizes the bins with one
-        order-2 sweep, and the backward sweep reuses its width."""
-        sizing = []
-        numerators = distributions.forward_numerators
+        """Without --width both sweeps size the bins from one order-2
+        forward sweep, which the trellis keeps, and get one width."""
+        sweeps = order2_forward_sweeps(monkeypatch)
+        widths = []
+        resolve = distributions._resolve_bin_width
 
-        def counted(trellis, g, max_order, *args):
-            if max_order == 2:
-                sizing.append(max_order)
-            return numerators(trellis, g, max_order, *args)
+        def sized(*args):
+            widths.append(resolve(*args))
+            return widths[-1]
 
-        monkeypatch.setattr(distributions, "forward_numerators", counted)
+        monkeypatch.setattr(distributions, "_resolve_bin_width", sized)
         code = main(
             [
                 "distribution",
@@ -511,7 +536,8 @@ class TestDistribution:
         assert code == 0
         summary = strict_json(capsys.readouterr().out)
         assert summary["mode"] == "quantized"
-        assert len(sizing) == 1
+        assert sweeps() == 1
+        assert [w.hex() for w in widths] == [summary["bin_width"].hex()] * 2
 
     def test_auto_mode_reports_quantized_for_soft_g(
         self, spc4_file, tmp_path, capsys
@@ -560,24 +586,15 @@ class TestDistribution:
     def test_one_order2_forward_sweep(
         self, spc4_file, tmp_path, capsys, monkeypatch, flags, symbol
     ):
-        """The Gaussian reference reuses the order-2 forward sweep that
-        sized the bins, so a run makes one such sweep in all, counted
-        across the moments and distributions modules."""
-        sweeps = []
-        for module in (moments, distributions):
-            numerators = module.forward_numerators
-
-            def counted(trellis, g, max_order, *args, numerators=numerators):
-                if max_order == 2:
-                    sweeps.append(max_order)
-                return numerators(trellis, g, max_order, *args)
-
-            monkeypatch.setattr(module, "forward_numerators", counted)
+        """The bin sizings and the Gaussian reference read one order-2
+        forward sweep, which the trellis keeps, so a run makes one such
+        sweep in all."""
+        sweeps = order2_forward_sweeps(monkeypatch)
         argv = ["distribution", "--trellis", spc4_file, "--g", "clabel"]
         code = main([*argv, *flags, *symbol, "--out", str(tmp_path / "d.csv")])
         assert code == 0
         capsys.readouterr()
-        assert len(sweeps) == 1
+        assert sweeps() == 1
 
     def test_symbol_distribution_csv(self, spc4_file, tmp_path):
         out = tmp_path / "sym.csv"

@@ -33,6 +33,7 @@ from trelliskit import (
     conditional_entropy_detail,
     correlation_g_table,
     correlation_moments,
+    distributions,
     forward_distributions,
     forward_numerators,
     get_semiring,
@@ -272,7 +273,7 @@ def test_words_awgn171_op_sweeps_four_times(seed):
         moments.normalized_states(lab, g, 4, "backward")
         fd = forward_distributions(lab, g, mode="auto")
         bd = backward_distributions(lab, g, mode=fd.mode)
-        assert fd.mode == "quantized" and fd.sizing is not None and bd.sizing is not None
+        assert fd.mode == "quantized"
         trellis_distribution(fd, bd, lab.rank // 2)
         symbol_distribution(lab, g, fd, bd, depth, 1.0)
 
@@ -345,3 +346,44 @@ def test_symbol_probability_at_every_depth_sweeps_the_code_once():
     assert swept[0] == ("forward", 0)
     fresh = [symbol_probability(lab.relabeled(lab._lam), d, 1.0) for d in range(1, lab.rank + 1)]
     assert [p.hex() for p in probabilities] == [p.hex() for p in fresh]
+
+
+def join_bits(joined):
+    """A quantized ``_join`` result, (distribution, exponent), as hex."""
+    dist, exponent = joined
+    return dist.mean.hex(), dist.bin_width.hex(), [w.hex() for w in dist.mass], exponent
+
+
+@pytest.mark.parametrize(
+    "generators, info_len, channel, seed",
+    [
+        pytest.param((0o171, 0o133), 24, Awgn(1.0), 2, id="awgn171-K24"),
+        pytest.param((0o7, 0o5), 300, Awgn(2.0), 3, id="awgn75-K300-rescaled"),
+    ],
+)
+def test_a_pair_sized_on_two_trellises(generators, info_len, channel, seed):
+    """A quantized pair sizes its bins from one order-2 forward sweep,
+    which the labelled trellis keeps.  A backward state sized on a
+    ``relabeled`` copy, which keeps no sweep, sweeps its own and gets the
+    same width bits, so the pair checks and joins as the one-trellis pair
+    does, bit for bit, also where the flow underflows."""
+    lab, word = bench_word(generators, info_len, channel, seed)
+    g = correlation_g_table(lab, word)
+    pair = []
+
+    def sized():
+        pair.append(forward_distributions(lab, g, mode="quantized"))
+        pair.append(backward_distributions(lab, g, mode="quantized"))
+
+    assert kept_sweeps_counted(lab, sized) == [("forward", 2)]
+    fd, bd = pair
+    other = backward_distributions(lab.relabeled(lab._lam), g, mode="quantized")
+    assert bd.bin_width.hex() == other.bin_width.hex() == fd.bin_width.hex()
+    distributions._check_pair(fd, other)
+    ends = (1, lab.rank // 2, lab.rank)
+    questions = [(cut, None) for cut in (0, *ends)]
+    questions += [(0, (depth, x)) for depth in ends for x in (1.0, -1.0)]
+    for cut, constraint in questions:
+        want = distributions._join(lab, g, fd, bd, cut, constraint)
+        got = distributions._join(lab, g, fd, other, cut, constraint)
+        assert join_bits(got) == join_bits(want), (cut, constraint)
