@@ -26,23 +26,31 @@ that every redistribution moves whole bins; the quantized pipeline then
 reproduces the exact one bin for bin.
 
 A sweep does its numeric work one layer at a time in numpy, on one
-(vertices x values) block per layer.  In exact mode ``_lattice`` finds
-each edge's integer lattice shift once per sweep, as it does for
-``lattice_step`` and the joins.  Where paths merge (``WalkPlan.merges``)
-an exact layer is one gather, one lambda scale and one scatter onto a
-lattice window shared by the layer; a quantized one merges, snaps the
-means and moves the bins in ``_merge_quantized``, reading each row's
-target bins from a table built once per pair of bin counts.  A chain
-layer, where each vertex has one edge, stores no block: an exact row is
-its neighbour's scaled by lambda, at the neighbour's column offset plus
-the shift, and a quantized vertex adds g to its neighbour's mean and
-keeps its bins.  A state so keeps the blocks of merge layers only, about
-a third of the bytes on a split convolutional trellis, and builds a
-chain row, bit for bit as the sweep would have stored it, and a vertex's
-``ExactDistribution``, ``QuantizedDistribution`` or flow only when read.
-Both sweeps scale each layer by a power of two under the moment sweeps'
-rule (``moments._Scale``): the quantized flows, and the exact masses,
-where a chain layer whose masses a rescale moves keeps its block.
+(vertices x values) block per layer, and makes a layer only when a read
+first reaches it: a join reads two layers, one per state, so a cut or
+symbol near one end leaves the rest of the walk unswept.  Everything
+that can fail runs in the sweep call itself: the checks, the lattice
+shifts, the bin width, and in quantized mode every flow, mean and
+exponent.  What waits for a read is the exact layers and the quantized
+bin blocks, which have the same bits in any read order.
+
+In exact mode ``_lattice`` finds each edge's integer lattice shift once
+per sweep, as it does for ``lattice_step`` and the joins.  Where paths
+merge (``WalkPlan.merges``) an exact layer is one gather, one lambda
+scale and one scatter onto a lattice window shared by the layer; a
+quantized one merges and snaps the means in ``_merge_moves`` and moves
+the bins in ``_move_bins``, reading each row's target bins from a table
+built once per pair of bin counts.  A chain layer, where each vertex has
+one edge, stores no block: an exact row is its neighbour's scaled by
+lambda, at the neighbour's column offset plus the shift, and a quantized
+vertex adds g to its neighbour's mean and keeps its bins.  A state so
+keeps the blocks of merge layers only, about a third of the bytes on a
+split convolutional trellis, and builds a chain row, bit for bit as the
+sweep would have stored it, and a vertex's ``ExactDistribution``,
+``QuantizedDistribution`` or flow only when read.  Both sweeps scale
+each layer by a power of two under the moment sweeps' rule
+(``moments._Scale``): the quantized flows, and the exact masses, where a
+chain layer whose masses a rescale moves keeps its block.
 
 The whole-trellis and symbol distributions are one join, ``_join``:
 forward (x) edge (x) backward summed over the edges of one section, as
@@ -51,18 +59,21 @@ the section's edges that carry the c-label; a cut at depth d is a
 section of identity edges, each vertex of layer d to itself with g 0
 and lambda 1.  Exact rows scatter on the edges' lattice shifts plus both
 rows' column offsets, as in the sweep; quantized rows merge as one
-owner's rows in the sweep's merge.  The join keeps the masses scaled and
-adds both layers' exponents.  ``trellis_distribution``,
-``symbol_distribution`` and vertex reads apply the exponent, so their raw
-masses underflow where the flow does; the CLI's normalized column and
-the figures normalize the scaled masses, which stay finite.
+owner's rows in the sweep's merge.  Both states, and the symbol join's
+trellis and g, must hold the lambda and g bits of one sweep input, else
+SemiringError.  The join keeps the masses scaled and adds both layers'
+exponents.  ``trellis_distribution``, ``symbol_distribution`` and vertex
+reads apply the exponent, so their raw masses underflow where the flow
+does; the CLI's normalized column and the figures normalize the scaled
+masses, which stay finite.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable, Mapping, Sequence
+import threading
+from collections.abc import Callable, Generator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Optional, Union
@@ -463,6 +474,13 @@ class QuantizationParams:
 class DistributionState:
     """Per-vertex forward or backward distributions of one sweep.
 
+    The sweep call makes every check and, in quantized mode, every flow,
+    mean and exponent; a layer's masses are made when a read first
+    reaches that layer, and a read makes every layer before it, so that
+    reads in any order, from any thread, get the same bits.  The state
+    keeps the lambda and g it was swept with, and a join refuses a
+    partner swept with other bits.
+
     The sweep's arrays stay as it made them, one tuple per layer of its
     walk, and ``exact``, ``quantized`` and ``flows`` are read-only vertex
     mappings over them, in walk order, that build a vertex's
@@ -496,7 +514,18 @@ class DistributionState:
 
 class _Layers(Sequence):
     """One sweep's arrays, read per layer as a tuple whose index 2 holds the
-    layer's (rows x values) block.
+    layer's (rows x values) block; ``len`` is the walk's layer count.
+
+    The sweep call makes layer 0 and hands over ``steps``, a generator
+    that makes the next layer (``keep``) each time it is sent this
+    ``_Layers``.  Every read of a layer's block or extent (``masses``,
+    ``__getitem__``, ``_ExactRows`` and ``_join``) first runs it up to
+    that layer (``reach``), under a lock and with float errors silent, so
+    reads in any order, from any thread, get a front-to-back sweep's bits.
+    The generator drops the ``_Layers`` before it waits, so no reference
+    cycle leaves a dropped state to the cyclic garbage collector.
+    ``swept`` is the lambda and g arrays, in ``Trellis.edges`` order, that
+    the sweep ran with.
 
     ``fields(k)`` gives layer k's other arrays (and its exponent), which
     the block joins after the first two; ``exponents[k]`` is the power of
@@ -513,36 +542,61 @@ class _Layers(Sequence):
     gathered (``lam`` None).  A read builds only the rows it asks for.
     """
 
-    __slots__ = ("fields", "exponents", "_plan", "_lam", "_signed", "_blocks")
+    __slots__ = (
+        "fields", "exponents", "swept", "_plan", "_lam", "_signed", "_blocks",
+        "_steps", "_made", "_lock",
+    )
 
     def __init__(
         self,
         plan: WalkPlan,
         block: np.ndarray,
         fields: Callable[[int], tuple],
+        swept: tuple[np.ndarray, np.ndarray],
+        steps: Generator[None, "_Layers", None],
         lam: Optional[np.ndarray] = None,
+        exponents: Optional[list[int]] = None,
     ):
-        self.fields, self._plan, self._lam = fields, plan, lam
+        self.fields, self.swept, self._plan, self._lam = fields, swept, plan, lam
         self._signed = lam is not None and bool(np.signbit(lam).any())
         self._blocks: list[Optional[np.ndarray]] = [block]
-        self.exponents = [0]
+        self.exponents = [0] if exponents is None else exponents
+        next(steps)
+        self._steps, self._made, self._lock = steps, 1, threading.Lock()
 
-    def keep(self, block: Optional[np.ndarray], rule: _Scale, rescale: bool = False) -> None:
-        """Append a layer that keeps ``block``, or a chain layer (None), at
-        ``rule``'s exponent; with ``rescale``, its masses, chain or not, as
-        ``rule`` rescales them, where that moves them."""
+    def reach(self, k: int) -> None:
+        """Make layers up to layer k (0 <= k < len) that are not made yet."""
+        if k >= self._made:
+            with self._lock, np.errstate(all="ignore"):
+                while self._made <= k:
+                    self._steps.send(self)
+                    self._made += 1
+                if self._made == len(self):
+                    self._steps = None
+
+    def keep(
+        self, block: Optional[np.ndarray], rule: Optional[_Scale] = None, rescale: bool = False
+    ) -> None:
+        """Append the next layer, keeping ``block``, or a chain layer (None);
+        with ``rule``, at its exponent, and with ``rescale`` its masses,
+        chain or not, as ``rule`` rescales them, where that moves them."""
         self._blocks.append(block)
         if rescale:
-            block = self.masses(len(self) - 1)
+            block = self._rows(len(self._blocks) - 1)
             scaled = rule.rescale(block, block)
             if scaled is not block:
                 self._blocks[-1] = scaled
-        self.exponents.append(rule.exponent)
+        if rule is not None:
+            self.exponents.append(rule.exponent)
 
     def masses(self, k: int, rows=None) -> np.ndarray:
         """Layer k's block (k >= 0), or a copy of its rows ``rows`` (an
         integer array), or of its row ``rows`` (an integer); a chain
         layer's built from its base."""
+        self.reach(k)
+        return self._rows(k, rows)
+
+    def _rows(self, k: int, rows=None) -> np.ndarray:
         block, factors = self._blocks[k], []
         while block is None:
             # A chain layer's row r is the one of its edge bounds[k-1] + r.
@@ -563,11 +617,12 @@ class _Layers(Sequence):
     @_quiet
     def __getitem__(self, k: int) -> tuple:
         k = range(len(self))[k]
+        self.reach(k)
         fields = self.fields(k)
-        return (*fields[:2], self.masses(k), *fields[2:])
+        return (*fields[:2], self._rows(k), *fields[2:])
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        return len(self._plan.layers)
 
 
 class _ExactRows(_LayerRows):
@@ -590,6 +645,7 @@ class _ExactRows(_LayerRows):
     @_quiet
     def __getitem__(self, v: int) -> ExactDistribution:
         plan, (k, r) = self._plan, self._where[v]
+        row = self._layers.masses(k, r)  # makes layer k first
         if self._extents is None:
             # (lo, -hi) per vertex, so that one minimum finds both.
             signed, extents = self._shifts[:, None] * [1, -1], [np.array([[0, -1]])]
@@ -599,7 +655,6 @@ class _ExactRows(_LayerRows):
             self._extents = extents
         lo, neg_hi = self._extents[k][r].tolist()
         hi, start = -neg_hi, self._starts[k] + int(self._ats[k][r])
-        row = self._layers.masses(k, r)
         # The row starts at column ``start``; columns it trimmed are 0.
         a = min(max(lo, start), hi)
         b = max(a, min(hi, start + len(row)))
@@ -696,26 +751,43 @@ def _exact_sweep(
     Column c of row r of layer k holds ``origins[k] + (starts[k] + ats[k][r]
     + c)*step``; ``origins[k]`` adds up the smallest g of each section
     walked so far, and an edge's shift q = (g - its section's smallest g) /
-    step moves its neighbour's row q columns up.  A chain layer only adds
-    q to its rows' ``ats``, and ``_Layers`` builds its rows when read;
-    where paths merge, the rows scatter onto one window, with ``ats`` 0,
-    that keeps its nonzero columns.  Layer k's masses are scaled by
-    2^``exponents[k]`` of ``_Layers``, as the ``_Scale`` rule sets it.
+    step moves its neighbour's row q columns up.  The call finds the
+    shifts, which raises LatticeError off the step's lattice; the layers
+    are ``_exact_layers``', made when read.
     """
     plan = trellis.plan(direction)
     lam = plan.lam(trellis)
-    gval = _edge_values(trellis, g)[plan.edges]
+    values = _edge_values(trellis, g)
+    _, lows, shifts = _lattice(values[plan.edges], plan.bounds, step)
+    # starts, ats and block width per layer.
+    starts, ats, widths = [0], [np.zeros(1, dtype=np.intp)], [1]
+    origins = np.cumsum(np.append(0.0, lows))
+    fields = partial(_exact_fields, origins, starts, ats, widths, step)
+    steps = _exact_layers(plan, lam, shifts, starts, ats, widths)
+    layers = _Layers(plan, np.ones((1, 1)), fields, (trellis._lam, values), steps, lam)
+    return _ExactRows(plan, layers, shifts, step, starts, ats)
+
+
+def _exact_layers(
+    plan: WalkPlan, lam: np.ndarray, shifts: np.ndarray, starts: list, ats: list, widths: list
+) -> Generator[None, _Layers, None]:
+    """The layer loop of ``_exact_sweep``: each ``send`` of its ``_Layers``
+    makes the next layer and appends its start, ``ats`` and width.
+
+    A chain layer only adds q to its rows' ``ats``, and ``_Layers`` builds
+    its rows when read; where paths merge, the rows scatter onto one
+    window, with ``ats`` 0, that keeps its nonzero columns.  Layer k's
+    masses are scaled by 2^``exponents[k]`` of ``_Layers``, as the
+    ``_Scale`` rule sets it.
+    """
     rule = _Scale(lam, plan.bounds)
-    _, lows, shifts = _lattice(gval, plan.bounds, step)
     growth = np.maximum.reduceat(shifts, plan.bounds[:-1]).tolist()
     cols = np.arange(sum(growth) + 1)
     sizes = [len(layer) for layer in plan.layers]
     zeros = np.zeros(max(sizes), dtype=np.intp)
-    # starts, ats and block width per layer; every ats of the last is at most top.
-    starts, ats, widths, top = [0], [zeros[:1]], [1], 0
-    origins = np.cumsum(np.append(0.0, lows))
-    fields = partial(_exact_fields, origins, starts, ats, widths, step)
-    layers = _Layers(plan, np.ones((1, 1)), fields, lam)
+    # Every ats of the last layer is at most top.
+    top = 0
+    layers = yield
     for k, edges in plan.layer_edges():
         n, rows, width = sizes[k], plan.rows[edges], widths[-1]
         at = ats[-1][rows] + shifts[edges] if top else shifts[edges]
@@ -735,38 +807,28 @@ def _exact_sweep(
         starts.append(starts[-1] + a)
         ats.append(at)
         widths.append(width)
-    return _ExactRows(plan, layers, shifts, step, starts, ats)
+        del layers  # held only while a layer is made
+        layers = yield
 
 
-def _merge_quantized(
-    rows: np.ndarray,
+def _merge_moves(
     means: np.ndarray,
     weights: np.ndarray,
     owners: np.ndarray,
     flow: np.ndarray,
-    half_bins: int,
     width: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge bin rows into 2N+1 unit-mass bins per owner.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How bin rows merge into 2N+1 unit-mass bins per owner.
 
     Row r holds bins around ``means[r]`` and carries flow ``weights[r]``;
     ``flow`` is each owner's total weight, all positive.  An owner's
     mean is its rows' weighted mean, snapped by ``_snap_mean``, and each
     row moves onto it scaled by its share of the flow.  Returns the
-    owners' means and their ``(len(flow), 2*half_bins+1)`` block.
+    owners' means, and each row's shift and scale for ``_move_bins``.
     """
-    n = len(flow)
-    wmean = np.bincount(owners, weights * means, minlength=n) / flow
+    wmean = np.bincount(owners, weights * means, minlength=len(flow)) / flow
     merged = _snap_mean(wmean, means, owners, width)
-    block = _move_bins(
-        rows,
-        (merged[owners] - means) / width,
-        weights / flow[owners],
-        owners,
-        n,
-        half_bins,
-    )
-    return merged, block
+    return merged, (merged[owners] - means) / width, weights / flow[owners]
 
 
 @_quiet
@@ -785,33 +847,59 @@ def _quantized_sweep(
     its mean plus g: a merge of one row would snap to that mean, move by
     0 and scale by 1 (unless the bin width is below the spacing of
     doubles at the mean, where its weighted mean could round a bin
-    away).  Other layers merge in ``_merge_quantized``.
+    away).  Other layers merge as ``_merge_moves`` says.  The call finds
+    every flow, mean and exponent, which raises ZeroFlowError at a dead
+    vertex; only the merge layers' bin blocks, ``_bin_layers``', wait for
+    a read.
     """
     plan = trellis.plan(direction)
     lam = plan.lam(trellis, nonnegative_for="quantized mode")
     rule, means, flow = _Scale(lam, plan.bounds), np.zeros(1), np.ones(1)
-    fields = [(means, flow, 0)]
-    start = QuantizedDistribution.dirac(half_bins, width)
-    layers = _Layers(plan, np.asarray([start.mass]), fields.__getitem__)
-    gval = _edge_values(trellis, g)[plan.edges]
+    fields, moves = [(means, flow, 0)], {}
+    values = _edge_values(trellis, g)
+    gval = values[plan.edges]
     for k, edges in plan.layer_edges():
         vertices, owners, rows = plan.layers[k], plan.owners[edges], plan.rows[edges]
         weights = lam[edges] * flow[rows]
         flow = np.bincount(owners, weights, minlength=len(vertices))
         _require_flow(vertices, flow <= 0.0)
-        means, block = means[rows] + gval[edges], None
+        means = means[rows] + gval[edges]
         if plan.merges[k]:
-            means, block = _merge_quantized(
-                layers.masses(k - 1, rows), means, weights, owners, flow, half_bins, width
-            )
+            means, shifts, scales = _merge_moves(means, weights, owners, flow, width)
+            moves[k] = shifts, scales
         if rule.due(k, flow.item(0)):
             flow = rule.rescale(flow, flow)
-        layers.keep(block, rule)
         fields.append((means, flow, rule.exponent))
+    start = QuantizedDistribution.dirac(half_bins, width)
+    layers = _Layers(
+        plan, np.asarray([start.mass]), fields.__getitem__, (trellis._lam, values),
+        _bin_layers(plan, moves, half_bins), exponents=[f[2] for f in fields],
+    )
     return (
         _LayerRows(plan, layers, partial(_quantized_row, half_bins, width)),
         _LayerRows(plan, layers, _flow_row),
     )
+
+
+def _bin_layers(
+    plan: WalkPlan, moves: dict, half_bins: int
+) -> Generator[None, _Layers, None]:
+    """The bin blocks of ``_quantized_sweep``: each ``send`` of its
+    ``_Layers`` makes the next layer, where paths merge by moving the
+    neighbours' rows by ``moves[k]``, the layer's shifts and scales, which
+    it then lets go; a chain layer keeps no block."""
+    layers = yield
+    for k, edges in plan.layer_edges():
+        block = None
+        if plan.merges[k]:
+            shifts, scales = moves.pop(k)
+            rows, owners = plan.rows[edges], plan.owners[edges]
+            block = _move_bins(
+                layers.masses(k - 1, rows), shifts, scales, owners, len(plan.layers[k]), half_bins
+            )
+        layers.keep(block)
+        del layers  # held only while a layer is made
+        layers = yield
 
 
 def forward_distributions(
@@ -899,6 +987,13 @@ def _check_pair(forward: DistributionState, backward: DistributionState):
         or forward.bin_width != backward.bin_width
     ):
         raise SemiringError("quantization parameters differ between sweeps")
+    if not all(map(_same_bits, rows._layers.swept, other._layers.swept)):
+        raise SemiringError("forward and backward states were swept with different lambda or g")
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float arrays of one shape hold the same bits."""
+    return a is b or a.tobytes() == b.tobytes()
 
 
 def _pad_hard(state: DistributionState, dist: ExactDistribution) -> ExactDistribution:
@@ -962,6 +1057,7 @@ def _join(trellis, g, forward, backward, cut: int = 0, constraint=None) -> tuple
     edges, or no flow in quantized mode, the result has zero mass.
     """
     _check_pair(forward, backward)
+    f_layers, b_layers = ((s.exact or s.quantized)._layers for s in (forward, backward))
     if constraint is None:
         if not isinstance(cut, numbers.Integral) or not 0 <= cut <= forward.rank:
             raise SemiringError(f"cut depth {cut} outside 0..{forward.rank}")
@@ -972,12 +1068,16 @@ def _join(trellis, g, forward, backward, cut: int = 0, constraint=None) -> tuple
     else:
         depth = _section(constraint[0], forward.rank)
         _require_swept_over(trellis, *((s.exact or s.quantized) for s in (forward, backward)))
+        swept = (trellis._lam, g.values_for(trellis))
+        if not all(map(_same_bits, swept, f_layers.swept)):
+            raise SemiringError("the states were not swept with this trellis's lambda and g")
         groups, f_k, b_k = trellis.symbol_groups(), depth - 1, forward.rank - depth
         members = groups.find(depth, constraint[1]) or slice(0, 0)
         init_rows, fin_rows = groups.init_rows[members], groups.fin_rows[members]
         positions = groups.positions[members]
-        g, lam = g.values_for(trellis)[positions], trellis._lam[positions]
-    f_layers, b_layers = ((s.exact or s.quantized)._layers for s in (forward, backward))
+        lam, g = (a[positions] for a in swept)
+    f_layers.reach(f_k)
+    b_layers.reach(b_k)
     f_at, f_size = f_layers.fields(f_k)[:2]
     b_at, b_size = b_layers.fields(b_k)[:2]
     exponent = f_layers.exponents[f_k] + b_layers.exponents[b_k]
@@ -1009,7 +1109,8 @@ def _join(trellis, g, forward, backward, cut: int = 0, constraint=None) -> tuple
         merged = ExactDistribution(float(at), forward.step, tuple(mass.tolist()))
         return _pad_hard(forward, merged.trimmed()), exponent
     at = f_at[init_rows] + g + b_at[fin_rows]
-    means, block = _merge_quantized(rows, at, weights, owners, flow, half_bins, width)
+    means, shifts, scales = _merge_moves(at, weights, owners, flow, width)
+    block = _move_bins(rows, shifts, scales, owners, 1, half_bins)
     mass = tuple((block[0] * flow[0]).tolist())
     return QuantizedDistribution(float(means[0]), half_bins, width, mass), exponent
 

@@ -23,6 +23,8 @@ be bit-identical.
 
 import gc
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -891,10 +893,14 @@ def test_exact_sweep_on_a_non_dyadic_lattice(bsc_words, direction):
             assert abs(a.offset - b.offset) <= 1e-12 * max(abs(a.offset), abs(b.offset), step)
 
 
-def merge_layers(t: Trellis, direction: str) -> int:
-    """Layers of the walk where some vertex has more than one local edge."""
+def merge_layers(t: Trellis, direction: str, last: int = -1) -> int:
+    """Layers of the walk, up to layer ``last`` (default all), where some
+    vertex has more than one local edge."""
     plan = t.plan(direction)
-    return sum(e.stop - e.start > len(plan.layers[k]) for k, e in plan.layer_edges())
+    last = range(len(plan.layers))[last]
+    return sum(
+        e.stop - e.start > len(plan.layers[k]) for k, e in plan.layer_edges() if k <= last
+    )
 
 
 def assert_joined(got, want, dyadic: bool) -> None:
@@ -913,7 +919,8 @@ def assert_joined(got, want, dyadic: bool) -> None:
 def test_exact_chain_layers_only_gather(generators, info_len, direction, monkeypatch):
     """A chain layer gathers and scales its neighbours' rows, each at its
     neighbour's column plus the edge's shift, and scatters nothing: the
-    sweep counts one bincount per merge layer.  Every vertex, cut and
+    sweep and a read of its last layer, which makes every layer, count
+    one bincount per merge layer.  Every vertex, cut and
     symbol join, on chain and merge layers alike, matches the per-vertex
     references, signed zeros included: with negative labels a chain row
     holds 0 times a negative lambda, which the references sum as +0.0."""
@@ -935,6 +942,7 @@ def test_exact_chain_layers_only_gather(generators, info_len, direction, monkeyp
                 patch.setattr(np, "bincount", counted)
                 calls.clear()
                 got = distributions._exact_sweep(lab, g, direction, step)
+                got._layers.masses(len(got._layers) - 1)
             assert len(calls) == merge_layers(lab, direction)
             want = reference_exact_sweep(lab, g, direction, step)
             for v in want:
@@ -1022,14 +1030,18 @@ def test_reading_vertices_leaves_joins_unchanged(bsc_words):
 
 
 def retained_share(sweeps) -> float:
-    """Bytes the states that ``sweeps()`` returns keep right after it runs,
-    over the bytes of their layers' blocks as ``_layers`` materializes
-    them.  A first call builds the walk plans and bin tables."""
+    """Bytes the states that ``sweeps()`` returns keep once every layer of
+    theirs has been read, over the bytes of their layers' blocks as
+    ``_layers`` materializes them.  A first call builds the walk plans and
+    bin tables."""
     sweeps()
     gc.collect()
     tracemalloc.start()
     try:
         states = sweeps()
+        for state in states:
+            for _ in (state.exact or state.quantized)._layers:
+                pass
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0]
     finally:
@@ -1043,7 +1055,8 @@ def test_states_keep_only_the_merge_layers_blocks():
     block, hold about two thirds of the block bytes: an exact pair on
     [7,5] K=200 over BSC p=0.05, and a quantized pair on [171,133] K=24
     over AWGN, each keep at most 45 % of the bytes of every layer's block
-    (a state that stores every block keeps more than 100 %)."""
+    once every layer has been read (a state that stores every block
+    keeps more than 100 %)."""
     code = build_conv_trellis((7, 5), 200)
     _, received = make_received(code, Bsc(0.05), 1)
     t = channel_lambda_labels(code, Bsc(0.05), received)
@@ -1051,6 +1064,206 @@ def test_states_keep_only_the_merge_layers_blocks():
     assert retained_share(lambda: distribution_pair(t, g, "exact")) <= 0.45
     t, g = soft_word()
     assert retained_share(lambda: distribution_pair(t, g, "quantized")) <= 0.45
+
+
+# -- layers made when read ----------------------------------------------------------
+
+
+def bsc200():
+    """(labeled trellis, g) for [7,5] K=200 over BSC p=0.05, seed 1, with g = c*r."""
+    code = build_conv_trellis((7, 5), 200)
+    _, received = make_received(code, Bsc(0.05), 1)
+    t = channel_lambda_labels(code, Bsc(0.05), received)
+    return t, correlation_g_table(t, received)
+
+
+def test_a_cut_read_sweeps_forward_only_to_its_depth(monkeypatch):
+    """[7,5] K=200 over BSC: with the backward state already read to its
+    end, a cut at depth d runs one bincount per forward merge layer up to
+    layer d, plus the join's one, and has the bits of a fully read pair."""
+    t, g = bsc200()
+    full = distribution_pair(t, g, "exact")
+    for state in full:
+        state.exact._layers.masses(t.rank)
+    calls, bincount = [], np.bincount
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return bincount(*args, **kwargs)
+
+    for depth in (0, 9, 101, t.rank // 2, t.rank - 1, t.rank):
+        fd, bd = distribution_pair(t, g, "exact")
+        bd.exact._layers.masses(t.rank)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "bincount", counted)
+            calls.clear()
+            got = trellis_distribution(fd, bd, depth)
+        assert len(calls) == merge_layers(t, "forward", depth) + 1, depth
+        assert dist_fields(got) == dist_fields(trellis_distribution(*full, depth)), depth
+
+
+def read_tasks(t, g, fd, bd) -> list:
+    """(name, read) for every layer tuple and vertex of both states, every
+    cut and every symbol join; each read gives bit strings."""
+    tasks = []
+    for name, state in (("forward", fd), ("backward", bd)):
+        layers = (state.exact or state.quantized)._layers
+        for k in range(len(layers)):
+            tasks.append(((name, "layer", k), lambda layers=layers, k=k: [
+                np.asarray(part).tobytes() for part in layers[k]
+            ]))
+        for kind in ("exact", "quantized", "flows"):
+            view = getattr(state, kind)
+            for v in view or ():
+                read = bits if kind == "flows" else dist_fields
+                tasks.append(((name, kind, v), lambda view=view, v=v, read=read: read(view[v])))
+    for depth in range(t.rank + 1):
+        tasks.append((("cut", depth), lambda d=depth: dist_fields(trellis_distribution(fd, bd, d))))
+    for depth in range(1, t.rank + 1):
+        for x in (1.0, -1.0):
+            tasks.append((("symbol", depth, x), lambda d=depth, x=x: dist_fields(
+                symbol_distribution(t, g, fd, bd, d, x)
+            )))
+    return tasks
+
+
+def test_reads_in_any_order_match_a_front_to_back_read(bsc_words):
+    """Exact and quantized pairs read deepest layers first, or in a
+    shuffled order, give every layer, vertex, flow, cut and symbol join
+    the bits of a front-to-back read of another pair."""
+    inputs = [(t, g, "exact") for t, g in bsc_words]
+    inputs += [(*bsc_words[0], "quantized"), (*soft_word(), "quantized")]
+    for t, g, mode in inputs:
+        want = {name: read() for name, read in read_tasks(t, g, *distribution_pair(t, g, mode))}
+        for shuffle in (list.reverse, np.random.default_rng(3).shuffle):
+            tasks = read_tasks(t, g, *distribution_pair(t, g, mode))
+            shuffle(tasks)
+            assert {name: read() for name, read in tasks} == want, (mode, shuffle)
+
+
+def test_sweep_calls_raise_without_a_read():
+    """Every check runs inside the sweep call: LatticeError off the step's
+    lattice (exact mode), SemiringError for a negative label and
+    ZeroFlowError at a dead vertex (quantized mode)."""
+    t, g = bsc200()
+    tenths = tenths_g(t)
+    irrational = DepthFunctionTable({e.id: math.sqrt(2.0) ** (e.id % 5) for e in t.edges})
+    for sweep, direction in ((forward_distributions, "forward"), (backward_distributions, "backward")):
+        with pytest.raises(LatticeError):
+            sweep(t, irrational, "exact")
+        with pytest.raises(LatticeError):
+            distributions._exact_sweep(t, tenths, direction, 0.25)
+        negative = t.relabeled(np.where(np.arange(len(t.edges)) == 7, -0.5, t._lam))
+        with pytest.raises(SemiringError, match="nonnegative"):
+            sweep(negative, g, "quantized", distributions.QuantizationParams(8, 2.0))
+    small = random_trellis(5, max_rank=6, max_width=3)
+    depth = max(range(1, small.rank), key=lambda d: len(small.layers[d]))
+    dead = small.layers[depth][-1]
+    cut = small.relabeled(lambda e: 0.0 if e.fin == dead else e.lam)
+    ones = DepthFunctionTable({e.id: 1.0 for e in small.edges})
+    with pytest.raises(ZeroFlowError) as err:
+        forward_distributions(cut, ones, "quantized", distributions.QuantizationParams(4, 0.5))
+    assert err.value.vertex == dead
+
+
+def test_a_half_read_pair_leaves_no_cyclic_garbage():
+    """A state's layer producer holds no reference to its state, so a pair
+    dropped after a cut and a vertex read, in either mode, is freed by
+    reference counting alone.  ``gc.collect()`` alone would not tell: a
+    cycle through a suspended generator is freed by closing it, which
+    the count leaves out, so no ``_Layers`` may outlive the pair."""
+    inputs = [(*bsc200(), "exact"), (*soft_word(), "quantized")]
+
+    def half_read():
+        for t, g, mode in inputs:
+            fd, bd = distribution_pair(t, g, mode)
+            trellis_distribution(fd, bd, t.rank // 2)
+            view = fd.exact or fd.quantized
+            view[t.layers[t.rank // 3][0]]
+
+    half_read()  # plans, kept moment sweeps and bin tables
+    gc.collect()
+    gc.disable()
+    try:
+        half_read()
+        assert not [o for o in gc.get_objects() if isinstance(o, distributions._Layers)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_first_reads_from_threads_get_the_serial_bits():
+    """Four threads, more than the cores, that make the first reads of far
+    layers of one fresh state, in either mode, with a short switch
+    interval, get the bits of a serial read."""
+    inputs = [(*bsc200(), "exact"), (*soft_word(), "quantized")]
+    for t, g, mode in inputs:
+
+        def reads(state):
+            layers, view = (state.exact or state.quantized)._layers, state.exact or state.quantized
+            return [
+                lambda k=k: [np.asarray(part).tobytes() for part in layers[k]]
+                for k in (t.rank, t.rank - 1)
+            ] + [
+                lambda d=d: [dist_fields(view[v]) for v in t.layers[d]]
+                for d in (t.rank - 2, t.rank // 2)
+            ]
+
+        want = [read() for read in reads(forward_distributions(t, g, mode))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):
+                tasks = reads(forward_distributions(t, g, mode))
+                barrier, got = threading.Barrier(len(tasks), timeout=60), [None] * len(tasks)
+
+                def run(i):
+                    barrier.wait()
+                    got[i] = tasks[i]()
+
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(len(tasks))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert got == want, mode
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def test_a_pair_swept_with_other_lambda_or_g_does_not_join():
+    """[7,5] K=6 over BSC p=0.1, seed 1: states swept with g = c*r and with
+    the c-labels both have step 2, but their cuts would differ by depth,
+    and a symbol join over c*r states with the c-label g would move the
+    domain; each raises SemiringError, as does a pair whose lambdas
+    differ.  A ``relabeled`` copy with the same lambdas joins."""
+    code = build_conv_trellis((7, 5), 6)
+    _, received = make_received(code, Bsc(0.1), 1)
+    t = channel_lambda_labels(code, Bsc(0.1), received)
+    g, clabel = correlation_g_table(t, received), DepthFunctionTable.from_clabels(t)
+    fd = forward_distributions(t, g, "exact")
+    for other in (
+        backward_distributions(t, clabel, "exact"),
+        backward_distributions(t.relabeled(2.0 * t._lam), g, "exact"),
+    ):
+        assert other.step == fd.step
+        for depth in (0, 3, t.rank):
+            with pytest.raises(SemiringError, match="different lambda or g"):
+                trellis_distribution(fd, other, depth)
+    bd = backward_distributions(t, g, "exact")
+    with pytest.raises(SemiringError, match="lambda and g"):
+        symbol_distribution(t, clabel, fd, bd, 3, 1.0)
+    with pytest.raises(SemiringError, match="lambda and g"):
+        symbol_distribution(t.relabeled(2.0 * t._lam), g, fd, bd, 3, 1.0)
+    same = backward_distributions(t.relabeled(t._lam), g, "exact")
+    for depth in (0, 3, t.rank):
+        assert dist_fields(trellis_distribution(fd, same, depth)) == dist_fields(
+            trellis_distribution(fd, bd, depth)
+        )
+    assert dist_fields(symbol_distribution(t, g, fd, same, 3, 1.0)) == dist_fields(
+        symbol_distribution(t, g, fd, bd, 3, 1.0)
+    )
 
 
 def test_quantized_sweeps_stay_finite_on_a_long_code():
