@@ -30,12 +30,16 @@ A sweep does its numeric work one layer at a time in numpy, on one
 first reaches it: a join reads two layers, one per state, so a cut or
 symbol near one end leaves the rest of the walk unswept.  Everything
 that can fail runs in the sweep call itself: the checks, the lattice
-shifts, the bin width, and in quantized mode every flow, mean and
-exponent.  What waits for a read is the exact layers and the quantized
-bin blocks, which have the same bits in any read order.
+and its shifts, the bin width, and in quantized mode the flows.  The
+quantized flows and their exponents are the rows of the real order-0
+moment sweep in the sweep's direction (``moments._numerators``): the
+trellis's kept sweep there serves them, else one order-0 sweep, which
+the trellis keeps.  What waits for a read is the exact layers and the
+quantized means and bins, which have the same bits in any read order.
 
-In exact mode ``_lattice`` finds each edge's integer lattice shift once
-per sweep, as it does for ``lattice_step`` and the joins.  Where paths
+In exact mode ``_lattice`` finds the step and each edge's integer
+lattice shift once per sweep, as it does for ``lattice_step`` and the
+joins, with the same bits in either walk's order.  Where paths
 merge (``WalkPlan.merges``) an exact layer is one gather, one lambda
 scale and one scatter onto a lattice window shared by the layer; a
 quantized one merges and snaps the means in ``_merge_moves`` and moves
@@ -47,10 +51,10 @@ vertex adds g to its neighbour's mean and keeps its bins.  A state so
 keeps the blocks of merge layers only, about a third of the bytes on a
 split convolutional trellis, and builds a chain row, bit for bit as the
 sweep would have stored it, and a vertex's ``ExactDistribution``,
-``QuantizedDistribution`` or flow only when read.  Both sweeps scale
-each layer by a power of two under the moment sweeps' rule
-(``moments._Scale``): the quantized flows, and the exact masses, where a
-chain layer whose masses a rescale moves keeps its block.
+``QuantizedDistribution`` or flow only when read.  The exact sweep
+scales each layer's masses by a power of two under the moment sweeps'
+rule (``moments._Scale``), and a chain layer whose masses a rescale
+moves keeps its block.
 
 The whole-trellis and symbol distributions are one join, ``_join``:
 forward (x) edge (x) backward summed over the edges of one section, as
@@ -82,10 +86,11 @@ import numpy as np
 
 from .errors import LatticeError, SemiringError, ZeroFlowError
 from .moments import (
-    _LayerRows, _quiet, _require_flow, _require_swept_over, _Scale,
-    _same_topology, _section, _unscaled, backward_numerators, forward_numerators,
-    symbol_moments, trellis_moments,
+    _LayerRows, _numerators, _quiet, _require_flow, _require_swept_over, _Scale,
+    _same_topology, _scaled_row, _section, _unscaled, backward_numerators,
+    forward_numerators, symbol_moments, trellis_moments,
 )
+from .semirings import REAL
 from .trellis import DepthFunctionTable, Trellis, WalkPlan, require_valid
 
 # Smallest usable exact-lattice step and largest exact-mode mass vector.
@@ -474,10 +479,11 @@ class QuantizationParams:
 class DistributionState:
     """Per-vertex forward or backward distributions of one sweep.
 
-    The sweep call makes every check and, in quantized mode, every flow,
-    mean and exponent; a layer's masses are made when a read first
-    reaches that layer, and a read makes every layer before it, so that
-    reads in any order, from any thread, get the same bits.  The state
+    The sweep call makes every check and, in quantized mode, reads every
+    flow and exponent; a layer's masses (and quantized means) are made
+    when a read first reaches that layer, and a read makes every layer
+    before it, so that reads in any order, from any thread, get the same
+    bits.  The state
     keeps the lambda and g it was swept with, and a join refuses a
     partner swept with other bits.
 
@@ -492,8 +498,10 @@ class DistributionState:
     where paths merge on one lattice window, and each row of a chain
     layer on its own.  Quantized mode has (means, flows, masses, k):
     unit-mass bin vectors around the tracked means, and the flows needed
-    for relative edge weights, which are ``flows * 2^k``; ``flows`` hands
-    out that product.  Merge layers store their masses; a chain layer's
+    for relative edge weights, which are ``flows * 2^k``, the order-0
+    rows and exponents of the moment sweep the trellis keeps in this
+    direction; ``flows`` maps over those rows and hands out that
+    product.  Merge layers store their masses; a chain layer's
     are rebuilt from the last stored block when read, unless rescaled, and
     exact offsets and lengths are made from each layer's column offsets
     when read.  The other mode's mappings are None.
@@ -528,8 +536,9 @@ class _Layers(Sequence):
     the sweep ran with.
 
     ``fields(k)`` gives layer k's other arrays (and its exponent), which
-    the block joins after the first two; ``exponents[k]`` is the power of
-    two that scales its masses (exact) or flows (quantized).  A layer where
+    the block joins after the first two, once layer k is made;
+    ``exponents[k]`` is the power of two that scales its masses (exact)
+    or flows (quantized, the moment sweep's).  A layer where
     paths merge keeps its block, and so does a chain layer that ``keep``
     rescales; other chain layers keep none.  Their row r is the edge's
     neighbour row times, in exact mode, the edge's lambda, so ``masses``
@@ -630,9 +639,10 @@ class _ExactRows(_LayerRows):
 
     It adds only each vertex's extent, its own lattice points: the columns
     lo..hi-1 of its layer that its edges reach, the least lo and greatest
-    hi of its neighbours each moved by the edge's shift.  The first read
-    finds them all as one (lo, -hi) int array per layer.  Row r of layer
-    k starts at column ``starts[k] + ats[k][r]``, at ``fields(k)``'s offset.
+    hi of its neighbours each moved by the edge's shift.  A read finds
+    them up to its layer, as one (lo, -hi) int array per layer, under the
+    layers' lock.  Row r of layer k starts at column ``starts[k] +
+    ats[k][r]``, at ``fields(k)``'s offset.
     """
 
     __slots__ = ("_shifts", "_step", "_starts", "_ats", "_extents")
@@ -640,20 +650,20 @@ class _ExactRows(_LayerRows):
     def __init__(self, plan: WalkPlan, layers: _Layers, shifts, step: float, starts, ats):
         super().__init__(plan, layers, None)
         self._shifts, self._step = shifts, step
-        self._starts, self._ats, self._extents = starts, ats, None
+        self._starts, self._ats, self._extents = starts, ats, [np.array([[0, -1]])]
 
     @_quiet
     def __getitem__(self, v: int) -> ExactDistribution:
-        plan, (k, r) = self._plan, self._where[v]
+        plan, (k, r), extents = self._plan, self._where[v], self._extents
         row = self._layers.masses(k, r)  # makes layer k first
-        if self._extents is None:
-            # (lo, -hi) per vertex, so that one minimum finds both.
-            signed, extents = self._shifts[:, None] * [1, -1], [np.array([[0, -1]])]
-            for j, edges in plan.layer_edges():
-                moved = extents[-1][plan.rows[edges]] + signed[edges]
-                extents.append(np.minimum.reduceat(moved, plan.firsts[j]))
-            self._extents = extents
-        lo, neg_hi = self._extents[k][r].tolist()
+        if len(extents) <= k:
+            with self._layers._lock:
+                for j in range(len(extents), k + 1):
+                    # (lo, -hi) per vertex, so that one minimum finds both.
+                    edges = slice(plan.bounds[j - 1], plan.bounds[j])
+                    moved = extents[-1][plan.rows[edges]] + self._shifts[edges, None] * [1, -1]
+                    extents.append(np.minimum.reduceat(moved, plan.firsts[j]))
+        lo, neg_hi = extents[k][r].tolist()
         hi, start = -neg_hi, self._starts[k] + int(self._ats[k][r])
         # The row starts at column ``start``; columns it trimmed are 0.
         a = min(max(lo, start), hi)
@@ -667,13 +677,9 @@ class _ExactRows(_LayerRows):
 def _quantized_row(
     half_bins: int, width: float, layers: _Layers, k: int, r: int
 ) -> QuantizedDistribution:
-    mean, mass = layers.fields(k)[0][r], layers.masses(k, r)
+    mass = layers.masses(k, r)  # makes layer k, and its means, first
+    mean = layers.fields(k)[0][r]
     return QuantizedDistribution(float(mean), half_bins, width, tuple(mass.tolist()))
-
-
-def _flow_row(layers: _Layers, k: int, r: int) -> float:
-    _, flows, exponent = layers.fields(k)
-    return float(np.ldexp(flows[r], exponent))
 
 
 def _mean_variance(normalized: Sequence[float]) -> tuple[float, float]:
@@ -744,7 +750,7 @@ def _exact_sweep(
     trellis: Trellis,
     g: Union[DepthFunctionTable, np.ndarray],
     direction: str,
-    step: float,
+    step: Optional[float] = None,
 ) -> _ExactRows:
     """Every vertex's exact distribution, over lattice windows per layer.
 
@@ -752,13 +758,15 @@ def _exact_sweep(
     + c)*step``; ``origins[k]`` adds up the smallest g of each section
     walked so far, and an edge's shift q = (g - its section's smallest g) /
     step moves its neighbour's row q columns up.  The call finds the
-    shifts, which raises LatticeError off the step's lattice; the layers
-    are ``_exact_layers``', made when read.
+    shifts, and with no ``step`` the step too, in this walk's order (the
+    spreads, and so the step, do not depend on it), which raises
+    LatticeError as ``_lattice`` says; the layers are ``_exact_layers``',
+    made when read.
     """
     plan = trellis.plan(direction)
     lam = plan.lam(trellis)
     values = _edge_values(trellis, g)
-    _, lows, shifts = _lattice(values[plan.edges], plan.bounds, step)
+    step, lows, shifts = _lattice(values[plan.edges], plan.bounds, step)
     # starts, ats and block width per layer.
     starts, ats, widths = [0], [np.zeros(1, dtype=np.intp)], [1]
     origins = np.cumsum(np.append(0.0, lows))
@@ -834,69 +842,67 @@ def _merge_moves(
 @_quiet
 def _quantized_sweep(
     trellis: Trellis,
-    g: Union[DepthFunctionTable, np.ndarray],
+    g: DepthFunctionTable,
     direction: str,
     half_bins: int,
     width: float,
 ) -> tuple[_LayerRows, _LayerRows]:
     """Every vertex's quantized distribution and flow, over (means, flows,
-    masses, k) per layer, whose flows are ``flows * 2^k`` (``_Scale``; a
-    merge reads only their ratios, which a rescale leaves as they are).
-
-    On a chain layer a vertex takes its neighbour's bins as they are and
-    its mean plus g: a merge of one row would snap to that mean, move by
-    0 and scale by 1 (unless the bin width is below the spacing of
-    doubles at the mean, where its weighted mean could round a bin
-    away).  Other layers merge as ``_merge_moves`` says.  The call finds
-    every flow, mean and exponent, which raises ZeroFlowError at a dead
-    vertex; only the merge layers' bin blocks, ``_bin_layers``', wait for
+    masses, k) per layer.  The flows, ``flows * 2^k``, are the rows of the
+    real order-0 moment sweep (``moments._numerators``), which a sweep
+    the trellis keeps in this direction serves; a merge reads only their
+    ratios, which a rescale leaves as they are.  The call checks the
+    labels and the flows, and raises ZeroFlowError at the first dead
+    vertex in walk order; the means and bins, ``_bin_layers``', wait for
     a read.
     """
     plan = trellis.plan(direction)
     lam = plan.lam(trellis, nonnegative_for="quantized mode")
-    rule, means, flow = _Scale(lam, plan.bounds), np.zeros(1), np.ones(1)
-    fields, moves = [(means, flow, 0)], {}
-    values = _edge_values(trellis, g)
-    gval = values[plan.edges]
-    for k, edges in plan.layer_edges():
-        vertices, owners, rows = plan.layers[k], plan.owners[edges], plan.rows[edges]
-        weights = lam[edges] * flow[rows]
-        flow = np.bincount(owners, weights, minlength=len(vertices))
-        _require_flow(vertices, flow <= 0.0)
-        means = means[rows] + gval[edges]
-        if plan.merges[k]:
-            means, shifts, scales = _merge_moves(means, weights, owners, flow, width)
-            moves[k] = shifts, scales
-        if rule.due(k, flow.item(0)):
-            flow = rule.rescale(flow, flow)
-        fields.append((means, flow, rule.exponent))
+    flows = _numerators(trellis, g, 0, REAL, direction).table._layers
+    dead = np.concatenate([block[:, 0] for block, _ in flows]) <= 0.0
+    if dead.any():
+        _require_flow(list(plan.where), dead)
+    values = g.values_for(trellis)
+    means = [np.zeros(1)]
     start = QuantizedDistribution.dirac(half_bins, width)
+    steps = _bin_layers(plan, lam, values[plan.edges], flows, means, width, half_bins)
     layers = _Layers(
-        plan, np.asarray([start.mass]), fields.__getitem__, (trellis._lam, values),
-        _bin_layers(plan, moves, half_bins), exponents=[f[2] for f in fields],
+        plan, np.asarray([start.mass]), lambda k: (means[k], flows[k][0][:, 0], flows[k][1]),
+        (trellis._lam, values), steps, exponents=[exponent for _, exponent in flows],
     )
     return (
         _LayerRows(plan, layers, partial(_quantized_row, half_bins, width)),
-        _LayerRows(plan, layers, _flow_row),
+        _LayerRows(plan, flows, lambda blocks, k, r: _scaled_row(blocks, k, r)[0]),
     )
 
 
 def _bin_layers(
-    plan: WalkPlan, moves: dict, half_bins: int
+    plan: WalkPlan, lam: np.ndarray, gval: np.ndarray, flows: list, means: list,
+    width: float, half_bins: int,
 ) -> Generator[None, _Layers, None]:
-    """The bin blocks of ``_quantized_sweep``: each ``send`` of its
-    ``_Layers`` makes the next layer, where paths merge by moving the
-    neighbours' rows by ``moves[k]``, the layer's shifts and scales, which
-    it then lets go; a chain layer keeps no block."""
+    """The layer loop of ``_quantized_sweep``: each ``send`` of its
+    ``_Layers`` makes the next layer and appends its means.
+
+    A vertex's incoming means are its neighbours' plus the edges' g.  On
+    a chain layer that is its mean, and it takes its neighbour's bins as
+    they are: a merge of one row would snap to that mean, move by 0 and
+    scale by 1 (unless the bin width is below the spacing of doubles at
+    the mean, where its weighted mean could round a bin away), so the
+    layer keeps no block.  Where paths merge, an edge weighs lambda times
+    its neighbour's scaled flow, and the rows merge as ``_merge_moves``
+    says and move by ``_move_bins``.
+    """
     layers = yield
     for k, edges in plan.layer_edges():
-        block = None
+        rows, block = plan.rows[edges], None
+        mean = means[-1][rows] + gval[edges]
         if plan.merges[k]:
-            shifts, scales = moves.pop(k)
-            rows, owners = plan.rows[edges], plan.owners[edges]
-            block = _move_bins(
-                layers.masses(k - 1, rows), shifts, scales, owners, len(plan.layers[k]), half_bins
-            )
+            owners, n = plan.owners[edges], len(plan.layers[k])
+            weights = lam[edges] * flows[k - 1][0][rows, 0]
+            flow = np.bincount(owners, weights, minlength=n)
+            mean, shifts, scales = _merge_moves(mean, weights, owners, flow, width)
+            block = _move_bins(layers.masses(k - 1, rows), shifts, scales, owners, n, half_bins)
+        means.append(mean)
         layers.keep(block)
         del layers  # held only while a layer is made
         layers = yield
@@ -934,37 +940,26 @@ def _distributions(trellis, g, direction, mode, params) -> DistributionState:
     require_valid(trellis)
     if mode not in ("exact", "quantized", "auto"):
         raise SemiringError(f"unknown distribution mode {mode!r}")
-    # g is read once, for the hard-decision test, the lattice and the sweep.
+    # g is read once, for the hard-decision test and the exact sweep.
     values = g.values_for(trellis)
     hard = bool(np.all(np.abs(values) == 1.0))
-    if mode == "auto":
+    if mode != "quantized":
         try:
-            step = lattice_step(trellis, values)
-            mode = "exact"
+            exact = _exact_sweep(trellis, values, direction)
         except LatticeError:
-            mode = "quantized"
-    elif mode == "exact":
-        step = lattice_step(trellis, values)
-    if mode == "exact":
-        exact = _exact_sweep(trellis, values, direction, step)
-        return DistributionState(
-            direction, "exact", trellis.rank, hard, trellis.layers, exact=exact, step=step
-        )
+            if mode == "exact":
+                raise
+        else:
+            return DistributionState(
+                direction, "exact", trellis.rank, hard, trellis.layers, exact=exact,
+                step=exact._step,
+            )
     params = params or QuantizationParams()
     width = _resolve_bin_width(trellis, g, params)
-    dists, flows = _quantized_sweep(
-        trellis, values, direction, params.half_bins, width
-    )
+    dists, flows = _quantized_sweep(trellis, g, direction, params.half_bins, width)
     return DistributionState(
-        direction,
-        "quantized",
-        trellis.rank,
-        hard,
-        trellis.layers,
-        quantized=dists,
-        flows=flows,
-        half_bins=params.half_bins,
-        bin_width=width,
+        direction, "quantized", trellis.rank, hard, trellis.layers, quantized=dists,
+        flows=flows, half_bins=params.half_bins, bin_width=width,
     )
 
 

@@ -27,9 +27,10 @@ all sections in one sum per state pair, kept on the forward state.
 States keep one block per layer behind read-only vertex mappings; in the
 real and max-product semirings each block carries a power-of-two
 exponent, which keeps normalized moments finite where the flow
-underflows.  Its rule, ``_Scale``, and the dead-flow check serve both
-distribution sweeps too.  ``_posterior`` gives the coding layer a
-code's or one-symbol subcode's moments from one forward sweep.
+underflows.  Its rule, ``_Scale``, serves the exact distribution sweep,
+and the quantized one reads its flows from the real order-0 rows.
+``_posterior`` gives the coding layer a code's or one-symbol subcode's
+moments from one forward sweep.
 
 A labelled trellis keeps its last sweep of each direction and semiring,
 with the bits of g's values and the order, as long as the trellis
@@ -39,7 +40,7 @@ order 0 with any g (row 0 and its exponent read only lambda), makes the
 sweep's checks and then hands out read-only column views of the kept
 blocks, bit for bit the rows a sweep would make: rows 0..m of a sweep do
 not depend on its order.  So the entropy, correlation moments, symbol
-probabilities, bin sizing and the CLI Gaussian share sweeps.
+probabilities, bin sizing, quantized flows and CLI Gaussian share sweeps.
 ``symbol_moments`` joins every section once per state pair and keeps
 every symbol group's numerators and normalized moments as the tuples it
 hands out; a later call checks its arguments, looks up its group and
@@ -323,7 +324,7 @@ def _rescale(block: np.ndarray, flows: np.ndarray) -> tuple[np.ndarray, float, i
 
 
 class _Scale:
-    """The one rescale rule of the moment, quantized and exact sweeps.
+    """The one rescale rule of the moment and exact sweeps.
 
     ``due`` grows a bound on the layer's largest |flow| by its sum of
     |lambda|, and is true when that passes 2^_SPAN or the probe, a flow of

@@ -41,6 +41,7 @@ from trelliskit import (
     Trellis,
     ZeroFlowError,
     backward_distributions,
+    backward_numerators,
     build_conv_trellis,
     channel_lambda_labels,
     correlation_g_table,
@@ -556,6 +557,56 @@ def test_quantized_zero_flow_hits_the_same_vertex():
     with pytest.raises(ZeroFlowError) as want:
         reference_quantized_sweep(cut, g, "forward", 4, 0.5)
     assert got.value.vertex == want.value.vertex == dead
+
+
+NUMERATORS = {"forward": forward_numerators, "backward": backward_numerators}
+SWEEPS = {"forward": forward_distributions, "backward": backward_distributions}
+
+
+def assert_flows_are_moment_rows(state, t, g):
+    """``state``'s flows, and each layer's scaled flows and exponent, have
+    the bits of an order-0 moment sweep over a fresh copy of ``t``, which
+    keeps its own sweeps."""
+    rows = NUMERATORS[state.direction](t.relabeled(t._lam), g, 0)
+    layers = state.quantized._layers
+    for v in rows.table:
+        k, r = state.quantized._where[v]
+        (flow,), exponent = rows.scaled(v)
+        assert (bits(layers[k][1][r]), layers[k][3]) == (bits(flow), exponent), v
+        assert bits(state.flows[v]) == bits(rows.table[v][0]), v
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_quantized_flows_are_the_order_0_moment_rows(instance):
+    """On random trellises, where 3 or more edges can merge, the
+    quantized flows are the moment sweep's order-0 rows, bit for bit, and
+    a dead vertex is the first whose row 0 is not positive."""
+    t, direction, seed = instance
+    rng = np.random.default_rng(seed)
+    g = DepthFunctionTable({e.id: float(rng.normal()) for e in t.edges})
+    params = distributions.QuantizationParams(4, 0.5)
+    try:
+        state = SWEEPS[direction](t, g, "quantized", params)
+    except ZeroFlowError as err:
+        rows = NUMERATORS[direction](t.relabeled(t._lam), g, 0).table
+        assert err.vertex == next(v for v in rows if not rows[v][0] > 0.0)
+        return
+    assert_flows_are_moment_rows(state, t, g)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_quantized_flows_are_the_moment_rows_where_rescales_fire(direction):
+    """[7,5] K=300 over AWGN sigma2=2.0, seed 3, where the flows are
+    rescaled many times: the scaled flows and their exponents are the
+    moment sweep's, bit for bit."""
+    code = build_conv_trellis((7, 5), 300)
+    _, received = make_received(code, Awgn(2.0), 3)
+    t = channel_lambda_labels(code, Awgn(2.0), received)
+    g = correlation_g_table(t, received)
+    state = SWEEPS[direction](t, g, "quantized")
+    assert state.quantized._layers[-1][3] < -1000
+    assert_flows_are_moment_rows(state, t, g)
 
 
 @pytest.mark.parametrize("soft", [True, False])
@@ -1100,6 +1151,20 @@ def test_a_cut_read_sweeps_forward_only_to_its_depth(monkeypatch):
             got = trellis_distribution(fd, bd, depth)
         assert len(calls) == merge_layers(t, "forward", depth) + 1, depth
         assert dist_fields(got) == dist_fields(trellis_distribution(*full, depth)), depth
+
+
+def test_a_vertex_read_finds_extents_only_to_its_layer():
+    """[7,5] K=200 over BSC: the first read of a layer-3 vertex finds the
+    extents of layers 0..3 only, and every read after it, deepest first,
+    has the bits of a state read front to back."""
+    t, g = bsc200()
+    full = forward_distributions(t, g, "exact").exact
+    want = {v: exact_fields(full[v]) for v in full}
+    state = forward_distributions(t, g, "exact").exact
+    first = t.layers[3][0]
+    assert exact_fields(state[first]) == want[first]
+    assert len(state._extents) <= 4
+    assert {v: exact_fields(state[v]) for v in reversed(list(state))} == want
 
 
 def read_tasks(t, g, fd, bd) -> list:

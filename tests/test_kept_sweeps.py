@@ -8,8 +8,10 @@ sweep do not depend on its order, and row 0 and its exponent read only
 lambda.  A served state must be the sweep's own, bit for bit, and every
 check a sweep makes must still run.  The whole code's entropy sweeps at
 order 2, so the order-2 questions after it on the same word are served.
-On the benchmark's words an op sweeps twice ([7,5] K=200, BSC) and 4
-times ([171,133] K=24, AWGN).
+On the benchmark's words an op sweeps twice ([7,5] K=200, BSC) and 5
+times ([171,133] K=24, AWGN): a quantized distribution sweep reads its
+flows from the kept sweep of its direction, or sweeps and keeps them at
+order 0.
 """
 
 from unittest import mock
@@ -254,11 +256,12 @@ def test_words_bsc75_op_sweeps_twice(seed):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_words_awgn171_op_sweeps_four_times(seed):
+def test_words_awgn171_op_sweeps_five_times(seed):
     """The library calls of a ``words-awgn171`` op: both quantized sweeps
-    size their bins from the order-4 sweep of correlation_moments, and
-    the constrained copies keep their own sweeps, never the labelled
-    trellis's."""
+    size their bins from the order-4 sweep of correlation_moments, the
+    forward one reads its flows from that sweep too, the backward one
+    sweeps its flows at order 0, and the constrained copies keep their
+    own sweeps, never the labelled trellis's."""
     channel, depth = Awgn(1.0), 9
     lab, word = bench_word((0o171, 0o133), 24, channel, seed)
     kept = {}
@@ -277,11 +280,34 @@ def test_words_awgn171_op_sweeps_four_times(seed):
         trellis_distribution(fd, bd, lab.rank // 2)
         symbol_distribution(lab, g, fd, bd, depth, 1.0)
 
-    # Order 0 and 4 on the labelled trellis, order 1 and 4 on the copies.
-    assert kept_sweeps_counted(lab, op) == [("forward", 0), ("forward", 1), ("forward", 4), ("forward", 4)]
-    assert list(lab._sweeps) == [("forward", REAL)]
+    # Forward order 0 and 4 and backward order 0 on the labelled trellis,
+    # order 1 and 4 on the copies.
+    assert kept_sweeps_counted(lab, op) == [
+        ("forward", 0), ("forward", 1), ("forward", 4), ("forward", 4), ("backward", 0)
+    ]
+    assert list(lab._sweeps) == [("forward", REAL), ("backward", REAL)]
     assert lab._sweeps["forward", REAL][1] == 4
     assert_kept_read_only(lab)
+
+
+def test_a_quantized_pair_reads_its_flows_from_kept_sweeps():
+    """With an order-4 sweep kept in each direction, a quantized pair
+    sizes its bins and reads its flows from them, running no moment
+    sweep, and its flows are their order-0 rows, bit for bit."""
+    lab, word = bench_word((0o171, 0o133), 24, Awgn(1.0), 2)
+    g = correlation_g_table(lab, word)
+    kept = [forward_numerators(lab, g, 4), backward_numerators(lab, g, 4)]
+    pair = []
+
+    def sweeps():
+        pair.append(forward_distributions(lab, g, mode="quantized"))
+        pair.append(backward_distributions(lab, g, mode="quantized"))
+
+    assert kept_sweeps_counted(lab, sweeps) == []
+    for state, rows in zip(pair, kept):
+        assert [state.flows[v].hex() for v in rows.table] == [
+            rows.table[v][0].hex() for v in rows.table
+        ]
 
 
 ENTROPY_WORDS = [
@@ -363,7 +389,8 @@ def join_bits(joined):
 )
 def test_a_pair_sized_on_two_trellises(generators, info_len, channel, seed):
     """A quantized pair sizes its bins from one order-2 forward sweep,
-    which the labelled trellis keeps.  A backward state sized on a
+    which the labelled trellis keeps and the forward flows read; the
+    backward flows sweep at order 0, kept too.  A backward state sized on a
     ``relabeled`` copy, which keeps no sweep, sweeps its own and gets the
     same width bits, so the pair checks and joins as the one-trellis pair
     does, bit for bit, also where the flow underflows."""
@@ -375,7 +402,7 @@ def test_a_pair_sized_on_two_trellises(generators, info_len, channel, seed):
         pair.append(forward_distributions(lab, g, mode="quantized"))
         pair.append(backward_distributions(lab, g, mode="quantized"))
 
-    assert kept_sweeps_counted(lab, sized) == [("forward", 2)]
+    assert kept_sweeps_counted(lab, sized) == [("forward", 2), ("backward", 0)]
     fd, bd = pair
     other = backward_distributions(lab.relabeled(lab._lam), g, mode="quantized")
     assert bd.bin_width.hex() == other.bin_width.hex() == fd.bin_width.hex()

@@ -282,8 +282,8 @@ class TestAgainstFullScan:
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of validate and lattice_step runs made through the engines."""
-    counts = {"validate": 0, "lattice_step": 0}
+    """Counts of validate and ``_lattice`` runs made through the engines."""
+    counts = {"validate": 0, "lattice": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -295,11 +295,7 @@ def calls(monkeypatch):
     monkeypatch.setattr(
         trellis_module, "validate", counted("validate", trellis_module.validate)
     )
-    monkeypatch.setattr(
-        distributions,
-        "lattice_step",
-        counted("lattice_step", distributions.lattice_step),
-    )
+    monkeypatch.setattr(distributions, "_lattice", counted("lattice", distributions._lattice))
     return counts
 
 
@@ -320,13 +316,15 @@ def test_engines_validate_once(calls):
     for depth in range(1, lab.rank + 1):
         for symbol in (1.0, -1.0):
             symbol_moments(lab, g, fwd, bwd, depth, symbol)
+    # Each exact sweep derives its lattice once, and the join places its
+    # edges on the sweeps' step once.
     fd = forward_distributions(lab, g, mode="auto")
     assert fd.mode == "exact"
-    assert calls["lattice_step"] == 1
+    assert calls["lattice"] == 1
     bd = backward_distributions(lab, g)
-    assert calls["lattice_step"] == 2
+    assert calls["lattice"] == 2
     symbol_distribution(lab, g, fd, bd, 3, 1.0)
-    assert calls == {"validate": 1, "lattice_step": 2}
+    assert calls == {"validate": 1, "lattice": 3}
 
 
 def test_relabeled_copy_keeps_report(calls):
