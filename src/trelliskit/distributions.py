@@ -34,8 +34,12 @@ and its shifts, the bin width, and in quantized mode the flows.  The
 quantized flows and their exponents are the rows of the real order-0
 moment sweep in the sweep's direction (``moments._numerators``): the
 trellis's kept sweep there serves them, else one order-0 sweep, which
-the trellis keeps.  What waits for a read is the exact layers and the
-quantized means and bins, which have the same bits in any read order.
+the trellis keeps.  Where some flow underflowed under one exponent per
+layer, that sweep keeps an exponent per row instead (``moments._held``),
+and a merge or a join brings its rows' weights to the largest exponent
+among them by one ``ldexp``.  What waits for a read is the exact
+layers and the quantized means and bins, which have the same bits in
+any read order.
 
 In exact mode ``_lattice`` finds the step and each edge's integer
 lattice shift once per sweep, as it does for ``lattice_step`` and the
@@ -66,7 +70,8 @@ rows' column offsets, as in the sweep; quantized rows merge as one
 owner's rows in the sweep's merge.  Both states, and the symbol join's
 trellis and g, must hold the lambda and g bits of one sweep input, else
 SemiringError.  The join keeps the masses scaled and adds both layers'
-exponents.  ``trellis_distribution``, ``symbol_distribution`` and vertex
+exponents (per joined edge, the largest sum, where quantized flows keep
+one per row).  ``trellis_distribution``, ``symbol_distribution`` and vertex
 reads apply the exponent, so their raw masses underflow where the flow
 does; the CLI's normalized column and the figures normalize the scaled
 masses, which stay finite.
@@ -86,9 +91,9 @@ import numpy as np
 
 from .errors import LatticeError, SemiringError, ZeroFlowError
 from .moments import (
-    _LayerRows, _numerators, _quiet, _require_flow, _require_swept_over, _Scale,
-    _same_topology, _scaled_row, _section, _unscaled, backward_numerators,
-    forward_numerators, symbol_moments, trellis_moments,
+    _DEAD, _LayerRows, _align, _exponents_at, _held, _numerators, _quiet, _require_flow,
+    _require_swept_over, _Scale, _same_topology, _scaled_row, _section, _unscaled,
+    backward_numerators, forward_numerators, symbol_moments, trellis_moments,
 )
 from .semirings import REAL
 from .trellis import DepthFunctionTable, Trellis, WalkPlan, require_valid
@@ -500,11 +505,13 @@ class DistributionState:
     unit-mass bin vectors around the tracked means, and the flows needed
     for relative edge weights, which are ``flows * 2^k``, the order-0
     rows and exponents of the moment sweep the trellis keeps in this
-    direction; ``flows`` maps over those rows and hands out that
-    product.  Merge layers store their masses; a chain layer's
-    are rebuilt from the last stored block when read, unless rescaled, and
-    exact offsets and lengths are made from each layer's column offsets
-    when read.  The other mode's mappings are None.
+    direction (k is one int per layer, or an int array with one per row
+    where the layer's flows span more than a double holds); ``flows``
+    maps over those rows and hands out that product.  Merge layers store
+    their masses; a chain layer's are rebuilt from the last stored block
+    when read, unless rescaled, and exact offsets and lengths are made
+    from each layer's column offsets when read.  The other mode's
+    mappings are None.
     """
 
     direction: str
@@ -538,7 +545,8 @@ class _Layers(Sequence):
     ``fields(k)`` gives layer k's other arrays (and its exponent), which
     the block joins after the first two, once layer k is made;
     ``exponents[k]`` is the power of two that scales its masses (exact)
-    or flows (quantized, the moment sweep's).  A layer where
+    or flows (quantized, the moment sweep's, one per row where that sweep
+    keeps one per row).  A layer where
     paths merge keeps its block, and so does a chain layer that ``keep``
     rescales; other chain layers keep none.  Their row r is the edge's
     neighbour row times, in exact mode, the edge's lambda, so ``masses``
@@ -852,16 +860,16 @@ def _quantized_sweep(
     real order-0 moment sweep (``moments._numerators``), which a sweep
     the trellis keeps in this direction serves; a merge reads only their
     ratios, which a rescale leaves as they are.  The call checks the
-    labels and the flows, and raises ZeroFlowError at the first dead
-    vertex in walk order; the means and bins, ``_bin_layers``', wait for
-    a read.
+    labels and the flows (``moments._held``, which sweeps again with an
+    exponent per row where some flow underflowed), and raises
+    ZeroFlowError at the first dead vertex in walk order; the means and
+    bins, ``_bin_layers``', wait for a read.
     """
     plan = trellis.plan(direction)
     lam = plan.lam(trellis, nonnegative_for="quantized mode")
-    flows = _numerators(trellis, g, 0, REAL, direction).table._layers
-    dead = np.concatenate([block[:, 0] for block, _ in flows]) <= 0.0
-    if dead.any():
-        _require_flow(list(plan.where), dead)
+    state = _numerators(trellis, g, 0, REAL, direction)
+    _require_flow(plan, _held(state, trellis, positive=True)[:, 0])
+    flows = state.table._layers
     values = g.values_for(trellis)
     means = [np.zeros(1)]
     start = QuantizedDistribution.dirac(half_bins, width)
@@ -889,8 +897,9 @@ def _bin_layers(
     scale by 1 (unless the bin width is below the spacing of doubles at
     the mean, where its weighted mean could round a bin away), so the
     layer keeps no block.  Where paths merge, an edge weighs lambda times
-    its neighbour's scaled flow, and the rows merge as ``_merge_moves``
-    says and move by ``_move_bins``.
+    its neighbour's scaled flow, brought to the largest exponent of the
+    vertex's edges where the flows keep one per row, and the rows merge as
+    ``_merge_moves`` says and move by ``_move_bins``.
     """
     layers = yield
     for k, edges in plan.layer_edges():
@@ -898,7 +907,11 @@ def _bin_layers(
         mean = means[-1][rows] + gval[edges]
         if plan.merges[k]:
             owners, n = plan.owners[edges], len(plan.layers[k])
-            weights = lam[edges] * flows[k - 1][0][rows, 0]
+            block, exponent = flows[k - 1]
+            weights = lam[edges] * block[rows, 0]
+            if type(exponent) is not int:  # bring each vertex's weights to one exponent
+                shift, _ = _align(exponent[rows], lam[edges] != 0.0, plan.firsts[k], owners)
+                weights = np.ldexp(weights, shift)
             flow = np.bincount(owners, weights, minlength=n)
             mean, shifts, scales = _merge_moves(mean, weights, owners, flow, width)
             block = _move_bins(layers.masses(k - 1, rows), shifts, scales, owners, n, half_bins)
@@ -1048,7 +1061,9 @@ def _join(trellis, g, forward, backward, cut: int = 0, constraint=None) -> tuple
     land at their g's lattice shift on the sum's window; quantized rows
     merge as one owner's incoming rows in a sweep, weighted by the scaled
     flows of both layers.  Returns the result, with scaled masses, and the
-    sum of both layers' powers of two, which scales them back.  With no
+    sum of both layers' powers of two, which scales them back; where the
+    flows keep one per row, the largest such sum over the joined edges,
+    to which every edge's weight is brought.  With no
     edges, or no flow in quantized mode, the result has zero mass.
     """
     _check_pair(forward, backward)
@@ -1075,7 +1090,10 @@ def _join(trellis, g, forward, backward, cut: int = 0, constraint=None) -> tuple
     b_layers.reach(b_k)
     f_at, f_size = f_layers.fields(f_k)[:2]
     b_at, b_size = b_layers.fields(b_k)[:2]
-    exponent = f_layers.exponents[f_k] + b_layers.exponents[b_k]
+    exponent = (
+        _exponents_at(f_layers.exponents[f_k], init_rows)
+        + _exponents_at(b_layers.exponents[b_k], fin_rows)
+    )
     exact = forward.mode == "exact"
     half_bins, width = forward.half_bins, forward.bin_width
     if exact and not len(init_rows):
@@ -1085,6 +1103,10 @@ def _join(trellis, g, forward, backward, cut: int = 0, constraint=None) -> tuple
     if not exact:
         owners = np.zeros(len(init_rows), dtype=np.intp)
         weights = f_size[init_rows] * lam * b_size[fin_rows]
+        if type(exponent) is not int:  # an exponent per row: bring the weights to the largest
+            exponent = np.where(lam != 0.0, exponent, _DEAD)
+            top = int(exponent.max(initial=_DEAD))
+            weights, exponent = np.ldexp(weights, exponent - top), top
         flow = np.bincount(owners, weights, minlength=1)
         if flow[0] <= 0.0:
             zeros = (0.0,) * (2 * half_bins + 1)

@@ -28,7 +28,14 @@ States keep one block per layer behind read-only vertex mappings; in the
 real and max-product semirings each block carries a power-of-two
 exponent, which keeps normalized moments finite where the flow
 underflows.  Its rule, ``_Scale``, serves the exact distribution sweep,
-and the quantized one reads its flows from the real order-0 rows.
+and the quantized one reads its flows from the real order-0 rows.  One
+exponent per layer cannot hold a layer whose flows span more than a
+double's range, so the readers of every row (``normalized_states``, the
+quantized sweeps and the symbol join) test the rows once, in ``_held``:
+where some row 0 falls below ``_FLOOR``, the sweep runs again with an
+exponent per row, and the trellis keeps that one.  It is the one real
+carrier: ``normalized_states`` is a view of it, each row over its row 0,
+with ln row 0 plus the row's exponent times ln 2 as the log flow.
 ``_posterior`` gives the coding layer a code's or one-symbol subcode's
 moments from one forward sweep.
 
@@ -40,7 +47,8 @@ order 0 with any g (row 0 and its exponent read only lambda), makes the
 sweep's checks and then hands out read-only column views of the kept
 blocks, bit for bit the rows a sweep would make: rows 0..m of a sweep do
 not depend on its order.  So the entropy, correlation moments, symbol
-probabilities, bin sizing, quantized flows and CLI Gaussian share sweeps.
+probabilities, bin sizing, quantized flows, normalized states and CLI
+Gaussian share sweeps.
 ``symbol_moments`` joins every section once per state pair and keeps
 every symbol group's numerators and normalized moments as the tuples it
 hands out; a later call checks its arguments, looks up its group and
@@ -106,10 +114,13 @@ def _section(depth: int, rank: int) -> int:
     return int(depth)
 
 
-def _require_flow(vertices: Sequence[int], dead: np.ndarray) -> None:
-    """The one dead-flow check: ZeroFlowError at the first ``dead`` vertex."""
+def _require_flow(plan: WalkPlan, flows: np.ndarray) -> None:
+    """The one dead-flow check: ZeroFlowError at the first vertex, in walk
+    order, whose flow (``flows``, over every layer of ``plan``) is not
+    positive."""
+    dead = flows <= 0.0
     if dead.any():
-        raise ZeroFlowError(vertices[int(np.argmax(dead))])
+        raise ZeroFlowError(list(plan.where)[int(np.argmax(dead))])
 
 
 class _LayerRows(Mapping):
@@ -177,17 +188,28 @@ def _unscaled(row: list[Any], exponent: int) -> list[Any]:
     return _ldexp(row, exponent).tolist() if exponent else row
 
 
-def _scaled_row(layers: Sequence[tuple[np.ndarray, int]], k: int, r: int) -> list[Any]:
+def _exponents_at(exponent, rows):
+    """The powers of two of a layer's ``rows`` (an index or an index
+    array): its one exponent, or theirs where it keeps one per row."""
+    return exponent if type(exponent) is int else exponent[rows]
+
+
+def _scaled_row(layers: Sequence[tuple[np.ndarray, Any]], k: int, r: int) -> list[Any]:
     block, exponent = layers[k]
-    return _unscaled(block[r].tolist(), exponent)
+    return _unscaled(block[r].tolist(), _exponents_at(exponent, r))
 
 
-def _row_tuple(layers: Sequence[np.ndarray], k: int, r: int) -> tuple[float, ...]:
-    return tuple(layers[k][r].tolist())
+def _ratio_row(layers: Sequence[tuple[np.ndarray, Any]], k: int, r: int) -> tuple[float, ...]:
+    row = layers[k][0][r]
+    return tuple((row / row[0]).tolist())
 
 
-def _row_float(layers: Sequence[np.ndarray], k: int, r: int) -> float:
-    return float(layers[k][r])
+_LN2 = math.log(2.0)
+
+
+def _log_flow(layers: Sequence[tuple[np.ndarray, Any]], k: int, r: int) -> float:
+    block, exponent = layers[k]
+    return math.log(block[r, 0]) + int(_exponents_at(exponent, r)) * _LN2
 
 
 @dataclass
@@ -201,12 +223,15 @@ class MomentState:
     source: int
     sink: int
     _joined: Any = field(default=None, compare=False, repr=False)
+    # (lambda, the kept sweep it reads), which ``_held`` needs to sweep
+    # again with an exponent per row.
+    _kept: Any = field(default=None, compare=False, repr=False)
 
     def scaled(self, v: int) -> tuple[list[Any], int]:
         """(row, k) with ``table[v]`` equal to row * 2^k."""
         layer, r = self.table._where[v]
         block, exponent = self.table._layers[layer]
-        return block[r].tolist(), exponent
+        return block[r].tolist(), int(_exponents_at(exponent, r))
 
 
 @lru_cache(maxsize=None)
@@ -287,6 +312,7 @@ def _advance(
     firsts: np.ndarray,
     merge: bool,
     live: Optional[np.ndarray] = None,
+    shift: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The binomial step for every vertex of one layer, in the semiring:
     order m sums weights[m, j, e] prev[j, e] over j <= m (``lower``), j by
@@ -294,9 +320,13 @@ def _advance(
     at ``firsts``.  ``weights[m, j, e]`` is C(m, j) lam g^(m-j) of edge e and
     ``prev[:, e]`` its neighbour's row.  Terms with j > m are left out, so
     an order that overflowed to inf cannot make a lower one NaN through a
-    zero coefficient.  Edges off the boolean mask ``live`` add nothing."""
+    zero coefficient.  Edge e's terms are multiplied by 2^``shift[e]``,
+    and edges off the boolean mask ``live`` add the semiring zero, so a
+    label 0 cannot meet an inf row."""
     terms = semiring.mul(weights, prev)
     terms = semiring.add.reduce(terms, axis=1, where=lower, initial=semiring.zero)
+    if shift is not None:
+        terms = np.ldexp(terms, shift)
     if live is not None:
         terms[:, ~live] = semiring.zero
     return semiring.add.reduceat(terms, firsts, axis=1) if merge else terms
@@ -324,14 +354,18 @@ def _rescale(block: np.ndarray, flows: np.ndarray) -> tuple[np.ndarray, float, i
 
 
 class _Scale:
-    """The one rescale rule of the moment and exact sweeps.
+    """The one rescale rule of the moment and exact sweeps that keep one
+    exponent per layer.
 
     ``due`` grows a bound on the layer's largest |flow| by its sum of
     |lambda|, and is true when that passes 2^_SPAN or the probe, a flow of
     the layer, else a floor shrunk by its smallest nonzero |lambda|, drops
     below 2^-_SPAN; ``rescale`` then adds ``_rescale``'s shift to
     ``exponent``.  A shift is nonzero only where the largest |flow| leaves
-    2^+-_SPAN, so how loose the bounds are moves no exponent.
+    2^+-_SPAN, so how loose the bounds are moves no exponent.  One
+    exponent cannot hold a layer whose flows span more than a double's
+    range; a moment sweep then keeps one per row instead (``_sweep``'s
+    ``wide``, which ``_held`` asks for), and needs no rule.
     """
 
     def __init__(self, lam: np.ndarray, bounds: Sequence[int]):
@@ -357,24 +391,61 @@ class _Scale:
 _RUN_WEIGHTS = 2**15
 
 
+# Where a row 0 of a one-exponent sweep lies below _FLOOR, or is 0, its
+# layer's flows may span more than a double holds (see ``_held``).
+_FLOOR = _LOW * _LOW
+# The exponent of a row no path reaches: an ldexp by it, or by it less a
+# real exponent, gives 0, and sums of a few thousand stay int64.
+_DEAD = -(1 << 40)
+
+
+def _align(
+    exponents: np.ndarray, live: Optional[np.ndarray], firsts: np.ndarray, owners: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's shift to its owner's exponent, and those exponents:
+    per owner, the largest of its entries' ``exponents`` (an owner's
+    entries start at ``firsts``), entries off ``live`` counting as
+    _DEAD, so that a label 0 moves no live row."""
+    if live is not None:
+        exponents = np.where(live, exponents, _DEAD)
+    top = np.maximum.reduceat(exponents, firsts)
+    return exponents - top[owners], top
+
+
 def _sweep(
     semiring: SemiringSpec,
     plan: WalkPlan,
     lift: np.ndarray,
     orders: tuple[int, ...],
-) -> list[tuple[np.ndarray, int]]:
+    wide: bool = False,
+) -> list[tuple[np.ndarray, Any]]:
     """A ``(block, exponent)`` per layer of ``plan``, whose moment rows
     are ``block * 2^exponent``, from the rows of ``_lift_rows`` in walk
-    order; the first is the start vertex's one-hot row, exponent 0.
+    order; the first is the start vertex's one-hot row, exponent 0.  On
+    the layers that hold a label equal to the semiring zero, those edges
+    add the semiring zero.
+
     Where the product is the real one, ``_Scale`` keeps each block's
     flows within 2^+-_SPAN, so the rows are the unscaled ones bit for bit
-    wherever those neither under- nor overflow."""
+    wherever those neither under- nor overflow.  With ``wide`` a row
+    keeps its own exponent instead (an int array per layer): each row is
+    divided by the power of two that puts its row 0 in [0.5, 1), and
+    where paths merge a vertex's incoming terms are first brought to the
+    largest exponent among its edges by one ``ldexp``.  Powers of two are
+    exact, so the rows are those of the one-exponent sweep wherever
+    neither under- nor overflows, and finite wherever the flow is
+    positive."""
     scale, power, lower = _binomial_index(semiring, orders)
     start = np.full((1, len(lift)), semiring.zero)
     start[0, 0] = semiring.one
-    layers, block, bounds = [(start, 0)], start.T, plan.bounds
+    exponent = np.zeros(1, dtype=np.int64) if wide else 0
+    layers, block, bounds = [(start, exponent)], start.T, plan.bounds
     scaled = semiring.mul is np.multiply
     rule = _Scale(lift[0], bounds)
+    # The mask of each layer that holds a zero label, None elsewhere.
+    zero, lives = lift[0] == semiring.zero, [None] * len(bounds)
+    for k in {bisect_right(bounds, e) for e in np.flatnonzero(zero).tolist()}:
+        lives[k] = ~zero[bounds[k - 1] : bounds[k]]
     first, most = 1, _RUN_WEIGHTS // len(lift) ** 2
     while first < len(bounds):
         end = max(first + 1, bisect_right(bounds, bounds[first - 1] + most))
@@ -382,14 +453,64 @@ def _sweep(
         weights = lift[:, origin : bounds[end - 1]][power]  # (m, j, edge)
         semiring.mul(weights, scale, out=weights)
         for k in range(first, end):
-            prev = block.take(plan.rows[bounds[k - 1] : bounds[k]], axis=1)
-            local = weights[:, :, bounds[k - 1] - origin : bounds[k] - origin]
-            block = _advance(semiring, local, lower, prev, plan.firsts[k], plan.merges[k])
-            if scaled and rule.due(k, block.item(0)):
-                block = rule.rescale(block, block[0])
-            layers.append((block.T, rule.exponent))
+            lo, hi = bounds[k - 1], bounds[k]
+            rows, live = plan.rows[lo:hi], lives[k]
+            prev = block.take(rows, axis=1)
+            local = weights[:, :, lo - origin : hi - origin]
+            if wide:
+                block, exponent = _wide_step(
+                    semiring, local, lower, prev, exponent[rows], live,
+                    plan.firsts[k], plan.owners[lo:hi], plan.merges[k],
+                )
+            else:
+                block = _advance(semiring, local, lower, prev, plan.firsts[k], plan.merges[k], live)
+                if scaled and rule.due(k, block.item(0)):
+                    block = rule.rescale(block, block[0])
+                exponent = rule.exponent
+            layers.append((block.T, exponent))
         first = end
     return layers
+
+
+def _wide_step(
+    semiring: SemiringSpec, weights: np.ndarray, lower: np.ndarray, prev: np.ndarray,
+    exponents: np.ndarray, live: Optional[np.ndarray], firsts: np.ndarray,
+    owners: np.ndarray, merge: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One layer of a ``wide`` sweep, whose edges' neighbour rows carry
+    ``exponents``: ``_advance``, with each vertex's incoming terms brought
+    to the largest exponent among its live edges, then each row divided by
+    the power of two that puts its row 0 in [0.5, 1).  Returns the block
+    and its rows' exponents; a row no path reaches keeps _DEAD's."""
+    shift = None
+    if merge:
+        shift, exponents = _align(exponents, live, firsts, owners)
+    elif live is not None:
+        exponents = np.where(live, exponents, _DEAD)
+    block = _advance(semiring, weights, lower, prev, firsts, merge, live, shift)
+    shift = np.frexp(block[0])[1]
+    return np.ldexp(block, -shift), exponents + shift
+
+
+def _kept_sweep(
+    sweeps: dict, key: tuple[str, SemiringSpec], plan: WalkPlan, labels: tuple,
+    bits: bytes, order: int, wide: bool = False,
+) -> tuple[bytes, int, list]:
+    """Sweep ``labels``, the carrier's lambda and g in ``Trellis.edges``
+    order, at ``order`` in the key's direction and semiring, and keep the
+    layers, read-only, with the bits of g and the order as ``sweeps[key]``."""
+    lam, gval = labels
+    lift = _lift_rows(key[1], lam[plan.edges], gval[plan.edges], order)
+    if wide:
+        layers = _sweep(key[1], plan, lift, (order,), wide=True)
+    else:
+        layers = _sweep(key[1], plan, lift, (order,))
+    for block, exponent in layers:
+        block.flags.writeable = False
+        if wide:
+            exponent.flags.writeable = False
+    sweeps[key] = kept = (bits, order, layers)
+    return kept
 
 
 @_quiet
@@ -404,20 +525,54 @@ def _numerators(
     _check_order(max_order)
     plan = trellis.plan(direction)
     values = g.values_for(trellis)
-    lam, gval = _edge_labels(semiring, trellis._lam, values)
-    bits, order, layers = trellis._sweeps.get((direction, semiring), (None, -1, None))
+    labels = _edge_labels(semiring, trellis._lam, values)
+    key = (direction, semiring)
+    kept = trellis._sweeps.get(key, (None, -1, None))
+    bits, order, layers = kept
     if max_order > order or (max_order and bits != values.tobytes()):
-        lift = _lift_rows(semiring, lam[plan.edges], gval[plan.edges], max_order)
-        layers = _sweep(semiring, plan, lift, (max_order,))
-        for block, _ in layers:
-            block.flags.writeable = False
-        trellis._sweeps[direction, semiring] = (values.tobytes(), max_order, layers)
+        kept = _kept_sweep(trellis._sweeps, key, plan, labels, values.tobytes(), max_order)
+        layers = kept[2]
     elif max_order < order:  # rows 0..m of a sweep do not depend on its order
         layers = [(block[:, : max_order + 1], exponent) for block, exponent in layers]
     table = _LayerRows(plan, layers, _scaled_row)
     return MomentState(
-        direction, max_order, semiring, table, trellis.source, trellis.sink
+        direction, max_order, semiring, table, trellis.source, trellis.sink,
+        _kept=(trellis._lam, kept),
     )
+
+
+def _held(state: MomentState, trellis: Trellis, positive: bool = False) -> np.ndarray:
+    """Every row of ``state``, its layers' blocks in walk order, once each
+    row's flow is held by a double: the one test that a sweep's layers
+    need an exponent per row, made where a reader reads every row.
+
+    In the real and max-product semirings a one-exponent sweep keeps each
+    layer's largest flow within 2^+-_SPAN, so a flow more than a double's
+    range below it reads 0.0, and on its way there falls below _FLOOR.
+    Where some row 0 is nonzero and below _FLOOR in magnitude, or with
+    ``positive`` (for a reader that needs every flow positive) is 0.0,
+    which is how a flow that underflowed at once reads, the state's kept
+    sweep runs again with ``wide`` rows, ``trellis`` keeps that in its
+    place if it keeps the first, and the state reads it."""
+    layers = state.table._layers
+    rows = np.concatenate([block for block, _ in layers])
+    flows = np.abs(rows[:, 0])
+    held = flows >= _FLOOR
+    if not positive:
+        held |= flows == 0.0
+    if (
+        type(layers[0][1]) is int and state._kept is not None
+        and state.semiring.mul is np.multiply and not held.all()
+    ):
+        lam, kept = state._kept
+        key, (bits, order, _) = (state.direction, state.semiring), kept
+        labels = _edge_labels(state.semiring, lam, np.frombuffer(bits))
+        sweeps = trellis._sweeps if trellis._sweeps.get(key) is kept else {}
+        wide = _kept_sweep(sweeps, key, state.table._plan, labels, bits, order, True)
+        layers = [(block[:, : state.max_order + 1], exponent) for block, exponent in wide[2]]
+        state.table._layers, state._kept = layers, (lam, wide)
+        rows = np.concatenate([block for block, _ in layers])
+    return rows
 
 
 def forward_numerators(
@@ -573,20 +728,11 @@ def _prepared_join(
     backward: MomentState, k: Optional[int] = None,
 ) -> _JoinedRows:
     """Every symbol group's answers from one join, or group ``k``'s alone:
-    the numerators from one ``ldexp`` by each group's exponent, that of
-    its section's alpha plus that of its beta; the normalized moments in
-    the real semiring from one divide of the scaled rows, and where the
-    scaled flow is 0, or in another semiring, from ``_normalize``."""
-    groups = trellis._symbol_groups()
-    if k is None:
-        scaled, depths = _symbol_join(trellis, g, forward, backward), groups.depths
-    else:
-        members = slice(groups._bounds[k], groups._bounds[k + 1])
-        scaled = _symbol_join(trellis, g, forward, backward, members)
-        depths = groups.depths[k : k + 1]
-    alpha = np.array([exponent for _, exponent in forward.table._layers])
-    beta = np.array([exponent for _, exponent in backward.table._layers])
-    exponents = (alpha[depths - 1] + beta[trellis.rank - depths])[:, None]
+    the numerators from one ``ldexp`` by each group's exponent; the
+    normalized moments in the real semiring from one divide of the scaled
+    rows, and where the scaled flow is 0, or in another semiring, from
+    ``_normalize``."""
+    scaled, exponents = _symbol_join(trellis, g, forward, backward, k)
     numerators = np.ldexp(scaled, exponents) if exponents.any() else scaled
     semiring, rows = forward.semiring, scaled.tolist()
     if semiring.name == "real":
@@ -600,35 +746,59 @@ def _prepared_join(
 @_quiet
 def _symbol_join(
     trellis: Trellis, g: DepthFunctionTable, forward: MomentState,
-    backward: MomentState, members: slice = slice(None),
-) -> np.ndarray:
-    """Scaled numerators of the symbol groups whose entries ``members``
-    spans (all by default), a row each: one multinomial sum over their
-    edges, split by split, as each group's own (split, edge) grid ravels,
-        out[m] = sum C(m; a, b, c) alpha[a] lam g^b beta[c], a+b+c = m."""
+    backward: MomentState, k: Optional[int] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled numerators of every symbol group, or of group ``k`` alone, a
+    row each, and each row's power of two, as a column: one multinomial
+    sum over their edges, split by split, as each group's own (split,
+    edge) grid ravels,
+        out[m] = sum C(m; a, b, c) alpha[a] lam g^b beta[c], a+b+c = m.
+    The rows are ``_held``'s.  A group's exponent is that of its section's
+    alpha layer plus that of its beta layer, or, where a state keeps an
+    exponent per row, the largest sum of its edges' two, to which every
+    edge's terms are brought by one ``ldexp`` before the sum."""
     semiring, max_order = forward.semiring, min(forward.max_order, backward.max_order)
     groups, e = trellis._symbol_groups(), trellis.edge_arrays
+    members = slice(None) if k is None else slice(groups._bounds[k], groups._bounds[k + 1])
+    chosen = slice(None) if k is None else slice(k, k + 1)
+    depths, sizes = groups.depths[chosen], np.diff(groups.offsets)[chosen]
     positions = groups.positions[members]
     a, b, c, coefficients, starts = _multinomial_index(max_order, len(positions))
     lam, gval = _edge_labels(semiring, trellis._lam[positions], g.values_for(trellis)[positions])
     lift = _lift_rows(semiring, lam, gval, max_order)
     if max_order:  # order 0 has the one split (0, 0, 0), of weight 1
         lift = semiring.scale(coefficients, lift.take(b, axis=0))
-    depth = np.cumsum([0, *map(len, trellis.layers)])  # where each depth's rows start
-    alpha = np.concatenate([block for block, _ in forward.table._layers])
-    beta = np.concatenate([block for block, _ in backward.table._layers[::-1]])
-    alpha = alpha[(depth[e.section] + e.init_row)[positions], a]
-    beta = beta[(depth[e.fin_depth] + e.fin_row)[positions], c]
-    terms = semiring.mul(semiring.mul(alpha, lift), beta).ravel()
-    if members == slice(None):  # group by group, in an order built once per topology and M
-        sizes, cached = np.diff(groups.offsets), f"symbol join {max_order}"
+    # Where each depth's rows start in the forward walk; the backward walk
+    # lists the depths from the sink.
+    depth = np.cumsum([0, *map(len, trellis.layers)])
+    alpha_rows = (depth[e.section] + e.init_row)[positions]
+    beta_rows = (depth[-1] - depth[e.fin_depth + 1] + e.fin_row)[positions]
+    alpha, beta = _held(forward, trellis)[alpha_rows, a], _held(backward, trellis)[beta_rows, c]
+    terms = semiring.mul(semiring.mul(alpha, lift), beta)
+    alpha_exp, beta_exp = ([x for _, x in state.table._layers] for state in (forward, backward))
+    if type(alpha_exp[0]) is int and type(beta_exp[0]) is int:
+        exponents = np.array(alpha_exp)[depths - 1] + np.array(beta_exp)[trellis.rank - depths]
+    else:
+        row_exp = [
+            np.concatenate([np.broadcast_to(x, len(block)) for block, x in state.table._layers])
+            for state in (forward, backward)
+        ]
+        shift, exponents = _align(
+            row_exp[0][alpha_rows] + row_exp[1][beta_rows], lam != semiring.zero,
+            np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes),
+        )
+        terms = np.ldexp(terms, shift)
+    terms = terms.ravel()
+    if k is None:  # group by group, in an order built once per topology and M
+        cached = f"symbol join {max_order}"
         if cached not in trellis._plans:
             group = np.repeat(np.arange(len(sizes)), sizes)
             trellis._plans[cached] = np.argsort(np.tile(group, len(b)), kind="stable")
         terms = terms.take(trellis._plans[cached])
         below = _multinomial_index(max_order, 1)[4]  # the splits of the orders below m
         starts = (len(b) * groups.offsets[:-1, None] + np.multiply.outer(sizes, below)).ravel()
-    return semiring.add.reduceat(terms, starts).reshape(-1, max_order + 1)
+    sums = semiring.add.reduceat(terms, starts).reshape(-1, max_order + 1)
+    return sums, exponents[:, None]
 
 
 class _Posterior(NamedTuple):
@@ -742,18 +912,18 @@ def joint_trellis_moments(
     return numerators, tuple(flat[i : i + width] for i in range(0, len(flat), width))
 
 
-# -- normalized recursion --------------------------------------------------------
+# -- normalized moments ----------------------------------------------------------
 
 
 @dataclass
 class NormalizedMomentState:
-    """Per-vertex normalized moments with flows tracked in the log domain.
+    """Per-vertex normalized moments and log flows of one real sweep.
 
     ``normalized[v][m]`` is numerator[m] / numerator[0]; ``log_flow[v]``
     is the natural log of the order-0 numerator, so that
     ``normalized[v][m] * exp(log_flow[v])`` reconstructs the raw
-    numerator without the recursion itself ever leaving a well-scaled
-    range.
+    numerator.  Both are read from the scaled rows, which stay finite
+    where the raw numerators under- or overflow.
     """
 
     direction: str
@@ -773,42 +943,29 @@ def normalized_states(
     max_order: int,
     direction: str = "forward",
 ) -> NormalizedMomentState:
-    """Run the recursion in normalized form (real labels, positive flows).
+    """Normalized moments (real labels, positive flows): a read-only view
+    of the real sweep ``forward_numerators`` or ``backward_numerators``
+    would give, which the trellis keeps.
 
-    Each layer's numerators are divided by that vertex's flow as they are
-    produced, and the flow itself is carried as a log; incoming edges
-    contribute through their relative weights
-    lam(e)*flow(init(e)) / sum(lam(e')*flow(init(e'))).  Raises
-    ZeroFlowError naming the first vertex whose flow vanishes.
+    A vertex's normalized moments are its scaled row over its row 0, and
+    its log flow is ln row 0 + k ln 2 for the row's power of two k.  Where
+    a layer's flows span more than a double holds, the sweep keeps an
+    exponent per row (see ``_held``), so every positive flow is finite.
+    Raises SemiringError for a negative label and ZeroFlowError naming the
+    first vertex, in walk order, whose flow is 0.
     """
     require_valid(trellis)
     _check_order(max_order)
     plan = trellis.plan(direction)
-    log_lam = np.log(plan.lam(trellis, nonnegative_for="normalized recursion"))
-    gval = g.values_for(trellis)[plan.edges]
-    scale, power, lower = _binomial_index(REAL, (max_order,))
-    normalized = [np.eye(1, max_order + 1)]
-    log_flow = [np.zeros(1)]
-    for k, edges in plan.layer_edges():
-        rows, owners, firsts = plan.rows[edges], plan.owners[edges], plan.firsts[k]
-        terms = log_lam[edges] + log_flow[-1][rows]
-        hi = np.maximum.reduceat(terms, firsts)
-        _require_flow(plan.layers[k], hi == -np.inf)
-        total = hi + np.log(np.add.reduceat(np.exp(terms - hi[owners]), firsts))
-        weights = np.exp(terms - total[owners])
-        # The weight leads each edge's powers, and an edge of weight 0
-        # drops out, so a large g^l cannot overflow where w g^l does not.
-        lift = _lift_rows(REAL, weights, gval[edges], max_order)[power] * scale
-        prev = normalized[-1].T.take(rows, axis=1)
-        row = _advance(REAL, lift, lower, prev, firsts, plan.merges[k], weights != 0.0)
-        row[0] = 1.0
-        normalized.append(row.T)
-        log_flow.append(total)
+    plan.lam(trellis, nonnegative_for="normalized recursion")
+    state = _numerators(trellis, g, max_order, REAL, direction)
+    _require_flow(plan, _held(state, trellis, positive=True)[:, 0])
+    layers = state.table._layers
     return NormalizedMomentState(
         direction,
         max_order,
-        _LayerRows(plan, normalized, _row_tuple),
-        _LayerRows(plan, log_flow, _row_float),
+        _LayerRows(plan, layers, _ratio_row),
+        _LayerRows(plan, layers, _log_flow),
     )
 
 

@@ -23,6 +23,7 @@ trellis into an equivalent one-symbol-per-edge trellis.
 
 from __future__ import annotations
 
+import io
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -892,8 +893,11 @@ def loads_trellis(text: str) -> Trellis:
             raise TrellisFormatError(f"line {lineno}: {exc}") from None
     if rank is None:
         raise TrellisFormatError("missing 'trellis rank=<n>' header")
-    vertices = np.array(list(vertex_depths.items()), dtype=np.intp).reshape(-1, 2).T
-    ends = np.array(ends, dtype=np.intp).reshape(-1, 3).T
+    try:
+        vertices = np.array(list(vertex_depths.items()), dtype=np.intp).reshape(-1, 2).T
+        ends = np.array(ends, dtype=np.intp).reshape(-1, 3).T
+    except OverflowError:
+        raise _overflow(text) from None
     labels = np.array(labels, dtype=float).reshape(-1, 2).T
     try:
         return Trellis._from_arrays(rank, *vertices, *ends, *labels)
@@ -908,9 +912,39 @@ def _keyed(field: str, key: str) -> str:
     return field[len(prefix):]
 
 
+_INTS = range(np.iinfo(np.intp).min, np.iinfo(np.intp).max + 1)
+
+
+def _overflow(text: str) -> TrellisFormatError:
+    """The error for the first vertex or edge id or depth of a parsed
+    trellis text that the trellis's integer arrays cannot hold."""
+    places = {"v": slice(1, 3), "e": slice(1, 4)}
+    bounds = f"outside {_INTS.start}..{_INTS.stop - 1}"
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split() or [""]
+        for field in fields[places.get(fields[0], slice(0))]:
+            value = field.rpartition("=")[2]
+            if int(value) not in _INTS:
+                return TrellisFormatError(f"line {lineno}: integer {value} {bounds}")
+    return TrellisFormatError(f"an integer {bounds}")
+
+
+def _ascii_text(path) -> str:
+    """An ASCII text file's text; TrellisFormatError names the line of a
+    byte that is not ASCII."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise TrellisFormatError(
+            f"line {lineno}: byte {data[exc.start]:#04x} is not ASCII"
+        ) from None
+
+
 def read_trellis(path) -> Trellis:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_trellis(fh.read())
+    return loads_trellis(_ascii_text(path))
 
 
 def write_trellis(path, trellis: Trellis) -> None:
@@ -921,7 +955,8 @@ def write_trellis(path, trellis: Trellis) -> None:
 def read_g_table(path, trellis: Trellis) -> DepthFunctionTable:
     """Parse per-edge g values: lines of the form ``g <edge-id> <value>``."""
     values: dict[int, float] = {}
-    with open(path, "r", encoding="ascii") as fh:
+    # newline=None splits lines as a text-mode read does.
+    with io.StringIO(_ascii_text(path), newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -955,17 +990,20 @@ def write_g_table(path, table: DepthFunctionTable) -> None:
 
 
 def read_received(path) -> list[float]:
-    """Parse a received word: one real per line."""
+    """Parse a received word: one finite real per line."""
     values: list[float] = []
-    with open(path, "r", encoding="ascii") as fh:
+    with io.StringIO(_ascii_text(path), newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError as exc:
                 raise TrellisFormatError(f"line {lineno}: {exc}") from None
+            if not math.isfinite(value):
+                raise TrellisFormatError(f"line {lineno}: non-finite received value {value!r}")
+            values.append(value)
     return values
 
 

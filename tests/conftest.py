@@ -12,12 +12,11 @@ from trelliskit import (
     Trellis,
     TrellisFormatError,
     TrellisStructureError,
-    ZeroFlowError,
     build_spc_trellis,
     moments,
 )
 from trelliskit.codes import MAX_CONV_MEMORY
-from trelliskit.semirings import _PASCAL, REAL
+from trelliskit.semirings import _PASCAL
 
 
 def rel_err(a: float, b: float) -> float:
@@ -298,7 +297,9 @@ def reference_sweep(semiring, plan, lift, orders):
         bound = math.inf
     for k, edges in plan.layer_edges():
         prev = block[plan.rows[edges]]
-        block = reference_advance(semiring, index, lift[edges], prev, plan.firsts[k])
+        # An edge whose label is the semiring zero adds the semiring zero.
+        live = lift[edges, 0] != semiring.zero
+        block = reference_advance(semiring, index, lift[edges], prev, plan.firsts[k], live)
         if scaled:
             bound *= growth[k - 1]
             if bound > moments._HIGH or abs(block.item(0)) < moments._LOW:
@@ -306,29 +307,3 @@ def reference_sweep(semiring, plan, lift, orders):
                 exponent += shift
         layers.append((block, exponent))
     return layers
-
-
-def reference_normalized_layers(trellis, g, max_order, direction):
-    """The normalized and log-flow blocks of ``normalized_states``."""
-    plan = trellis.plan(direction)
-    log_lam = np.log(plan.lam(trellis, nonnegative_for="normalized recursion"))
-    gval = g.values_for(trellis)[plan.edges]
-    index = reference_index((max_order,))
-    normalized = [np.eye(1, max_order + 1)]
-    log_flow = [np.zeros(1)]
-    for k, edges in plan.layer_edges():
-        rows, owners, firsts = plan.rows[edges], plan.owners[edges], plan.firsts[k]
-        terms = log_lam[edges] + log_flow[-1][rows]
-        hi = np.maximum.reduceat(terms, firsts)
-        dead = hi == -np.inf
-        if dead.any():
-            raise ZeroFlowError(plan.layers[k][int(np.argmax(dead))])
-        total = hi + np.log(np.add.reduceat(np.exp(terms - hi[owners]), firsts))
-        weights = np.exp(terms - total[owners])
-        lift = moments._lift_rows(REAL, weights, gval[edges], max_order).T
-        live = weights != 0.0
-        row = reference_advance(REAL, index, lift, normalized[-1][rows], firsts, live)
-        row[:, 0] = 1.0
-        normalized.append(row)
-        log_flow.append(total)
-    return normalized, log_flow

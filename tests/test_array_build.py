@@ -20,6 +20,7 @@ from trelliskit import (
     Edge,
     SemiringError,
     Trellis,
+    TrellisFormatError,
     TrellisStructureError,
     backward_numerators,
     build_conv_trellis,
@@ -28,6 +29,8 @@ from trelliskit import (
     forward_numerators,
     loads_trellis,
     read_g_table,
+    read_received,
+    read_trellis,
     split_multi_symbol_edges,
     symbol_moments,
     write_g_table,
@@ -192,6 +195,65 @@ def test_parser_errors_equal_reference(text):
     want = outcome(reference_loads_trellis, text)
     assert isinstance(want[0], type) and want[0].__name__ == "TrellisFormatError"
     assert outcome(loads_trellis, text) == want
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        "e 9223372036854775808 0 1 lambda=1.0 clabel=1.0",
+        "e 99999999999999999999 0 1 lambda=1.0 clabel=1.0",
+        "e 0 -9223372036854775809 1 lambda=1.0 clabel=1.0",
+        "v 99999999999999999999 depth=1",
+        "v 2 depth=99999999999999999999",
+    ],
+)
+def test_an_integer_beyond_int64_is_a_format_error(record):
+    """Ids and depths must fit the trellis's integer arrays; one that does
+    not names its line instead of escaping as an OverflowError."""
+    text = f"trellis rank=1\n# e 99999999999999999999\nv 0 depth=0\nv 1 depth=1\n{record}\n"
+    with pytest.raises(TrellisFormatError, match=r"^line 5: integer -?\d+ outside "):
+        loads_trellis(text)
+
+
+def _reader_texts():
+    """(reader, valid text) of every file reader, on [7,5] K=2."""
+    t = build_conv_trellis((7, 5), 2)
+    return [
+        (read_trellis, dumps_trellis(t)),
+        (lambda path: read_g_table(path, t), "".join(f"g {i} 0.5\n" for i in t.edge_arrays.ids.tolist())),
+        (read_received, "1.0\n-1.0\n0.25\n"),
+    ]
+
+
+@pytest.mark.parametrize("which", range(3), ids=["trellis", "g table", "received word"])
+def test_a_byte_that_is_not_ascii_is_a_format_error(tmp_path, which):
+    """A non-ASCII byte names its line instead of escaping as a
+    UnicodeDecodeError; CRLF line ends read as a text-mode read splits
+    them."""
+    reader, text = _reader_texts()[which]
+    path = tmp_path / "file.txt"
+    path.write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+    crlf = reader(path)
+    path.write_bytes(text.encode("ascii"))
+    plain = reader(path)
+    if which == 0:
+        crlf, plain = dumps_trellis(crlf), dumps_trellis(plain)
+    elif which == 1:
+        crlf, plain = sorted(crlf.items()), sorted(plain.items())
+    assert crlf == plain
+    lines = text.encode("ascii").split(b"\n")
+    lines[1] += b" \xc3\xa9"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(TrellisFormatError, match=r"^line 2: byte 0xc3 is not ASCII$"):
+        reader(path)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+def test_a_received_value_that_is_not_finite_is_a_format_error(tmp_path, value):
+    path = tmp_path / "r.txt"
+    path.write_text(f"1.0\n# a comment\n{value}\n-1.0\n")
+    with pytest.raises(TrellisFormatError, match=r"^line 3: non-finite received value -?(inf|nan)$"):
+        read_received(path)
 
 
 # -- the constructor's checks -----------------------------------------------------

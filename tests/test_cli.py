@@ -826,6 +826,22 @@ def test_boundary_errors(spc4_file, tmp_path, capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_a_received_word_that_is_not_finite_is_a_boundary_error(tmp_path, capsys):
+    """``label`` over AWGN reads the received word at the boundary: an
+    inf value exits 1 with an ``error:`` line naming its line, and no
+    labelled trellis (it used to write lambda=0.0 on that section)."""
+    code, received, out = tmp_path / "code.trellis", tmp_path / "r.txt", tmp_path / "l.trellis"
+    assert main(["build-code", "--conv", "7,5", "--info-len", "3", "--out", str(code)]) == 0
+    rank = read_trellis(code).rank
+    received.write_text("1.0\n" * (rank - 1) + "inf\n")
+    capsys.readouterr()
+    argv = ["label", "--trellis", str(code), "--channel", "awgn:0.5", "--received", str(received)]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: line {rank}: non-finite received value inf\n"
+    assert "Traceback" not in err and not out.exists()
+
+
 def _awgn75_sweep(half_bins):
     """A quantized forward sweep with ``half_bins`` of [7,5] K=4 labelled
     over AWGN sigma2=0.5 from seed 1, with g = c.r."""

@@ -260,8 +260,9 @@ def test_words_awgn171_op_sweeps_five_times(seed):
     """The library calls of a ``words-awgn171`` op: both quantized sweeps
     size their bins from the order-4 sweep of correlation_moments, the
     forward one reads its flows from that sweep too, the backward one
-    sweeps its flows at order 0, and the constrained copies keep their
-    own sweeps, never the labelled trellis's."""
+    from the order-4 backward sweep of ``normalized_states``, and the
+    constrained copies keep their own sweeps, never the labelled
+    trellis's."""
     channel, depth = Awgn(1.0), 9
     lab, word = bench_word((0o171, 0o133), 24, channel, seed)
     kept = {}
@@ -280,13 +281,13 @@ def test_words_awgn171_op_sweeps_five_times(seed):
         trellis_distribution(fd, bd, lab.rank // 2)
         symbol_distribution(lab, g, fd, bd, depth, 1.0)
 
-    # Forward order 0 and 4 and backward order 0 on the labelled trellis,
+    # Forward order 0 and 4 and backward order 4 on the labelled trellis,
     # order 1 and 4 on the copies.
     assert kept_sweeps_counted(lab, op) == [
-        ("forward", 0), ("forward", 1), ("forward", 4), ("forward", 4), ("backward", 0)
+        ("forward", 0), ("forward", 1), ("forward", 4), ("forward", 4), ("backward", 4)
     ]
     assert list(lab._sweeps) == [("forward", REAL), ("backward", REAL)]
-    assert lab._sweeps["forward", REAL][1] == 4
+    assert lab._sweeps["forward", REAL][1] == lab._sweeps["backward", REAL][1] == 4
     assert_kept_read_only(lab)
 
 

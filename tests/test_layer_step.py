@@ -1,9 +1,9 @@
 """The moment layer step on prebuilt weights against the step it replaced.
 
-``reference_sweep`` and ``reference_normalized_layers`` (in conftest) build
-each layer's binomial weights anew and join every layer with
-``reduceat``.  The sweeps now build the weights once per run of layers,
-orders-major, and skip the join on chain layers; they must return equal
+``reference_sweep`` (in conftest) builds each layer's binomial weights
+anew and joins every layer with ``reduceat``.  The sweeps now build the
+weights once per run of layers, orders-major, and skip the join on chain
+layers; they must return equal
 blocks (NaN equal to NaN) and the same exponents in every semiring, at
 orders where numpy's summation order would show any change in how the
 terms over j are added, on joint grids and in both directions.  Run
@@ -12,6 +12,7 @@ single layers runs of their own, go through the same checks.  A sweep's
 memory stays at O(widest section (M+1)^2).
 """
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -36,7 +37,7 @@ from trelliskit import (
 from trelliskit.oracles import random_trellis
 from trelliskit.semirings import REAL
 
-from conftest import reference_normalized_layers, reference_sweep
+from conftest import reference_sweep
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -108,6 +109,33 @@ def test_sweep_equals_reference(instance, name, orders, direction, budget):
     assert_same_layers(got, want)
 
 
+@SETTINGS
+@given(
+    trellises(),
+    st.sampled_from(["real", "maxprod"]),
+    st.sampled_from([(0,), (1,), (2,), (4,), (1, 1)]),
+    st.sampled_from(["forward", "backward"]),
+)
+def test_wide_sweep_rows_equal_the_one_exponent_rows(instance, name, orders, direction):
+    """A sweep with an exponent per row gives the rows of the sweep with
+    one per layer, bit for bit, where neither under- nor overflows: past
+    the start's one-hot row, every live row 0 lies in [0.5, 1), and a row
+    no path reaches is 0 with an exponent that an ldexp turns into 0."""
+    semiring = get_semiring(name)
+    t, seed = instance
+    plan, lift = sweep_lift(semiring, t, seed, orders, direction)
+    with np.errstate(all="ignore"):
+        narrow = moments._sweep(semiring, plan, lift, orders)
+        wide = moments._sweep(semiring, plan, lift, orders, wide=True)
+    assert len(wide) == len(narrow)
+    for k, ((block, exponents), (ref, exponent)) in enumerate(zip(wide, narrow)):
+        assert exponents.dtype == np.int64 and exponents.shape == (len(block),), k
+        flows = np.abs(block[:, 0])
+        assert k == 0 or ((flows >= 0.5) & (flows < 1.0) | (flows == 0.0)).all(), k
+        rows = np.ldexp(block, exponents.reshape((-1,) + (1,) * (block.ndim - 1)))
+        assert np.array_equal(rows, np.ldexp(ref, exponent), equal_nan=True), k
+
+
 def outcome(fn, *args):
     try:
         return "ok", fn(*args)
@@ -123,28 +151,30 @@ def outcome(fn, *args):
     st.booleans(),
 )
 def test_normalized_states_equal_reference(instance, order, direction, large):
-    """With g up to 1e60, high orders overflow, and an edge of weight 0
-    must drop out rather than turn inf into NaN."""
+    """``normalized_states`` is a view of the real sweep the trellis keeps:
+    bit for bit, each vertex's row / row[0] and ln row[0] + k ln 2, for
+    the row's power of two k, or ZeroFlowError at the first vertex in walk
+    order whose row 0 is 0.  With g up to 1e60, high orders overflow, and
+    an edge of label 0 must add nothing rather than turn inf into NaN.
+    Its accuracy is ``test_moment_sweeps``' to check."""
     t, seed = instance
     rng = np.random.default_rng(seed)
     g = 10 ** rng.uniform(-5, 60, len(t.edges)) if large else rng.normal(0, 3, len(t.edges))
     g = DepthFunctionTable(dict(zip((e.id for e in t.edges), g.tolist())))
     got = outcome(normalized_states, t, g, order, direction)
-    with np.errstate(all="ignore"):
-        want = outcome(reference_normalized_layers, t, g, order, direction)
-    assert got[0] == want[0]
+    _, kept_order, layers = t._sweeps[direction, REAL]
+    assert kept_order == order
+    where = t.plan(direction).where
     if got[0] != "ok":
-        assert got[1] == want[1]
+        assert got == (ZeroFlowError, next(v for v, (k, r) in where.items() if layers[k][0][r, 0] == 0.0))
         return
-    normalized, log_flow = want[1]
-    assert_same_layers(
-        [(block, 0) for block in got[1].normalized._layers],
-        [(block, 0) for block in normalized],
-    )
-    assert_same_layers(
-        [(flows, 0) for flows in got[1].log_flow._layers],
-        [(flows, 0) for flows in log_flow],
-    )
+    for v, (k, r) in where.items():
+        block, exponent = layers[k]
+        row, power = block[r], int(exponent if type(exponent) is int else exponent[r])
+        with np.errstate(all="ignore"):
+            ratios = (row / row[0]).tolist()
+        assert [x.hex() for x in got[1].normalized[v]] == [x.hex() for x in ratios], v
+        assert got[1].log_flow[v].hex() == (math.log(row[0]) + power * math.log(2.0)).hex(), v
 
 
 @pytest.mark.parametrize(

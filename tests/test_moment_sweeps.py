@@ -113,7 +113,9 @@ def reference_numerators(trellis, g, max_order, direction):
     table = {start: [1.0] + [0.0] * max_order}
     for group in steps:
         for v, edges in group:
-            pairs = [(lift[e.id], table[neighbor(e)]) for e in edges]
+            # An edge of label 0 adds nothing, as in the sweeps: its
+            # neighbour's row may hold an inf that 0 would turn into NaN.
+            pairs = [(lift[e.id], table[neighbor(e)]) for e in edges if e.lam != 0.0]
             table[v] = _combine(pairs, max_order)
     return table
 
@@ -362,6 +364,24 @@ def test_normalized_skips_zero_weight_edges(direction):
     assert normalized[1] == state.normalized[1] == (1.0, 1e200, math.inf)
     for v in (3, 4):
         assert normalized[v] == state.normalized[v] == (1.0, 0.0, 0.0), v
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_numerators_skip_zero_label_edges(direction):
+    """The trellis of ``test_normalized_skips_zero_weight_edges``: vertex
+    1's row is inf at order 2 and its only edge on has label 0, which adds
+    nothing, so vertices 3 and 4 keep the finite rows they get through
+    vertex 2 rather than 0 * inf = NaN."""
+    depths = {0: 0, 1: 1, 2: 1, 3: 2, 4: 3}
+    edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 0.0), (2, 3, 1.0), (3, 4, 1.0)]
+    if direction == "backward":
+        depths = {v: 3 - d for v, d in depths.items()}
+        edges = [(fin, init, lam) for init, fin, lam in edges]
+    t = Trellis(3, depths, [Edge(i, *e) for i, e in enumerate(edges)])
+    g = DepthFunctionTable({0: 1e200, 1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0})
+    table = numerators(t, g, 2, direction)
+    assert table[1] == [1.0, 1e200, math.inf]
+    assert table[3] == table[4] == [1.0, 0.0, 0.0]
 
 
 def test_zero_flow_hits_the_same_vertex():
