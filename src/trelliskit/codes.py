@@ -6,13 +6,15 @@ code symbol per edge).  Labeling the edges with memoryless channel
 likelihoods makes every path label the conditional probability of the
 received word given that codeword, after which the moment and
 distribution engines deliver correlation moments, symbol probabilities
-and conditional entropies of the code and of its one-bit subcodes from
-forward moment sweeps (``moments._posterior``) that stay finite on codes
-whose flow underflows a float.  The labelled trellis keeps the code's
-sweep, so questions about one code share it: the whole code's entropy
-sweeps at order 2, which serves the correlation moments up to order 2
-after it, the code's flow for every symbol probability comes from one
-sweep, and each subcode, a relabeled copy, takes one sweep of its own.
+and conditional entropies of the code and of its one-bit subcodes
+(``moments._posterior``), finite on codes whose flow underflows a float.
+The code's moments are the forward sweep's sink row; a subcode's are the
+forward and backward sweeps joined across its one constrained section,
+as BCJR joins alpha and beta.  The labelled trellis keeps its sweeps, so
+questions about one word share them: the whole code's entropy sweeps at
+order 2, which serves the correlation moments up to order 2 after it,
+and the symbol probabilities of every depth take one forward and one
+backward sweep in all.
 
 For both the binary symmetric and the AWGN channel the uncertainty
 -log2 P(c|w) is affine in the correlation c.w:
@@ -355,7 +357,10 @@ def correlation_moments(
     The trellis must already carry channel likelihoods as lambda-labels;
     the result is then the posterior expectation of (c.w)^m for m up to
     ``max_order``, restricted to the subcode when ``constraint=(depth,
-    symbol)`` is given; order and depth must be whole numbers.
+    symbol)`` is given; order and depth must be whole numbers.  The code's
+    moments read the forward sweep the trellis keeps; a subcode's join it
+    with the backward one across section ``depth``, and the trellis keeps
+    both.
     """
     from .moments import _posterior
 
@@ -395,13 +400,16 @@ def conditional_entropy_detail(
     so later order-2 questions about this word's c.w read it:
     ``correlation_moments`` up to order 2, the quantized bin sizing and
     the Gaussian of ``distributions._dataset``.
-    With one, the whole code is swept at order 0 for its flow alone.
+    With one, the code is swept forward and backward at order 1, and the
+    trellis keeps both: the forward sink row gives the code's log2 flow,
+    and the pair's join across section ``depth`` the subcode's first
+    moment.
     """
     from .moments import _posterior
 
     g = correlation_g_table(trellis, received)
     # Rows 0..1 and every exponent have the same bits at any order.
-    code = _posterior(trellis, g, 2 if constraint is None else 0)
+    code = _posterior(trellis, g, 2 if constraint is None else 1)
     log2_flow = code.log2_flow
     if constraint is not None:
         code = _posterior(trellis, g, 1, constraint)
@@ -428,9 +436,11 @@ def conditional_entropy(
 
 def symbol_probability(trellis: Trellis, depth: int, symbol: float) -> float:
     """Symbol probability P(c_i = x | r) on a likelihood-labeled trellis:
-    the subcode's flow over the code's, each from one order-0 sweep, of
-    which the trellis keeps the code's, so every depth takes rank + 1
-    sweeps in all; ``depth`` (i) must be a whole number in 1..rank.
+    the subcode's flow over the code's.  The code's is the order-0 forward
+    sweep's sink row, and the subcode's that sweep joined with the
+    order-0 backward sweep across section i; the trellis keeps both, so
+    every depth and symbol take two sweeps in all.  ``depth`` (i) must be
+    a whole number in 1..rank.
     """
     from .moments import _posterior
 

@@ -868,7 +868,7 @@ def _quantized_sweep(
     plan = trellis.plan(direction)
     lam = plan.lam(trellis, nonnegative_for="quantized mode")
     state = _numerators(trellis, g, 0, REAL, direction)
-    _require_flow(plan, _held(state, trellis, positive=True)[:, 0])
+    _require_flow(plan, _held(state, positive=True).rows[:, 0])
     flows = state.table._layers
     values = g.values_for(trellis)
     means = [np.zeros(1)]

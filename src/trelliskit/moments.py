@@ -33,20 +33,22 @@ exponent per layer cannot hold a layer whose flows span more than a
 double's range, so the readers of every row (``normalized_states``, the
 quantized sweeps and the symbol join) test the rows once, in ``_held``:
 where some row 0 falls below ``_FLOOR``, the sweep runs again with an
-exponent per row, and the trellis keeps that one.  It is the one real
-carrier: ``normalized_states`` is a view of it, each row over its row 0,
-with ln row 0 plus the row's exponent times ln 2 as the log flow.
-``_posterior`` gives the coding layer a code's or one-symbol subcode's
-moments from one forward sweep.
+exponent per row, and the trellis keeps that one.  The readers of one
+terminal row (``trellis_moments``, ``_posterior``) make the same test
+only where that row's flow reads 0 or below ``_FLOOR``.  It is the one
+real carrier: ``normalized_states`` is a view of it, each row over its
+row 0, with ln row 0 plus the row's exponent times ln 2 as the log flow.
+``_posterior`` gives the coding layer a code's moments from the forward
+sink row, and a one-symbol subcode's from the join of the forward and
+backward sweeps across the constrained section's one symbol group.
 
 A labelled trellis keeps its last sweep of each direction and semiring,
 with the bits of g's values and the order, as long as the trellis
-lives; a ``relabeled`` copy, such as ``_posterior``'s subcode, keeps its
-own.  A later call with the same g bits at an order no higher, or at
-order 0 with any g (row 0 and its exponent read only lambda), makes the
-sweep's checks and then hands out read-only column views of the kept
-blocks, bit for bit the rows a sweep would make: rows 0..m of a sweep do
-not depend on its order.  So the entropy, correlation moments, symbol
+lives; a ``relabeled`` copy keeps its own.  A later call with the same
+g bits at an order no higher, or at order 0 with any g (row 0 and its
+exponent read only lambda), makes the sweep's checks and then hands out
+read-only column views of the kept blocks, bit for bit the rows a sweep
+would make: rows 0..m of a sweep do not depend on its order.  So the entropy, correlation moments, symbol
 probabilities, bin sizing, quantized flows, normalized states and CLI
 Gaussian share sweeps.
 ``symbol_moments`` joins every section once per state pair and keeps
@@ -185,7 +187,8 @@ _ldexp = _quiet(np.ldexp)
 
 
 def _unscaled(row: list[Any], exponent: int) -> list[Any]:
-    return _ldexp(row, exponent).tolist() if exponent else row
+    # np.ldexp reads a Python int as an int32, which _DEAD overflows.
+    return _ldexp(row, np.int64(exponent)).tolist() if exponent else row
 
 
 def _exponents_at(exponent, rows):
@@ -223,8 +226,8 @@ class MomentState:
     source: int
     sink: int
     _joined: Any = field(default=None, compare=False, repr=False)
-    # (lambda, the kept sweep it reads), which ``_held`` needs to sweep
-    # again with an exponent per row.
+    # (the trellis's kept sweeps, lambda, the kept sweep it reads), which
+    # ``_held`` needs to sweep again with an exponent per row.
     _kept: Any = field(default=None, compare=False, repr=False)
 
     def scaled(self, v: int) -> tuple[list[Any], int]:
@@ -492,25 +495,42 @@ def _wide_step(
     return np.ldexp(block, -shift), exponents + shift
 
 
+class _KeptLayers(list):
+    """A kept sweep's ``(block, exponent)`` layers, whose blocks are row
+    ranges of ``rows``: every row of the sweep in walk order, one
+    read-only array, which ``_held`` tests whole; ``exponents`` holds
+    each row's power of two, for the symbol join."""
+
+    __slots__ = ("rows", "exponents")
+
+
 def _kept_sweep(
     sweeps: dict, key: tuple[str, SemiringSpec], plan: WalkPlan, labels: tuple,
     bits: bytes, order: int, wide: bool = False,
-) -> tuple[bytes, int, list]:
+) -> tuple[bytes, int, _KeptLayers]:
     """Sweep ``labels``, the carrier's lambda and g in ``Trellis.edges``
     order, at ``order`` in the key's direction and semiring, and keep the
-    layers, read-only, with the bits of g and the order as ``sweeps[key]``."""
+    layers, read-only and as one array of rows (``_KeptLayers``), with the
+    bits of g and the order as ``sweeps[key]``."""
     lam, gval = labels
     lift = _lift_rows(key[1], lam[plan.edges], gval[plan.edges], order)
     if wide:
         layers = _sweep(key[1], plan, lift, (order,), wide=True)
     else:
         layers = _sweep(key[1], plan, lift, (order,))
-    for block, exponent in layers:
-        block.flags.writeable = False
-        if wide:
-            exponent.flags.writeable = False
-    sweeps[key] = kept = (bits, order, layers)
-    return kept
+    blocks, exponents = zip(*layers)
+    sizes = [len(block) for block in blocks]
+    kept = _KeptLayers()
+    kept.rows = np.concatenate(blocks)
+    kept.exponents = np.concatenate(exponents) if wide else np.repeat(exponents, sizes)
+    kept.rows.flags.writeable = kept.exponents.flags.writeable = False
+    ends = np.cumsum(sizes).tolist()
+    kept.extend(
+        (kept.rows[end - n : end], kept.exponents[end - n : end] if wide else x)
+        for n, x, end in zip(sizes, exponents, ends)
+    )
+    sweeps[key] = out = (bits, order, kept)
+    return out
 
 
 @_quiet
@@ -537,14 +557,14 @@ def _numerators(
     table = _LayerRows(plan, layers, _scaled_row)
     return MomentState(
         direction, max_order, semiring, table, trellis.source, trellis.sink,
-        _kept=(trellis._lam, kept),
+        _kept=(trellis._sweeps, trellis._lam, kept),
     )
 
 
-def _held(state: MomentState, trellis: Trellis, positive: bool = False) -> np.ndarray:
-    """Every row of ``state``, its layers' blocks in walk order, once each
-    row's flow is held by a double: the one test that a sweep's layers
-    need an exponent per row, made where a reader reads every row.
+def _held(state: MomentState, positive: bool = False) -> _KeptLayers:
+    """The kept sweep's layers that ``state`` reads, once each row's flow
+    is held by a double: the one test that a sweep's layers need an
+    exponent per row, made where a reader reads every row.
 
     In the real and max-product semirings a one-exponent sweep keeps each
     layer's largest flow within 2^+-_SPAN, so a flow more than a double's
@@ -552,27 +572,36 @@ def _held(state: MomentState, trellis: Trellis, positive: bool = False) -> np.nd
     Where some row 0 is nonzero and below _FLOOR in magnitude, or with
     ``positive`` (for a reader that needs every flow positive) is 0.0,
     which is how a flow that underflowed at once reads, the state's kept
-    sweep runs again with ``wide`` rows, ``trellis`` keeps that in its
-    place if it keeps the first, and the state reads it."""
-    layers = state.table._layers
-    rows = np.concatenate([block for block, _ in layers])
-    flows = np.abs(rows[:, 0])
+    sweep runs again with ``wide`` rows, the trellis that swept it keeps
+    that in its place if it keeps the first, and the state reads it."""
+    sweeps, lam, kept = state._kept
+    bits, order, layers = kept
+    flows = np.abs(layers.rows[:, 0])
     held = flows >= _FLOOR
     if not positive:
         held |= flows == 0.0
-    if (
-        type(layers[0][1]) is int and state._kept is not None
-        and state.semiring.mul is np.multiply and not held.all()
-    ):
-        lam, kept = state._kept
-        key, (bits, order, _) = (state.direction, state.semiring), kept
+    if type(layers[0][1]) is int and state.semiring.mul is np.multiply and not held.all():
+        key = (state.direction, state.semiring)
         labels = _edge_labels(state.semiring, lam, np.frombuffer(bits))
-        sweeps = trellis._sweeps if trellis._sweeps.get(key) is kept else {}
-        wide = _kept_sweep(sweeps, key, state.table._plan, labels, bits, order, True)
-        layers = [(block[:, : state.max_order + 1], exponent) for block, exponent in wide[2]]
-        state.table._layers, state._kept = layers, (lam, wide)
-        rows = np.concatenate([block for block, _ in layers])
-    return rows
+        keeper = sweeps if sweeps.get(key) is kept else {}
+        wide = _kept_sweep(keeper, key, state.table._plan, labels, bits, order, True)
+        layers = wide[2]
+        state.table._layers = [(block[:, : state.max_order + 1], x) for block, x in layers]
+        state._kept = (sweeps, lam, wide)
+    return layers
+
+
+def _terminal(state: MomentState) -> tuple[list[Any], int]:
+    """``scaled`` of the forward sink or the backward source.  Where its
+    row 0 in the real or max-product semiring reads 0 or below _FLOOR, a
+    flow one exponent per layer may have lost, ``_held`` tests every row
+    first; other reads cost nothing more."""
+    terminal = state.sink if state.direction == "forward" else state.source
+    row, exponent = state.scaled(terminal)
+    if state.semiring.mul is np.multiply and not abs(row[0]) >= _FLOOR:
+        _held(state, positive=True)
+        row, exponent = state.scaled(terminal)
+    return row, exponent
 
 
 def forward_numerators(
@@ -643,10 +672,10 @@ def trellis_moments(state: MomentState) -> TrellisMoments:
     """Moments of the whole trellis from a completed sweep.
 
     Accepts either direction: the forward sink row and the backward source
-    row carry the same numerators.
+    row carry the same numerators.  Where that row's flow reads 0 or
+    underflowed, the rows are tested as ``_terminal`` says.
     """
-    terminal = state.sink if state.direction == "forward" else state.source
-    row, exponent = state.scaled(terminal)
+    row, exponent = _terminal(state)
     numerators = tuple(_unscaled(row, exponent))
     normalized = _normalize(state.semiring, row)
     return TrellisMoments(numerators, normalized, state.semiring.name)
@@ -760,32 +789,30 @@ def _symbol_join(
     semiring, max_order = forward.semiring, min(forward.max_order, backward.max_order)
     groups, e = trellis._symbol_groups(), trellis.edge_arrays
     members = slice(None) if k is None else slice(groups._bounds[k], groups._bounds[k + 1])
-    chosen = slice(None) if k is None else slice(k, k + 1)
-    depths, sizes = groups.depths[chosen], np.diff(groups.offsets)[chosen]
+    sizes = np.diff(groups.offsets if k is None else groups.offsets[k : k + 2])
     positions = groups.positions[members]
     a, b, c, coefficients, starts = _multinomial_index(max_order, len(positions))
     lam, gval = _edge_labels(semiring, trellis._lam[positions], g.values_for(trellis)[positions])
     lift = _lift_rows(semiring, lam, gval, max_order)
     if max_order:  # order 0 has the one split (0, 0, 0), of weight 1
         lift = semiring.scale(coefficients, lift.take(b, axis=0))
-    # Where each depth's rows start in the forward walk; the backward walk
-    # lists the depths from the sink.
-    depth = np.cumsum([0, *map(len, trellis.layers)])
-    alpha_rows = (depth[e.section] + e.init_row)[positions]
-    beta_rows = (depth[-1] - depth[e.fin_depth + 1] + e.fin_row)[positions]
-    alpha, beta = _held(forward, trellis)[alpha_rows, a], _held(backward, trellis)[beta_rows, c]
-    terms = semiring.mul(semiring.mul(alpha, lift), beta)
-    alpha_exp, beta_exp = ([x for _, x in state.table._layers] for state in (forward, backward))
-    if type(alpha_exp[0]) is int and type(beta_exp[0]) is int:
-        exponents = np.array(alpha_exp)[depths - 1] + np.array(beta_exp)[trellis.rank - depths]
+    # Where each depth's rows start in the forward walk, once per
+    # topology; the backward walk lists the depths from the sink.
+    depth = trellis._plans.get("layer starts")
+    if depth is None:
+        depth = trellis._plans["layer starts"] = np.cumsum([0, *map(len, trellis.layers)])
+        depth.flags.writeable = False
+    alpha_rows = depth[e.section[positions]] + e.init_row[positions]
+    beta_rows = depth[-1] - depth[e.fin_depth[positions] + 1] + e.fin_row[positions]
+    alpha, beta = _held(forward), _held(backward)
+    terms = semiring.mul(semiring.mul(alpha.rows[alpha_rows, a], lift), beta.rows[beta_rows, c])
+    exponents = alpha.exponents[alpha_rows] + beta.exponents[beta_rows]
+    firsts = np.cumsum(sizes) - sizes
+    if type(alpha[0][1]) is int and type(beta[0][1]) is int:
+        exponents = exponents[firsts]  # a group's edges share their two layers
     else:
-        row_exp = [
-            np.concatenate([np.broadcast_to(x, len(block)) for block, x in state.table._layers])
-            for state in (forward, backward)
-        ]
         shift, exponents = _align(
-            row_exp[0][alpha_rows] + row_exp[1][beta_rows], lam != semiring.zero,
-            np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes),
+            exponents, lam != semiring.zero, firsts, np.repeat(np.arange(len(sizes)), sizes)
         )
         terms = np.ldexp(terms, shift)
     terms = terms.ravel()
@@ -819,25 +846,45 @@ def _posterior(
     max_order: int,
     constraint: Optional[tuple[int, float]] = None,
 ) -> _Posterior:
-    """Real moments of orders 0..max_order over every path, or with
-    ``constraint=(depth, symbol)`` over the paths whose section-``depth``
-    edge has c-label ``symbol``: one forward sweep over a copy whose
-    other section-``depth`` edges have lambda 0.  Raises ZeroFlowError
-    when the flow is not positive; SemiringError unless depth is whole, in 1..rank."""
-    message = "total flow is zero or negative"
-    if constraint is not None:
+    """Real moments of orders 0..max_order over every path, from the
+    forward sweep's sink row, or with ``constraint=(depth, symbol)`` over
+    the paths whose section-``depth`` edge has c-label ``symbol``: the
+    forward and backward sweeps joined across that section's one symbol
+    group (``_symbol_join``), as BCJR joins alpha and beta.  Both read the
+    sweeps the trellis keeps, so questions about one word share them.
+    Raises ZeroFlowError when the flow is not positive, after the rows
+    are tested where it reads 0; SemiringError unless depth is whole, in
+    1..rank."""
+    if constraint is None:
+        row, exponent = _terminal(forward_numerators(trellis, g, max_order))
+        message = "total flow is zero or negative"
+    else:
         depth, symbol = constraint
         depth = _section(depth, trellis.rank)
-        a = trellis.edge_arrays
-        other = (a.section == depth - 1) & (a.clabel != symbol)
-        trellis = trellis.relabeled(np.where(other, 0.0, trellis._lam))
         message = f"no flow through c-label {symbol} at depth {depth}"
-    state = forward_numerators(trellis, g, max_order)
-    row, exponent = state.scaled(trellis.sink)
+        forward = forward_numerators(trellis, g, max_order)
+        k = trellis._symbol_groups().group(depth, symbol)
+        if k is None:
+            raise ZeroFlowError(None, message)
+        backward = backward_numerators(trellis, g, max_order)
+        row, exponent = _group_row(trellis, g, forward, backward, k)
+        if row[0] == 0.0:  # a flow that underflowed at once reads 0
+            for state in (forward, backward):
+                _held(state, positive=True)
+            row, exponent = _group_row(trellis, g, forward, backward, k)
     flow = row[0]
     if not flow > 0.0:
         raise ZeroFlowError(None, message)
     return _Posterior(tuple(x / flow for x in row), flow, exponent)
+
+
+def _group_row(
+    trellis: Trellis, g: DepthFunctionTable, forward: MomentState,
+    backward: MomentState, k: int,
+) -> tuple[list[float], int]:
+    """Symbol group ``k``'s scaled numerators and their power of two."""
+    scaled, exponents = _symbol_join(trellis, g, forward, backward, k)
+    return scaled[0].tolist(), int(exponents[0, 0])
 
 
 # -- joint moments -------------------------------------------------------------
@@ -959,7 +1006,7 @@ def normalized_states(
     plan = trellis.plan(direction)
     plan.lam(trellis, nonnegative_for="normalized recursion")
     state = _numerators(trellis, g, max_order, REAL, direction)
-    _require_flow(plan, _held(state, trellis, positive=True)[:, 0])
+    _require_flow(plan, _held(state, positive=True).rows[:, 0])
     layers = state.table._layers
     return NormalizedMomentState(
         direction,

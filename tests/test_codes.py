@@ -352,13 +352,14 @@ class TestConditionalEntropy:
             assert detail.entropy_bits < 1e-9
         assert min(raw) < 0.0
 
-    def test_constrained_entropy_sweeps_the_code_at_order_0(self, monkeypatch):
-        """With a constraint, the whole code's sweep gives only its log2
-        flow, and row 0 and its exponent have the same bits at any order:
-        that sweep runs at order 0, the constrained one at order 1, and the
-        log2 flow equals the unconstrained detail's bit for bit.  [7,5]
-        K=300 over AWGN sigma2=2.0: the flow falls to about 2^-1400, so
-        the sweeps rescale."""
+    def test_constrained_entropy_sweeps_the_code_at_order_1(self, monkeypatch):
+        """With a constraint, the code is swept once forward and once
+        backward at order 1, on the labelled trellis itself, and the
+        subcode's moments are the pair's join across the constrained
+        section; row 0 and its exponent have the same bits at any order,
+        so the log2 flow equals the unconstrained detail's bit for bit.
+        [7,5] K=300 over AWGN sigma2=2.0: the flow falls to about
+        2^-1400, so the sweeps rescale."""
         from trelliskit import moments
 
         t = build_conv_trellis((7, 5), 300)
@@ -366,17 +367,20 @@ class TestConditionalEntropy:
         _, received = make_received(t, channel, 3)
         labeled = channel_lambda_labels(t, channel, received)
         whole = conditional_entropy_detail(labeled, channel, received)
-        orders, sweep = [], moments.forward_numerators
+        names = {id(labeled.plan(d)): d for d in ("forward", "backward")}
+        swept, sweep = [], moments._sweep
 
-        def spy(trellis, g, max_order, *args):
-            orders.append(max_order)
-            return sweep(trellis, g, max_order, *args)
+        def spy(semiring, plan, lift, orders, *args, **kwargs):
+            swept.append((names[id(plan)], orders))
+            return sweep(semiring, plan, lift, orders, *args, **kwargs)
 
-        monkeypatch.setattr(moments, "forward_numerators", spy)
+        monkeypatch.setattr(moments, "_sweep", spy)
         for constraint in ((1, 1.0), (300, -1.0)):
-            orders.clear()
-            detail = conditional_entropy_detail(labeled, channel, received, constraint)
-            assert orders == [0, 1]
+            swept.clear()
+            fresh = labeled.relabeled(labeled._lam)
+            detail = conditional_entropy_detail(fresh, channel, received, constraint)
+            assert swept == [("forward", (1,)), ("backward", (1,))]
+            assert sorted(fresh._sweeps) == [("backward", moments.REAL), ("forward", moments.REAL)]
             assert detail.log2_flow.hex() == whole.log2_flow.hex()
         assert whole.log2_flow < -1000
 

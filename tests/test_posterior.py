@@ -1,11 +1,12 @@
 """The coding layer's posterior path, on long codes and as properties.
 
 ``moments._posterior`` answers every (sub)code question of the coding
-layer with one forward sweep, over a copy of the trellis whose other
-edges at the constrained section have lambda 0.  Its sweep rescales a
-layer by a power of two when the flow leaves a safe range, so the
-normalized moments and log2 of the flow stay finite on codes long enough
-for the flow itself to underflow a float (n >= 600 below).
+layer: the code's from the forward sweep's sink row, a subcode's from
+the forward and backward sweeps joined across its constrained section.
+The sweeps rescale a layer by a power of two when the flow leaves a safe
+range, so the normalized moments and log2 of the flow stay finite on
+codes long enough for the flow itself to underflow a float (n >= 600
+below).
 """
 
 import json
@@ -209,10 +210,10 @@ def test_section_scaling_only_shifts_the_exponent(instance, data):
 @PROPERTY_SETTINGS
 @given(labeled_instances())
 def test_constrained_posterior_matches_symbol_moments(instance):
-    """The constrained copy's one forward sweep gives the moments that the
-    forward/backward join across the section gives, to rounding; the
-    scale of each order is the join over |g|, which bounds the terms
-    that cancel."""
+    """The constrained posterior, its one group's join of the kept pair,
+    gives the moments that ``symbol_moments``' join of every section
+    gives, to rounding; the scale of each order is the join over |g|,
+    which bounds the terms that cancel."""
     t, g, order, constraint = instance
     depth, symbol = constraint or (1, 1.0)
     g_abs = DepthFunctionTable({k: abs(v) for k, v in g.items()})

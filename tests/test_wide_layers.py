@@ -9,7 +9,13 @@ sweep runs again with a power of two per row, and the trellis keeps it.
 Three cases that one exponent per layer got wrong: a 6-vertex trellis
 with labels 1e300 and 1e-300, two 120-section chains that never merge
 (labels 1 and 1e-10, where no rescale fires), and [7,5] K=40 over AWGN
-sigma2=0.01, seed 2, where dozens of rows underflowed.
+sigma2=0.01, seed 2, where dozens of rows underflowed.  A reader of one
+terminal row tests the rows only where that row's flow reads 0 or
+below ``moments._FLOOR``.  Constrained questions, the join of the kept
+pair across one section, are checked at high SNR against references
+that do not use the pair: a 60-digit brute force over the codewords of
+[7,5] K=8, and a log-domain sweep of a copy whose other edges at the
+constrained section have lambda 0.
 """
 
 import math
@@ -21,12 +27,14 @@ import pytest
 from trelliskit import (
     Awgn,
     DepthFunctionTable,
+    ZeroFlowError,
     Edge,
     Trellis,
     backward_distributions,
     backward_numerators,
     build_conv_trellis,
     channel_lambda_labels,
+    conditional_entropy_detail,
     correlation_g_table,
     correlation_moments,
     forward_distributions,
@@ -35,8 +43,10 @@ from trelliskit import (
     normalized_states,
     symbol_moments,
     trellis_distribution,
+    trellis_moments,
 )
 from trelliskit import moments
+from trelliskit.semirings import LOGREAL
 
 NUMERATORS = {"forward": forward_numerators, "backward": backward_numerators}
 
@@ -78,6 +88,43 @@ def test_one_exponent_per_layer_loses_the_small_flows():
     rows = forward_numerators(chains, DepthFunctionTable.constant(chains, 1.0), 0)
     assert all(exponent == 0 for _, exponent in rows.table._layers)
     assert rows.scaled(len(chains.vertices) - 1) == ([0.0], 0)
+
+
+def test_a_terminal_row_that_underflowed_is_held():
+    """With chain A's last label 0, the sink's flow is chain B's alone,
+    1e-1200, which one exponent per layer reads as 0.0 with no rescale.
+    The readers of the terminal row test the rows, as every other
+    reader does: the moments and the flow come from the wide sweep."""
+    t = unmerged_chains()  # chain A's edges are 0..rank - 1
+    t = t.relabeled(np.where(t.edge_arrays.ids == t.rank - 1, 0.0, t._lam))
+    g = DepthFunctionTable.constant(t, 1.0)
+    log_flow = t.rank * math.log(1e-10)
+    state = normalized_states(t.relabeled(t._lam), g, 1)
+    assert state.log_flow[t.sink] == pytest.approx(log_flow, rel=1e-12)
+    assert state.normalized[t.sink] == pytest.approx((1.0, 120.0), rel=1e-12)
+    for direction in ("forward", "backward"):
+        moments_ = trellis_moments(NUMERATORS[direction](t.relabeled(t._lam), g, 1))
+        assert moments_.numerators == (0.0, 0.0)  # the raw flow underflows
+        assert moments_.normalized == pytest.approx((1.0, 120.0), rel=1e-12)
+    got = moments._posterior(t, g, 1)
+    assert got.log2_flow == pytest.approx(log_flow / math.log(2.0), rel=1e-12)
+    assert got.normalized == pytest.approx((1.0, 120.0), rel=1e-12)
+    with pytest.raises(ZeroFlowError, match="total flow"):
+        moments._posterior(t.relabeled(np.zeros(len(t.edges))), g, 1)
+
+
+def test_a_terminal_row_that_holds_its_flow_is_read_alone(k40):
+    """Where the terminal row's flow is held, its readers test no row:
+    on the K=40 word the whole code's flow is far above the floor, while
+    dozens of other rows read 0.0."""
+    _, word, lab = k40
+    lab = lab.relabeled(lab._lam)
+    g = correlation_g_table(lab, word)
+    with mock.patch.object(moments, "_held", wraps=moments._held) as held:
+        trellis_moments(forward_numerators(lab, g, 1))
+        trellis_moments(backward_numerators(lab, g, 1))
+        moments._posterior(lab, g, 1)
+    assert held.call_count == 0
 
 
 @pytest.mark.parametrize("make", [six_vertices, unmerged_chains])
@@ -149,9 +196,24 @@ def test_k40_rows_underflow_under_one_exponent_per_layer(k40):
     assert zeros == [39, 49]
 
 
+def logreal_reference(lab, word, depth, symbol):
+    """(log2 flow, first moment of c.w) of the subcode with c-label
+    ``symbol`` at ``depth``, from a LOGREAL order-1 forward sweep of a
+    copy whose other section-``depth`` edges have lambda 0; the log
+    domain needs g >= 0, so the sweep reads c_i w_i + |w_i|, and the
+    moment drops the sum of |w_i| again."""
+    a = lab.edge_arrays
+    size = np.abs(np.asarray(word, dtype=float))
+    g = DepthFunctionTable.from_values(lab, a.clabel * np.asarray(word)[a.section] + size[a.section])
+    other = (a.section == depth - 1) & (a.clabel != symbol)
+    copy = lab.relabeled(np.where(other, 0.0, lab._lam))
+    got = trellis_moments(forward_numerators(copy, g, 1, LOGREAL))
+    return got.numerators[0] / math.log(2.0), got.normalized[1] - float(size.sum())
+
+
 def test_k40_every_symbol_group_is_normalized(k40):
     """All 168 groups have normalized moments, and the wrong symbol's at
-    depth 10 match the subcode's own sweep."""
+    depth 10 match the log-domain sweep of its subcode."""
     codeword, word, lab = k40
     lab = lab.relabeled(lab._lam)
     g = correlation_g_table(lab, word)
@@ -162,8 +224,43 @@ def test_k40_every_symbol_group_is_normalized(k40):
         assert symbol_moments(lab, g, forward, backward, d, s).normalized is not None, (d, s)
     wrong = -codeword[9]
     got = symbol_moments(lab, g, forward, backward, 10, wrong).normalized[1]
-    want = correlation_moments(lab, word, 1, (10, wrong))[1]
+    want = logreal_reference(lab, word, 10, wrong)[1]
     assert abs(got - want) <= 1e-9 * abs(want)
+
+
+def test_k40_constrained_questions_match_the_log_domain_copy(k40):
+    """Every (depth, symbol) of the K=40 word: the first correlation
+    moment within 1e-9 of the log-domain sweep of its subcode, and log2
+    of the flow within 1e-12.  The pair's join at one exponent per layer
+    lost paths here: (82, -1) read 71.07 for 73.62, and (84, -1) raised
+    ZeroFlowError."""
+    _, word, lab = k40
+    lab = lab.relabeled(lab._lam)
+    g = correlation_g_table(lab, word)
+    for d in range(1, lab.rank + 1):
+        for s in (1.0, -1.0):
+            got = moments._posterior(lab, g, 1, (d, s))
+            log2_flow, first = logreal_reference(lab, word, d, s)
+            assert correlation_moments(lab, word, 1, (d, s)) == got.normalized
+            assert abs(got.normalized[1] - first) <= 1e-9 * abs(first), (d, s)
+            assert abs(got.log2_flow - log2_flow) <= 1e-12 * abs(log2_flow), (d, s)
+
+
+# [7,5] K=8 over AWGN sigma2=0.01, seed 0, constrained to +1 at depth 5:
+# log2 of the subcode's flow and its first correlation moment, from a
+# 60-digit brute force over its 128 codewords.
+K8_LOG2_FLOW, K8_FIRST_MOMENT = -1426.5675055898462, 10.059604061218366
+
+
+def test_k8_constrained_entropy_matches_the_brute_force():
+    code = build_conv_trellis((7, 5), 8)
+    channel = Awgn(0.01)
+    _, word = make_received(code, channel, seed=0)
+    lab = channel_lambda_labels(code, channel, word)
+    detail = conditional_entropy_detail(lab, channel, word, (5, 1.0))
+    got = moments._posterior(lab, correlation_g_table(lab, word), 1, (5, 1.0))
+    assert abs(got.log2_flow - K8_LOG2_FLOW) <= 1e-12 * abs(K8_LOG2_FLOW)
+    assert abs(detail.first_moment - K8_FIRST_MOMENT) <= 1e-12 * K8_FIRST_MOMENT
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
